@@ -221,9 +221,9 @@ class _SlowAdvisor:
         self.inner = inner
         self.delay_s = delay_s
 
-    def advise_full_many(self, codes):
+    def advise_v1(self, requests):
         time.sleep(self.delay_s)
-        return self.inner.advise_full_many(codes)
+        return self.inner.advise_v1(requests)
 
     def stats(self):
         return self.inner.stats()
@@ -427,18 +427,19 @@ def test_serving_throughput(benchmark):
     with MultiModelEngine(registry, config=EngineConfig(
             max_batch_size=128)) as ungated_engine:
         ungated_full, ungated_elapsed = timed(
-            ungated_engine.advise_full_many, gating_trace)
+            ungated_engine.advise_v1, gating_trace)
         ungated_stats = ungated_engine.stats()
     with MultiModelEngine(registry, config=EngineConfig(
             max_batch_size=128, gate_margin=GATE_MARGIN)) as gated_engine:
         gated_full, gated_elapsed = timed(
-            gated_engine.advise_full_many, gating_trace)
+            gated_engine.advise_v1, gating_trace)
         gated_stats = gated_engine.stats()
     # parity: directive verdicts always agree; fanned-out snippets carry
     # identical clause probabilities
     gating_mismatches = 0
     for u, g in zip(ungated_full, gated_full):
-        if g.directive != u.directive:
+        if ((g.verdict, g.probability, g.degraded, g.recovered)
+                != (u.verdict, u.probability, u.degraded, u.recovered)):
             gating_mismatches += 1
         elif g.clauses and any(
                 abs(g.clauses[n].probability - u.clauses[n].probability) > 1e-6
@@ -478,7 +479,7 @@ def test_serving_throughput(benchmark):
         probe = codes[:48]
         live = MultiModelEngine(ModelRegistry.from_checkpoint(ckpt_a),
                                 config=EngineConfig(max_batch_size=128))
-        live.advise_full_many(probe)  # caches populated under version "0"
+        live.advise_v1(probe)  # caches populated under version "0"
         failures: list = []
         # per-thread counters, summed after join — a shared += would lose
         # updates across thread switches and understate the served count
@@ -488,7 +489,7 @@ def test_serving_throughput(benchmark):
         def reload_client(slot):
             while not stop.is_set():
                 try:
-                    served[slot] += len(live.advise_full_many(probe))
+                    served[slot] += len(live.advise_v1(probe))
                 except Exception as exc:  # noqa: BLE001 — counted below
                     failures.append(exc)
                     return
@@ -504,11 +505,11 @@ def test_serving_throughput(benchmark):
         for t in clients:
             t.join(timeout=60)
         with MultiModelEngine(ModelRegistry.from_checkpoint(ckpt_b)) as fresh:
-            expected_new = fresh.advise_full_many(probe)
-        post_swap = live.advise_full_many(probe)
+            expected_new = fresh.advise_v1(probe)
+        post_swap = live.advise_v1(probe)
         stale = sum(
             1 for got, exp in zip(post_swap, expected_new)
-            if abs(got.directive.probability - exp.directive.probability) > 1e-5
+            if abs(got.probability - exp.probability) > 1e-5
             or any(abs(got.clauses[n].probability - exp.clauses[n].probability)
                    > 1e-5 for n in exp.clauses))
         reload_stats = live.stats()
@@ -546,7 +547,7 @@ def test_serving_throughput(benchmark):
         def canary_client(slot):
             while not stop.is_set():
                 try:
-                    served[slot] += len(live.advise_full_many(probe))
+                    served[slot] += len(live.advise_v1(probe))
                 except Exception as exc:  # noqa: BLE001 — counted below
                     failures.append(exc)
                     return
@@ -562,7 +563,7 @@ def test_serving_throughput(benchmark):
         # one foreground pass guarantees completed canary-arm batches are
         # in the counters before the mid-rollout snapshot (the concurrent
         # clients may all be inside the still-cold canary forward)
-        live.advise_full_many(probe)
+        live.advise_v1(probe)
         mid_stats = live.stats()["canary"]
         _, promote_s = timed(live.promote)
         time.sleep(0.2)  # keep serving across the promote boundary
@@ -570,11 +571,11 @@ def test_serving_throughput(benchmark):
         for t in clients:
             t.join(timeout=60)
         with MultiModelEngine(ModelRegistry.from_checkpoint(ckpt_b)) as fresh:
-            expected_new = fresh.advise_full_many(probe)
-        post_promote = live.advise_full_many(probe)
+            expected_new = fresh.advise_v1(probe)
+        post_promote = live.advise_v1(probe)
         canary_stale = sum(
             1 for got, exp in zip(post_promote, expected_new)
-            if abs(got.directive.probability - exp.directive.probability) > 1e-5
+            if abs(got.probability - exp.probability) > 1e-5
             or any(abs(got.clauses[n].probability - exp.clauses[n].probability)
                    > 1e-5 for n in exp.clauses))
         final_stats = live.stats()

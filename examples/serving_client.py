@@ -3,7 +3,7 @@
 Builds the multi-model advisor (directive + private/reduction clause heads)
 from the small-scale experiment context, then exercises every front door:
 
-1. single and bulk ``advise_full`` calls straight into the engine,
+1. single and bulk ``advise_v1`` calls straight into the engine,
 2. the async queue API (``submit`` -> Future),
 3. the HTTP API on an ephemeral port (/advise, /advise/batch, /healthz),
 4. the ``/stats`` metrics the traffic produced.
@@ -17,7 +17,13 @@ import threading
 import urllib.request
 
 from repro.pipeline import SMALL, get_context
-from repro.serve import EngineConfig, ModelRegistry, MultiModelEngine, make_server
+from repro.serve import (
+    AdviceRequest,
+    EngineConfig,
+    ModelRegistry,
+    MultiModelEngine,
+    make_server,
+)
 
 LOOPS = [
     "for (i = 0; i < n; i++) y[i] = alpha * x[i] + y[i];",
@@ -43,15 +49,15 @@ registry = ModelRegistry.from_context(get_context(SMALL))
 advisor = MultiModelEngine(registry, config=EngineConfig(max_batch_size=32))
 
 # -- 1. direct engine calls ------------------------------------------------
-print("\n== direct advise_full ==")
-full = advisor.advise_full(LOOPS[1])
-print(json.dumps(full.as_dict(), indent=2))
+print("\n== direct advise_v1 ==")
+[result] = advisor.advise_v1([AdviceRequest(code=LOOPS[1], id="sum")])
+print(json.dumps(result.as_dict(), indent=2))
 
-print("\n== bulk advise_full_many over a hot-set trace ==")
-for loop, verdict in zip(LOOPS, advisor.advise_full_many(TRACE)[: len(LOOPS)]):
-    mark = "PARALLEL" if verdict.directive.needs_directive else "serial  "
+print("\n== bulk advise_v1 over a hot-set trace ==")
+for loop, verdict in zip(LOOPS, advisor.advise_v1(TRACE)[: len(LOOPS)]):
+    mark = "PARALLEL" if verdict.verdict else "serial  "
     clauses = ", ".join(verdict.recommended_clauses()) or "-"
-    print(f"  [{mark}] p={verdict.directive.probability:.3f} "
+    print(f"  [{mark}] p={verdict.probability:.3f} "
           f"clauses: {clauses}  | {loop[:48]}")
 
 # -- 2. async queue --------------------------------------------------------

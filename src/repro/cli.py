@@ -249,27 +249,25 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     ctx, engine = _make_engine(args)
     advice = engine.advise_many(sources)
     positive = [i for i, a in enumerate(advice) if a.needs_directive]
-    full_rows = {}
+    clauses = {}
     if positive:
         from repro.serve import ModelRegistry, MultiModelEngine
 
         registry = ModelRegistry.from_context(ctx)
         with MultiModelEngine(registry, config=_engine_config(args)) as advisor:
-            # directive verdicts are already in hand; only clause heads run
-            full = advisor.advise_full_many(
-                [sources[i] for i in positive],
-                directive=[advice[i] for i in positive])
-        full_rows = dict(zip(positive, full))
+            results = advisor.advise_v1([sources[i] for i in positive])
+        # these files are directive-positive by the verdict printed below,
+        # so every clause its head suggests is recommended
+        clauses = {i: [(name, c.probability)
+                       for name, c in result.clauses.items() if c.suggested]
+                   for i, result in zip(positive, results)}
     prefix_paths = args.batch or len(paths) > 1
     for i, (path, a) in enumerate(zip(paths, advice)):
         verdict = "needs an OpenMP directive" if a.needs_directive else "no directive needed"
         lead = f"{path}: " if prefix_paths else "PragFormer: "
         print(f"{lead}{verdict} (p = {a.probability:.3f})")
-        full = full_rows.get(i)
-        if full is not None:
-            for clause in full.recommended_clauses():
-                print(f"  suggest a {clause} clause "
-                      f"(p = {full.clauses[clause].probability:.3f})")
+        for name, p in clauses.get(i, []):
+            print(f"  suggest a {name} clause (p = {p:.3f})")
     return 0
 
 

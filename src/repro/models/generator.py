@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.clang import For, parse, walk
+from repro.clang import For, parse_resilient, walk
 from repro.clang.nodes import FuncDef
 from repro.clang.pragma import Clause, OmpDirective
 from repro.data.encoding import encode_batch
 from repro.models.pragformer import PragFormer
 from repro.s2s.depend import AnalysisPolicy, analyze_loop
-from repro.tokenize import Vocab, text_tokens
+from repro.tokenize import Vocab, robust_text_tokens
 
 __all__ = ["GeneratedDirective", "DirectiveGenerator"]
 
@@ -66,17 +66,22 @@ class DirectiveGenerator:
                                       private_iteration_var=False)
 
     def _proba(self, model: PragFormer, vocab: Vocab, code: str) -> float:
-        split = encode_batch([text_tokens(code)], vocab, self.max_len)
+        split = encode_batch([robust_text_tokens(code)], vocab, self.max_len)
         return float(model.predict_proba(split)[0, 1])
 
     def generate(self, code: str) -> GeneratedDirective:
-        """Generate a directive for the first loop in ``code`` (or None)."""
+        """Generate a directive for the first loop in ``code`` (or None).
+
+        Dirty C never raises: lexing recovers malformed regions as error
+        tokens and parsing recovers into a partial AST, so a snippet the
+        strict frontend rejects still gets a verdict (and its analysis
+        facts where the partial AST has a loop)."""
         notes: List[str] = []
         p_dir = self._proba(self.directive_model, self.vocab, code)
 
         # variable-level facts from the analyzer (always computed: they are
         # reported even when no directive is emitted)
-        ast = parse(code)
+        ast, _ = parse_resilient(code)
         loops = [n for n in walk(ast) if isinstance(n, For)]
         funcdefs = {n.name: n for n in walk(ast) if isinstance(n, FuncDef)}
         private_vars: Tuple[str, ...] = ()

@@ -13,8 +13,8 @@ Seven modules build on each other:
   bulk + async queue APIs for one model.
 * :mod:`repro.serve.registry` — :class:`ModelRegistry` /
   :class:`MultiModelEngine`: the directive model plus the ``private`` /
-  ``reduction`` clause models behind one engine, with the combined
-  :meth:`~MultiModelEngine.advise_full` fan-out, hot checkpoint reload
+  ``reduction`` clause models behind one engine, with one staged
+  :meth:`~MultiModelEngine.advise_v1` pipeline, hot checkpoint reload
   (:meth:`~MultiModelEngine.reload`, :class:`CheckpointWatcher`),
   directive-gated clause fan-out (``EngineConfig.gate_margin``), and
   digest-sliced canary rollouts

@@ -1,11 +1,9 @@
 """The v1 advice API: one request/response pair for every advice surface.
 
-Serving grew five overlapping entry points (``advise`` / ``advise_full`` /
-``advise_many`` / ``advise_full_many`` / the ``*_encoded`` twins), each
-returning a slightly different shape and none carrying the operational
-context a caller actually wants — which model version answered, whether
-the canary arm served the request, whether lexing needed error recovery.
-The v1 surface collapses them behind one dataclass pair:
+Every advice surface speaks one dataclass pair, so each answer carries
+the operational context a caller wants — which model version answered,
+whether the canary arm served the request, whether lexing needed error
+recovery:
 
 - :class:`AdviceRequest` — a snippet in (source text, or a pre-encoded
   token-id row plus its source digest), with an optional caller
@@ -14,10 +12,10 @@ The v1 surface collapses them behind one dataclass pair:
   ``degraded`` / ``recovered`` / ``model_version`` / ``arm`` as
   first-class fields instead of side channels.
 
-``MultiModelEngine.advise_v1`` and ``ShardedEngine.advise_v1`` consume and
-produce these; the legacy methods remain as thin deprecated shims (see
-their docstrings) with a parity test pinning old == new field by field.
-Over HTTP the same shapes serve ``/v1/advise`` and ``/v1/advise/batch``
+``MultiModelEngine.advise_v1`` and ``ShardedEngine.advise_v1`` — the only
+public advice entry points — consume and produce these.  Over HTTP the
+same shapes serve ``/v1/advise`` and ``/advise/batch``, and legacy
+``/advise`` answers the same result trimmed to its legacy keys
 (``docs/serving.md`` documents the JSON schemas); ``schema_version`` in
 ``/stats`` reports :data:`SCHEMA_VERSION` so clients can detect the
 surface they are talking to.

@@ -2,14 +2,15 @@
 
 Built on stdlib :mod:`http.server` (``ThreadingHTTPServer``) so the repo
 stays free of web-framework dependencies.  The server fronts any *advisor*
-object exposing ``advise_full_many(codes)`` and ``stats()`` — in practice a
+object exposing ``advise_v1(requests)`` and ``stats()`` — in practice a
 :class:`~repro.serve.registry.MultiModelEngine` or a
 :class:`~repro.serve.sharding.ShardedEngine` wrapping one per worker.
 
 Endpoints (all JSON; schemas and ``curl`` examples in ``docs/serving.md``):
 
 * ``POST /advise`` — body ``{"code": "..."}``; replies with the combined
-  directive + clause verdict (:meth:`FullAdvice.as_dict`).
+  directive + clause verdict: the ``advise_v1`` answer trimmed to the
+  legacy keys (:data:`LEGACY_KEYS`).
 * ``POST /advise/batch`` — body ``{"codes": [...]}`` or
   ``{"requests": [{"id": ..., "code": "..."}]}``; replies
   ``{"results": [...]}`` in request order, echoing ids when given.
@@ -42,9 +43,9 @@ Every endpoint is also mounted under the ``/v1/`` prefix (``/v1/advise``,
 ``/v1/stats``); the bare paths above are the legacy aliases.  ``POST
 /v1/advise`` and ``/advise/batch`` (both spellings) answer the v1 result
 schema — :meth:`repro.serve.api.AdviceResult.as_dict`, a strict superset
-of the legacy shape that adds ``degraded`` / ``recovered`` /
-``model_version`` / ``arm`` — while legacy ``POST /advise`` keeps the
-legacy shape.  ``GET /stats`` reports ``schema_version`` (see
+of the legacy shape that adds ``recovered`` / ``model_version`` / ``arm``
+— while legacy ``POST /advise`` trims the same answer to the legacy
+shape.  ``GET /stats`` reports ``schema_version`` (see
 :data:`repro.serve.api.SCHEMA_VERSION`) so clients can detect the
 surface.
 
@@ -78,12 +79,18 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["AdmissionConfig", "AdvisorHTTPServer", "make_server",
-           "serve_forever"]
+from repro.serve.api import SCHEMA_VERSION, AdviceRequest
+
+__all__ = ["LEGACY_KEYS", "AdmissionConfig", "AdvisorHTTPServer",
+           "make_server", "serve_forever"]
 
 #: Largest accepted request body (bytes) — snippets are loop nests, not
 #: whole programs; an oversized body gets a 413 instead of an allocation.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: The keys legacy ``POST /advise`` keeps from the v1 result body.
+LEGACY_KEYS = ("needs_directive", "p_directive", "clauses",
+               "recommended_clauses", "degraded")
 
 
 @dataclass(frozen=True)
@@ -352,7 +359,6 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             except Exception as exc:  # noqa: BLE001 — report, don't die
                 self._error(500, f"stats failed: {exc}")
                 return
-            from repro.serve.api import SCHEMA_VERSION
             self._send_json(200, {"schema_version": SCHEMA_VERSION,
                                   "http": self.server.counters(),
                                   "admission": self.server.admission_stats(),
@@ -366,9 +372,10 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
         """Route ``/advise``, ``/advise/batch``, ``/reload``, and the
         ``/canary`` lifecycle — bare (legacy) or ``/v1/``-prefixed.  Only
         single-snippet advice differs between the two: ``/v1/advise``
-        answers the v1 result schema, the legacy alias keeps the legacy
-        shape (batch answers the v1 schema on both spellings — it is a
-        strict superset, so legacy clients keep parsing)."""
+        answers the v1 result schema, the legacy alias trims the same
+        answer to :data:`LEGACY_KEYS` (batch answers the v1 schema on both
+        spellings — it is a strict superset, so legacy clients keep
+        parsing)."""
         v1 = self.path != _strip_v1(self.path)
         path = _strip_v1(self.path)
         if path == "/advise":
@@ -400,30 +407,17 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
                 return
             self.server.bump("advise")
             try:
-                if v1:
-                    advice = _advise_v1(self.server.advisor, [code],
-                                        [payload.get("id")])[0]
-                else:
-                    # the legacy path prefers async micro-batching:
-                    # concurrent handler threads enqueue on the per-head
-                    # submit() queues and their snippets coalesce into
-                    # shared forward passes, instead of each request
-                    # running its own batch-of-1 (advisors without the
-                    # async surface, e.g. ShardedEngine, fall back to the
-                    # bulk call)
-                    advise_async = getattr(self.server.advisor,
-                                           "advise_full_async", None)
-                    if advise_async is not None:
-                        advice = advise_async(code)
-                    else:
-                        advice = self.server.advisor.advise_full_many(
-                            [code])[0]
+                result = self.server.advisor.advise_v1(
+                    [AdviceRequest(code=code, id=payload.get("id"))])[0]
             except Exception as exc:  # noqa: BLE001 — report, don't die
                 self.server.record_outcome(False)
                 self._error(500, f"inference failed: {exc}")
                 return
             self.server.record_outcome(True)
-            self._send_json(200, advice.as_dict())
+            body = result.as_dict()
+            if not v1:
+                body = {key: body[key] for key in LEGACY_KEYS}
+            self._send_json(200, body)
         finally:
             self.server.release()
 
@@ -549,10 +543,9 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
                     # batch answers the v1 result schema on both the
                     # legacy and the /v1/ spelling: it is a strict
                     # superset of the legacy shape
-                    advices = _advise_v1(
-                        self.server.advisor,
-                        [code for _, code in good],
-                        [items[i][0] for i, _ in good])
+                    advices = self.server.advisor.advise_v1(
+                        [AdviceRequest(code=code, id=items[i][0])
+                         for i, code in good])
                 except Exception as exc:  # noqa: BLE001 — report, don't die
                     self.server.record_outcome(False)
                     self._error(500, f"inference failed: {exc}")
@@ -615,29 +608,6 @@ def _strip_v1(path: str) -> str:
     if path == "/v1" or path.startswith("/v1/"):
         return path[len("/v1"):] or "/"
     return path
-
-
-def _advise_v1(advisor, codes: List[str], ids: List) -> List:
-    """v1 results from any advisor: its own ``advise_v1`` when it has one
-    (:class:`~repro.serve.registry.MultiModelEngine` and
-    :class:`~repro.serve.sharding.ShardedEngine` both do), else legacy
-    ``advise_full_many`` wrapped into :class:`~repro.serve.api.AdviceResult`
-    with default operational context — the HTTP surface answers the v1
-    schema even for bare-bones advisors."""
-    from repro.serve.api import AdviceRequest, AdviceResult
-
-    advise_v1 = getattr(advisor, "advise_v1", None)
-    if advise_v1 is not None:
-        return advise_v1([AdviceRequest(code=code, id=rid)
-                          for code, rid in zip(codes, ids)])
-    fulls = advisor.advise_full_many(codes)
-    version = str(getattr(advisor, "model_version", "0"))
-    # duck-typed advisors (embedder stubs) may return bare objects with
-    # just as_dict(); pass those through in their legacy shape rather
-    # than 500 on the missing operational context
-    return [AdviceResult.from_full(full, model_version=version, id=rid)
-            if hasattr(full, "directive") else full
-            for full, rid in zip(fulls, ids)]
 
 
 def make_server(advisor, host: str = "127.0.0.1", port: int = 0,

@@ -14,10 +14,12 @@ behind a single front door:
   :func:`repro.models.save_advisor`.
 * :class:`MultiModelEngine` — one :class:`InferenceEngine` per head, all
   sharing a single lexing memo so a snippet is tokenized **once** no matter
-  how many heads look at it.  Because every head truncates to the same
-  ``max_len``, the encoded row *lengths* — and therefore the
-  length-homogeneous bucket structure — are identical across heads, so the
-  fan-out re-buckets nothing.
+  how many heads look at it.  :meth:`~MultiModelEngine.advise_v1` is the
+  one public advice entry; behind it a single staged pipeline picks each
+  snippet's arm (primary or canary) from its source digest, runs the
+  directive head, applies the gate, fans out to the clause heads and
+  assembles the answers.  Source text and pre-encoded rows differ only in
+  how each head gets its rows.
 * :class:`FullAdvice` — the combined verdict: the directive
   :class:`~repro.serve.engine.Advice` plus one :class:`ClauseAdvice` per
   clause head, JSON-ready via :meth:`FullAdvice.as_dict`.
@@ -128,6 +130,13 @@ class ClauseAdvice:
 
     probability: float
     suggested: bool
+
+    @classmethod
+    def of(cls, probability) -> "ClauseAdvice":
+        """The §4.1 decision rule for one clause head: suggested iff
+        p > 0.5."""
+        p = float(probability)
+        return cls(p, p > 0.5)
 
 
 @dataclass(frozen=True)
@@ -453,15 +462,16 @@ class MultiModelEngine:
 
     One :class:`InferenceEngine` (own prediction LRU, own counters) per
     head; a shared :class:`_SharedLexMemo` so the expensive pure-Python lex
-    runs once per distinct snippet regardless of head count.  The combined
-    :meth:`advise_full` path fans a snippet out to the directive head and
-    every clause head and folds the verdicts into one :class:`FullAdvice`.
+    runs once per distinct snippet regardless of head count.
+    :meth:`advise_v1` is the advice entry point; one staged pipeline
+    (:meth:`_advise`) serves it and the fleet's wire methods: split the
+    batch into arms by source digest, then per arm run the directive
+    head, gate, fan out to the clause heads and assemble.
 
-    With ``config.gate_margin`` set, :meth:`advise_full_many` and
-    :meth:`advise_full_async` consult the directive head first and only
-    fan clause work out for snippets whose directive probability exceeds
-    ``0.5 - gate_margin`` — gated-out snippets come back with an empty
-    ``clauses`` dict (their recommendation list is empty either way).
+    With ``config.gate_margin`` set, clause work only fans out for
+    snippets whose directive probability exceeds ``0.5 - gate_margin`` —
+    gated-out snippets come back with an empty ``clauses`` dict (their
+    recommendation list is empty either way).
 
     :meth:`start_canary` deploys a second checkpoint to a deterministic
     digest slice of traffic alongside the primary, with per-arm counters
@@ -513,7 +523,7 @@ class MultiModelEngine:
         self._weights_handles: List[object] = []
         self._weights_mode = "private"
 
-    # -- directive-only paths (InferenceEngine-compatible surface) ---------
+    # -- directive-only paths (shard wire methods) ---------------------------
 
     @property
     def directive_engine(self) -> InferenceEngine:
@@ -524,20 +534,10 @@ class MultiModelEngine:
         """(N, 2) directive-head probabilities (clause heads untouched)."""
         return self.directive_engine.predict_proba(codes)
 
-    def advise(self, code: str) -> Advice:
-        """Directive-only advice for one snippet.
-
-        .. deprecated:: use :meth:`advise_v1` — same verdict, plus the
-           clause advice and operational fields the legacy shape lacks.
-        """
-        return self.directive_engine.advise(code)
-
     def advise_many(self, codes: Sequence[str]) -> List[Advice]:
-        """Directive-only advice for many snippets.
-
-        .. deprecated:: use :meth:`advise_v1` — same verdicts (this is
-           the directive core it delegates to), richer results.
-        """
+        """Directive-only advice for many snippets — where a fleet's
+        ``advise_many`` wire method lands; clause advice and the
+        operational fields come from :meth:`advise_v1`."""
         return self.directive_engine.advise_many(codes)
 
     # -- pre-encoded (shared-memory transport) paths ------------------------
@@ -574,12 +574,8 @@ class MultiModelEngine:
         return self.directive_engine.predict_proba_encoded(rows)
 
     def advise_many_encoded(self, rows: Sequence[np.ndarray]) -> List[Advice]:
-        """Directive-only advice for pre-encoded token-id rows.
-
-        .. deprecated:: external callers should use :meth:`advise_v1`
-           with ``ids=``/``digest=`` requests; this remains as the
-           transport-internal directive core.
-        """
+        """Directive-only advice for pre-encoded token-id rows — the
+        shared-memory transport's ``advise_many``."""
         return self.directive_engine.advise_many_encoded(rows)
 
     def _remap_table(self, src: Vocab, dst: Vocab) -> np.ndarray:
@@ -624,34 +620,177 @@ class MultiModelEngine:
         max_len = engine.max_len
         return [table[row][:max_len] for row in rows]
 
-    # -- combined fan-out path ---------------------------------------------
+    # -- the advice pipeline ------------------------------------------------
 
-    def advise_full(self, code: str) -> FullAdvice:
-        """One snippet through all heads -> one :class:`FullAdvice`.
+    def advise_v1(self, requests: Sequence) -> List[AdviceResult]:
+        """Bulk advice — the public advice entry point.
 
-        .. deprecated:: use :meth:`advise_v1` — identical verdicts (the
-           parity test pins them field by field), richer result shape.
+        ``requests`` is a sequence of :class:`~repro.serve.api
+        .AdviceRequest` (bare strings are accepted and wrapped as
+        ``code``); every request in one call must use the same input
+        form — all source text, or all pre-encoded ``ids``/``digest``
+        rows.  Returns one :class:`~repro.serve.api.AdviceResult` per
+        request, in order: the directive verdict, the clause verdicts of
+        the snippets that fan out, and the operational context —
+        ``model_version``, ``arm`` (which canary arm the digest routed
+        to), ``degraded`` and ``recovered``.  The arm/version labels are
+        advisory snapshots — a promote racing the call can relabel,
+        never change a verdict.  See :meth:`_advise` for the stages.
         """
-        return self.advise_full_many([code])[0]
+        reqs = [AdviceRequest.of(r) for r in requests]
+        if not reqs:
+            return []
+        n_encoded = sum(1 for r in reqs if r.code is None)
+        if n_encoded not in (0, len(reqs)):
+            raise ValueError("advise_v1: one call must not mix code= and "
+                             "ids= requests")
+        if n_encoded:
+            fulls, state, routed = self._advise(
+                [r.ids for r in reqs], [r.digest for r in reqs], encoded=True)
+        else:
+            fulls, state, routed = self._advise([r.code for r in reqs])
+        return [
+            AdviceResult.from_full(
+                full,
+                model_version=(state.version if canary
+                               else self.model_version),
+                arm="canary" if canary else "primary",
+                id=req.id)
+            for req, full, canary in zip(reqs, fulls, routed)
+        ]
 
-    @staticmethod
-    def _clause_advice(p: float) -> ClauseAdvice:
-        """The §4.1 decision rule for one clause head (positive iff > 0.5),
-        shared by the sync fan-out and async paths so they cannot drift."""
-        return ClauseAdvice(float(p), bool(float(p) > 0.5))
+    def advise_full_many(self, codes: Sequence[str]) -> List[FullAdvice]:
+        """:meth:`advise_v1`'s pipeline over source text, answering bare
+        :class:`FullAdvice` — the fleet's ``advise_full_many`` wire method
+        (queue transport) lands here."""
+        return self._advise(codes)[0]
 
-    @classmethod
-    def _assemble_full(cls, p_directive: float,
-                       clause_probs: Dict[str, float],
-                       degraded: bool = False) -> FullAdvice:
-        """Positive-class probabilities -> :class:`FullAdvice`."""
-        p = float(p_directive)
-        return FullAdvice(
-            Advice(p, bool(p > 0.5), degraded=degraded),
-            {name: cls._clause_advice(prob)
-             for name, prob in clause_probs.items()},
-            degraded=degraded,
-        )
+    def advise_full_many_encoded(self, rows: Sequence[np.ndarray],
+                                 digests: Sequence[bytes]
+                                 ) -> List[FullAdvice]:
+        """:meth:`advise_full_many` for rows the router encoded under
+        :meth:`codec`, with their 16-byte source digests — the
+        shared-memory transport's wire method.  The worker never sees
+        source text, so canary routing runs on the digests
+        (:func:`canary_routes_digest`, the slice the text path computes).
+        """
+        if len(digests) != len(rows):
+            raise ValueError("digests must match rows 1:1")
+        return self._advise(rows, digests, encoded=True)[0]
+
+    def _advise(self, items: Sequence,
+                digests: Optional[Sequence[bytes]] = None,
+                encoded: bool = False):
+        """The staged pipeline: split by arm, run each arm, merge.
+
+        ``items`` are source texts, or with ``encoded`` token-id rows
+        under the transport codec.  Without a canary every item goes to
+        the primary arm.  With one, each item's 16-byte source digest
+        (``digests``, computed from the text when not given) picks its arm
+        (:func:`canary_routes_digest`); each arm runs :meth:`_run_arm` and
+        feeds its :class:`~repro.serve.metrics.ArmStats`.  Canary items
+        also get a shadow primary directive verdict for the agreement
+        counters, and a failing canary arm is served by the primary and
+        counted — a bad canary checkpoint degrades metrics, never
+        availability.  Returns ``(fulls, state, routed)``: the results in
+        request order, the canary state the split used (``None`` without
+        a rollout) and the per-item canary flags.
+        """
+        if encoded:
+            items = [np.ascontiguousarray(row, dtype=np.int32)
+                     for row in items]
+        state = self._canary
+        if state is None:
+            return (self._run_arm(self.engines, items, encoded), None,
+                    [False] * len(items))
+        if digests is None:
+            digests = [source_digest(code) for code in items]
+        routed = [canary_routes_digest(digest, state.fraction)
+                  for digest in digests]
+        out: List[Optional[FullAdvice]] = [None] * len(items)
+        p_rows = [i for i, canary in enumerate(routed) if not canary]
+        c_rows = [i for i, canary in enumerate(routed) if canary]
+        if p_rows:
+            start = time.perf_counter()
+            try:
+                p_full = self._run_arm(self.engines,
+                                       [items[i] for i in p_rows], encoded)
+            except Exception:
+                state.note_primary_errors(len(p_rows))
+                raise
+            state.note_primary(len(p_rows), time.perf_counter() - start)
+            for i, full in zip(p_rows, p_full):
+                out[i] = full
+        if c_rows:
+            c_items = [items[i] for i in c_rows]
+            start = time.perf_counter()
+            try:
+                c_full = self._run_arm(state.engines, c_items, encoded)
+            except Exception:
+                self._apply_decision(state.note_canary_errors(len(c_rows)))
+                c_full = self._run_arm(self.engines, c_items, encoded)
+            else:
+                elapsed = time.perf_counter() - start
+                # cheap: one extra directive-head batch, largely
+                # cache-resident on repeated traffic
+                shadow = self._head_advice(self.directive_engine, c_items,
+                                           encoded)
+                agreed = [got.directive.needs_directive == ref.needs_directive
+                          for got, ref in zip(c_full, shadow)]
+                self._apply_decision(
+                    state.note_canary(len(c_rows), elapsed, agreed))
+            for i, full in zip(c_rows, c_full):
+                out[i] = full
+        return out, state, routed
+
+    def _run_arm(self, engines: Dict[str, InferenceEngine], items: Sequence,
+                 encoded: bool) -> List[FullAdvice]:
+        """One arm's stages: directive head, gate, clause heads, assembly.
+
+        With ``config.gate_margin`` set, clause heads only see the items
+        whose directive probability clears ``0.5 - gate_margin`` (see
+        :meth:`_fans_out`); gated-out items get an empty ``clauses``
+        dict.  Gating changes which rows a clause head runs, not how a
+        row is scored.  Degraded (rejected) items never reach the clause
+        heads and stay out of both gating counters: every head shares
+        the same dirty-input limits and would reject them identically."""
+        directive = self._head_advice(engines[DIRECTIVE], items, encoded)
+        n_degraded = sum(1 for adv in directive if adv.degraded)
+        fan_idx = [i for i, adv in enumerate(directive)
+                   if not adv.degraded and self._fans_out(adv.probability)]
+        self._count_gated(len(items) - n_degraded - len(fan_idx),
+                          len(fan_idx))
+        fan_items = [items[i] for i in fan_idx]
+        clause_probs = {
+            name: self._head_proba(engine, fan_items, encoded)[:, 1]
+            for name, engine in engines.items() if name != DIRECTIVE
+        }
+        fan_row = {orig: row for row, orig in enumerate(fan_idx)}
+        full = []
+        for i, adv in enumerate(directive):
+            row = fan_row.get(i)
+            clauses = {} if row is None else {
+                name: ClauseAdvice.of(probs[row])
+                for name, probs in clause_probs.items()
+            }
+            full.append(FullAdvice(adv, clauses, degraded=adv.degraded))
+        return full
+
+    def _head_advice(self, engine: InferenceEngine, items: Sequence,
+                     encoded: bool) -> List[Advice]:
+        """One head's :class:`Advice` for ``items``: text goes through the
+        head's own memoized encoder, encoded rows through :meth:`_rows_for`."""
+        if encoded:
+            return engine.advise_many_encoded(self._rows_for(engine, items))
+        return engine.advise_many(items)
+
+    def _head_proba(self, engine: InferenceEngine, items: Sequence,
+                    encoded: bool) -> np.ndarray:
+        """One head's (N, 2) probabilities, rows obtained as in
+        :meth:`_head_advice`."""
+        if encoded:
+            return engine.predict_proba_encoded(self._rows_for(engine, items))
+        return engine.predict_proba(items)
 
     def _fans_out(self, probability: float) -> bool:
         """Gating rule: does a snippet with this directive probability reach
@@ -669,358 +808,6 @@ class MultiModelEngine:
         with self._gate_lock:
             self.gated_snippets += gated
             self.fanned_snippets += fanned
-
-    def _async_fan_out(self, engines: Dict[str, InferenceEngine], code: str,
-                       timeout: Optional[float]) -> FullAdvice:
-        """One snippet through ``engines`` via the async ``submit()``
-        queues, honouring clause gating — the shared core of the primary
-        and canary arms of :meth:`advise_full_async`."""
-        directive_engine = engines[DIRECTIVE]
-        # dirty-input admission first: a snippet the directive engine
-        # rejects (byte cap / lex budget) gets the neutral degraded verdict
-        # immediately — clause heads would reject it identically, so
-        # enqueueing them would only burn queue slots
-        if directive_engine._encode(directive_engine._slot, code) is None:
-            return self._assemble_full(0.5, {}, degraded=True)
-        if self.config.gate_margin is not None:
-            p_dir = float(directive_engine.submit(code)
-                          .result(timeout=timeout)[1])
-            if not self._fans_out(p_dir):
-                self._count_gated(1, 0)
-                return self._assemble_full(p_dir, {})
-            self._count_gated(0, 1)
-            futures = [(name, engine.submit(code))
-                       for name, engine in engines.items()
-                       if name != DIRECTIVE]
-            return self._assemble_full(p_dir, {
-                name: float(future.result(timeout=timeout)[1])
-                for name, future in futures})
-        futures = [(name, engine.submit(code))
-                   for name, engine in engines.items()]
-        probs = {name: float(future.result(timeout=timeout)[1])
-                 for name, future in futures}
-        return self._assemble_full(
-            probs[DIRECTIVE],
-            {name: p for name, p in probs.items() if name != DIRECTIVE})
-
-    def advise_full_async(self, code: str,
-                          timeout: Optional[float] = None) -> FullAdvice:
-        """One snippet through every head via the async ``submit()`` queues.
-
-        Unlike :meth:`advise_full` — which runs a batch-of-1 forward per
-        head immediately — this enqueues the snippet on each head's
-        micro-batching worker and blocks until the verdicts arrive, so
-        *concurrent* callers (e.g. the HTTP server's handler threads) get
-        coalesced into shared forward passes instead of each paying a
-        batch-of-1.  Single-threaded callers pay at most one
-        ``flush_interval`` of extra latency per head.
-
-        With ``gate_margin`` set, the directive verdict is awaited first
-        and clause heads are only enqueued when the snippet fans out —
-        gating trades the lost head-level overlap for skipping the clause
-        forwards entirely on directive-negative traffic.
-
-        With a canary active (:meth:`start_canary`), snippets in the
-        canary's digest slice are served by the canary engines (with a
-        shadow primary directive verdict for the agreement counters) and
-        everything else by the primary, each arm feeding its
-        :class:`~repro.serve.metrics.ArmStats`.
-        """
-        state = self._canary
-        if state is None:
-            return self._async_fan_out(self.engines, code, timeout)
-        if canary_routes(code, state.fraction):
-            return self._canary_async(state, code, timeout)
-        start = time.perf_counter()
-        try:
-            full = self._async_fan_out(self.engines, code, timeout)
-        except Exception:
-            state.note_primary_errors(1)
-            raise
-        state.note_primary(1, time.perf_counter() - start)
-        return full
-
-    def _canary_async(self, state: "_CanaryState", code: str,
-                      timeout: Optional[float]) -> FullAdvice:
-        """Canary-arm async path: serve from the canary engines, shadow the
-        primary directive head for verdict agreement, and fall back to the
-        primary arm (counting an error) if the canary fails — a bad canary
-        checkpoint degrades metrics, never availability."""
-        shadow = self.directive_engine.submit(code)
-        start = time.perf_counter()
-        try:
-            full = self._async_fan_out(state.engines, code, timeout)
-        except Exception:
-            self._apply_decision(state.note_canary_errors(1))
-            full = self._async_fan_out(self.engines, code, timeout)
-            shadow.result(timeout=timeout)  # drain the shadow verdict
-            return full
-        elapsed = time.perf_counter() - start
-        p_primary = float(shadow.result(timeout=timeout)[1])
-        agreed = full.directive.needs_directive == bool(p_primary > 0.5)
-        self._apply_decision(state.note_canary(1, elapsed, [agreed]))
-        return full
-
-    def _fan_out(self, engines: Dict[str, InferenceEngine],
-                 codes: Sequence[str],
-                 directive: Optional[Sequence[Advice]]) -> List[FullAdvice]:
-        """Bulk fan-out through one arm's ``engines`` (gating included) —
-        the shared core of the primary and canary arms of
-        :meth:`advise_full_many`."""
-        if directive is None:
-            directive = engines[DIRECTIVE].advise_many(codes)
-        # degraded (rejected) snippets never reach the clause heads: the
-        # heads share the same dirty-input limits and would reject them
-        # identically, so they stay out of both gating counters
-        n_degraded = sum(1 for adv in directive if adv.degraded)
-        fan_idx = [i for i, adv in enumerate(directive)
-                   if not adv.degraded and self._fans_out(adv.probability)]
-        self._count_gated(len(codes) - n_degraded - len(fan_idx),
-                          len(fan_idx))
-        fan_codes = [codes[i] for i in fan_idx]
-        fan_row = {orig: row for row, orig in enumerate(fan_idx)}
-        clause_probs = {
-            name: engine.predict_proba(fan_codes)[:, 1]
-            for name, engine in engines.items() if name != DIRECTIVE
-        }
-        full = []
-        for i, adv in enumerate(directive):
-            row = fan_row.get(i)
-            clauses = {} if row is None else {
-                name: self._clause_advice(probs[row])
-                for name, probs in clause_probs.items()
-            }
-            full.append(FullAdvice(adv, clauses, degraded=adv.degraded))
-        return full
-
-    def _fan_out_encoded(self, engines: Dict[str, InferenceEngine],
-                         rows: Sequence[np.ndarray]) -> List[FullAdvice]:
-        """Bulk fan-out of pre-encoded rows through one arm's ``engines``
-        — the encoded twin of :meth:`_fan_out` (same gating rule, same
-        assembly), with rows translated per head via :meth:`_rows_for`."""
-        directive = engines[DIRECTIVE].advise_many_encoded(
-            self._rows_for(engines[DIRECTIVE], rows))
-        fan_idx = [i for i, adv in enumerate(directive)
-                   if self._fans_out(adv.probability)]
-        self._count_gated(len(rows) - len(fan_idx), len(fan_idx))
-        fan_rows = [rows[i] for i in fan_idx]
-        fan_row = {orig: row for row, orig in enumerate(fan_idx)}
-        clause_probs = {
-            name: engine.predict_proba_encoded(
-                self._rows_for(engine, fan_rows))[:, 1]
-            for name, engine in engines.items() if name != DIRECTIVE
-        }
-        full = []
-        for i, adv in enumerate(directive):
-            row = fan_row.get(i)
-            clauses = {} if row is None else {
-                name: self._clause_advice(probs[row])
-                for name, probs in clause_probs.items()
-            }
-            full.append(FullAdvice(adv, clauses, degraded=adv.degraded))
-        return full
-
-    def advise_full_many_encoded(self, rows: Sequence[np.ndarray],
-                                 digests: Sequence[bytes]
-                                 ) -> List[FullAdvice]:
-        """Bulk combined advice for pre-encoded token-id rows.
-
-        The shared-memory transport's ``advise_full_many``: ``rows`` were
-        encoded by the router under this fleet's :meth:`codec` and
-        ``digests`` are the matching 16-byte source digests — the worker
-        never sees source text, so canary routing runs on the digests
-        (:func:`canary_routes_digest`, the identical slice the text path
-        computes) and shadow/agreement accounting works exactly as in
-        :meth:`advise_full_many`.
-
-        .. deprecated:: external callers should use :meth:`advise_v1`;
-           this remains as the shared-memory transport's fan-out core.
-        """
-        if len(digests) != len(rows):
-            raise ValueError("digests must match rows 1:1")
-        rows = [np.ascontiguousarray(row, dtype=np.int32) for row in rows]
-        state = self._canary
-        if state is None:
-            return self._fan_out_encoded(self.engines, rows)
-        return self._advise_full_many_canary_encoded(state, rows, digests)
-
-    def _advise_full_many_canary_encoded(self, state: "_CanaryState",
-                                         rows: Sequence[np.ndarray],
-                                         digests: Sequence[bytes]
-                                         ) -> List[FullAdvice]:
-        """Encoded twin of :meth:`_advise_full_many_canary`: split by
-        digest, serve each arm, merge in request order."""
-        c_rows = [i for i in range(len(rows))
-                  if canary_routes_digest(digests[i], state.fraction)]
-        c_set = set(c_rows)
-        p_rows = [i for i in range(len(rows)) if i not in c_set]
-        out: List[Optional[FullAdvice]] = [None] * len(rows)
-        if p_rows:
-            start = time.perf_counter()
-            try:
-                p_full = self._fan_out_encoded(self.engines,
-                                               [rows[i] for i in p_rows])
-            except Exception:
-                state.note_primary_errors(len(p_rows))
-                raise
-            state.note_primary(len(p_rows), time.perf_counter() - start)
-            for i, full in zip(p_rows, p_full):
-                out[i] = full
-        if c_rows:
-            c_encoded = [rows[i] for i in c_rows]
-            start = time.perf_counter()
-            try:
-                c_full = self._fan_out_encoded(state.engines, c_encoded)
-            except Exception:
-                # same availability rule as the text path: a failing
-                # canary arm is served by the primary and counted
-                self._apply_decision(state.note_canary_errors(len(c_rows)))
-                c_full = self._fan_out_encoded(self.engines, c_encoded)
-                for i, full in zip(c_rows, c_full):
-                    out[i] = full
-                return out
-            elapsed = time.perf_counter() - start
-            shadow = self.directive_engine.advise_many_encoded(c_encoded)
-            agreed = [got.directive.needs_directive == ref.needs_directive
-                      for got, ref in zip(c_full, shadow)]
-            self._apply_decision(
-                state.note_canary(len(c_rows), elapsed, agreed))
-            for i, full in zip(c_rows, c_full):
-                out[i] = full
-        return out
-
-    def advise_full_many(self, codes: Sequence[str],
-                         directive: Optional[Sequence[Advice]] = None
-                         ) -> List[FullAdvice]:
-        """Bulk combined advice: every head sees every fanned-out snippet.
-
-        Tokenization is shared (one lex per distinct snippet), and since
-        all heads truncate to the same ``max_len`` the per-head engines
-        form identical length buckets — the fan-out costs one forward pass
-        per head, nothing more.  Callers that already hold directive
-        verdicts for ``codes`` (e.g. the CLI, which gates clause inference
-        on them) can pass them via ``directive`` to skip re-scoring.
-
-        With ``gate_margin`` set, clause heads only see the snippets that
-        fan out (see :meth:`_fans_out`); gated-out snippets get an empty
-        ``clauses`` dict.  Snippets that do fan out get byte-identical
-        clause verdicts to an ungated engine — gating changes which rows
-        run, never their values.
-
-        With a canary active, the batch is split by :func:`canary_routes`:
-        the canary slice is served by the canary engines (shadow primary
-        directive verdicts feed the agreement counters), the rest by the
-        primary, and results come back in request order either way.
-
-        .. deprecated:: external callers should use :meth:`advise_v1`,
-           which wraps this path and adds the operational fields; this
-           remains as the fan-out core every surface shares.
-        """
-        if directive is not None and len(directive) != len(codes):
-            raise ValueError("directive advice must match codes 1:1")
-        state = self._canary
-        if state is None:
-            return self._fan_out(self.engines, codes, directive)
-        return self._advise_full_many_canary(state, codes, directive)
-
-    def _advise_full_many_canary(self, state: "_CanaryState",
-                                 codes: Sequence[str],
-                                 directive: Optional[Sequence[Advice]]
-                                 ) -> List[FullAdvice]:
-        """Split one bulk call across the two arms and merge in order."""
-        c_rows = [i for i, code in enumerate(codes)
-                  if canary_routes(code, state.fraction)]
-        c_set = set(c_rows)
-        p_rows = [i for i in range(len(codes)) if i not in c_set]
-        out: List[Optional[FullAdvice]] = [None] * len(codes)
-        if p_rows:
-            p_dir = None if directive is None else [directive[i] for i in p_rows]
-            start = time.perf_counter()
-            try:
-                p_full = self._fan_out(self.engines,
-                                       [codes[i] for i in p_rows], p_dir)
-            except Exception:
-                state.note_primary_errors(len(p_rows))
-                raise
-            state.note_primary(len(p_rows), time.perf_counter() - start)
-            for i, full in zip(p_rows, p_full):
-                out[i] = full
-        if c_rows:
-            c_codes = [codes[i] for i in c_rows]
-            c_dir = None if directive is None else [directive[i] for i in c_rows]
-            start = time.perf_counter()
-            try:
-                c_full = self._fan_out(state.engines, c_codes, None)
-            except Exception:
-                # a failing canary arm degrades metrics, not availability:
-                # serve its slice from the primary and count the errors
-                self._apply_decision(state.note_canary_errors(len(c_rows)))
-                c_full = self._fan_out(self.engines, c_codes, c_dir)
-                for i, full in zip(c_rows, c_full):
-                    out[i] = full
-                return out
-            elapsed = time.perf_counter() - start
-            # shadow directive verdicts from the primary arm, for the
-            # agreement counters (cheap: one extra directive-head batch,
-            # largely cache-resident on repeated traffic)
-            shadow = (c_dir if c_dir is not None
-                      else self.directive_engine.advise_many(c_codes))
-            agreed = [got.directive.needs_directive == ref.needs_directive
-                      for got, ref in zip(c_full, shadow)]
-            self._apply_decision(
-                state.note_canary(len(c_rows), elapsed, agreed))
-            for i, full in zip(c_rows, c_full):
-                out[i] = full
-        return out
-
-    # -- the v1 advice surface ----------------------------------------------
-
-    def advise_v1(self, requests: Sequence) -> List[AdviceResult]:
-        """Bulk advice through the unified v1 surface.
-
-        ``requests`` is a sequence of :class:`~repro.serve.api
-        .AdviceRequest` (bare strings are accepted and wrapped as
-        ``code``); every request in one call must use the same input
-        form — all source text, or all pre-encoded ``ids``/``digest``
-        rows.  Returns one :class:`~repro.serve.api.AdviceResult` per
-        request, in order: the same verdict/probability/clause values the
-        legacy ``advise_full_many`` path computes (it *is* that path
-        underneath — gating, canary split, and caches are shared), plus
-        the operational context as first-class fields: ``model_version``,
-        ``arm`` (which canary arm was routed to), ``degraded``, and
-        ``recovered``.  The arm/version labels are advisory snapshots —
-        a promote racing the call can relabel, never change a verdict.
-        """
-        reqs = [AdviceRequest.of(r) for r in requests]
-        if not reqs:
-            return []
-        n_encoded = sum(1 for r in reqs if r.code is None)
-        if n_encoded not in (0, len(reqs)):
-            raise ValueError("advise_v1: one call must not mix code= and "
-                             "ids= requests")
-        state = self._canary
-        if n_encoded == 0:
-            codes = [r.code for r in reqs]
-            fulls = self.advise_full_many(codes)
-            routed = [state is not None
-                      and canary_routes(code, state.fraction)
-                      for code in codes]
-        else:
-            rows = [r.ids for r in reqs]
-            digests = [r.digest for r in reqs]
-            fulls = self.advise_full_many_encoded(rows, digests)
-            routed = [state is not None
-                      and canary_routes_digest(digest, state.fraction)
-                      for digest in digests]
-        return [
-            AdviceResult.from_full(
-                full,
-                model_version=(state.version if canary
-                               else self.model_version),
-                arm="canary" if canary else "primary",
-                id=req.id)
-            for req, full, canary in zip(reqs, fulls, routed)
-        ]
 
     # -- hot reload ----------------------------------------------------------
 

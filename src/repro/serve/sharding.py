@@ -9,7 +9,7 @@ hosting its own engine built by a caller-supplied zero-argument factory:
   ``blake2b(code) % n_shards``, so the *same* snippet always lands on the
   *same* worker and that worker's prediction LRU and tokenize memo stay hot
   (random routing would cut every cache's effective hit rate by 1/N).
-* **Bulk fan-out** — one :meth:`predict_proba` / :meth:`advise_full_many`
+* **Bulk fan-out** — one :meth:`predict_proba` / :meth:`advise_v1`
   call splits its codes by shard, sends each worker one sub-batch, and the
   workers run concurrently; results are scattered back into request order.
 * **Zero-copy data plane** — with ``ipc="shm"`` (the default), serving
@@ -682,7 +682,7 @@ class ShardedEngine:
     :class:`~repro.serve.engine.InferenceEngine`, a
     :class:`~repro.serve.registry.MultiModelEngine`, or anything exposing
     the same bulk methods).  All bulk calls (:meth:`predict_proba`,
-    :meth:`advise_many`, :meth:`advise_full_many`) route per snippet by
+    :meth:`advise_many`, :meth:`advise_v1`) route per snippet by
     :func:`shard_of` over the *active* shard count and preserve request
     order in the returned results.
 
@@ -1744,24 +1744,13 @@ class ShardedEngine:
         return np.stack([np.asarray(row) for row in rows])
 
     def advise_many(self, codes: Sequence[str]) -> List[Advice]:
-        """Bulk directive advice across shards."""
+        """Bulk directive advice across shards (directive-only fleets,
+        e.g. the stdin serving loop's)."""
         return self._scatter_call("advise_many", codes)
 
-    def advise(self, code: str) -> Advice:
-        """Single-snippet directive advice (routed like any other)."""
-        return self.advise_many([code])[0]
-
-    def advise_full_many(self, codes: Sequence[str]) -> List:
-        """Bulk combined directive+clause advice (workers must host a
-        :class:`~repro.serve.registry.MultiModelEngine`)."""
-        return self._scatter_call("advise_full_many", codes)
-
-    def advise_full(self, code: str):
-        """Single-snippet combined advice."""
-        return self.advise_full_many([code])[0]
-
     def advise_v1(self, requests: Sequence) -> List["AdviceResult"]:
-        """The v1 advice surface over the fleet: a batch of
+        """The advice entry point over the fleet (workers must host a
+        :class:`~repro.serve.registry.MultiModelEngine`): a batch of
         :class:`~repro.serve.api.AdviceRequest` (or bare snippet strings)
         in, :class:`~repro.serve.api.AdviceResult` out, with the
         operational context only the router knows stitched on — which
@@ -1773,15 +1762,13 @@ class ShardedEngine:
         if not reqs:
             return []
         if self._local is not None:
-            advise_v1 = getattr(self._local, "advise_v1", None)
-            if advise_v1 is not None:
-                return advise_v1(reqs)
+            return self._local.advise_v1(reqs)
         if any(r.code is None for r in reqs):
             raise ValueError(
                 "the sharded router owns encoding; submit AdviceRequest "
                 "with code=, not pre-encoded ids=")
         codes = [r.code for r in reqs]
-        fulls = self.advise_full_many(codes)
+        fulls = self._scatter_call("advise_full_many", codes)
         digests = [source_digest(code) for code in codes]
         with self._codec_lock:
             router_recovered = [

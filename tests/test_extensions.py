@@ -1,6 +1,8 @@
 """Tests for the future-work extensions: directive generation, the hybrid
 model+S2S advisor, and attention introspection."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.clang.pragma import parse_pragma
@@ -8,6 +10,8 @@ from repro.explain import attention_by_token_class, cls_attention
 from repro.models import DirectiveGenerator, HybridAdvisor, PragFormerConfig
 from repro.pipeline import ScaleConfig
 from repro.pipeline.context import get_context
+
+DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
 
 TINY = ScaleConfig(
     name="tiny-ext",
@@ -24,8 +28,7 @@ def ctx():
     return get_context(TINY)
 
 
-@pytest.fixture(scope="module")
-def generator(ctx):
+def _generator(ctx, threshold=0.5):
     enc = ctx.encoded()
     return DirectiveGenerator(
         ctx.pragformer, enc.vocab,
@@ -34,7 +37,13 @@ def generator(ctx):
         reduction_model=ctx.clause_model("reduction"),
         reduction_vocab=ctx.clause_encoded("reduction").vocab,
         max_len=TINY.pragformer.max_len,
+        threshold=threshold,
     )
+
+
+@pytest.fixture(scope="module")
+def generator(ctx):
+    return _generator(ctx)
 
 
 class TestDirectiveGenerator:
@@ -67,6 +76,21 @@ class TestDirectiveGenerator:
     def test_probability_fields_populated(self, generator):
         out = generator.generate("for (i = 0; i < n; i++) y[i] = x[i];")
         assert 0.0 <= out.p_directive <= 1.0
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.0])
+    def test_dirty_fixtures_never_raise(self, ctx, threshold):
+        """Malformed C gets a verdict, never a lex/parse exception; with
+        threshold 0 every fixture also takes the clause + pragma path."""
+        generator = _generator(ctx, threshold)
+        fixtures = sorted(DIRTY_DIR.glob("*.c"))
+        assert len(fixtures) == 52
+        for path in fixtures:
+            out = generator.generate(
+                path.read_bytes().decode("utf-8", errors="replace"))
+            if out.directive is not None:
+                assert parse_pragma(out.directive).is_parallel_for, path.name
+            elif threshold == 0.0:
+                assert out.p_directive == 0.0, path.name
 
 
 class TestHybridAdvisor:
@@ -128,3 +152,35 @@ class TestAttention:
                                             max_len=TINY.pragformer.max_len)
         assert "identifier" in by_class
         assert all(v >= 0 for v in by_class.values())
+
+
+class TestAdviseCommand:
+    """``repro advise`` on the tiny context: directive verdicts first,
+    then clause suggestions from ``advise_v1`` for positive files."""
+
+    def test_positive_file_prints_suggested_clauses(self, ctx, tmp_path,
+                                                    monkeypatch, capsys):
+        import repro.pipeline
+        from repro.cli import main
+        from repro.serve import InferenceEngine, ModelRegistry, MultiModelEngine
+
+        codes = [e.record.code for e in ctx.directive_splits.test]
+        directive = InferenceEngine(ctx.pragformer, ctx.encoded().vocab,
+                                    max_len=TINY.pragformer.max_len)
+        positive = [code for code, advice in
+                    zip(codes, directive.advise_many(codes))
+                    if advice.needs_directive]
+        with MultiModelEngine(ModelRegistry.from_context(ctx)) as advisor:
+            results = advisor.advise_v1(positive)
+        code, result = next((c, r) for c, r in zip(positive, results)
+                            if r.recommended_clauses())
+        path = tmp_path / "loop.c"
+        path.write_text(code)
+        monkeypatch.setattr(repro.pipeline, "get_context", lambda: ctx)
+        assert main(["advise", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("PragFormer: needs an OpenMP directive")
+        assert lines[1:] == [
+            f"  suggest a {name} clause "
+            f"(p = {result.clauses[name].probability:.3f})"
+            for name in result.recommended_clauses()]

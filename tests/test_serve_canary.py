@@ -8,7 +8,7 @@ makes the canary the primary through the PR-4 versioned-slot machinery (so
 a prediction cached under the old primary can never be served afterwards);
 ``rollback`` drops it without touching the primary; and a
 :class:`~repro.serve.CanaryPolicy` finishes the rollout automatically.
-The acceptance gate drives concurrent ``advise_full_async`` load across a
+The acceptance gate drives concurrent ``advise_v1`` load across a
 ``start_canary`` → ``promote`` sequence and requires zero dropped
 requests, zero stale cache hits, and deterministic arm assignment.
 """
@@ -76,7 +76,7 @@ def verdicts(vocab, checkpoints):
     a, b = checkpoints
     with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ea, \
             MultiModelEngine(ModelRegistry.from_checkpoint(b)) as eb:
-        return ea.advise_full_many(SNIPPETS), eb.advise_full_many(SNIPPETS)
+        return ea.advise_v1(SNIPPETS), eb.advise_v1(SNIPPETS)
 
 
 def _assert_arm_split(got, exp_a, exp_b, fraction=FRACTION):
@@ -85,8 +85,8 @@ def _assert_arm_split(got, exp_a, exp_b, fraction=FRACTION):
     for code, g, a, b in zip(SNIPPETS, got, exp_a, exp_b):
         ref = b if canary_routes(code, fraction) else a
         canary_rows += canary_routes(code, fraction)
-        np.testing.assert_allclose(g.directive.probability,
-                                   ref.directive.probability, atol=1e-6)
+        np.testing.assert_allclose(g.probability,
+                                   ref.probability, atol=1e-6)
         for name in ref.clauses:
             np.testing.assert_allclose(g.clauses[name].probability,
                                        ref.clauses[name].probability,
@@ -116,16 +116,20 @@ class TestRouting:
 class TestStartCanary:
     def test_sync_and_async_serve_the_digest_slice(self, checkpoints,
                                                    verdicts):
+        """Bulk and one-snippet advise_v1 calls both serve each snippet
+        from its digest-assigned arm, labelled with that arm."""
         a, b = checkpoints
         exp_a, exp_b = verdicts
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             version = engine.start_canary(b, FRACTION)
             assert version == f"v1:{b.name}"
-            got_sync = engine.advise_full_many(SNIPPETS)
-            n_canary = _assert_arm_split(got_sync, exp_a, exp_b)
+            got_bulk = engine.advise_v1(SNIPPETS)
+            n_canary = _assert_arm_split(got_bulk, exp_a, exp_b)
             assert n_canary >= 1
-            got_async = [engine.advise_full_async(code) for code in SNIPPETS]
-            _assert_arm_split(got_async, exp_a, exp_b)
+            assert [r.arm == "canary" for r in got_bulk] == [
+                canary_routes(code, FRACTION) for code in SNIPPETS]
+            got_single = [engine.advise_v1([code])[0] for code in SNIPPETS]
+            _assert_arm_split(got_single, exp_a, exp_b)
             # primary model_version is untouched while the canary runs
             assert engine.model_version == "0"
 
@@ -133,9 +137,9 @@ class TestStartCanary:
         a, b = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             engine.start_canary(b, FRACTION)
-            engine.advise_full_many(SNIPPETS)
+            engine.advise_v1(SNIPPETS)
             for code in SNIPPETS:
-                engine.advise_full_async(code)
+                engine.advise_v1([code])
             arms = engine.stats()["canary"]["arms"]
             expected_canary = 2 * sum(
                 canary_routes(code, FRACTION) for code in SNIPPETS)
@@ -161,11 +165,11 @@ class TestStartCanary:
                                                      tmp_path):
         a, _ = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
-            before = engine.advise_full(SNIPPETS[0])
+            before = engine.advise_v1([SNIPPETS[0]])[0]
             with pytest.raises(FileNotFoundError):
                 engine.start_canary(tmp_path / "nope", FRACTION)
             assert engine.stats()["canary"] is None
-            assert engine.advise_full(SNIPPETS[0]) == before
+            assert engine.advise_v1([SNIPPETS[0]])[0] == before
 
     def test_invalid_fraction_rejected(self, checkpoints):
         a, b = checkpoints
@@ -188,18 +192,18 @@ class TestPromoteRollback:
         a, b = checkpoints
         _, exp_b = verdicts
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
-            engine.advise_full_many(SNIPPETS)   # cached under version "0"
-            engine.advise_full_many(SNIPPETS)   # provably cached
+            engine.advise_v1(SNIPPETS)   # cached under version "0"
+            engine.advise_v1(SNIPPETS)   # provably cached
             hits_before = engine.stats()["combined"]["cache_hits"]
             assert hits_before > 0
             version = engine.start_canary(b, FRACTION)
             engine.promote()
             assert engine.model_version == version
             assert engine.stats()["canary"] is None
-            got = engine.advise_full_many(SNIPPETS)  # all arms now B
+            got = engine.advise_v1(SNIPPETS)  # all arms now B
             for g, ref in zip(got, exp_b):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-6)
             # version-prefixed keys: the old primary's cached predictions
             # MISS after the promote — zero new hits
@@ -216,10 +220,10 @@ class TestPromoteRollback:
             engine.start_canary(b, FRACTION)
             engine.rollback()
             assert engine.model_version == "0"
-            got = engine.advise_full_many(SNIPPETS)  # all arms back to A
+            got = engine.advise_v1(SNIPPETS)  # all arms back to A
             for g, ref in zip(got, exp_a):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-6)
             assert engine.stats()["last_canary"]["outcome"] == "rolled_back"
 
@@ -244,7 +248,7 @@ class TestCanaryPolicy:
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             version = engine.start_canary(same, 1.0, policy=policy)
             for code in SNIPPETS:
-                engine.advise_full_async(code)
+                engine.advise_v1([code])
             summary = engine.stats()["last_canary"]
             assert summary is not None and summary["outcome"] == "promoted"
             assert "policy" in summary["reason"]
@@ -258,7 +262,7 @@ class TestCanaryPolicy:
                               max_error_rate=1.0, auto_promote=True)
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             engine.start_canary(b, 1.0, policy=policy)
-            engine.advise_full_many(SNIPPETS)
+            engine.advise_v1(SNIPPETS)
             summary = engine.stats()["last_canary"]
             # B's untrained weights all but surely disagree somewhere on 16
             # snippets; if they happened to agree the policy promoted — both
@@ -273,7 +277,7 @@ class TestCanaryPolicy:
         policy = CanaryPolicy(min_samples=10_000)
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             engine.start_canary(b, 1.0, policy=policy)
-            engine.advise_full_many(SNIPPETS)
+            engine.advise_v1(SNIPPETS)
             assert engine.stats()["canary"] is not None  # still rolling out
 
     def test_policy_validation(self):
@@ -288,7 +292,7 @@ class TestCanaryPolicy:
 class TestCanaryUnderLiveTraffic:
     def test_promote_under_concurrent_async_load(self, checkpoints,
                                                  verdicts):
-        """The acceptance gate: concurrent ``advise_full_async`` clients
+        """The acceptance gate: concurrent ``advise_v1`` clients
         hammer the engine while ``start_canary`` → ``promote`` runs — zero
         dropped requests, deterministic arm assignment before, all-B after,
         zero stale cache hits (checked via the B reference verdicts)."""
@@ -303,7 +307,7 @@ class TestCanaryUnderLiveTraffic:
             try:
                 k = worker
                 while not stop.is_set():
-                    engine.advise_full_async(SNIPPETS[k % len(SNIPPETS)])
+                    engine.advise_v1([SNIPPETS[k % len(SNIPPETS)]])
                     served[0] += 1
                     k += 1
             except Exception as exc:  # noqa: BLE001 — surfaced below
@@ -317,7 +321,7 @@ class TestCanaryUnderLiveTraffic:
             version = engine.start_canary(b, FRACTION)
             # let both arms serve real traffic mid-rollout
             for code in SNIPPETS:
-                engine.advise_full_async(code)
+                engine.advise_v1([code])
             arms = engine.stats()["canary"]["arms"]
             assert arms["canary"]["requests"] >= 1
             assert arms["primary"]["requests"] >= 1
@@ -330,10 +334,10 @@ class TestCanaryUnderLiveTraffic:
             assert served[0] > 0
             assert engine.model_version == version
             # post-promote verdicts are B's — on every snippet, both arms
-            got = engine.advise_full_many(SNIPPETS)
+            got = engine.advise_v1(SNIPPETS)
             for g, ref in zip(got, exp_b):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-6)
         finally:
             stop.set()
@@ -354,17 +358,17 @@ class TestShardedCanary:
                                     EngineConfig(max_batch_size=8))
         with ShardedEngine(factory, n_shards=2) as sharded:
             version = sharded.start_canary(b, FRACTION)
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             _assert_arm_split(got, exp_a, exp_b)
             stats = sharded.stats()
             assert stats["canary"]["version"] == version
             assert stats["canary"]["shards_live"] == 2
             assert stats["canary"]["arms"]["canary"]["requests"] >= 1
             assert sharded.promote() == version
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             for g, ref in zip(got, exp_b):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-5)
             stats = sharded.stats()
             assert stats["model_version"] == version
@@ -379,10 +383,10 @@ class TestShardedCanary:
         with ShardedEngine(factory, n_shards=2) as sharded:
             sharded.start_canary(b, FRACTION)
             sharded.rollback()
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             for g, ref in zip(got, exp_a):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-5)
             assert sharded.stats()["canary"] is None
 
@@ -413,7 +417,7 @@ class TestShardedCanary:
             def client():
                 while not stop.is_set():
                     try:
-                        sharded.advise_full_many(SNIPPETS)
+                        sharded.advise_v1(SNIPPETS)
                     except Exception as exc:  # noqa: BLE001
                         errors.append(exc)
                         return
@@ -436,7 +440,7 @@ class TestShardedCanary:
             stats = sharded.stats()
             assert stats["canary"]["shards_live"] == 2
             assert stats["canary"]["version"] == version
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             _assert_arm_split(got, exp_a, exp_b)
 
 

@@ -23,6 +23,7 @@ from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     AdmissionConfig,
+    AdviceResult,
     AutoscaleConfig,
     ChaosConfig,
     CheckpointWatcher,
@@ -430,10 +431,8 @@ class TestWatcherResilience:
 # -- HTTP admission control -----------------------------------------------
 
 
-class _StubAdvice:
-    def as_dict(self):
-        return {"needs_directive": False, "p_directive": 0.5, "clauses": {},
-                "recommended_clauses": [], "degraded": False}
+def _stub_results(requests):
+    return [AdviceResult(verdict=False, probability=0.5) for _ in requests]
 
 
 class _GatedAdvisor:
@@ -443,10 +442,10 @@ class _GatedAdvisor:
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def advise_full_many(self, codes):
+    def advise_v1(self, requests):
         self.entered.set()
         assert self.release.wait(10)
-        return [_StubAdvice() for _ in codes]
+        return _stub_results(requests)
 
     def stats(self):
         return {}
@@ -456,10 +455,10 @@ class _FlakyAdvisor:
     def __init__(self):
         self.fail = True
 
-    def advise_full_many(self, codes):
+    def advise_v1(self, requests):
         if self.fail:
             raise RuntimeError("fleet rebuilding")
-        return [_StubAdvice() for _ in codes]
+        return _stub_results(requests)
 
     def stats(self):
         return {}

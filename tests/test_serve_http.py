@@ -101,68 +101,6 @@ class TestEndpoints:
         assert sum(combined["batch_size_hist"].values()) == combined["batches"]
 
 
-class TestConcurrentMicroBatching:
-    def test_concurrent_advise_coalesces_into_shared_batches(self):
-        """N handler threads hitting POST /advise simultaneously must ride
-        the engines' async submit() queues and share forward passes —
-        the pre-overhaul behaviour was one batch-of-1 forward per request.
-        """
-        from repro.serve import EngineConfig
-
-        n_clients = 8
-        codes = [f"for (i = 0; i < n; i++) a{k}[i] = b{k}[i] * {k};"
-                 for k in range(n_clients)]
-        vocab = Vocab.build([text_tokens(code) for code in codes], min_freq=1)
-        registry = ModelRegistry()
-        for name in ("directive", "private"):
-            registry.register(name, PragFormer(len(vocab), TINY), vocab,
-                              max_len=TINY.max_len)
-        # a generous flush window so requests posted together provably land
-        # in one micro-batch (cache disabled: every request must hit the
-        # model for the batch accounting to be observable)
-        advisor = MultiModelEngine(registry, config=EngineConfig(
-            flush_interval=0.25, cache_capacity=0))
-        server = make_server(advisor, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}/advise"
-        barrier = threading.Barrier(n_clients)
-        results, errors = [None] * n_clients, []
-
-        def client(i):
-            try:
-                barrier.wait(timeout=10)
-                results[i] = _post(url, {"code": codes[i]})
-            except Exception as exc:  # noqa: BLE001 — surface in main thread
-                errors.append(exc)
-
-        try:
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(n_clients)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not errors
-            for status, body in results:
-                assert status == 200
-                assert set(body["clauses"]) == {"private"}
-            stats = advisor.stats()["heads"]["directive"]
-            assert stats["requests"] == n_clients
-            # coalesced: strictly fewer forward batches than requests, and
-            # at least one batch carried multiple snippets (histogram keys
-            # are batch_hist_bucket labels: "1", "2", "3-4", ...)
-            assert stats["batches"] < n_clients
-            assert any(size != "1" and count > 0
-                       for size, count in stats["batch_size_hist"].items())
-        finally:
-            server.shutdown()
-            server.server_close()
-            advisor.close()
-            thread.join(timeout=5)
-
-
 class TestReloadEndpoint:
     """POST /reload: hot checkpoint swap through the HTTP front door."""
 
@@ -232,7 +170,7 @@ class TestReloadEndpoint:
         class Plain:
             """Advisor without a reload surface."""
 
-            def advise_full_many(self, codes):
+            def advise_v1(self, requests):
                 raise NotImplementedError
 
             def stats(self):
@@ -504,7 +442,7 @@ class TestCanaryEndpoints:
 
     def test_advisor_without_canary_surface_501(self):
         class Plain:
-            def advise_full_many(self, codes):
+            def advise_v1(self, requests):
                 raise NotImplementedError
 
             def stats(self):

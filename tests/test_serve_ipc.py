@@ -363,13 +363,13 @@ class TestTransportParity:
                                  EngineConfig(max_batch_size=32))
         trace = TRACE[:200]
         with ShardedEngine(fact, n_shards=2, ipc="queue") as via_queue:
-            expected = via_queue.advise_full_many(trace)
+            expected = via_queue.advise_v1(trace)
         with ShardedEngine(fact, n_shards=2, ipc="shm") as via_shm:
-            got = via_shm.advise_full_many(trace)
+            got = via_shm.advise_v1(trace)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
-            assert g.directive.probability == e.directive.probability
-            assert g.directive.needs_directive == e.directive.needs_directive
+            assert g.probability == e.probability
+            assert g.verdict == e.verdict
             assert g.clauses == e.clauses
             assert g.degraded == e.degraded
 
@@ -390,9 +390,9 @@ class TestTransportParity:
         for ipc in ("queue", "shm"):
             with ShardedEngine(fact, n_shards=2, ipc=ipc) as sharded:
                 sharded.start_canary(canary_path, 0.5, version="cnry")
-                results[ipc] = sharded.advise_full_many(trace)
+                results[ipc] = sharded.advise_v1(trace)
         for q, s in zip(results["queue"], results["shm"]):
-            assert q.directive.probability == s.directive.probability
+            assert q.probability == s.probability
             assert q.clauses == s.clauses
 
 
@@ -453,13 +453,13 @@ class TestRollouts:
                                  EngineConfig(max_batch_size=32))
         trace = TRACE[:32]
         with MultiModelEngine(ModelRegistry.from_checkpoint(next_path)) as ref:
-            expected = ref.advise_full_many(trace)
+            expected = ref.advise_v1(trace)
         with ShardedEngine(fact, n_shards=2, ipc="shm") as sharded:
-            sharded.advise_full_many(trace)  # prime rings + codec
+            sharded.advise_v1(trace)  # prime rings + codec
             sharded.reload(next_path)
-            got = sharded.advise_full_many(trace)  # re-encoded, fresh tag
+            got = sharded.advise_v1(trace)  # re-encoded, fresh tag
             for g, e in zip(got, expected):
-                assert g.directive.probability == e.directive.probability
+                assert g.probability == e.probability
                 assert g.clauses == e.clauses
 
 

@@ -1,4 +1,4 @@
-"""Tests for the multi-model registry and combined advise_full path."""
+"""Tests for the multi-model registry and its advice pipeline."""
 
 from dataclasses import replace
 
@@ -9,6 +9,7 @@ from repro.data.encoding import encode_batch
 from repro.models import PragFormer, load_advisor, save_advisor
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
+    AdviceResult,
     EngineConfig,
     FullAdvice,
     ModelRegistry,
@@ -77,15 +78,22 @@ class TestModelRegistry:
 
 class TestAdviseFull:
     def test_shape_and_types(self, advisor):
-        full = advisor.advise_full(SNIPPETS[0])
-        assert isinstance(full, FullAdvice)
-        assert set(full.clauses) == {"private", "reduction"}
-        body = full.as_dict()
+        result = advisor.advise_v1([SNIPPETS[0]])[0]
+        assert isinstance(result, AdviceResult)
+        assert set(result.clauses) == {"private", "reduction"}
+        body = result.as_dict()
         assert set(body) == {"needs_directive", "p_directive", "clauses",
-                             "recommended_clauses", "degraded"}
+                             "recommended_clauses", "degraded", "recovered",
+                             "model_version", "arm"}
         assert body["degraded"] is False  # a real prediction, not a stub
         for clause in body["clauses"].values():
             assert set(clause) == {"probability", "suggested"}
+        # the wire method under it answers the bare legacy shape
+        full = advisor.advise_full_many([SNIPPETS[0]])[0]
+        assert isinstance(full, FullAdvice)
+        assert set(full.as_dict()) == {"needs_directive", "p_directive",
+                                       "clauses", "recommended_clauses",
+                                       "degraded"}
 
     def test_clause_head_parity_with_direct_predict(self, advisor, registry):
         """Engine output must equal the clause model's own predict_proba."""
@@ -110,16 +118,6 @@ class TestAdviseFull:
             else:
                 assert full.recommended_clauses() == [
                     n for n, c in full.clauses.items() if c.suggested]
-
-    def test_precomputed_directive_skips_rescoring(self, advisor):
-        directive = advisor.advise_many(SNIPPETS)
-        before = advisor.directive_engine.stats.requests
-        full = advisor.advise_full_many(SNIPPETS, directive=directive)
-        # the directive head saw no new requests; verdicts are passed through
-        assert advisor.directive_engine.stats.requests == before
-        assert [f.directive for f in full] == directive
-        with pytest.raises(ValueError, match="1:1"):
-            advisor.advise_full_many(SNIPPETS, directive=directive[:1])
 
     def test_snippets_lexed_once_across_heads(self, registry):
         calls = []
@@ -193,23 +191,6 @@ class TestClauseGating:
                        for f in full)
             assert engine.stats()["clause_gating"]["gated_snippets"] == 0
 
-    def test_async_path_gates_identically(self, registry, advisor):
-        expected = advisor.advise_full_many(SNIPPETS)
-        with self._gated(registry, 0.0) as engine:
-            for code, exp in zip(SNIPPETS, expected):
-                got = engine.advise_full_async(code, timeout=30)
-                np.testing.assert_allclose(got.directive.probability,
-                                           exp.directive.probability,
-                                           atol=1e-6)
-                if exp.directive.needs_directive:
-                    assert set(got.clauses) == set(exp.clauses)
-                    for name in exp.clauses:
-                        np.testing.assert_allclose(
-                            got.clauses[name].probability,
-                            exp.clauses[name].probability, atol=1e-6)
-                else:
-                    assert got.clauses == {}
-
     def test_gating_disabled_by_default(self, advisor):
         advisor.advise_full_many(SNIPPETS)
         gating = advisor.stats()["clause_gating"]
@@ -235,8 +216,8 @@ class TestFromContext:
         registry = ModelRegistry.from_context(ExperimentContext(scale))
         assert registry.names() == ["directive", "private", "reduction"]
         with MultiModelEngine(registry) as advisor:
-            full = advisor.advise_full("for (i = 0; i < n; i++) s += a[i];")
-        body = full.as_dict()
+            result = advisor.advise_v1(["for (i = 0; i < n; i++) s += a[i];"])
+        body = result[0].as_dict()
         assert set(body["clauses"]) == {"private", "reduction"}
         assert 0.0 <= body["p_directive"] <= 1.0
 

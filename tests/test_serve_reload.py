@@ -132,14 +132,14 @@ class TestMultiModelReload:
         a, b = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine, \
                 MultiModelEngine(ModelRegistry.from_checkpoint(b)) as fresh_b:
-            expected = fresh_b.advise_full_many(SNIPPETS)
+            expected = fresh_b.advise_v1(SNIPPETS)
             version = engine.reload(b)
             assert version == f"v1:{b.name}"
             assert engine.model_version == version
-            got = engine.advise_full_many(SNIPPETS)
+            got = engine.advise_v1(SNIPPETS)
             for e, g in zip(expected, got):
-                np.testing.assert_allclose(g.directive.probability,
-                                           e.directive.probability, atol=1e-6)
+                np.testing.assert_allclose(g.probability,
+                                           e.probability, atol=1e-6)
                 for name in e.clauses:
                     np.testing.assert_allclose(g.clauses[name].probability,
                                                e.clauses[name].probability,
@@ -148,12 +148,12 @@ class TestMultiModelReload:
     def test_no_stale_cache_across_reload(self, vocab, checkpoints):
         a, b = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
-            engine.advise_full_many(SNIPPETS)
-            engine.advise_full_many(SNIPPETS)  # cached under version "0"
+            engine.advise_v1(SNIPPETS)
+            engine.advise_v1(SNIPPETS)  # cached under version "0"
             hits_before = engine.stats()["combined"]["cache_hits"]
             assert hits_before == 3 * len(SNIPPETS)
             engine.reload(b)
-            engine.advise_full_many(SNIPPETS)  # must all miss
+            engine.advise_v1(SNIPPETS)  # must all miss
             assert engine.stats()["combined"]["cache_hits"] == hits_before
 
     def test_reload_updates_registry_and_stats(self, vocab, checkpoints):
@@ -173,11 +173,11 @@ class TestMultiModelReload:
                                                    tmp_path):
         a, _ = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
-            before = engine.advise_full(SNIPPETS[0])
+            before = engine.advise_v1([SNIPPETS[0]])[0]
             with pytest.raises(FileNotFoundError):
                 engine.reload(tmp_path / "nope")
             assert engine.model_version == "0"
-            assert engine.advise_full(SNIPPETS[0]) == before
+            assert engine.advise_v1([SNIPPETS[0]])[0] == before
 
     def test_incomplete_checkpoint_rejected(self, vocab, tmp_path,
                                             checkpoints):
@@ -206,7 +206,7 @@ class TestMultiModelReload:
         def hammer():
             try:
                 while not stop.is_set():
-                    full = engine.advise_full_many(SNIPPETS)
+                    full = engine.advise_v1(SNIPPETS)
                     assert len(full) == len(SNIPPETS)
                     served[0] += len(full)
             except Exception as exc:  # noqa: BLE001 — surfaced below
@@ -223,10 +223,10 @@ class TestMultiModelReload:
             assert not errors, errors
             assert served[0] > 0
             with MultiModelEngine(ModelRegistry.from_checkpoint(b)) as fresh:
-                expected = fresh.advise_full(SNIPPETS[0])
-            got = engine.advise_full(SNIPPETS[0])
-            np.testing.assert_allclose(got.directive.probability,
-                                       expected.directive.probability,
+                expected = fresh.advise_v1([SNIPPETS[0]])[0]
+            got = engine.advise_v1([SNIPPETS[0]])[0]
+            np.testing.assert_allclose(got.probability,
+                                       expected.probability,
                                        atol=1e-6)
         finally:
             stop.set()
@@ -248,13 +248,13 @@ class TestCheckpointWatcher:
         a, _ = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             watcher = CheckpointWatcher(engine, a, interval=0.05)
-            before = engine.advise_full(SNIPPETS[0])
+            before = engine.advise_v1([SNIPPETS[0]])[0]
             (a / "advisor.json").write_text("{not json")
             assert watcher.poll_once() is True
             assert watcher.reloads == 0
             assert watcher.last_error is not None
             # old weights keep serving, and the broken file is not retried
-            assert engine.advise_full(SNIPPETS[0]) == before
+            assert engine.advise_v1([SNIPPETS[0]])[0] == before
             assert watcher.poll_once() is False
 
     def test_watch_thread_end_to_end(self, vocab, checkpoints):
@@ -320,13 +320,13 @@ class TestShardedReload:
         a, b = checkpoints
         with ShardedEngine(self._factory(a), n_shards=n_shards) as sharded, \
                 MultiModelEngine(ModelRegistry.from_checkpoint(b)) as fresh:
-            expected = fresh.advise_full_many(SNIPPETS)
+            expected = fresh.advise_v1(SNIPPETS)
             version = sharded.reload(b)
             assert version == f"v1:{b.name}"
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             for e, g in zip(expected, got):
-                np.testing.assert_allclose(g.directive.probability,
-                                           e.directive.probability, atol=1e-6)
+                np.testing.assert_allclose(g.probability,
+                                           e.probability, atol=1e-6)
             stats = sharded.stats()
             assert stats["model_version"] == version
 
@@ -378,9 +378,9 @@ class TestShardedReload:
             assert sharded._reload_spec is None  # reverted, not remembered
             _grow_under_burst(sharded, target=2)
             # every shard — including the grown one — serves
-            full = sharded.advise_full_many(SNIPPETS)
+            full = sharded.advise_v1(SNIPPETS)
             assert len(full) == len(SNIPPETS)
-            assert all(f.directive is not None for f in full)
+            assert not any(f.degraded for f in full)
 
 
 def _grow_under_burst(sharded, target, n_threads=4, timeout=45.0):

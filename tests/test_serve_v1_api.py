@@ -2,9 +2,9 @@
 
 Three contracts:
 
-* **parity** — the legacy ``advise*`` sprawl and the v1 surface answer
-  bit-identically, field by field: the old methods are thin shims now
-  and must never drift from ``advise_v1``;
+* **parity** — the fleet wire methods (``advise_many``,
+  ``advise_full_many``) and ``advise_v1`` answer identically, field by
+  field: they share one pipeline and must never drift apart;
 * **context** — ``model_version`` / ``arm`` / ``recovered`` /
   ``degraded`` ride first-class on every result (engine, fleet, HTTP),
   including the shared-memory transport where workers only ever see
@@ -28,7 +28,6 @@ from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     SCHEMA_VERSION,
     AdviceRequest,
-    AdviceResult,
     ModelRegistry,
     MultiModelEngine,
     ShardedEngine,
@@ -97,11 +96,11 @@ class TestAdviceRequest:
 
 
 class TestEngineParity:
-    """The legacy shims and advise_v1 must answer identically."""
+    """The wire methods and advise_v1 must answer identically."""
 
     def test_v1_dict_is_strict_superset_of_legacy(self, engine):
         for code in SNIPPETS:
-            legacy = engine.advise_full(code).as_dict()
+            legacy = engine.advise_full_many([code])[0].as_dict()
             v1 = engine.advise_v1([code])[0].as_dict()
             for key, value in legacy.items():
                 assert v1[key] == value, key
@@ -112,12 +111,10 @@ class TestEngineParity:
         results = engine.advise_v1(SNIPPETS)
         advices = engine.advise_many(SNIPPETS)
         fulls = engine.advise_full_many(SNIPPETS)
-        for code, res, adv, full in zip(SNIPPETS, results, advices, fulls):
+        for res, adv, full in zip(results, advices, fulls):
             assert res.verdict == adv.needs_directive
             assert res.probability == pytest.approx(adv.probability)
             assert res.clauses == full.clauses
-            assert engine.advise(code).probability == pytest.approx(
-                res.probability)
 
     def test_encoded_requests_match_code_requests(self, engine, vocab):
         rows = [vocab.encode(robust_text_tokens(code), max_len=TINY.max_len)
@@ -136,13 +133,6 @@ class TestEngineParity:
         with pytest.raises(ValueError, match="mix"):
             engine.advise_v1([AdviceRequest(code=SNIPPETS[0]),
                               AdviceRequest(ids=row, digest=b"d")])
-
-    def test_shims_are_marked_deprecated(self):
-        for name in ("advise", "advise_many", "advise_full",
-                     "advise_full_many", "advise_many_encoded",
-                     "advise_full_many_encoded"):
-            doc = getattr(MultiModelEngine, name).__doc__
-            assert "deprecated" in doc, name
 
 
 class TestOperationalContext:
@@ -193,8 +183,9 @@ class TestShardedV1:
 
     def test_fleet_parity_with_legacy_bulk(self, checkpoints):
         a, _ = checkpoints
+        with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ref:
+            fulls = ref.advise_full_many(SNIPPETS)
         with self._fleet(a) as sharded:
-            fulls = sharded.advise_full_many(SNIPPETS)
             results = sharded.advise_v1(SNIPPETS)
             for full, res in zip(fulls, results):
                 assert res.probability == pytest.approx(

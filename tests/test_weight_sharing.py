@@ -100,8 +100,7 @@ def _fleet(path, n_shards=2, share=True, supervisor=None):
 
 
 def _probs(advisor, codes=SNIPPETS):
-    return [full.directive.probability
-            for full in advisor.advise_full_many(codes)]
+    return [result.probability for result in advisor.advise_v1(codes)]
 
 
 class TestReloadSegmentSwap:
