@@ -15,8 +15,8 @@ homogeneous buckets.  The engine must clear >= 5x the sequential
 snippets/sec on the trace; an all-distinct cold pass is also recorded.
 On the cold pass, batching historically bought ~1.2-1.5x — almost all of
 it per-call dispatch overhead that the training hot-path overhaul then
-removed from the *sequential* path too, so on a single core the two now
-sit near parity (the work is compute-bound either way, and GC pressure
+removed from the *sequential* path too, so the two now sit near
+parity (the work is compute-bound either way, and GC pressure
 from whatever ran earlier in the process can push the ratio a little
 either side of 1.0).  The cold assertion is therefore a loose
 not-pathological floor; the trace speedup is the gate that matters.
@@ -24,17 +24,16 @@ Results go to ``BENCH_serving.json`` as the first entry in the perf
 trajectory.
 
 Five further sections exercise the serving stack's newer layers: a
-**shard-count sweep** replays the trace through
-:class:`repro.serve.ShardedEngine` at {1, 2, 4} worker processes
-(digest-hash routing keeps each shard's LRU hot; 1 shard is the in-process
-fallback); an **IPC transport** pass re-runs that sweep with *pinned*
-fleets (``min_shards == max_shards``, so every point pays real
-cross-process traffic, including n=1) under both the pickling queue
-transport and the zero-copy shared-memory rings — interleaved reps with
-medians, recording the shm/queue throughput ratio at each shard count,
-the sharding crossover point (smallest fleet within the noise tolerance
-of the sweep's best), and exact queue-vs-shm verdict parity on a
-1k-snippet trace; an **eviction-pressure** pass runs the trace against a
+**shard sweep** replays the trace twice over through
+:class:`repro.serve.ShardedEngine` fleets *pinned* at {1, 2, 4} worker
+processes (``min_shards == max_shards``, so every point pays real
+cross-process traffic, including n=1; digest-hash routing keeps each
+shard's LRU hot; each worker gets ``nproc // n_shards`` BLAS threads) —
+interleaved reps with medians, recording the 2-shard
+over 1-shard throughput ratio (the sharding tax), the crossover point
+(smallest fleet within the noise tolerance of the sweep's best), and
+verdict parity with the in-process engine on the 1k-request trace; an
+**eviction-pressure** pass runs the trace against a
 deliberately undersized prediction cache to record the eviction counters
 and batch-size histogram end to end; a **clause-gating** pass replays a
 majority-negative trace through gated and ungated multi-model engines
@@ -60,25 +59,23 @@ committed dirty-snippet corpus (``tests/data/dirty``) plus seeded fuzz
 mutants and an oversize snippet through the engine — no exception may
 escape, every snippet must be answered, >= 90% of the trace must get a
 real (possibly recovered) model verdict, and the ``recovered``/
-``rejected_*`` counters land in the report for the bench gate.  On a single-core host the
-sweep and autoscale sections measure routing/IPC overhead rather than
-scaling — multi-shard numbers sitting below the in-process fallback is
-expected there, and the recorded values exist for cross-run comparison,
-not as a speedup claim.  The same caveat applies to the IPC pass: with
-one core the queue baseline's C-speed pickler plus feeder-thread
-pipelining is a strong opponent and the shm rings sit near (not above)
-parity; what the gated ratios assert is that the *sharding tax* is gone
-— pinned 2-shard throughput within tolerance of 1-shard, where the PR 2
-queue sweep lost >30% to re-pickling — and that verdicts are
-bit-identical across transports.  On a multi-core host the crossover
-counter records where scaling genuinely begins.
+``rejected_*`` counters land in the report for the bench gate.  The
+bench host has two cores, shared by the router and every worker, so
+the sweep's absolute numbers exist for cross-run comparison, not as a
+speedup claim.  What the gated ratio asserts is that the *sharding
+tax* stays small — pinned 2-shard throughput within tolerance of
+1-shard — and the parity counter that sharding never changes a
+verdict.  The crossover counter records where adding shards stops
+paying.
 
 Predictions are weight-independent in cost, so an untrained PragFormer at
 the default (paper-shaped) size keeps the bench self-contained and fast.
 """
 
+import ctypes
 import functools
 import json
+import os
 import statistics
 import tempfile
 import threading
@@ -105,7 +102,6 @@ from repro.serve import (
     ModelRegistry,
     MultiModelEngine,
     ShardedEngine,
-    ShmRing,
     SupervisorConfig,
     canary_routes,
     make_server,
@@ -117,9 +113,10 @@ pytestmark = pytest.mark.perf
 N_REQUESTS = 512
 ZIPF_EXPONENT = 1.35  # ~110 distinct snippets across the 512 requests
 SHARD_COUNTS = (1, 2, 4)
-IPC_REPS = 3              # interleaved queue/shm reps per shard count
-IPC_WARM_PASSES = 2       # warm passes per fleet; best-of is recorded
-IPC_CROSSOVER_TOL = 0.9   # "within noise of best" for the crossover point
+SWEEP_REPS = 3            # interleaved reps per shard count
+SWEEP_WARM_PASSES = 2     # warm passes per fleet; best-of is recorded
+SWEEP_CROSSOVER_TOL = 0.9  # "within noise of best" for the crossover point
+SWEEP_PARITY_ATOL = 1e-5  # sharded vs in-process probability tolerance
 PRESSURE_CACHE = 48  # smaller than the trace's distinct set -> forced evictions
 GATING_REQUESTS = 256     # gating trace length (3 heads -> keep it lean)
 GATING_NEGATIVE_FRAC = 0.75  # majority-negative, as real traffic skews
@@ -158,9 +155,35 @@ def _sequential_advise(model, vocab, codes, max_len):
     return probs, latencies
 
 
-def _shard_worker_engine(model, vocab, max_len):
+def _blas_thread_setter():
+    """OpenBLAS's ``set_num_threads`` entry point in this process, or
+    ``None`` (another BLAS, or no ``/proc``).  The library is found
+    through ``/proc/self/maps`` because NumPy loads it privately; the
+    symbol name depends on how OpenBLAS was built."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_set_num_threads",
+                     "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads64_"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                return setter
+    return None
+
+
+def _shard_worker_engine(model, vocab, max_len, blas_threads=None):
     """Worker-side engine builder for the shard sweep (module-level so it
-    pickles under the 'spawn' start method)."""
+    pickles under the 'spawn' start method).  ``blas_threads`` caps the
+    worker's OpenBLAS pool, as a deployment would."""
+    setter = _blas_thread_setter() if blas_threads else None
+    if setter is not None:
+        setter(blas_threads)
     return InferenceEngine(model, vocab, max_len=max_len,
                            config=EngineConfig(max_batch_size=128))
 
@@ -280,24 +303,81 @@ def test_serving_throughput(benchmark):
         async_elapsed = time.perf_counter() - burst_start
         async_lat = [done - t0 for done, t0 in zip(done_at, submitted)]
 
-    # -- shard-count sweep: the trace through 1/2/4 worker processes -------
-    # functools.partial of a module-level builder stays picklable under the
-    # 'spawn' start method (a local closure would not)
+    # -- shard sweep: pinned fleets of 1/2/4 worker processes --------------
+    # min_shards == max_shards, so every point (n=1 included) runs real
+    # worker processes and pays the queue IPC.  Each worker gets
+    # nproc // n_shards BLAS threads (at least one), as a deployment
+    # would and as perfbench/run.py does: left at OpenBLAS's default of
+    # one spinning thread per core in every worker, a 2-shard fleet
+    # oversubscribes the cores and the 2/1 ratio measures the scheduler
+    # (it swung 0.6-1.0 between runs) instead of the routing/IPC tax.
+    # Reps are interleaved and medianed because process-spawn noise
+    # swamps any single run.  The doubled trace is also the parity trace:
+    # every fleet must return the in-process engine's verdicts.
+    # functools.partial of a module-level builder stays picklable under
+    # the 'spawn' start method (a local closure would not).
     engine_factory = functools.partial(_shard_worker_engine, model, vocab,
                                        max_len)
-    shard_sweep = {}
+    cores = os.cpu_count() or 1
+    sweep_blas = {n: max(1, cores // n) for n in SHARD_COUNTS}
+    sweep_trace = trace * 2
+    in_process = engine_factory().predict_proba(sweep_trace)
+    sweep_runs = {n: {"cold": [], "warm": []} for n in SHARD_COUNTS}
+    sweep_stats = {}
+    sweep_mismatches = 0
+    for rep in range(SWEEP_REPS):
+        for n_shards in SHARD_COUNTS:
+            pinned = AutoscaleConfig(min_shards=n_shards,
+                                     max_shards=n_shards)
+            factory = functools.partial(engine_factory,
+                                        blas_threads=sweep_blas[n_shards])
+            with ShardedEngine(factory, n_shards=n_shards,
+                               autoscale=pinned) as fleet:
+                got, cold = timed(fleet.predict_proba, sweep_trace)
+                warms = [timed(fleet.predict_proba, sweep_trace)[1]
+                         for _ in range(SWEEP_WARM_PASSES)]
+                if rep == 0:
+                    sweep_stats[n_shards] = fleet.stats()
+            sweep_runs[n_shards]["cold"].append(cold)
+            sweep_runs[n_shards]["warm"].append(min(warms))
+            # a worker batches only its own sub-batch, so float32 bits
+            # may move with batch shape; a verdict or a probability must not
+            sweep_mismatches += int(np.count_nonzero(
+                ((got[:, 1] > 0.5) != (in_process[:, 1] > 0.5))
+                | ~np.isclose(got[:, 1], in_process[:, 1], rtol=0,
+                              atol=SWEEP_PARITY_ATOL)))
+
+    def _sweep_tput(n_shards, kind="cold"):
+        return len(sweep_trace) / statistics.median(
+            sweep_runs[n_shards][kind])
+
+    sweep_best = max(_sweep_tput(n) for n in SHARD_COUNTS)
+    shard_sweep = {
+        "trace_requests": len(sweep_trace),
+        "reps": SWEEP_REPS,
+        "pinned_autoscale": True,
+        # per-worker BLAS threads by fleet size; None when this BLAS
+        # cannot be capped (the workers then keep its default pool)
+        "blas_threads_per_worker": ({str(n): t for n, t in sweep_blas.items()}
+                                    if _blas_thread_setter() is not None
+                                    else None),
+        # the sharding tax: pinned 2-shard vs pinned 1-shard throughput
+        "scaling_2shard": round(_sweep_tput(2) / _sweep_tput(1), 3),
+        # the smallest fleet within the tolerance of the sweep's best
+        "crossover_tolerance": SWEEP_CROSSOVER_TOL,
+        "crossover_shards": min(
+            n for n in SHARD_COUNTS
+            if _sweep_tput(n) >= SWEEP_CROSSOVER_TOL * sweep_best),
+        # sharded vs in-process verdicts on the sweep trace
+        "parity_atol": SWEEP_PARITY_ATOL,
+        "parity_mismatches": sweep_mismatches,
+    }
     for n_shards in SHARD_COUNTS:
-        # explicit ipc="shm": the sweep tracks the shipped default, and a
-        # future default flip must not silently change what it measures
-        with ShardedEngine(engine_factory, n_shards=n_shards,
-                           ipc="shm") as sharded:
-            _, cold = timed(sharded.predict_proba, trace)
-            _, warm = timed(sharded.predict_proba, trace)
-            stats = sharded.stats()
+        stats = sweep_stats[n_shards]
         combined = stats["combined"]
         shard_sweep[str(n_shards)] = {
-            "snippets_per_s": round(len(trace) / cold, 1),
-            "warm_snippets_per_s": round(len(trace) / warm, 1),
+            "snippets_per_s": round(_sweep_tput(n_shards), 1),
+            "warm_snippets_per_s": round(_sweep_tput(n_shards, "warm"), 1),
             "routed": stats["routed"],
             "cache_hits": combined.get("cache_hits", 0),
             "cache_misses": combined.get("cache_misses", 0),
@@ -305,84 +385,6 @@ def test_serving_throughput(benchmark):
             "batches": combined.get("batches", 0),
             "batch_size_hist": combined.get("batch_size_hist", {}),
         }
-
-    # -- ipc transport: queue vs shm at pinned fleet sizes -----------------
-    # the sweep above keeps the default autoscaler, whose 1-shard point is
-    # the in-process fallback (no IPC at all).  Here min_shards is pinned
-    # to max_shards so every point pays real cross-process traffic — the
-    # thing the two transports actually differ on.  Reps are interleaved
-    # and medianed because process-spawn noise on the single-core bench
-    # host swamps any single run; the throwaway ring below absorbs the
-    # one-time multiprocessing resource-tracker spawn the first shm
-    # segment of a process pays, so it lands on no transport's clock.
-    warmup_ring = ShmRing(slots=2, slot_words=64)
-    warmup_ring.close()
-    warmup_ring.unlink()
-    ipc_trace = trace * 2  # 1024 requests: the parity trace
-    ipc_runs = {t: {n: {"cold": [], "warm": []} for n in SHARD_COUNTS}
-                for t in ("queue", "shm")}
-    ipc_probs = {t: {} for t in ("queue", "shm")}
-    for rep in range(IPC_REPS):
-        for n_shards in SHARD_COUNTS:
-            for transport in ("queue", "shm"):
-                pinned = AutoscaleConfig(min_shards=n_shards,
-                                         max_shards=n_shards)
-                with ShardedEngine(engine_factory, n_shards=n_shards,
-                                   autoscale=pinned, ipc=transport) as fleet:
-                    got, cold = timed(fleet.predict_proba, ipc_trace)
-                    warms = []
-                    for _ in range(IPC_WARM_PASSES):
-                        _, warm_pass = timed(fleet.predict_proba, ipc_trace)
-                        warms.append(warm_pass)
-                ipc_runs[transport][n_shards]["cold"].append(cold)
-                ipc_runs[transport][n_shards]["warm"].append(min(warms))
-                if rep == 0:
-                    ipc_probs[transport][n_shards] = np.asarray(got)
-
-    # parity: both transports must return *bit-identical* verdicts — the
-    # ring frames round-trip float64 exactly, so anything short of == is
-    # a transport bug, not tolerance noise
-    ipc_parity_mismatches = 0
-    for n_shards in SHARD_COUNTS:
-        q = ipc_probs["queue"][n_shards]
-        s = ipc_probs["shm"][n_shards]
-        if q.shape != s.shape:
-            ipc_parity_mismatches += len(ipc_trace)
-        else:
-            ipc_parity_mismatches += int(np.count_nonzero(
-                ~np.all(q == s, axis=-1)))
-
-    def _ipc_tput(transport, n_shards, kind="cold"):
-        runs = ipc_runs[transport][n_shards][kind]
-        return len(ipc_trace) / statistics.median(runs)
-
-    shm_best = max(_ipc_tput("shm", n) for n in SHARD_COUNTS)
-    ipc_crossover = min(
-        n for n in SHARD_COUNTS
-        if _ipc_tput("shm", n) >= IPC_CROSSOVER_TOL * shm_best)
-    ipc_transport = {
-        "trace_requests": len(ipc_trace),
-        "reps": IPC_REPS,
-        "pinned_autoscale": True,
-        **{t: {str(n): {
-                "snippets_per_s": round(_ipc_tput(t, n), 1),
-                "warm_snippets_per_s": round(_ipc_tput(t, n, "warm"), 1),
-            } for n in SHARD_COUNTS}
-           for t in ("queue", "shm")},
-        "shm_vs_queue_2shards": round(
-            _ipc_tput("shm", 2) / _ipc_tput("queue", 2), 3),
-        "shm_warm_vs_queue_2shards": round(
-            _ipc_tput("shm", 2, "warm") / _ipc_tput("queue", 2, "warm"), 3),
-        # the sharding tax: pinned 2-shard vs pinned 1-shard on the shm
-        # transport.  The PR 2 queue sweep lost >30% here to re-pickling;
-        # the rings must keep it within noise of flat on one core (and
-        # above 1.0 wherever a second real core exists)
-        "shm_2shard_scaling": round(
-            _ipc_tput("shm", 2) / _ipc_tput("shm", 1), 3),
-        "crossover_tolerance": IPC_CROSSOVER_TOL,
-        "crossover_shards": ipc_crossover,
-        "parity_mismatches": ipc_parity_mismatches,
-    }
 
     # -- eviction pressure: undersized LRU on the same trace ---------------
     pressured = InferenceEngine(
@@ -844,7 +846,6 @@ def test_serving_throughput(benchmark):
             "speedup_vs_sequential": round(distinct_speedup, 2),
         },
         "shard_sweep": shard_sweep,
-        "ipc": ipc_transport,
         "eviction_pressure": eviction_pressure,
         "clause_gating": clause_gating,
         "reload_under_load": reload_under_load,
@@ -861,11 +862,10 @@ def test_serving_throughput(benchmark):
                           for n in SHARD_COUNTS)
     print(f"\nengine on trace: {trace_throughput:.0f} snippets/s "
           f"({speedup:.1f}x sequential; distinct-cold {distinct_speedup:.2f}x); "
-          f"shard sweep: {sweep_txt}; "
-          f"ipc shm/queue @2sh {ipc_transport['shm_vs_queue_2shards']:.2f} "
-          f"(scaling {ipc_transport['shm_2shard_scaling']:.2f}, crossover "
-          f"{ipc_transport['crossover_shards']}sh, "
-          f"{ipc_transport['parity_mismatches']} parity mismatches); "
+          f"shard sweep: {sweep_txt} (2/1 scaling "
+          f"{shard_sweep['scaling_2shard']:.2f}, crossover "
+          f"{shard_sweep['crossover_shards']}sh, "
+          f"{shard_sweep['parity_mismatches']} parity mismatches); "
           f"gating -{clause_gating['clause_request_reduction']:.0%} clause "
           f"requests on a {negative_frac:.0%}-negative trace; reload under "
           f"load {reload_under_load['reload_s'] * 1e3:.0f}ms with "
@@ -893,14 +893,13 @@ def test_serving_throughput(benchmark):
     # are recorded in the report for trajectory tracking instead
     assert distinct_speedup >= 0.3, "batching pathologically slower than sequential"
     assert engine.stats.cache_hits >= len(trace)  # warm pass served from LRU
-    assert set(shard_sweep) == {str(n) for n in SHARD_COUNTS}
-    # ipc transports: verdicts bit-identical, shm not pathologically behind
-    # the queue baseline, and the 2-shard sharding tax within noise of flat
-    # (the committed report is gated tighter by scripts/bench_gate.py; the
-    # in-run floors only catch collapses, not single-run spawn noise)
-    assert ipc_transport["parity_mismatches"] == 0, "queue/shm verdict drift"
-    assert ipc_transport["shm_vs_queue_2shards"] >= 0.4
-    assert ipc_transport["shm_2shard_scaling"] >= 0.5
+    assert {str(n) for n in SHARD_COUNTS} <= set(shard_sweep)
+    # shard sweep: the fleet's verdicts are the in-process engine's, and
+    # the 2-shard sharding tax is not a collapse (the committed report is
+    # gated tighter by scripts/bench_gate.py; the in-run floor only
+    # catches collapses, not single-run spawn noise)
+    assert shard_sweep["parity_mismatches"] == 0, "sharded verdict drift"
+    assert shard_sweep["scaling_2shard"] >= 0.5
     assert eviction_pressure["evictions"] > 0, "pressure pass must evict"
     # clause gating: fewer clause-head requests AND batches on the
     # majority-negative trace, with zero verdict drift on fanned snippets

@@ -7,9 +7,10 @@ their metrics that is *stable across machines*: dimensionless ratios
 (speedup-vs-sequential, clause-request reduction, optimizer speedup) and
 hard invariant counters (zero failed requests / stale cache hits / verdict
 mismatches under reload and canary rollouts).  Raw wall-times and
-snippets-per-second are **never** gated — the bench host is a single noisy
-core, so absolute throughput swings run to run while the ratios and
-invariants hold; wall-times are printed report-only for trend reading.
+snippets-per-second are **never** gated — the bench host is a shared,
+noisy 2-core machine, so absolute throughput swings run to run while the
+ratios and invariants hold; wall-times are printed report-only for trend
+reading.
 
 A gate whose metric is *missing* fails too: silently dropping a bench
 section must not green the pipeline.
@@ -102,19 +103,15 @@ GATES: List[Gate] = [
     # the overload actually shed (429) rather than queueing into a hang
     Gate("serving", "fault_injection.admission.unanswered", "==", 0),
     Gate("serving", "fault_injection.admission.shed_429", ">=", 1),
-    # zero-copy ipc (pinned fleets, so every point pays real IPC): the
-    # two transports must return bit-identical verdicts; the shm rings
-    # must stay within a bounded factor of the queue baseline at 2 shards
-    # (on the single-core bench host the pickling queue's feeder-thread
-    # pipelining keeps it near parity — shm pulls ahead only where a
-    # second core exists, so >= 1.0 is not gateable there); and the
-    # sharding *tax* must be gone — pinned 2-shard throughput within 20%
-    # of pinned 1-shard, where the PR 2 queue sweep lost >30% to
-    # re-pickling — with the measured crossover point at most 2 shards
-    Gate("serving", "ipc.parity_mismatches", "==", 0),
-    Gate("serving", "ipc.shm_vs_queue_2shards", ">=", 0.7),
-    Gate("serving", "ipc.shm_2shard_scaling", ">=", 0.8),
-    Gate("serving", "ipc.crossover_shards", "<=", 2),
+    # shard sweep (pinned fleets, so every point pays real IPC): a fleet
+    # returns the in-process engine's verdicts (probabilities within the
+    # report's parity_atol — a worker batches only its sub-batch), and the
+    # sharding *tax* stays small — pinned 2-shard throughput within 20%
+    # of pinned 1-shard (each worker capped at nproc // n_shards BLAS
+    # threads, so both fleets get the same cores and the ratio measures
+    # routing/IPC overhead, not BLAS oversubscription)
+    Gate("serving", "shard_sweep.parity_mismatches", "==", 0),
+    Gate("serving", "shard_sweep.scaling_2shard", ">=", 0.8),
     # dirty trace: hostile input never crashes or stalls the serving
     # path — zero exceptions escape the engine, every snippet answered,
     # >= 90% of the mixed clean/dirty trace gets a real model verdict
@@ -143,12 +140,12 @@ GATES: List[Gate] = [
     Gate("training", "pretrain.speedup_steps_per_s", ">=", 2.0),
     Gate("training", "optimizer_microbench.speedup", ">=", 1.2),
     Gate("training", "finetune.small.speedup_steps_per_s", ">=", 0.9),
-    # data-parallel training (PR 9): N-worker runs must be bit-identical
-    # to single-process (zero parity mismatches across losses, arena
-    # bytes, optimizer moments), the all-reduce must stay a single
-    # vectorized sum per step, and the per-rank work split must halve at
-    # 2 workers.  Wall-clock steps/s never gate — the bench host is one
-    # core, so scaling is asserted on the algorithmic counters (total
+    # data-parallel training: N-worker runs must be bit-identical to
+    # single-process (zero parity mismatches across losses, arena bytes,
+    # optimizer moments), the all-reduce must stay a single vectorized
+    # sum per step, and the per-rank work split must halve at 2 workers.
+    # Wall-clock steps/s never gate — the bench host is a shared 2-core
+    # machine, so scaling is asserted on the algorithmic counters (total
     # examples / max per-rank examples), which are machine-independent.
     Gate("training", "ddp.parity_mismatches", "==", 0),
     Gate("training", "ddp.reduce_ops_per_step", "==", 1),
@@ -163,8 +160,8 @@ REPORT_ONLY: List[Tuple[str, str]] = [
     ("serving", "canary_rollout.promote_s"),
     ("serving", "fault_injection.recovery_s"),
     ("serving", "fault_injection.round_latency.p99_ms"),
-    ("serving", "ipc.queue.2.snippets_per_s"),
-    ("serving", "ipc.shm.2.snippets_per_s"),
+    ("serving", "shard_sweep.1.snippets_per_s"),
+    ("serving", "shard_sweep.2.snippets_per_s"),
     ("serving", "dirty_trace.snippets_per_s"),
     ("serving", "weight_sharing.reload_s"),
     ("serving", "weight_sharing.fleet.1.cold_start_s"),
@@ -250,7 +247,7 @@ def main(argv=None) -> int:
             print(f"PASS {gate.describe()} (got {value})")
     for failure in failures:
         print(failure)
-    print("-- report-only (wall-clock; single noisy core, never gated) --")
+    print("-- report-only (wall-clock; noisy shared host, never gated) --")
     for key, path in REPORT_ONLY:
         value = lookup(reports.get(key, {}), path)
         if value is not None:

@@ -9,8 +9,6 @@
 #   scripts/check.sh --perf     # perf smoke subset only
 #   scripts/check.sh --chaos    # chaos smoke only: fault-injection suite
 #                               # (worker kill/hang/drop, admission control)
-#   scripts/check.sh --ipc      # IPC stress only: shared-memory ring
-#                               # property/stress suite + ring-fault tests
 #   scripts/check.sh --fuzz     # fuzz smoke only: seeded dirty-input
 #                               # sweep through the recovering frontend
 #                               # (REPRO_FUZZ_N mutants/corpus, ~30 s)
@@ -91,16 +89,6 @@ stage_chaos_smoke() {
     python -m pytest -x -q tests/test_serve_faults.py
 }
 
-stage_ipc_stress() {
-    # the zero-copy data-plane suite: SPSC ring invariants (property
-    # tests against a reference deque), frame codecs, queue-vs-shm
-    # parity on a 1k-snippet trace, multi-producer stress, segment
-    # lifecycle — plus the ring-fault subset of the chaos suite (torn
-    # frames, worker killed holding a slot, deadline on a full ring).
-    python -m pytest -x -q tests/test_serve_ipc.py \
-        "tests/test_serve_faults.py::TestRingFaults"
-}
-
 stage_fuzz_smoke() {
     # seeded, deterministic dirty-input sweep: every mutant must come
     # back with diagnostics inside the budget, never an exception.  The
@@ -145,9 +133,6 @@ case "${1:-}" in
     --chaos)
         run_stage "chaos-smoke" stage_chaos_smoke
         ;;
-    --ipc)
-        run_stage "ipc-stress" stage_ipc_stress
-        ;;
     --fuzz)
         run_stage "fuzz-smoke" stage_fuzz_smoke
         ;;
@@ -163,7 +148,7 @@ case "${1:-}" in
         run_stage "perf-smoke" stage_perf_smoke
         ;;
     *)
-        echo "check.sh: unknown mode '${1}' (use --fast, --docs, --lint, --perf, --chaos, --ipc, --fuzz, --ddp, --shm-weights, or no argument)" >&2
+        echo "check.sh: unknown mode '${1}' (use --fast, --docs, --lint, --perf, --chaos, --fuzz, --ddp, --shm-weights, or no argument)" >&2
         exit 2
         ;;
 esac

@@ -56,7 +56,7 @@ _ADVISOR_FORMAT_VERSION = 1
 _WEIGHTS_BLOB = "weights.bin"
 
 #: ``/dev/shm`` name prefix for shared weight segments — audited for leaks
-#: by ``tests/conftest.py`` alongside the ring and DDP prefixes.
+#: by ``tests/conftest.py`` alongside the DDP prefix.
 WEIGHTS_NAME_PREFIX = "repro-weights"
 
 _segment_ids = itertools.count()
@@ -74,7 +74,7 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     tracker (until 3.13's ``track=False``), which makes the *attaching*
     process unlink the segment at exit and spam leak warnings.  The
     process that created the segment owns its lifetime; attachers must
-    unregister (same idiom as ``repro.serve.shm_ring``).
+    unregister.
     """
     shm = shared_memory.SharedMemory(name=name)
     try:

@@ -246,7 +246,7 @@ class PragFormer:
         with its example count as weight, so the trained objective is the
         exact batch-mean CE of the legacy loop.  Validation (and the
         restore-best snapshot) runs in the parent between epochs while the
-        workers sit blocked on their doorbells; ``load_state_dict`` writes
+        workers sit blocked on their semaphores; ``load_state_dict`` writes
         parameters in place, so a restored snapshot lands in the shared
         segment the workers read.
         """

@@ -1,6 +1,6 @@
 """Serving layer: the advisor as a multi-model, sharded, observable service.
 
-Seven modules build on each other:
+Six modules build on each other:
 
 * :mod:`repro.serve.api` — the v1 advice surface:
   :class:`AdviceRequest` / :class:`AdviceResult`, the one
@@ -22,17 +22,12 @@ Seven modules build on each other:
   :meth:`~MultiModelEngine.promote` /
   :meth:`~MultiModelEngine.rollback`, :class:`CanaryPolicy`).
 * :mod:`repro.serve.sharding` — :class:`ShardedEngine`: bulk traffic
-  partitioned across worker processes by source digest, per-shard caches
-  kept hot, queue-depth autoscaling between :class:`AutoscaleConfig`
-  bounds, and fault tolerance (:class:`SupervisorConfig`): worker
-  supervision with heartbeats and respawn budgets, per-request
-  deadlines, and degraded verdicts instead of hangs or exceptions.
-* :mod:`repro.serve.shm_ring` — :class:`ShmRing`: the preallocated
-  shared-memory SPSC rings and fixed int32 frame layout behind the
-  sharded fleet's zero-copy data plane (``ShardedEngine(ipc="shm")``,
-  the default): the router encodes each snippet once and ships token
-  ids; workers reply with probabilities and verdict flags — no pickling
-  on the hot path.
+  partitioned across worker processes by source digest over their
+  request/reply queues, per-shard caches kept hot, queue-depth
+  autoscaling between :class:`AutoscaleConfig` bounds, and fault
+  tolerance (:class:`SupervisorConfig`): worker supervision with
+  heartbeats and respawn budgets, per-request deadlines, and degraded
+  verdicts instead of hangs or exceptions.
 * :mod:`repro.serve.chaos` — :class:`ChaosConfig`: deterministic
   worker-fault injection (kill / hang / drop / malformed / slow) that
   the fault-tolerance tests and benches drive.
@@ -90,7 +85,6 @@ from repro.serve.sharding import (
     shard_of,
     snapshot_stats,
 )
-from repro.serve.shm_ring import FrameTooBig, ShmRing
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -108,7 +102,6 @@ __all__ = [
     "DeadlineExceeded",
     "EngineConfig",
     "EngineStats",
-    "FrameTooBig",
     "FullAdvice",
     "InferenceEngine",
     "LRUCache",
@@ -118,7 +111,6 @@ __all__ = [
     "MultiModelEngine",
     "RollingMean",
     "ShardedEngine",
-    "ShmRing",
     "SupervisorConfig",
     "batch_hist_bucket",
     "canary_routes",

@@ -41,10 +41,10 @@ class AdviceRequest:
 
     Exactly one input form must be provided: ``code`` (source text — the
     normal path, the engine lexes and encodes it) or ``ids`` + ``digest``
-    (a pre-encoded token-id row and the source digest it was derived
-    from, for callers that already ran the codec, e.g. the shared-memory
-    router).  ``id`` is an opaque caller correlation tag echoed back on
-    the matching :class:`AdviceResult`.
+    (a pre-encoded token-id row in the directive head's vocabulary and
+    the source digest it was derived from, for callers that already
+    encoded the snippet).  ``id`` is an opaque caller correlation tag
+    echoed back on the matching :class:`AdviceResult`.
     """
 
     code: Optional[str] = None

@@ -23,25 +23,18 @@ Five fault kinds, mirroring how production workers actually fail:
 * ``malformed`` — the worker answers ``ok`` with a garbage payload
   (``malformed_payload``), standing in for a corrupted IPC message.
 
-The schedule is transport-agnostic: the worker loop hands ``inject_fault``
-whatever reply channel the faulted request arrived on.  On the queue
-transport ``malformed`` puts a garbage pickled payload; on the
-shared-memory rings (:mod:`repro.serve.shm_ring`, the default data plane)
-the channel is the worker's reply ring and ``malformed`` commits a frame
-with a deliberately bad CRC — a *torn write*, which the parent detects by
-checksum and retries.  ``drop`` on the ring transport consumes the request
-slot and never commits a reply (the slot itself is recycled — SPSC slots
-free on consume — so one dropped request can never wedge the ring), and
-``kill`` exercises a worker dying between consuming a request frame and
-committing its reply.
+The worker loop hands ``inject_fault`` its reply queue: ``malformed``
+puts a garbage pickled payload on it, ``drop`` consumes the request and
+never replies, and ``kill`` exercises a worker dying between taking a
+request off its queue and replying.
 
 The schedule is injected at engine construction
 (``ShardedEngine(..., chaos=ChaosConfig(...))``) and shipped to each
 worker with its slot index; only worker processes consult it, the parent
 (and its in-process fallback engine) never injects.  Used by
-``tests/test_serve_faults.py``, ``tests/test_serve_ipc.py``, and the
-fault-injection section of ``benchmarks/bench_serving_throughput.py``;
-wired into CI as the ``chaos-smoke`` stage (``scripts/check.sh --chaos``).
+``tests/test_serve_faults.py`` and the fault-injection section of
+``benchmarks/bench_serving_throughput.py``; wired into CI as the
+``chaos-smoke`` stage (``scripts/check.sh --chaos``).
 """
 
 from __future__ import annotations
@@ -134,11 +127,8 @@ def inject_fault(chaos: ChaosConfig, slot: int, call_index: int,
     """Apply the fault scheduled at ``(slot, call_index)``, if any.
 
     Called by the worker loop before dispatching a serving request.
-    ``responses`` is the reply channel the request arrived on — the raw
-    ``multiprocessing.Queue`` on the queue transport, a ring-backed shim
-    (``sharding._RingResponder``) on the shared-memory transport; either
-    way it exposes ``put((rid, "ok", payload))``, which the ring shim
-    realizes as a corrupt-CRC frame (a torn write).  Returns ``True``
+    ``responses`` is the worker's reply queue (anything exposing
+    ``put((rid, "ok", payload))``).  Returns ``True``
     when the request was fully consumed by the fault (``drop``: no reply
     ever; ``malformed``: a garbage ``ok`` reply was already sent) — the
     worker must then skip normal dispatch.  ``kill`` never returns,

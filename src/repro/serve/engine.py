@@ -57,7 +57,7 @@ from repro.models.pragformer import PragFormer
 from repro.nn.dtype import get_dtype
 from repro.serve.metrics import EngineStats
 from repro.tokenize import ERROR_TOKEN, Representation, Vocab, \
-    robust_text_tokens, text_tokens
+    robust_text_tokens
 
 __all__ = ["EngineConfig", "EngineStats", "LRUCache", "Advice",
            "InferenceEngine", "ModelSlot", "source_digest"]
@@ -469,45 +469,16 @@ class InferenceEngine:
         return [Advice(float(p), bool(p > 0.5), degraded=bad, recovered=rec)
                 for p, bad, rec in zip(probs[:, 1], rejected, recovered)]
 
-    def codec(self) -> Optional[dict]:
-        """Describe how to encode snippets for this engine, or ``None``.
-
-        The shared-memory transport (:mod:`repro.serve.shm_ring`) moves
-        pre-encoded int32 token-id rows instead of source text, which
-        requires the *router* to encode exactly as this engine would.
-        The codec ships everything that encoding depends on: the deployed
-        ``version`` (the staleness tag carried in every request frame),
-        the ``vocab``, the truncation ``max_len``, and the clause-head
-        name order (empty for a bare engine).  The ``tokenizer`` field
-        names which of the two known lexers to replicate (``"resilient"``
-        is the default recovering one, ``"strict"`` the raising one) and
-        ``max_snippet_bytes`` ships the byte cap so the router can reject
-        oversize snippets before encoding, exactly as this engine would.
-        Engines built with a custom tokenizer callable return ``None`` —
-        the router cannot replicate an arbitrary callable, so the fleet
-        falls back to the pickled queue transport."""
-        if self.tokenizer is robust_text_tokens:
-            tokenizer_name = "resilient"
-        elif self.tokenizer is text_tokens:
-            tokenizer_name = "strict"
-        else:
-            return None
-        slot = self._slot
-        return {"version": slot.version, "max_len": slot.max_len,
-                "vocab": slot.vocab, "heads": [],
-                "tokenizer": tokenizer_name,
-                "max_snippet_bytes": self.config.max_snippet_bytes}
-
     def predict_proba_encoded(self, rows: Sequence[np.ndarray]) -> np.ndarray:
         """(N, 2) probabilities for pre-encoded token-id rows.
 
-        The shared-memory data plane's entry point: ``rows`` were encoded
-        by the router under this engine's codec (same vocabulary, same
-        ``max_len``), so the engine skips tokenization entirely and goes
-        straight to the batched/cached forward path.  Rows are defensively
-        truncated to the current slot's ``max_len``; prediction-cache keys
-        are the same version-prefixed id digests as the text path, so the
-        two transports share one cache and return identical verdicts."""
+        The entry point for callers that already encoded (``ids=``
+        requests): ``rows`` are in this engine's vocabulary, so the
+        engine skips tokenization entirely and goes straight to the
+        batched/cached forward path.  Rows are defensively truncated to
+        the current slot's ``max_len``; prediction-cache keys are the
+        same version-prefixed id digests as the text path, so the two
+        input forms share one cache and return identical verdicts."""
         slot = self._slot
         encoded = []
         for row in rows:
@@ -517,9 +488,8 @@ class InferenceEngine:
         return self._predict_encoded(encoded, slot)
 
     def advise_many_encoded(self, rows: Sequence[np.ndarray]) -> List[Advice]:
-        """Bulk :class:`Advice` for pre-encoded token-id rows (the
-        shared-memory transport's ``advise_many``); positive iff
-        P(+) > 0.5, exactly as the text path decides."""
+        """Bulk :class:`Advice` for pre-encoded token-id rows; positive
+        iff P(+) > 0.5, exactly as the text path decides."""
         probs = self.predict_proba_encoded(rows)[:, 1]
         return [Advice(float(p), bool(p > 0.5)) for p in probs]
 

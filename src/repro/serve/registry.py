@@ -72,7 +72,7 @@ from repro.serve.engine import (
     source_digest,
 )
 from repro.serve.metrics import ArmStats, merge_engine_stats
-from repro.tokenize import Vocab, robust_text_tokens, text_tokens
+from repro.tokenize import Vocab, robust_text_tokens
 
 __all__ = [
     "DEFAULT_CLAUSES",
@@ -309,10 +309,10 @@ class _SharedLexMemo:
 def canary_routes_digest(digest: bytes, fraction: float) -> bool:
     """:func:`canary_routes` over an already-computed 16-byte digest.
 
-    The shared-memory transport (:mod:`repro.serve.shm_ring`) ships each
-    snippet's :func:`~repro.serve.engine.source_digest` instead of its
-    source text, so workers route canary traffic from the digest alone —
-    this is the one arm-assignment rule both forms must agree on.
+    Pre-encoded ``ids=`` requests carry each snippet's
+    :func:`~repro.serve.engine.source_digest` instead of its source
+    text, so their canary traffic is routed from the digest alone — this
+    is the one arm-assignment rule both input forms must agree on.
     """
     return int.from_bytes(digest, "big") % 100 < round(fraction * 100)
 
@@ -513,7 +513,7 @@ class MultiModelEngine:
         self.fanned_snippets = 0   # snippets that did reach the clause heads
         self._canary: Optional[_CanaryState] = None
         self._last_canary: Optional[Dict[str, object]] = None
-        # vocabulary remap tables for the pre-encoded (shared-memory) path:
+        # vocabulary remap tables for the pre-encoded (ids=) path:
         # (id(src_vocab), id(dst_vocab)) -> int32 id translation table
         self._remap_lock = threading.Lock()
         self._remap_tables: Dict[Tuple[int, int], np.ndarray] = {}
@@ -540,43 +540,7 @@ class MultiModelEngine:
         operational fields come from :meth:`advise_v1`."""
         return self.directive_engine.advise_many(codes)
 
-    # -- pre-encoded (shared-memory transport) paths ------------------------
-
-    def codec(self) -> Optional[dict]:
-        """Describe how to encode snippets for this fleet, or ``None``.
-
-        Same contract as :meth:`InferenceEngine.codec`, from the
-        directive head's engine (the transport vocabulary): the router
-        encodes every snippet once under this codec and ships int32 id
-        rows; clause and canary heads whose vocabularies differ are fed
-        through per-head remap tables worker-side.  ``heads`` carries the
-        fleet's head-name order — the index space clause verdicts use on
-        the wire.  ``tokenizer`` names which known lexer the router must
-        replicate and ``max_snippet_bytes`` ships the byte cap (see
-        :meth:`InferenceEngine.codec`).  ``None`` when a custom tokenizer
-        makes router-side encoding impossible (the fleet then stays on
-        the queue transport).
-        """
-        if self.lex_memo._tokenize is robust_text_tokens:
-            tokenizer_name = "resilient"
-        elif self.lex_memo._tokenize is text_tokens:
-            tokenizer_name = "strict"
-        else:
-            return None
-        engine = self.directive_engine
-        return {"version": self.model_version, "max_len": engine.max_len,
-                "vocab": engine.vocab, "heads": self.head_names(),
-                "tokenizer": tokenizer_name,
-                "max_snippet_bytes": self.config.max_snippet_bytes}
-
-    def predict_proba_encoded(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """Directive-head probabilities for pre-encoded token-id rows."""
-        return self.directive_engine.predict_proba_encoded(rows)
-
-    def advise_many_encoded(self, rows: Sequence[np.ndarray]) -> List[Advice]:
-        """Directive-only advice for pre-encoded token-id rows — the
-        shared-memory transport's ``advise_many``."""
-        return self.directive_engine.advise_many_encoded(rows)
+    # -- pre-encoded (ids=) rows ---------------------------------------------
 
     def _remap_table(self, src: Vocab, dst: Vocab) -> np.ndarray:
         """Id-translation table from ``src`` into ``dst`` (memoized).
@@ -585,8 +549,8 @@ class MultiModelEngine:
         specials map to themselves (every :class:`~repro.tokenize.Vocab`
         pins them to ids 0-3) and tokens absent from ``dst`` map to its
         UNK, matching what ``dst`` would produce from the text itself for
-        every token the transport vocabulary knows.  (A token OOV in the
-        *transport* vocab is already UNK on the wire, so a clause head
+        every token the directive vocabulary knows.  (A token OOV in the
+        *directive* vocab is already UNK in the row, so a clause head
         that privately knows it still sees UNK — the one place the
         pre-encoded path can differ from re-encoding source text; heads
         trained on the same corpus share the vocabulary in practice.)"""
@@ -606,9 +570,9 @@ class MultiModelEngine:
 
     def _rows_for(self, engine: InferenceEngine,
                   rows: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-        """Translate transport-encoded rows into ``engine``'s vocabulary.
+        """Translate pre-encoded rows into ``engine``'s vocabulary.
 
-        Rows arrive encoded under the directive head's codec; a head
+        Rows arrive encoded under the directive head's vocabulary; a head
         sharing that vocabulary object (the common case) passes through
         untouched, otherwise each row is remapped id-by-id and truncated
         to the head's own ``max_len``."""
@@ -662,17 +626,17 @@ class MultiModelEngine:
     def advise_full_many(self, codes: Sequence[str]) -> List[FullAdvice]:
         """:meth:`advise_v1`'s pipeline over source text, answering bare
         :class:`FullAdvice` — the fleet's ``advise_full_many`` wire method
-        (queue transport) lands here."""
+        lands here."""
         return self._advise(codes)[0]
 
     def advise_full_many_encoded(self, rows: Sequence[np.ndarray],
                                  digests: Sequence[bytes]
                                  ) -> List[FullAdvice]:
-        """:meth:`advise_full_many` for rows the router encoded under
-        :meth:`codec`, with their 16-byte source digests — the
-        shared-memory transport's wire method.  The worker never sees
-        source text, so canary routing runs on the digests
-        (:func:`canary_routes_digest`, the slice the text path computes).
+        """:meth:`advise_full_many` for token-id rows already encoded
+        under the directive head's vocabulary and ``max_len``, with their
+        16-byte source digests.  There is no source text, so canary
+        routing runs on the digests (:func:`canary_routes_digest`, the
+        slice the text path computes).
         """
         if len(digests) != len(rows):
             raise ValueError("digests must match rows 1:1")
@@ -684,7 +648,7 @@ class MultiModelEngine:
         """The staged pipeline: split by arm, run each arm, merge.
 
         ``items`` are source texts, or with ``encoded`` token-id rows
-        under the transport codec.  Without a canary every item goes to
+        in the directive vocabulary.  Without a canary every item goes to
         the primary arm.  With one, each item's 16-byte source digest
         (``digests``, computed from the text when not given) picks its arm
         (:func:`canary_routes_digest`); each arm runs :meth:`_run_arm` and

@@ -12,25 +12,13 @@ hosting its own engine built by a caller-supplied zero-argument factory:
 * **Bulk fan-out** — one :meth:`predict_proba` / :meth:`advise_v1`
   call splits its codes by shard, sends each worker one sub-batch, and the
   workers run concurrently; results are scattered back into request order.
-* **Zero-copy data plane** — with ``ipc="shm"`` (the default), serving
-  sub-batches travel over per-worker shared-memory SPSC rings
-  (:mod:`repro.serve.shm_ring`): the router tokenizes and encodes each
-  snippet exactly once (a shared lex memo plus a version-keyed encode
-  memo) and writes int32 token-id rows, lengths, and source digests into
-  the shard's request ring; the worker replies through a fixed-layout
-  result ring (probabilities, verdict flags, clause-head ids) — no
-  pickling on the hot path, which is what made one shard beat two on raw
-  throughput under the queue transport.  Control-plane traffic
-  (heartbeats, stats, reload/canary broadcasts, stop) stays on the
-  queues, as do sub-batches that do not fit a ring slot and fleets whose
-  engines cannot describe a codec (custom tokenizers) — ``ipc="queue"``
-  is the explicit escape hatch (CLI: ``--ipc``).  Request frames carry a
-  codec tag derived from the deployed model version; a worker that has
-  already applied a racing reload answers a *fault* frame and the parent
-  re-encodes under the fresh codec and retries, so a stale row is never
-  scored.  Every segment is created (and unlinked at :meth:`close`) by
-  the parent, workers only attach — ``/dev/shm`` stays clean even when
-  every worker died.
+* **One data plane** — serving sub-batches and control messages alike
+  travel as pickled tuples over each worker's request/reply
+  :mod:`multiprocessing` queues.  Each worker lexes and encodes its own
+  sub-batch, so tokenization runs on every shard's core in parallel, and
+  the only shared-memory segments the fleet creates are the one-copy
+  weight segments (created and unlinked by the parent; workers only
+  attach).
 * **Concurrent callers** — replies are tagged with request ids, so multiple
   threads (e.g. HTTP handler threads) can have calls in flight at once;
   calls touching disjoint shards proceed fully in parallel.
@@ -82,7 +70,6 @@ picklable (a module-level function or :func:`functools.partial` of one).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import multiprocessing as mp
 import queue as queue_mod
@@ -97,24 +84,8 @@ import numpy as np
 from repro.nn.dtype import get_dtype
 from repro.serve.chaos import ChaosConfig, inject_fault
 from repro.serve.api import AdviceRequest, AdviceResult
-from repro.serve.engine import Advice, LRUCache, source_digest
+from repro.serve.engine import Advice, source_digest
 from repro.serve.metrics import RollingMean, merge_arm_stats, merge_stat_dicts
-from repro.tokenize import ERROR_TOKEN, robust_text_tokens, text_tokens
-from repro.serve.shm_ring import (
-    STATUS_ERROR,
-    STATUS_FAULT,
-    STATUS_OK,
-    FrameTooBig,
-    ShmRing,
-    decode_request,
-    decode_result,
-    decode_text,
-    encode_request,
-    encode_result,
-    encode_text,
-    reply_meta,
-    split_reply_meta,
-)
 
 __all__ = ["AutoscaleConfig", "DeadlineExceeded", "ShardedEngine",
            "SupervisorConfig", "shard_of", "snapshot_stats"]
@@ -125,32 +96,6 @@ _STOP = "stop"
 #: be answered with degraded verdicts, and advance the chaos call counter.
 _SERVING_METHODS = frozenset(
     {"predict_proba", "advise_many", "advise_full_many"})
-
-#: Wire ids of the serving methods on the shared-memory rings (request
-#: frame ``meta`` word; echoed in the low byte of reply metas).
-_METHOD_IDS = {"predict_proba": 0, "advise_many": 1, "advise_full_many": 2}
-_METHOD_NAMES = {wire_id: name for name, wire_id in _METHOD_IDS.items()}
-
-#: Control methods that change the deployed weights: the ring worker
-#: drains committed request frames *before* applying one, preserving the
-#: queue transport's FIFO guarantee that requests sent before a rollout
-#: are served on the weights they were encoded for.
-_MUTATING_METHODS = frozenset(
-    {"reload", "start_canary", "canary_promote", "canary_rollback"})
-
-#: How long a worker will wait for reply-ring space before giving the
-#: frame up (the parent consumes replies continuously; a full reply ring
-#: for this long means the caller is gone — its deadline path covers it).
-_RING_REPLY_TIMEOUT_S = 10.0
-
-
-def _codec_tag(version: str) -> int:
-    """4-byte staleness tag of a deployed model version, as the int32
-    carried in every ring request frame.  Workers recompute it from their
-    own ``model_version``; a mismatch means the frame was encoded under a
-    different vocabulary generation and must be re-encoded, not scored."""
-    raw = hashlib.blake2b(version.encode("utf-8"), digest_size=4).digest()
-    return int.from_bytes(raw, "little", signed=True)
 
 
 class DeadlineExceeded(RuntimeError):
@@ -164,8 +109,7 @@ def _route_key(code: str) -> int:
     stable across processes and runs, unlike the per-process-salted
     ``hash()``).  ``_route_key(code) % n_shards`` is the shard index —
     split out so bulk callers can hash outside the routing lock.  Derived
-    from the same 16-byte :func:`source_digest` the ring transport ships,
-    so the scatter path hashes each snippet exactly once."""
+    from the snippet's 16-byte :func:`source_digest`."""
     return int.from_bytes(source_digest(code)[:8], "big")
 
 
@@ -327,39 +271,24 @@ def _well_formed(result, expected: int) -> bool:
 def _dispatch(engine, method: str, payload):
     """Run one control/serving method against the worker's engine.
 
-    The single dispatch table shared by the queue loop and the ring
-    loop's control-queue arm, so the two transports cannot drift.
-    ``codec`` answers the engine's transport codec (``None`` when the
-    engine cannot describe one — the parent then pins the fleet to the
-    queue transport)."""
+    ``reload`` payloads are ``(path, version, segment)`` and
+    ``start_canary`` payloads ``(path, fraction, version, segment)``;
+    ``segment`` (``None`` when the rollout published no shared weights)
+    goes to the engine as is, so an error inside a segment-mapped reload
+    reaches the caller instead of being retried as an eager load."""
     if method == "ping":
         return "pong"
     if method == "stats":
         return snapshot_stats(engine)
     if method == "heads":
         return _head_names(engine)
-    if method == "codec":
-        describe = getattr(engine, "codec", None)
-        return describe() if callable(describe) else None
     if method == "reload":
-        path, version, segment = (payload if len(payload) == 3
-                                  else (*payload, None))
-        if segment is not None:
-            try:  # engines without a segment= kwarg load eagerly instead
-                return engine.reload(path, version=version, segment=segment)
-            except TypeError:
-                pass
-        return engine.reload(path, version=version)
+        path, version, segment = payload
+        return engine.reload(path, version=version, segment=segment)
     if method == "start_canary":
-        path, fraction, version, segment = (payload if len(payload) == 4
-                                            else (*payload, None))
-        if segment is not None:
-            try:
-                return engine.start_canary(path, fraction, version=version,
-                                           segment=segment)
-            except TypeError:
-                pass
-        return engine.start_canary(path, fraction, version=version)
+        path, fraction, version, segment = payload
+        return engine.start_canary(path, fraction, version=version,
+                                   segment=segment)
     if method == "canary_promote":
         return engine.promote()
     if method == "canary_rollback":
@@ -368,8 +297,7 @@ def _dispatch(engine, method: str, payload):
 
 
 def _worker_main(factory, requests, responses, reload_spec=None,
-                 canary_spec=None, chaos=None, slot=0,
-                 data_rings=None) -> None:
+                 canary_spec=None, chaos=None, slot=0) -> None:
     """Worker loop: build the engine once, then serve method calls.
 
     ``reload_spec`` — a ``(checkpoint_path, version_tag, segment)``
@@ -387,38 +315,20 @@ def _worker_main(factory, requests, responses, reload_spec=None,
     siblings.  A failed replay (the checkpoint vanished since) falls
     back to the weights already loaded and keeps serving — a live worker
     with a divergent ``model_version`` in ``/stats`` beats a dead slot.
-    Both specs also arrive as their legacy segment-less tuples.
 
-    Control messages are ``(rid, method, payload)`` tuples on the
-    ``requests`` queue; replies are ``(rid, "ok", result)`` or
-    ``(rid, "error", repr)`` — the echoed request id lets concurrent
-    parent threads pair replies with their own requests, and a
-    worker-side exception surfaces in the caller instead of hanging the
-    shard.  ``ping`` answers ``"pong"`` without touching the engine —
-    the supervisor's heartbeat; because the loop is single-threaded, a
-    worker wedged inside a serving call cannot answer and the missed
-    heartbeat is what exposes it.  ``chaos`` (a
+    Messages are ``(rid, method, payload)`` tuples on the ``requests``
+    queue; replies are ``(rid, "ok", result)`` or ``(rid, "error",
+    repr)`` — the echoed request id lets concurrent parent threads pair
+    replies with their own requests, and a worker-side exception
+    surfaces in the caller instead of hanging the shard.  The queue is
+    FIFO, so requests sent before a rollout message are served on the
+    weights they were sent for.  ``ping`` answers ``"pong"`` without
+    touching the engine — the supervisor's heartbeat; because the loop
+    is single-threaded, a worker wedged inside a serving call cannot
+    answer and the missed heartbeat is what exposes it.  ``chaos`` (a
     :class:`~repro.serve.chaos.ChaosConfig`, tests/benches only) injects
     scheduled faults for worker ``slot`` before dispatching each serving
-    call, on whichever transport the call arrived.
-
-    ``data_rings`` — ``(request_ring, reply_ring, request_bell,
-    reply_bell)``: a pair of :class:`~repro.serve.shm_ring.ShmRing` plus
-    their doorbell semaphores — enables the zero-copy data plane: the
-    loop multiplexes the control queue with the request ring, serving
-    pre-encoded int32 token-id frames without unpickling, and blocks on
-    the request doorbell when idle (the parent rings it on every send,
-    so waiting costs no CPU and wakeup is immediate).  Every reply
-    rings the reply doorbell for the parent's collector.  Frames whose
-    codec tag does not match the engine's
-    current ``model_version`` answer ``STATUS_FAULT`` (the parent
-    re-encodes and retries); torn frames (CRC mismatch) are consumed
-    silently — the parent's deadline/retry path covers the loss, and an
-    untrusted frame must not be echoed.  Before applying a mutating
-    control message (reload/canary/STOP) the loop drains committed
-    request frames, preserving the queue transport's FIFO guarantee that
-    requests sent before a rollout are served on the weights they were
-    encoded for.
+    call.
     """
     engine = factory()
     if reload_spec is not None:
@@ -432,136 +342,22 @@ def _worker_main(factory, requests, responses, reload_spec=None,
         except Exception:  # noqa: BLE001 — primary-only worker keeps serving
             pass
     serving_calls = 0
-    req_ring = resp_ring = req_bell = resp_bell = None
-    if data_rings is not None:
-        req_ring, resp_ring, req_bell, resp_bell = data_rings
-    tag_memo: Dict[str, int] = {}
-
-    def current_tag() -> int:
-        version = str(getattr(engine, "model_version", ""))
-        tag = tag_memo.get(version)
-        if tag is None:
-            tag_memo.clear()  # one live version at a time
-            tag = tag_memo[version] = _codec_tag(version)
-        return tag
-
-    def serve_frame(frame) -> None:
-        """Serve one request-ring frame, replying on the reply ring."""
-        nonlocal serving_calls
-        rid, meta, payload, crc_ok = frame
-        method = _METHOD_NAMES.get(meta)
-        if not crc_ok or method is None:
-            return  # torn/garbage request: parent deadline+retry covers it
-        call_index, serving_calls = serving_calls, serving_calls + 1
-        if chaos is not None and inject_fault(
-                chaos, slot, call_index,
-                _RingResponder(resp_ring, meta, resp_bell), rid):
-            return
-        try:
-            tag, rows, digests = decode_request(payload)
-            if tag != current_tag():
-                resp_ring.push(rid, reply_meta(STATUS_FAULT, meta),
-                               encode_text("stale codec tag"),
-                               timeout=_RING_REPLY_TIMEOUT_S)
-                return
-            if method == "predict_proba":
-                result = engine.predict_proba_encoded(rows)
-            elif method == "advise_many":
-                result = engine.advise_many_encoded(rows)
-            else:
-                result = engine.advise_full_many_encoded(rows, digests)
-            head_index = {name: i
-                          for i, name in enumerate(_head_names(engine))}
-            resp_ring.push(rid, reply_meta(STATUS_OK, meta),
-                           encode_result(method, result, head_index),
-                           timeout=_RING_REPLY_TIMEOUT_S)
-        except FrameTooBig as exc:
-            # reply larger than a slot: fault, not error — the parent's
-            # retry lands on the queue path via the fallback engine
-            resp_ring.push(rid, reply_meta(STATUS_FAULT, meta),
-                           encode_text(f"reply overflows ring slot: {exc}"),
-                           timeout=_RING_REPLY_TIMEOUT_S)
-        except Exception as exc:  # noqa: BLE001 — relayed to the caller
-            try:
-                resp_ring.push(rid, reply_meta(STATUS_ERROR, meta),
-                               encode_text(f"{type(exc).__name__}: {exc}"),
-                               timeout=_RING_REPLY_TIMEOUT_S)
-            except Exception:  # noqa: BLE001 — reply ring gone: give up
-                pass
-
-    def drain_ring() -> None:
-        """Serve every already-committed request frame."""
-        if req_ring is None:
-            return
-        while True:
-            frame = req_ring.try_pop()
-            if frame is None:
-                return
-            serve_frame(frame)
-            resp_bell.release()
-
-    def handle(rid, method: str, payload) -> None:
-        """Serve one control-queue message (either transport mode)."""
-        nonlocal serving_calls
-        if method in _SERVING_METHODS:
-            call_index, serving_calls = serving_calls, serving_calls + 1
-            if chaos is not None and inject_fault(chaos, slot, call_index,
-                                                 responses, rid):
-                return
-        try:
-            responses.put((rid, "ok", _dispatch(engine, method, payload)))
-        except Exception as exc:  # noqa: BLE001 — relayed to the caller
-            responses.put((rid, "error", f"{type(exc).__name__}: {exc}"))
-
     try:
-        if data_rings is None:
-            while True:
-                msg = requests.get()
-                if msg == _STOP:
-                    return
-                handle(*msg)
-        else:
-            # Ring frames are burst-served first — a try_pop on an empty
-            # ring is two shared int64 reads, far cheaper than a queue
-            # probe — with the control queue checked between bursts (at
-            # least every 64 frames), which bounds control latency
-            # (ping / stats / reload) under a sustained ring flood.  An
-            # idle worker *blocks* on the request doorbell instead of
-            # polling: the parent rings it after every ring push and
-            # every control enqueue, so wakeup is an OS-level futex, not
-            # a sleep ladder — on a shared core, spinning here would
-            # steal exactly the cycles the forward passes need.
-            while True:
-                served = False
-                for _ in range(64):
-                    frame = req_ring.try_pop()
-                    if frame is None:
-                        break
-                    serve_frame(frame)
-                    resp_bell.release()
-                    served = True
-                msg = None
-                try:
-                    msg = requests.get_nowait()
-                except queue_mod.Empty:
-                    pass
-                if msg is not None:
-                    if msg == _STOP:
-                        drain_ring()  # committed frames were sent first
-                        return
-                    if msg[1] in _MUTATING_METHODS:
-                        drain_ring()  # FIFO vs. the weights they encoded for
-                    handle(*msg)
+        while True:
+            msg = requests.get()
+            if msg == _STOP:
+                return
+            rid, method, payload = msg
+            if method in _SERVING_METHODS:
+                call_index, serving_calls = serving_calls, serving_calls + 1
+                if chaos is not None and inject_fault(
+                        chaos, slot, call_index, responses, rid):
                     continue
-                if served:
-                    continue  # the ring may still hold frames; no wait
-                # 50 ms is a safety net only — every producer rings the
-                # bell, so a healthy fleet never waits it out
-                req_bell.acquire(timeout=0.05)
+            try:
+                responses.put((rid, "ok", _dispatch(engine, method, payload)))
+            except Exception as exc:  # noqa: BLE001 — relayed to the caller
+                responses.put((rid, "error", f"{type(exc).__name__}: {exc}"))
     finally:
-        if data_rings is not None:
-            req_ring.close()
-            resp_ring.close()
         close = getattr(engine, "close", None)
         if close is not None:
             close()
@@ -588,91 +384,6 @@ class _Token(NamedTuple):
     sent_at: float
     deadline: Optional[float] = None
     tracked: bool = True
-    #: request travelled on the shard's shared-memory rings — collect the
-    #: reply through the ring receive lock, not the queue one
-    ring: bool = False
-
-
-class _RingResponder:
-    """Reply-channel shim handed to chaos injection on the ring transport.
-
-    :func:`~repro.serve.chaos.inject_fault` answers ``malformed`` with
-    ``put((rid, "ok", garbage))``; the ring realization of a corrupted
-    reply is a *torn write*, so the shim commits a frame with a
-    deliberately bad CRC — the parent detects the mismatch, counts a
-    fault, and retries, exactly as it would for real shared-memory
-    corruption."""
-
-    def __init__(self, ring: ShmRing, method_id: int, bell=None) -> None:
-        self._ring = ring
-        self._method_id = method_id
-        self._bell = bell
-
-    def put(self, msg) -> None:
-        rid = msg[0]
-        self._ring.push(rid, reply_meta(STATUS_OK, self._method_id),
-                        np.zeros(4, dtype=np.int32), corrupt=True,
-                        timeout=_RING_REPLY_TIMEOUT_S)
-        if self._bell is not None:
-            self._bell.release()
-
-
-class _RingChannel:
-    """Queue-shaped adapter over one worker's reply ring.
-
-    Exposes the one method (:meth:`get`) the collect path uses on a
-    ``multiprocessing.Queue``, so :class:`_Token` / ``_collect`` /
-    ``_reply`` work unchanged on either transport.  Decodes reply frames
-    into the queue transport's ``(rid, status, result)`` envelopes:
-    CRC-mismatched or undecodable frames become ``"fault"`` (retryable
-    transport corruption, distinct from ``"error"`` — a deterministic
-    engine exception that would fail anywhere)."""
-
-    def __init__(self, ring: ShmRing, engine: "ShardedEngine",
-                 bell=None) -> None:
-        self._ring = ring
-        self._engine = engine
-        self._bell = bell
-
-    def _wait_frame(self, timeout: float):
-        """One committed reply frame, or ``None`` on timeout.
-
-        Blocks on the reply doorbell (the worker rings it once per
-        reply) instead of polling the ring — on a shared core a polling
-        collector steals the cycles the worker's forward pass needs.
-        Doorbell counts and frames can drift apart harmlessly (a frame
-        popped before its release is consumed leaves a surplus wakeup),
-        so every wakeup just re-checks the ring."""
-        if self._bell is None:
-            return self._ring.pop(timeout=max(0.0, timeout))
-        deadline = time.monotonic() + max(0.0, timeout)
-        while True:
-            frame = self._ring.try_pop()
-            if frame is not None:
-                return frame
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._bell.acquire(timeout=remaining):
-                return self._ring.try_pop()  # a release may race the timeout
-
-    def get(self, timeout: float = 1.0):
-        frame = self._wait_frame(timeout)
-        if frame is None:
-            raise queue_mod.Empty
-        rid, meta, payload, crc_ok = frame
-        if not crc_ok:
-            return rid, "fault", "torn ring frame (crc mismatch)"
-        status, method_id = split_reply_meta(meta)
-        method = _METHOD_NAMES.get(method_id)
-        if status == STATUS_OK and method is not None:
-            try:
-                return rid, "ok", decode_result(
-                    method, payload, self._engine._ring_heads)
-            except ValueError as exc:
-                return rid, "fault", f"undecodable ring frame: {exc}"
-        text = decode_text(payload)
-        if status == STATUS_ERROR:
-            return rid, "error", text
-        return rid, "fault", text
 
 
 class ShardedEngine:
@@ -699,14 +410,9 @@ class ShardedEngine:
     reading parks any reply that is not its own for the thread it belongs
     to; calls on disjoint shards never contend.
 
-    ``ipc`` selects the data-plane transport: ``"shm"`` (default) sends
-    serving sub-batches over per-worker shared-memory rings sized by
-    ``ring_slots`` × ``ring_slot_words`` (see the module docstring and
-    ``docs/operations.md``); ``"queue"`` pins everything to the pickled
-    queues.  The shm transport transparently falls back to the queues
-    per sub-batch when a frame would not fit a ring slot, and for the
-    whole fleet when the workers' engine cannot describe an encode codec
-    (custom tokenizers) — correctness never depends on the transport.
+    Every request — serving sub-batch or control message — travels over
+    the worker's pickled request/reply queues; each worker lexes and
+    encodes its own sub-batch (see the module docstring).
     """
 
     def __init__(
@@ -717,18 +423,11 @@ class ShardedEngine:
         autoscale: Optional[AutoscaleConfig] = None,
         supervisor: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosConfig] = None,
-        ipc: str = "shm",
-        ring_slots: int = 8,
-        ring_slot_words: int = 1 << 17,
         share_weights: bool = True,
         shared_weights: Optional[object] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if ipc not in ("queue", "shm"):
-            raise ValueError(f"ipc must be 'queue' or 'shm', got {ipc!r}")
-        if ring_slots < 1 or ring_slot_words < 16:
-            raise ValueError("need ring_slots >= 1 and ring_slot_words >= 16")
         if autoscale is not None:
             n_shards = autoscale.clamp(n_shards)
         self.n_shards = n_shards
@@ -750,8 +449,8 @@ class ShardedEngine:
         # one-copy weights: rollouts publish the checkpoint blob into a
         # parent-owned shared segment and broadcast its name instead of
         # having every worker re-deserialize the checkpoint.  The parent
-        # keeps every handle it ever created (mirroring _all_rings) so
-        # close() unlinks them all even when workers died mid-mapping;
+        # keeps every handle it ever created so close() unlinks them all
+        # even when workers died mid-mapping;
         # the *current* primary/canary segments stay linked while live —
         # respawned workers attach them by name at replay.
         self._share_weights = bool(share_weights)
@@ -761,36 +460,11 @@ class ShardedEngine:
         if shared_weights is not None:
             self._all_weights.append(shared_weights)
         self._model_version = "0"
-        # source digests whose lexing needed error recovery, tracked
-        # router-side: on the shm transport workers see pre-encoded rows
-        # and cannot know, so advise_v1 stamps Advice.recovered from here
-        self._recovered_digests = LRUCache(4096)
         self._local = None
         self._workers: List[mp.Process] = []
         self._requests: List[mp.queues.Queue] = []
         self._responses: List[mp.queues.Queue] = []
         self._closed = False
-        # zero-copy data plane (ipc="shm"); aligned per-slot lists hold
-        # None in queue mode so slot indices stay interchangeable
-        self.ipc = ipc
-        self._ring_slots = ring_slots
-        self._ring_slot_words = ring_slot_words
-        self._req_rings: List[Optional[ShmRing]] = []
-        self._req_bells: List = []   # request doorbells, None in queue mode
-        self._resp_rings: List[Optional[ShmRing]] = []
-        self._ring_channels: List[Optional[_RingChannel]] = []
-        self._ring_recv_locks: List[threading.Lock] = []
-        self._all_rings: List[ShmRing] = []   # every segment ever created
-        self._ring_disabled = False   # engine has no codec: queues forever
-        self._ring_heads: List[str] = []
-        self._codec: Optional[dict] = None
-        self._codec_lock = threading.Lock()        # codec ref + encode memo
-        self._codec_fetch_lock = threading.Lock()  # serialize fetches
-        self._lex_memo = None
-        self._encode_memo = LRUCache(4096)
-        self._ring_sends = 0
-        self._ring_overflows = 0
-        self._queue_serving_sends = 0
         # autoscaler state
         self._window = (RollingMean(autoscale.window)
                         if autoscale is not None else None)
@@ -809,7 +483,6 @@ class ShardedEngine:
         self._retries = 0             # sub-batches retried after a fault
         self._degraded_answers = 0    # snippets answered with the neutral verdict
         self._fallback_answers = 0    # snippets served by the in-process fallback
-        self._rejected_snippets = 0   # snippets the router refused (byte cap)
         self._slot_restarts: List[int] = []   # consecutive failed respawns
         self._slot_next_retry: List[float] = []
         self._slot_degraded: List[bool] = []
@@ -860,13 +533,9 @@ class ShardedEngine:
         canary traffic like its siblings.  Returns ``None`` — grow
         aborted, retry later — when the slot's retired worker is still
         draining in-flight requests: terminating it would fail the
-        callers waiting on those replies.
-
-        On the shm transport every (re)spawn gets a *fresh* ring pair —
-        a dead worker may have died holding a slot, and reusing its
-        rings would hand the replacement a corrupt cursor.  All rings
-        ever created are remembered in ``_all_rings`` so :meth:`close`
-        can unlink every segment regardless of worker state.
+        callers waiting on those replies.  Every (re)spawn gets fresh
+        queues; callers of the retired worker keep collecting from the
+        old ones (see :class:`_Token`).
         """
         if index < len(self._workers):
             old = self._workers[index]
@@ -876,14 +545,6 @@ class ShardedEngine:
                     return None  # don't kill its in-flight work; retry
         req: "mp.queues.Queue" = self._mp_ctx.Queue()
         resp: "mp.queues.Queue" = self._mp_ctx.Queue()
-        rings = bells = None
-        if self.ipc == "shm":
-            rings = (ShmRing(self._ring_slots, self._ring_slot_words),
-                     ShmRing(self._ring_slots, self._ring_slot_words))
-            self._all_rings.extend(rings)
-            # doorbells: blocking wakeup for ring traffic (see the worker
-            # loop) — fresh with the rings on every (re)spawn
-            bells = (self._mp_ctx.Semaphore(0), self._mp_ctx.Semaphore(0))
         # a respawned worker is only re-armed with the chaos schedule when
         # the schedule says so — by default the replacement is healthy
         spawned = (self._slot_spawns[index]
@@ -893,11 +554,10 @@ class ShardedEngine:
         proc = self._mp_ctx.Process(
             target=_worker_main,
             args=(self._factory, req, resp, reload_spec, canary_spec,
-                  chaos, index,
-                  rings + bells if rings is not None else None),
+                  chaos, index),
             name=f"advisor-shard-{index}", daemon=True)
         proc.start()
-        return proc, req, resp, rings, bells
+        return proc, req, resp
 
     def _install_worker(self, index: int, started: Tuple) -> None:
         """Publish a started worker into slot ``index``.
@@ -909,18 +569,11 @@ class ShardedEngine:
         their :class:`_Token`.  Callers resizing a live engine hold
         ``_route_lock``.
         """
-        proc, req, resp, rings, bells = started
-        channel = (_RingChannel(rings[1], self, bells[1])
-                   if rings is not None else None)
+        proc, req, resp = started
         if index == len(self._workers):
             self._workers.append(proc)
             self._requests.append(req)
             self._responses.append(resp)
-            self._req_rings.append(rings[0] if rings is not None else None)
-            self._resp_rings.append(rings[1] if rings is not None else None)
-            self._req_bells.append(bells[0] if bells is not None else None)
-            self._ring_channels.append(channel)
-            self._ring_recv_locks.append(threading.Lock())
             self._recv_locks.append(threading.Lock())
             self._pending_locks.append(threading.Lock())
             self._pending.append({})
@@ -935,10 +588,6 @@ class ShardedEngine:
             self._workers[index] = proc
             self._requests[index] = req
             self._responses[index] = resp
-            self._req_rings[index] = rings[0] if rings is not None else None
-            self._resp_rings[index] = rings[1] if rings is not None else None
-            self._req_bells[index] = bells[0] if bells is not None else None
-            self._ring_channels[index] = channel
             self._slot_spawns[index] += 1
 
     # -- routing -----------------------------------------------------------
@@ -967,193 +616,7 @@ class ShardedEngine:
                 with self._meta_lock:
                     self._depth[shard] += 1
             self._requests[shard].put((token.rid, method, payload))
-            self._ring_doorbell(shard)  # wake a worker blocked on its bell
         return token
-
-    def _ring_doorbell(self, shard: int) -> None:
-        """Wake ``shard``'s worker (shm mode): it blocks on the request
-        doorbell when idle, so every enqueue — ring or control — rings."""
-        bell = (self._req_bells[shard]
-                if shard < len(self._req_bells) else None)
-        if bell is not None:
-            bell.release()
-
-    # -- zero-copy data plane ----------------------------------------------
-
-    def _serving_codec(self) -> Optional[dict]:
-        """The fleet's transport codec, or ``None`` (queue transport).
-
-        Fetched lazily from the first live worker over the control queue
-        and cached until a rollout (or an observed stale-tag fault)
-        invalidates it; a worker whose engine answers ``None`` (custom
-        tokenizer, no ``codec()``) permanently pins the fleet to the
-        queue transport.  The cached dict carries the worker's vocab,
-        ``max_len``, head order, and the 4-byte version ``tag`` stamped
-        into every request frame."""
-        if (self._local is not None or self.ipc != "shm"
-                or self._ring_disabled):
-            return None
-        codec = self._codec
-        if codec is not None:
-            return codec
-        with self._codec_fetch_lock:
-            if self._codec is not None or self._ring_disabled:
-                return self._codec
-            return self._fetch_codec()
-
-    def _fetch_codec(self) -> Optional[dict]:
-        """One codec fetch attempt (caller holds ``_codec_fetch_lock``)."""
-        with self._route_lock:
-            if self._closed:
-                return None
-            shards = [s for s in range(self.n_shards)
-                      if self._workers[s].is_alive()]
-        for shard in shards:
-            try:
-                token = self._send(shard, "codec", None,
-                                   deadline=self._request_deadline())
-                status, result = self._collect(token)
-            except RuntimeError:  # includes DeadlineExceeded
-                continue
-            if status != "ok":
-                continue
-            if not isinstance(result, dict) or "vocab" not in result:
-                self._ring_disabled = True   # engine cannot describe one
-                return None
-            codec = dict(result)
-            codec["tag"] = _codec_tag(str(codec["version"]))
-            # replicate the *worker's* tokenizer, named in the codec, so
-            # router-side encoding stays bit-identical with what a queue
-            # transport worker would produce (the parity invariant)
-            lexers = {"resilient": robust_text_tokens, "strict": text_tokens}
-            lex = lexers.get(str(codec.get("tokenizer", "strict")))
-            if lex is None:   # a lexer this router build cannot replicate
-                self._ring_disabled = True
-                return None
-            if self._lex_memo is None or self._lex_memo._tokenize is not lex:
-                from repro.serve.registry import _SharedLexMemo
-                self._lex_memo = _SharedLexMemo(lex, 4096)
-            self._ring_heads = list(codec.get("heads") or [])
-            self._codec = codec
-            return codec
-        return None   # nobody answered; retried on the next serving call
-
-    def _invalidate_codec(self) -> None:
-        """Drop the cached codec (a rollout changed the model version, or
-        a worker answered a stale-tag fault).  The encode memo survives —
-        its keys are version-prefixed, so stale entries can never leak
-        into frames tagged with the new version."""
-        with self._codec_lock:
-            self._codec = None
-
-    def _encode_transport(self, codec: dict, code: str,
-                          digest: Optional[bytes] = None
-                          ) -> Tuple[bytes, np.ndarray]:
-        """``(digest, int32 ids)`` for one snippet under ``codec`` —
-        tokenized at most once per snippet fleet-wide (shared lex memo)
-        and encoded at most once per (version, snippet) (the bounded
-        encode memo).  This is the encode-once half of the zero-copy
-        plan: workers never re-tokenize what the router already did.
-        ``digest`` lets the caller reuse the routing digest instead of
-        hashing the snippet a second time."""
-        if digest is None:
-            digest = source_digest(code)
-        return self._encode_batch(codec, [code], [digest])[0]
-
-    def _encode_batch(self, codec: dict, codes: Sequence[str],
-                      digests: Sequence[bytes]
-                      ) -> List[Tuple[bytes, np.ndarray]]:
-        """:meth:`_encode_transport` for a whole batch, amortized: one
-        lock acquisition covers every memo lookup (the per-row lock
-        round trip was a measurable slice of the warm hot path), and
-        only the misses pay tokenize + encode."""
-        version = str(codec["version"]).encode("utf-8")
-        keys = [version + digest for digest in digests]
-        with self._codec_lock:
-            rows = [self._encode_memo.get(key) for key in keys]
-        missing = [i for i, ids in enumerate(rows) if ids is None]
-        if missing:
-            vocab, max_len = codec["vocab"], codec["max_len"]
-            lex = self._lex_memo
-            recovered: List[bytes] = []
-            for i in missing:
-                tokens = lex(codes[i])
-                rows[i] = vocab.encode(tokens, max_len=max_len)
-                if ERROR_TOKEN in tokens:
-                    # workers see pre-encoded rows on this transport and
-                    # cannot tell recovery happened; remember it here so
-                    # advise_v1 can stamp the flag (keyed by bare source
-                    # digest — lexing is version-independent)
-                    recovered.append(digests[i])
-            with self._codec_lock:
-                for i in missing:
-                    self._encode_memo.put(keys[i], rows[i])
-                for digest in recovered:
-                    self._recovered_digests.put(digest, True)
-        return list(zip(digests, rows))
-
-    def _reply_words(self, method: str, n_items: int) -> int:
-        """Exact worst-case reply-frame size (int32 words) for a
-        sub-batch, so oversized replies are routed to the queues *before*
-        the worker discovers it cannot answer."""
-        if method == "advise_full_many":
-            return 1 + n_items * (4 + 4 * len(self._ring_heads))
-        return 1 + 4 * n_items   # predict_proba / advise_many
-
-    def _send_ring(self, shard: int, method: str,
-                   enc: List[Tuple[bytes, np.ndarray]], codec: dict,
-                   deadline: Optional[float]) -> Optional[_Token]:
-        """Try to push one pre-encoded serving sub-batch onto ``shard``'s
-        request ring; returns the reply token, or ``None`` when the ring
-        is full / the frame (or its worst-case reply) would not fit a
-        slot — the caller then falls back to the control queue.  Caller
-        holds ``_route_lock``."""
-        ring = (self._req_rings[shard]
-                if shard < len(self._req_rings) else None)
-        if ring is None:
-            return None
-        payload = encode_request(codec["tag"], [ids for _, ids in enc],
-                                 [digest for digest, _ in enc])
-        if (payload.size > ring.slot_words
-                or self._reply_words(method, len(enc))
-                > self._resp_rings[shard].slot_words):
-            with self._meta_lock:
-                self._ring_overflows += 1
-            return None
-        token = _Token(next(self._rids), shard, self._ring_channels[shard],
-                       self._workers[shard], time.monotonic(), deadline,
-                       True, True)
-        if not ring.try_push(token.rid, _METHOD_IDS[method], payload):
-            with self._meta_lock:   # ring full: backpressure to the queue
-                self._ring_overflows += 1
-            return None
-        # deliberately NOT ringing the doorbell here: on a shared core
-        # the woken worker preempts the sender immediately, serializing a
-        # multi-shard fan-out.  Callers ring once per shard after every
-        # sub-batch is pushed (the 50 ms acquire timeout in the worker
-        # loop is the safety net if a caller forgets).
-        with self._meta_lock:
-            self._depth[shard] += 1
-            self._ring_sends += 1
-        return token
-
-    def _send_serving(self, shard: int, method: str, sub: List[str],
-                      codec: Optional[dict],
-                      enc: Optional[List[Tuple[bytes, np.ndarray]]]
-                      ) -> _Token:
-        """Send one serving sub-batch on the best transport available:
-        the shard's request ring when a codec is live and the frame fits,
-        the pickled control queue otherwise.  Caller holds
-        ``_route_lock``; ``enc`` carries the pre-encoded rows matching
-        ``sub`` (``None`` when no codec was live at encode time)."""
-        deadline = self._request_deadline()
-        if codec is not None and enc is not None:
-            token = self._send_ring(shard, method, enc, codec, deadline)
-            if token is not None:
-                return token
-        with self._meta_lock:
-            self._queue_serving_sends += 1
-        return self._send(shard, method, list(sub), deadline=deadline)
 
     def _abandon(self, token: _Token) -> None:
         """Mark ``token``'s reply as unwanted (its caller timed out).
@@ -1172,13 +635,9 @@ class ShardedEngine:
         Raises ``RuntimeError`` if the worker dies before answering, and
         :class:`DeadlineExceeded` once ``token.deadline`` passes — the
         serving path turns both into a retry and, failing that, a
-        degraded verdict.  Ring tokens contend on the shard's *ring*
-        receive lock (the reply ring is a distinct channel from the reply
-        queue); both transports share the per-shard parking dict, which
-        is safe because request ids are unique across them."""
+        degraded verdict."""
         shard = token.shard
-        recv_lock = (self._ring_recv_locks[shard] if token.ring
-                     else self._recv_locks[shard])
+        recv_lock = self._recv_locks[shard]
         try:
             while True:
                 with self._pending_locks[shard]:
@@ -1272,40 +731,11 @@ class ShardedEngine:
                 self.routed[0] += len(codes)
             return list(getattr(self._local, method)(list(codes)))
         self._observe_load()
-        codec_peek = self._serving_codec()
-        if codec_peek is not None:
-            # router-side dirty-input admission: the codec ships the
-            # workers' byte cap, so oversize snippets are refused *before*
-            # the router spends lex time on them — they get the same
-            # neutral degraded verdict a worker engine would produce
-            cap = int(codec_peek.get("max_snippet_bytes") or 0)
-            if cap:
-                reject = [i for i, code in enumerate(codes)
-                          if len(code.encode("utf-8", errors="replace")) > cap]
-                if reject:
-                    reject_set = set(reject)
-                    keep = [i for i in range(len(codes))
-                            if i not in reject_set]
-                    with self._meta_lock:
-                        self._rejected_snippets += len(reject)
-                    kept = (self._scatter_call(
-                        method, [codes[i] for i in keep]) if keep else [])
-                    neutral = self._neutral_result(method, len(reject))
-                    out: List = [None] * len(codes)
-                    for i, value in zip(keep, kept):
-                        out[i] = value
-                    for i, value in zip(reject, neutral):
-                        out[i] = value
-                    return out
-        # hash + encode outside the lock (digests are shard-count
-        # independent and tokenize/encode dominate routing cost); bucket +
-        # send under it so a concurrent resize cannot strand a sub-batch
+        # hash outside the lock (keys are shard-count independent); bucket
+        # + send under it so a concurrent resize cannot strand a sub-batch
         # on a retiring worker.  Collection happens outside the lock.
-        digests = [source_digest(code) for code in codes]
-        keys = [int.from_bytes(digest[:8], "big") for digest in digests]
-        codec = self._serving_codec()
-        enc = (self._encode_batch(codec, codes, digests)
-               if codec is not None else None)
+        keys = [_route_key(code) for code in codes]
+        deadline = self._request_deadline()
         with self._route_lock:
             n = self.n_shards
             by_shard: Dict[int, List[int]] = {}
@@ -1316,15 +746,9 @@ class ShardedEngine:
             for shard, rows in by_shard.items():
                 with self._meta_lock:
                     self.routed[shard] += len(rows)
-                tokens[shard] = self._send_serving(
-                    shard, method, [codes[i] for i in rows], codec,
-                    [enc[i] for i in rows] if enc is not None else None)
-        # ring the doorbells only now, outside the route lock and after
-        # the whole fan-out is pushed: a wakeup can preempt this thread
-        # on a shared core, and doing that mid-loop would serialize the
-        # dispatch (and hand a worker the CPU while we hold the lock)
-        for shard in tokens:
-            self._ring_doorbell(shard)
+                tokens[shard] = self._send(
+                    shard, method, [codes[i] for i in rows],
+                    deadline=deadline)
         out: List = [None] * len(codes)
         failures: List[str] = []
         faulted: List[Tuple[int, List[int]]] = []
@@ -1339,15 +763,6 @@ class ShardedEngine:
             except RuntimeError:
                 with self._meta_lock:
                     self._faults += 1
-                faulted.append((shard, rows))
-                continue
-            if status == "fault":
-                # transport-level corruption or a stale codec tag: count
-                # it, drop the (possibly outdated) codec, and retry the
-                # sub-batch — the retry re-encodes under a fresh codec
-                with self._meta_lock:
-                    self._faults += 1
-                self._invalidate_codec()
                 faulted.append((shard, rows))
                 continue
             if status != "ok":
@@ -1389,17 +804,10 @@ class ShardedEngine:
         ``exclude`` first, the in-process fallback engine second.
 
         Returns the results, or ``None`` when nothing could answer (the
-        caller falls back to degraded verdicts).  The retry re-fetches
-        the codec and re-encodes from scratch — when the original
-        sub-batch faulted on a stale codec tag (a racing reload), the
-        fresh encoding is exactly what makes the retry succeed."""
+        caller falls back to degraded verdicts)."""
         with self._meta_lock:
             self._retries += 1
         token = None
-        codec = self._serving_codec()
-        enc = (self._encode_batch(codec, sub,
-                                  [source_digest(code) for code in sub])
-               if codec is not None else None)
         with self._route_lock:
             if not self._closed:
                 n = self.n_shards
@@ -1407,18 +815,13 @@ class ShardedEngine:
                     (s for s in ((exclude + k) % n for k in range(1, n))
                      if self._workers[s].is_alive()), None)
                 if target is not None:
-                    token = self._send_serving(target, method, sub,
-                                               codec, enc)
+                    token = self._send(target, method, sub,
+                                       deadline=self._request_deadline())
         if token is not None:
-            self._ring_doorbell(token.shard)
             try:
                 status, result = self._collect(token)
                 if status == "ok" and _well_formed(result, len(sub)):
                     return list(result)
-                if status == "fault":
-                    with self._meta_lock:
-                        self._faults += 1
-                    self._invalidate_codec()
             except DeadlineExceeded:
                 with self._meta_lock:
                     self._deadline_exceeded += 1
@@ -1461,16 +864,6 @@ class ShardedEngine:
         accuracy instead of availability."""
         with self._meta_lock:
             self._degraded_answers += count
-        return self._neutral_result(method, count)
-
-    def _neutral_result(self, method: str, count: int) -> List:
-        """Shape-only neutral verdicts — no counter side effects.
-
-        Shared by :meth:`_degraded_result` (fault path, counted in
-        ``degraded_answers``) and the router-side dirty-input rejection
-        path (counted separately in ``router_rejected``, because
-        ``degraded_answers == 0`` is a fault-injection gate and an
-        oversize snippet is not a fault)."""
         if method == "predict_proba":
             return [np.full(2, 0.5, dtype=get_dtype()) for _ in range(count)]
         if method == "advise_many":
@@ -1580,8 +973,6 @@ class ShardedEngine:
             with self._route_lock:
                 if self._closed:  # closed while spawning: stop the orphan
                     started[1].put(_STOP)
-                    if started[4] is not None:
-                        started[4][0].release()
                     return
                 self._install_worker(index, started)
             with self._meta_lock:
@@ -1662,12 +1053,10 @@ class ShardedEngine:
             elif (mean < cfg.low_watermark and not lat_slow
                   and self.n_shards > cfg.min_shards):
                 # shrink: the retiring slot leaves the routing set first,
-                # then receives _STOP — queue FIFO ordering (and the ring
-                # worker's drain-on-STOP) means sub-batches already sent
-                # are answered before the worker exits
+                # then receives _STOP — queue FIFO ordering means
+                # sub-batches already sent are answered before it exits
                 retiring = self.n_shards - 1
                 self._requests[retiring].put(_STOP)
-                self._ring_doorbell(retiring)
                 self.n_shards = retiring
                 self._note_resize(retiring + 1, retiring,
                                   f"mean queue depth {mean:.2f} < "
@@ -1697,8 +1086,6 @@ class ShardedEngine:
             with self._route_lock:
                 if self._closed:  # closed while preparing: stop the orphan
                     started[1].put(_STOP)
-                    if started[4] is not None:
-                        started[4][0].release()
                     return
                 self._install_worker(index, started)
                 self.n_shards = index + 1
@@ -1754,10 +1141,8 @@ class ShardedEngine:
         :class:`~repro.serve.api.AdviceRequest` (or bare snippet strings)
         in, :class:`~repro.serve.api.AdviceResult` out, with the
         operational context only the router knows stitched on — which
-        arm a live canary routed each snippet to, the fleet-wide
-        ``model_version``, and the ``recovered`` flag (on the
-        shared-memory transport workers see pre-encoded rows, so lexing
-        recovery is observed router-side and stamped here)."""
+        arm a live canary routed each snippet to and the fleet-wide
+        ``model_version``."""
         reqs = [AdviceRequest.of(r) for r in requests]
         if not reqs:
             return []
@@ -1765,34 +1150,23 @@ class ShardedEngine:
             return self._local.advise_v1(reqs)
         if any(r.code is None for r in reqs):
             raise ValueError(
-                "the sharded router owns encoding; submit AdviceRequest "
+                "the fleet's workers own encoding; submit AdviceRequest "
                 "with code=, not pre-encoded ids=")
         codes = [r.code for r in reqs]
         fulls = self._scatter_call("advise_full_many", codes)
-        digests = [source_digest(code) for code in codes]
-        with self._codec_lock:
-            router_recovered = [
-                self._recovered_digests.get(digest) is not None
-                for digest in digests]
         with self._route_lock:
             spec = self._canary_spec
             primary_version = self._model_version
         if spec is not None:
-            from repro.serve.registry import canary_routes_digest
+            from repro.serve.registry import canary_routes
         results: List[AdviceResult] = []
-        for req, full, digest, rec in zip(reqs, fulls, digests,
-                                          router_recovered):
-            canary = (spec is not None
-                      and canary_routes_digest(digest, spec[1]))
-            result = AdviceResult.from_full(
+        for req, full in zip(reqs, fulls):
+            canary = spec is not None and canary_routes(req.code, spec[1])
+            results.append(AdviceResult.from_full(
                 full,
                 model_version=spec[2] if canary else primary_version,
                 arm="canary" if canary else "primary",
-                id=req.id)
-            if rec and not result.recovered:
-                from dataclasses import replace
-                result = replace(result, recovered=True)
-            results.append(result)
+                id=req.id))
         return results
 
     # -- one-copy weight segments ------------------------------------------
@@ -1834,9 +1208,9 @@ class ShardedEngine:
 
     def _unlink_weights(self) -> None:
         """Close-and-unlink every weight segment this engine ever
-        created, current or retired — the parent owns them all
-        (mirroring ``_all_rings``) precisely so /dev/shm ends clean even
-        when workers died holding a mapping."""
+        created, current or retired — the parent owns them all precisely
+        so /dev/shm ends clean even when workers died holding a
+        mapping."""
         for shared in self._all_weights:
             try:
                 shared.close()
@@ -1894,9 +1268,6 @@ class ShardedEngine:
             # sees the spec (and replays it) or got a broadcast token
             previous_spec = self._reload_spec
             self._reload_spec = (path, version, segment)
-        # the version tag changed: ring frames must stop carrying the old
-        # codec tag.  In-flight stale frames fault-and-retry harmlessly.
-        self._invalidate_codec()
         failures: List[str] = []
         for shard, token in enumerate(tokens):
             try:
@@ -2032,7 +1403,6 @@ class ShardedEngine:
             return result
         failures = [f for f in self._broadcast("canary_promote", None)
                     if "no canary active" not in f]
-        self._invalidate_codec()   # promoted canary owns the version tag now
         if failures:
             raise RuntimeError("; ".join(failures))
         with self._route_lock:
@@ -2108,8 +1478,8 @@ class ShardedEngine:
         is on) when autoscaling is on, and always a ``"supervisor"``
         block with the fault-tolerance counters (``restarts``, ``faults``,
         ``deadline_exceeded``, ``retries``, ``degraded_answers``,
-        ``fallback_answers``, ``router_rejected``, ``degraded_shards``).
-        A dead or wedged
+        ``fallback_answers``, ``degraded_shards``), and a ``"weights"``
+        block describing the one-copy weight segments.  A dead or wedged
         shard contributes an ``{"error": ...}`` placeholder instead of
         failing the whole snapshot — /stats is the tool for diagnosing a
         broken fleet and must keep working while the fleet is broken.
@@ -2174,23 +1544,9 @@ class ShardedEngine:
                 "retries": self._retries,
                 "degraded_answers": self._degraded_answers,
                 "fallback_answers": self._fallback_answers,
-                "router_rejected": self._rejected_snippets,
                 "degraded_shards": int(
                     sum(self._slot_degraded[:self.n_shards])),
             }
-            active = ("local" if self._local is not None else
-                      "shm" if self.ipc == "shm" and not self._ring_disabled
-                      else "queue")
-            out["ipc"] = {
-                "requested": self.ipc,
-                "active": active,
-                "ring_sends": self._ring_sends,
-                "ring_overflows": self._ring_overflows,
-                "queue_serving_sends": self._queue_serving_sends,
-            }
-            if self.ipc == "shm":
-                out["ipc"]["ring_slots"] = self._ring_slots
-                out["ipc"]["ring_slot_words"] = self._ring_slot_words
         with self._route_lock:
             out["weights"] = {
                 "sharing": self._share_weights and self._local is None,
@@ -2262,14 +1618,10 @@ class ShardedEngine:
             workers = list(self._workers)
             requests = list(self._requests)
             responses = list(self._responses)
-        for shard, req in enumerate(requests):
+        for req in requests:
             try:  # a dead worker's full pipe must not wedge close()
                 req.put_nowait(_STOP)
             except Exception:  # noqa: BLE001 — queue broken or full
-                pass
-            try:
-                self._ring_doorbell(shard)
-            except Exception:  # noqa: BLE001 — best-effort wakeup
                 pass
         deadline = time.monotonic() + timeout
         for proc in workers:
@@ -2283,22 +1635,8 @@ class ShardedEngine:
                 q.cancel_join_thread()
             except Exception:  # noqa: BLE001 — already closed
                 pass
-        # unlink every shared-memory segment ever created, including the
-        # rings of workers that died holding a slot — the parent owns all
-        # segments precisely so /dev/shm is clean after close() no matter
-        # what state the fleet died in
-        for ring in self._all_rings:
-            try:
-                ring.close()
-            except Exception:  # noqa: BLE001 — best-effort teardown
-                pass
-        for ring in self._all_rings:
-            try:
-                ring.unlink()
-            except Exception:  # noqa: BLE001 — already unlinked
-                pass
-        # same contract for the one-copy weight segments: workers that
-        # died holding a mapping cannot leak /dev/shm bytes past close()
+        # the parent owns every weight segment, so workers that died
+        # holding a mapping cannot leak /dev/shm bytes past close()
         self._unlink_weights()
 
     def __enter__(self) -> "ShardedEngine":

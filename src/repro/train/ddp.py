@@ -8,7 +8,7 @@ every worker reads, give the gradients one shared block of per-shard rows,
 and the all-reduce is a single vectorized ``np.sum`` over that block
 followed by one fused optimizer step.  No pickling, no tensors in flight —
 the only per-step IPC is a 40-byte control record and two semaphore
-operations per worker (the PR 7 doorbell pattern; workers block, never
+operations per worker (workers block on a wake semaphore, never
 poll).
 
 **The determinism contract.**  N-worker training is *bit-identical* to
@@ -47,8 +47,8 @@ the parity tests compare against.
 
 **Barrier protocol.**  One step is::
 
-    rank 0: write ctrl record -> release every doorbell
-    rank k: (blocked on doorbell) compute owned shards -> release done
+    rank 0: write ctrl record -> release every wake semaphore
+    rank k: (blocked on wake) compute owned shards -> release done
     rank 0: compute its shards -> acquire done x (N-1)
             -> reduce -> normalize -> clip -> FusedAdamW.step()
 
@@ -156,9 +156,9 @@ class DDPConfig:
     the default unless you know why you are changing it.
 
     ``die_at_step``/``die_rank`` are chaos-testing hooks (the same idiom
-    as ``ShmRing.try_push(corrupt=True)``): the given rank calls
-    ``os._exit`` at the start of the given step so the death path stays
-    deterministic under test."""
+    as the serving fleet's :class:`~repro.serve.chaos.ChaosConfig`): the
+    given rank calls ``os._exit`` at the start of the given step so the
+    death path stays deterministic under test."""
 
     n_workers: int = 1
     grad_shards: int = 8
@@ -253,7 +253,7 @@ class DataParallelTrainer:
         param_view = np.ndarray((arena_words,), dtype, self._seg_params.buf)
         self.arena.rebind(data=param_view)
 
-        self._doorbells = [mp.Semaphore(0) for _ in range(cfg.n_workers - 1)]
+        self._wakeups = [mp.Semaphore(0) for _ in range(cfg.n_workers - 1)]
         self._done = mp.Semaphore(0)
         self._procs: List[mp.Process] = []
         for rank in range(1, cfg.n_workers):
@@ -295,7 +295,7 @@ class DataParallelTrainer:
         cfg = self.cfg
         step = self.opt.t  # completed steps == this step's rng key
         self._ctrl[:] = (_CMD_STEP, epoch, step, start, length)
-        for bell in self._doorbells:
+        for bell in self._wakeups:
             bell.release()
         self._compute_rank(0, step, start, length)
         self._await_workers()
@@ -370,7 +370,7 @@ class DataParallelTrainer:
             self._losses[shard, 1] = weight
 
     def _worker_main(self, rank: int) -> None:
-        bell = self._doorbells[rank - 1]
+        bell = self._wakeups[rank - 1]
         while True:
             bell.acquire()
             command, _epoch, step, start, length = (int(w) for w in self._ctrl)
@@ -392,7 +392,7 @@ class DataParallelTrainer:
             return
         self._closed = True
         self._ctrl[:1] = _CMD_STOP
-        for bell in self._doorbells:
+        for bell in self._wakeups:
             bell.release()
         for proc in self._procs:
             proc.join(timeout=5.0)

@@ -1,12 +1,11 @@
 """Shared pytest fixtures.
 
 The one suite-wide invariant enforced here: **no leaked shared-memory
-segments**.  Three subsystems back themselves with named segments under
-``/dev/shm``: the sharded fleet's zero-copy data plane
-(``repro.serve.shm_ring``, ``repro-ring-*``), the one-copy weight
-segments (``repro.models.persistence``, ``repro-weights-*``), and the
-data-parallel trainer (``repro.train.ddp``, ``repro-ddp-*``).  In all
-three, the parent process owns creation and unlinking, and ``close()``
+segments**.  Two subsystems back themselves with named segments under
+``/dev/shm``: the one-copy weight segments the sharded fleet maps
+(``repro.models.persistence``, ``repro-weights-*``), and the
+data-parallel trainer (``repro.train.ddp``, ``repro-ddp-*``).  In both,
+the parent process owns creation and unlinking, and ``close()``
 must reclaim every segment even when workers died mid-operation (chaos
 kills, supervisor terminations, a rank dying mid-step, a worker holding
 a weight mapping).  A test that exits leaving a segment behind has found
@@ -20,11 +19,10 @@ import os
 import pytest
 
 from repro.models.persistence import WEIGHTS_NAME_PREFIX
-from repro.serve.shm_ring import RING_NAME_PREFIX
 from repro.train.ddp import DDP_NAME_PREFIX
 
 _SHM_DIR = "/dev/shm"
-_AUDITED_PREFIXES = (RING_NAME_PREFIX, WEIGHTS_NAME_PREFIX, DDP_NAME_PREFIX)
+_AUDITED_PREFIXES = (WEIGHTS_NAME_PREFIX, DDP_NAME_PREFIX)
 
 
 def _shm_segments():
@@ -37,7 +35,7 @@ def _shm_segments():
 
 
 @pytest.fixture(autouse=True)
-def no_ring_leaks():
+def no_shm_leaks():
     """Fail any test that leaks a shared-memory segment it created.
 
     Segments that predate the test (another process, a prior aborted

@@ -17,7 +17,10 @@ from one advisor checkpoint.  Four parities hold on all of it:
   checkpoint answers exactly as the primary (except ``arm`` and
   ``model_version``);
 * **HTTP shape** — legacy ``POST /advise`` is ``POST /v1/advise``
-  trimmed to the legacy keys.
+  trimmed to the legacy keys;
+* **fleet** — a 2-shard :class:`~repro.serve.ShardedEngine` answers
+  exactly as the in-process engine, gated and ungated, without a canary
+  and with one at fraction 1.0.
 
 Each configuration runs on a fresh engine, so no cache hides a
 divergence.  Where two configurations send different batches to a head
@@ -26,6 +29,7 @@ row is computed identically whatever else is in flight, so the
 comparison can stay exact.
 """
 
+import functools
 import json
 import threading
 import urllib.request
@@ -43,6 +47,7 @@ from repro.serve import (
     EngineConfig,
     ModelRegistry,
     MultiModelEngine,
+    ShardedEngine,
     make_server,
 )
 from repro.serve.engine import source_digest
@@ -72,8 +77,8 @@ def traffic(clean):
 
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory, clean, traffic):
-    """Three tiny heads on disk.  The transport (directive) vocabulary
-    covers all traffic; the clause heads share a smaller vocabulary built
+    """Three tiny heads on disk.  The directive vocabulary covers all
+    traffic; the clause heads share a smaller vocabulary built
     from the clean sample alone (a subset of the transport one) and a
     shorter ``max_len``."""
     vocab = Vocab.build([robust_text_tokens(code) for code in traffic])
@@ -96,9 +101,9 @@ def _engine(checkpoint, **config):
 
 
 def _encoded(engine, codes):
-    codec = engine.codec()
-    return [AdviceRequest(ids=codec["vocab"].encode(robust_text_tokens(code),
-                                                    max_len=codec["max_len"]),
+    head = engine.directive_engine
+    return [AdviceRequest(ids=head.vocab.encode(robust_text_tokens(code),
+                                                max_len=head.max_len),
                           digest=source_digest(code))
             for code in codes]
 
@@ -161,6 +166,33 @@ class TestConfigurationParity:
                                     bodies["/v1/advise"]):
             assert set(legacy) == set(LEGACY_KEYS)
             assert legacy == {key: v1[key] for key in LEGACY_KEYS}, code[:60]
+
+
+class TestFleetParity:
+    @pytest.mark.parametrize("gate_margin", [0.0, 0.1],
+                             ids=["ungated", "gated"])
+    @pytest.mark.parametrize("canary", [False, True],
+                             ids=["primary", "canary"])
+    def test_two_shard_fleet_equals_in_process(self, checkpoint, traffic,
+                                               gate_margin, canary):
+        """Each worker gets only its shard's sub-batch, so both sides run
+        with ``max_batch_size=1`` to keep the comparison exact."""
+        config = dict(max_batch_size=1, gate_margin=gate_margin)
+        with _engine(checkpoint, **config) as local, \
+                ShardedEngine(functools.partial(_engine, checkpoint,
+                                                **config),
+                              n_shards=2) as fleet:
+            if canary:
+                local.start_canary(checkpoint, 1.0, version="cnry")
+                fleet.start_canary(checkpoint, 1.0, version="cnry")
+            expected = local.advise_v1(traffic)
+            got = fleet.advise_v1(traffic)
+            routed = fleet.stats()["routed"]
+        assert all(routed), "both shards must serve traffic"
+        assert any(r.recovered for r in got), "traffic must be dirty"
+        assert {r.arm for r in got} == {"canary" if canary else "primary"}
+        for code, e, g in zip(traffic, expected, got):
+            assert g == e, code[:60]
 
 
 def _post(url, payload):

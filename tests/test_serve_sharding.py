@@ -1,23 +1,30 @@
 """Tests for the multi-process sharded serving engine."""
 
+import functools
+import glob
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.models import PragFormer
+from repro.models.persistence import WEIGHTS_NAME_PREFIX
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     Advice,
     AutoscaleConfig,
     EngineConfig,
     InferenceEngine,
+    ModelRegistry,
+    MultiModelEngine,
     RollingMean,
     ShardedEngine,
     SupervisorConfig,
     shard_of,
 )
+from repro.serve.sharding import _dispatch
 from repro.tokenize import Vocab, text_tokens
 
 TINY = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
@@ -393,3 +400,185 @@ class TestAutoscaling:
         with ShardedEngine(factory, n_shards=2) as sharded:
             sharded.predict_proba(SNIPPETS)
             assert "autoscaler" not in sharded.stats()
+
+
+# -- fleet invariants over the worker queues ---------------------------------
+
+TRACE = [
+    f"for (i = 0; i < n; i++) a[i] = b[i] * {k} + c[i % {k + 2}];"
+    for k in range(100)
+]
+HEAD_NAMES = ("directive", "private", "reduction")
+
+
+def _build_multi(path, config):
+    """Module-level worker factory (picklable under 'spawn')."""
+    return MultiModelEngine(ModelRegistry.from_checkpoint(path),
+                            config=config)
+
+
+def _save_heads(vocab, path, seed):
+    registry = ModelRegistry()
+    for k, name in enumerate(HEAD_NAMES):
+        registry.register(name, PragFormer(len(vocab),
+                                           replace(TINY, seed=seed + k),
+                                           rng=seed + k),
+                          vocab, max_len=TINY.max_len)
+    registry.save(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def trace_vocab():
+    return Vocab.build([text_tokens(code) for code in TRACE], min_freq=1)
+
+
+@pytest.fixture(scope="module")
+def checkpoints(trace_vocab, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fleet")
+    return (_save_heads(trace_vocab, root / "a", 0),
+            _save_heads(trace_vocab, root / "b", 80))
+
+
+def _multi_factory(path):
+    return functools.partial(_build_multi, str(path),
+                             EngineConfig(max_batch_size=32))
+
+
+def _program_segments():
+    return set(glob.glob(f"/dev/shm/{WEIGHTS_NAME_PREFIX}-*"))
+
+
+class TestFleetInvariants:
+    def test_multi_producer_stress_no_lost_dup_or_corrupt(self, factory):
+        """4 producer threads x 4 shards x 2000 snippets in total: every
+        reply present, in order, and matching the reference engine."""
+        trace = (SNIPPETS * 13)[:100]
+        expected = factory().predict_proba(trace)
+        errors = []
+        with ShardedEngine(factory, n_shards=4) as sharded:
+            def producer():
+                try:
+                    for _ in range(5):  # 5 x 100 snippets per producer
+                        got = sharded.predict_proba(trace)
+                        assert got.shape == expected.shape
+                        np.testing.assert_allclose(got, expected, atol=1e-5)
+                except Exception as exc:  # noqa: BLE001 — assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=producer) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stats = sharded.stats()
+        assert not errors, errors
+        assert stats["supervisor"]["degraded_answers"] == 0
+        assert sum(stats["routed"]) == 4 * 5 * len(trace)
+
+    def test_reload_under_traffic(self, checkpoints):
+        """Client threads keep calling while the fleet reloads: every
+        answer comes from the old or the new weights, none is lost or
+        degraded, and every call after ``reload`` returns sees only the
+        new weights."""
+        a, b = checkpoints
+        trace = TRACE[:32]
+
+        def verdicts(results):
+            return [(r.probability, r.verdict, r.clauses, r.degraded)
+                    for r in results]
+
+        with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ref:
+            old = verdicts(ref.advise_v1(trace))
+        with MultiModelEngine(ModelRegistry.from_checkpoint(b)) as ref:
+            new = verdicts(ref.advise_v1(trace))
+        assert old != new
+        errors, stop = [], threading.Event()
+        with ShardedEngine(_multi_factory(a), n_shards=2) as sharded:
+            def client():
+                try:
+                    while not stop.is_set():
+                        got = verdicts(sharded.advise_v1(trace))
+                        for g, o, n in zip(got, old, new):
+                            assert g in (o, n), g
+                except Exception as exc:  # noqa: BLE001 — assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=client) for _ in range(3)]
+            for t in threads:
+                t.start()
+            try:
+                time.sleep(0.2)
+                version = sharded.reload(b)
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(timeout=60)
+            after = sharded.advise_v1(trace)
+            sup = sharded.stats()["supervisor"]
+        assert not errors, errors
+        assert all(r.model_version == version for r in after)
+        assert verdicts(after) == new
+        assert sup["degraded_answers"] == 0
+
+    def test_canary_split_identical_in_process_and_sharded(self,
+                                                           checkpoints):
+        """Arm assignment is a pure digest hash: a 2-shard fleet and an
+        in-process engine split a canary at 0.5 identically and answer
+        identically on both arms."""
+        a, b = checkpoints
+        trace = TRACE[:64]
+        with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as local:
+            local.start_canary(b, 0.5, version="cnry")
+            expected = local.advise_v1(trace)
+        with ShardedEngine(_multi_factory(a), n_shards=2) as sharded:
+            sharded.start_canary(b, 0.5, version="cnry")
+            got = sharded.advise_v1(trace)
+        assert {r.arm for r in expected} == {"primary", "canary"}
+        assert got == expected
+
+    def test_close_is_idempotent_and_leaves_no_segments(self, checkpoints):
+        a, b = checkpoints
+        before = _program_segments()
+        sharded = ShardedEngine(_multi_factory(a), n_shards=2)
+        sharded.advise_v1(TRACE[:8])
+        sharded.reload(b)  # publishes a shared weights segment
+        assert _program_segments() - before
+        sharded.close()
+        sharded.close()
+        assert _program_segments() <= before
+
+
+class _SegmentTypeError:
+    """An engine whose segment-mapped rollouts raise ``TypeError``."""
+
+    def __init__(self):
+        self.eager = []
+
+    def reload(self, path, version=None, segment=None):
+        if segment is not None:
+            raise TypeError("bad segment layout")
+        self.eager.append(path)
+        return version
+
+    def start_canary(self, path, fraction, version=None, segment=None):
+        if segment is not None:
+            raise TypeError("bad segment layout")
+        self.eager.append(path)
+        return version
+
+
+class TestDispatch:
+    def test_segment_rollout_type_error_propagates(self):
+        """A ``TypeError`` inside a segment-mapped rollout is the
+        caller's error; it must not be retried as a private eager load,
+        which would quietly break the one-copy invariant."""
+        engine = _SegmentTypeError()
+        with pytest.raises(TypeError, match="bad segment layout"):
+            _dispatch(engine, "reload", ("ckpt", "v1", "repro-weights-x"))
+        with pytest.raises(TypeError, match="bad segment layout"):
+            _dispatch(engine, "start_canary",
+                      ("ckpt", 0.5, "v2", "repro-weights-y"))
+        assert engine.eager == []
+        assert _dispatch(engine, "reload", ("ckpt", "v3", None)) == "v3"
+        assert engine.eager == ["ckpt"]
