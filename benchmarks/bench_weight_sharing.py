@@ -6,11 +6,11 @@ workers attach it read-only and bind their models as zero-copy views.
 This bench measures what that buys and holds the invariants that make it
 safe to ship:
 
-- **Memory sublinearity** — the probe trace runs through pinned fleets of
-  {1, 2, 4, 8} shards (``min_shards == max_shards``, so even n=1 pays a
-  real worker process) after a reload published a shared segment.  Each
-  worker's ``/proc/<pid>/smaps`` entry for the ``repro-weights`` mapping
-  is summed: Rss counts the full segment once per worker (every attacher
+- **Memory sublinearity** — the probe trace runs through fleets of
+  {1, 2, 4, 8} shards (every fleet, n=1 included, runs worker processes)
+  after a reload published a shared segment.  Each worker's
+  ``/proc/<pid>/smaps`` entry for the ``repro-weights`` mapping is
+  summed: Rss counts the full segment once per worker (every attacher
   digest-validates the blob, touching every page), while Pss divides each
   shared page among its mappers.  ``sublinearity_ratio_8`` (8-shard
   fleet-wide Pss over 8x the 1-shard Pss) and ``sharing_factor_8``
@@ -19,13 +19,13 @@ safe to ship:
   ``scripts/bench_gate.py``; wall-clock cold-start and reload times ride
   along report-only.
 
-- **Reload parity** — a ``share_weights=True`` fleet and a
-  ``--no-shared-weights``-style private fleet hot-swap the same
-  checkpoint; their verdicts must agree with each other
-  (``reload_parity_mismatches``) and with a fresh eager engine on the new
-  checkpoint (``stale_hits_after_swap``) — sharing is a memory
-  optimization, never a numerics change, and the swap leaves nothing
-  stale.
+- **Reload parity** — a fleet hot-swapped onto a checkpoint's shared
+  segment must agree bit for bit with a fleet of the same shard count
+  and batching cold-started on that checkpoint, whose workers each load
+  a private blob copy (``reload_parity_mismatches``), and with a fresh
+  in-process engine on it (``stale_hits_after_swap``) — sharing is a
+  memory optimization, never a numerics change, and the swap leaves
+  nothing stale.
 
 - **Canary flip** — a canary at fraction 1.0 is started from a second
   segment and promoted; promotion is a pointer flip (the canary segment
@@ -55,7 +55,6 @@ from repro.models import PragFormer
 from repro.models.persistence import WEIGHTS_NAME_PREFIX
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
-    AutoscaleConfig,
     EngineConfig,
     ModelRegistry,
     MultiModelEngine,
@@ -98,14 +97,11 @@ def _build_multi(path, config):
                             config=config)
 
 
-def _fleet(path, n_shards, share=True, pinned=False, supervisor=None):
-    autoscale = (AutoscaleConfig(min_shards=n_shards, max_shards=n_shards)
-                 if pinned else None)
+def _fleet(path, n_shards, supervisor=None):
     return ShardedEngine(
         functools.partial(_build_multi, str(path),
                           EngineConfig(max_batch_size=64)),
-        n_shards=n_shards, autoscale=autoscale, share_weights=share,
-        supervisor=supervisor)
+        n_shards=n_shards, supervisor=supervisor)
 
 
 def _verdicts(advisor):
@@ -157,13 +153,13 @@ def test_weight_sharing(tmp_path):
     with MultiModelEngine(ModelRegistry.from_checkpoint(ckpt_b)) as fresh:
         expected_b = _verdicts(fresh)
 
-    # -- memory sweep: pinned fleets at {1,2,4,8} shards ------------------
+    # -- memory sweep: fleets at {1,2,4,8} shards -------------------------
     fleet_section = {}
     pss_total = {}
     rss_total = {}
     segment_kb = None
     for n_shards in SHARD_COUNTS:
-        fleet, cold_start_s = timed(_fleet, ckpt_a, n_shards, pinned=True)
+        fleet, cold_start_s = timed(_fleet, ckpt_a, n_shards)
         try:
             fleet.advise_v1(PROBE)  # workers up and serving
             _, reload_s = timed(fleet.reload, ckpt_b)
@@ -200,16 +196,14 @@ def test_weight_sharing(tmp_path):
     # how many processes share each resident page of the segment
     sharing_factor_8 = rss_total[8] / max(1, pss_total[8])
 
-    # -- reload parity: shared vs private fleets, vs a fresh engine -------
-    with _fleet(ckpt_a, 2, share=True) as shared_fleet, \
-            _fleet(ckpt_a, 2, share=False) as private_fleet:
+    # -- reload parity: hot-swapped vs cold-started fleet, vs an engine ---
+    with _fleet(ckpt_a, 2) as shared_fleet, _fleet(ckpt_b, 2) as cold_fleet:
         shared_fleet.reload(ckpt_b)
-        private_fleet.reload(ckpt_b)
         assert shared_fleet.stats()["weights"]["mode"] == "shared"
-        assert private_fleet.stats()["weights"]["mode"] == "private"
+        assert cold_fleet.stats()["weights"]["mode"] == "private"
         shared_verdicts = _verdicts(shared_fleet)
-        private_verdicts = _verdicts(private_fleet)
-    reload_parity_mismatches = _mismatches(shared_verdicts, private_verdicts,
+        cold_verdicts = _verdicts(cold_fleet)
+    reload_parity_mismatches = _mismatches(shared_verdicts, cold_verdicts,
                                            atol=0)
     stale_hits_after_swap = _mismatches(shared_verdicts, expected_b)
 

@@ -109,7 +109,7 @@ stage_ddp() {
 
 stage_shm_weights() {
     # the one-copy weight plane: blob round-trip + digest validation,
-    # legacy-checkpoint fallback, fleet segment swap on reload/canary,
+    # pre-blob upgrade, fleet segment swap on reload/canary,
     # replay-at-spawn, and close() unlinking segments dead workers held.
     # Part of tier-1 too; this mode isolates it so persistence/serving
     # changes get a fast, targeted signal.

@@ -10,6 +10,7 @@ Subcommands::
     repro serve --http 8080        # multi-model advisor over HTTP
     repro compar file.c            # run the S2S combiner on a snippet
     repro reproduce table8         # regenerate a paper table/figure
+    repro checkpoint upgrade DIR   # add the weights blob to an old checkpoint
 
 Serving (``serve`` and ``advise``) goes through the :mod:`repro.serve`
 stack: snippets are tokenized once, packed into length-sorted micro-batches
@@ -29,7 +30,7 @@ schema (schemas in ``docs/serving.md``).  In either mode
 ``--shards N`` partitions traffic across N worker processes with
 digest-hash routing (:class:`repro.serve.ShardedEngine`; a sharded
 advisor loaded from ``--watch`` maps one shared read-only weight copy
-fleet-wide unless ``--no-shared-weights``), and
+fleet-wide), and
 ``--min-shards``/``--max-shards`` turn on queue-depth autoscaling between
 those bounds.  ``--http`` additionally supports ``--watch DIR`` (start
 from — and hot-reload on changes to — an advisor checkpoint directory
@@ -48,6 +49,11 @@ defaults).  The operator's guide is ``docs/operations.md``.
 
 ``advise`` fans each positive snippet out to the clause models through the
 same multi-model engine and prints the suggested clauses.
+
+``checkpoint upgrade DIR`` rebuilds, in place, an advisor checkpoint
+written before the ``weights.bin`` blob existed; every advisor load reads
+its weights from that digest-checked blob, so such checkpoints are
+refused until upgraded.  It does nothing to a current checkpoint.
 """
 
 from __future__ import annotations
@@ -189,10 +195,10 @@ def _make_full_advisor(args: argparse.Namespace):
     serve from the checkpoint and hot-reload on updates.
 
     A sharded advisor loaded from a checkpoint maps the weights **once**
-    into a shared segment (``--no-shared-weights`` opts out): the parent
-    binds the registry onto it before the workers spawn, so the whole
-    fleet serves from one physical copy, and later ``/reload`` /
-    ``/canary`` rollouts publish their checkpoints the same way."""
+    into a shared segment: the parent binds the registry onto it before
+    the workers spawn, so the whole fleet serves from one physical copy,
+    and later ``/reload`` / ``/canary`` rollouts publish their
+    checkpoints the same way."""
     import functools
 
     from repro.serve import ModelRegistry, ShardedEngine
@@ -202,12 +208,11 @@ def _make_full_advisor(args: argparse.Namespace):
     autoscale = _autoscale_config(args)
     shards = getattr(args, "shards", 1)
     sharded = shards > 1 or autoscale is not None
-    share = bool(getattr(args, "share_weights", True))
     registry = None
     shared = None
     if watch:
         try:
-            if share and sharded:
+            if sharded:
                 registry, shared = ModelRegistry.from_checkpoint(
                     watch, share=True)
             else:
@@ -224,7 +229,6 @@ def _make_full_advisor(args: argparse.Namespace):
             return ShardedEngine(factory, n_shards=shards,
                                  autoscale=autoscale,
                                  supervisor=_supervisor_config(args),
-                                 share_weights=share,
                                  shared_weights=shared)
         except BaseException:
             # a fleet that failed to come up must not leak its segment
@@ -410,7 +414,18 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _cmd_checkpoint_upgrade(args: argparse.Namespace) -> int:
+    from repro.models import upgrade_advisor
+
+    if upgrade_advisor(args.dir):
+        print(f"upgraded {args.dir}: wrote weights.bin and its manifest entry")
+    else:
+        print(f"{args.dir} already has a weights blob; nothing to do")
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser (every subcommand and flag)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PragFormer reproduction: corpus, models, S2S compilers, experiments.",
@@ -496,13 +511,6 @@ def main(argv=None) -> int:
                          help="largest snippet the engine will lex; bigger "
                               "snippets get a neutral degraded verdict "
                               "(default 256 KiB, 0 disables)")
-    p_serve.add_argument("--no-shared-weights", dest="share_weights",
-                         action="store_false", default=True,
-                         help="sharded serving: load a private weight copy "
-                              "per worker instead of mapping one shared "
-                              "read-only segment fleet-wide (the default "
-                              "one-copy mode; see docs/operations.md for "
-                              "/dev/shm sizing)")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_compar = sub.add_parser("compar", help="run the ComPar S2S combiner on a file")
@@ -513,7 +521,18 @@ def main(argv=None) -> int:
     p_rep.add_argument("experiment", choices=sorted(_EXPERIMENTS))
     p_rep.set_defaults(fn=_cmd_reproduce)
 
-    args = parser.parse_args(argv)
+    p_ckpt = sub.add_parser("checkpoint", help="maintain advisor checkpoints")
+    ckpt_sub = p_ckpt.add_subparsers(dest="action", required=True)
+    p_upgrade = ckpt_sub.add_parser(
+        "upgrade", help="add the weights blob to a checkpoint written "
+                        "before it existed (in place; no-op if current)")
+    p_upgrade.add_argument("dir", metavar="DIR")
+    p_upgrade.set_defaults(fn=_cmd_checkpoint_upgrade)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -9,6 +9,7 @@ from repro.models.persistence import (
     load_pragformer,
     save_advisor,
     save_pragformer,
+    upgrade_advisor,
 )
 from repro.models.pragformer import PragFormer, PragFormerConfig, TrainHistory
 from repro.models.pretrain import MLMConfig, MLMPretrainer, mask_tokens
@@ -23,6 +24,7 @@ __all__ = [
     "load_pragformer",
     "save_advisor",
     "save_pragformer",
+    "upgrade_advisor",
     "PragFormer",
     "PragFormerConfig",
     "TrainHistory",

@@ -15,18 +15,19 @@ The serving stack deploys *several* models at once (the directive head plus
 the ``private``/``reduction`` clause heads — see
 :mod:`repro.serve.registry`); :func:`save_advisor` / :func:`load_advisor`
 bundle any named set of (model, vocab) pairs into one checkpoint directory
-with an ``advisor.json`` manifest, one ``.npz`` per head.
+with an ``advisor.json`` manifest, one full ``.npz`` per head, and every
+head's parameters once more as one contiguous ``weights.bin`` blob
+(dtype/offset/digest recorded in the manifest).
 
-Advisor checkpoints additionally carry every head's parameters as one
-contiguous ``weights.bin`` blob (dtype/offset/digest recorded in the
-manifest) so a shard fleet can map **one read-only copy** of the weights:
-:func:`share_weights` publishes the blob into a named
-``multiprocessing.shared_memory`` segment and
-``load_advisor(..., segment=...)`` rebinds freshly constructed models onto
-that segment's views instead of re-deserializing the ``.npz`` arrays —
-see ``docs/architecture.md`` (memory topology) for who maps what.
-Checkpoint directories written before the blob existed stay loadable;
-they simply fall back to eager per-process loading.
+The blob is the only source of weights :func:`load_advisor` reads: every
+load builds models from ``.npz`` metadata and binds them onto the
+digest-checked blob, whether the blob lives in a private buffer, in a
+shared segment :func:`share_weights` publishes for a shard fleet (one
+read-only copy fleet-wide), or in a segment another process published
+(``load_advisor(..., segment=...)``) — see ``docs/architecture.md``
+(memory topology) for who maps what.  Checkpoints written before the
+blob existed are refused until :func:`upgrade_advisor` (``repro
+checkpoint upgrade DIR``) rebuilds them from their ``.npz`` weights.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.tokenize.vocab import Vocab
 
 __all__ = ["save_pragformer", "load_pragformer", "save_advisor",
            "load_advisor", "validate_head_name", "SharedWeights",
-           "share_weights", "WEIGHTS_NAME_PREFIX"]
+           "share_weights", "upgrade_advisor", "WEIGHTS_NAME_PREFIX"]
 
 _FORMAT_VERSION = 1
 _ADVISOR_MANIFEST = "advisor.json"
@@ -117,26 +118,13 @@ def save_pragformer(model: PragFormer, vocab: Vocab, path: str) -> None:
 
 def load_pragformer(path: str) -> Tuple[PragFormer, Vocab]:
     """Reconstruct a (model, vocab) pair saved by :func:`save_pragformer`."""
-    path = str(path)
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
-        config = PragFormerConfig(**meta["config"])
-        itos = meta["vocab"]
-        vocab = Vocab(itos[4:])  # specials are re-prepended by Vocab
-        model = PragFormer(len(vocab), config)
-        encoder_state = {}
-        head_state = {}
-        for key in archive.files:
-            if key.startswith("encoder/"):
-                encoder_state[key[len("encoder/"):]] = archive[key]
-            elif key.startswith("head/"):
-                head_state[key[len("head/"):]] = archive[key]
-        model.encoder.load_state_dict(encoder_state)
-        model.head.load_state_dict(head_state)
-    if vocab._itos != itos:
-        raise ValueError("vocabulary reconstruction mismatch")
+    model, vocab = _load_pragformer_shell(path)
+    with np.load(str(path)) as archive:
+        for prefix, module in (("encoder/", model.encoder),
+                               ("head/", model.head)):
+            module.load_state_dict({key[len(prefix):]: archive[key]
+                                    for key in archive.files
+                                    if key.startswith(prefix)})
     return model, vocab
 
 
@@ -159,8 +147,8 @@ def _load_pragformer_shell(path: str) -> Tuple[PragFormer, Vocab]:
 
     Reads just the ``__meta__`` array (config + vocabulary) and leaves the
     model's parameters at their random initial values — the caller is
-    about to :func:`_bind_head` them onto a shared segment, so touching
-    the heavyweight weight arrays in the ``.npz`` would be pure waste.
+    about to :func:`_bind_head` them onto the weights blob (or, in
+    :func:`load_pragformer`, load them from the same archive).
     """
     with np.load(str(path)) as archive:
         meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
@@ -178,12 +166,13 @@ def _load_pragformer_shell(path: str) -> Tuple[PragFormer, Vocab]:
 def _bind_head(model: PragFormer, view: np.ndarray) -> None:
     """Adopt ``view``'s contents as ``model``'s parameters, zero-copy.
 
-    ``view`` is the head's flat slice of a weights blob (typically a
-    window onto a shared segment).  Each parameter's ``data`` becomes a
-    reshaped sub-view, in :func:`_named_head_params` order — the lean
-    serving-side sibling of ``ParameterArena.rebind(copy=False)``, which
-    skips allocating the arena's private grad/decay buffers a read-only
-    worker would never touch.
+    ``view`` is the head's flat slice of a weights blob (a private buffer
+    or a window onto a shared segment, see :func:`_head_view`).  Each
+    parameter's ``data`` becomes a reshaped sub-view, in
+    :func:`_named_head_params` order — the lean serving-side sibling of
+    ``ParameterArena.rebind(copy=False)``, which skips allocating the
+    arena's private grad/decay buffers a read-only worker would never
+    touch.
     """
     offset = 0
     for name, param in _named_head_params(model):
@@ -272,121 +261,162 @@ def _read_manifest(directory: Path) -> Dict:
     return manifest
 
 
-def _read_blob(directory: Path, weights_meta: Dict) -> bytes:
-    """Read + integrity-check a checkpoint's ``weights.bin`` blob.
+def _weights_meta(directory: Path, manifest: Dict) -> Dict:
+    """The manifest's ``weights`` section; a checkpoint written before
+    the blob existed is refused with the command that upgrades it."""
+    weights_meta = manifest.get("weights")
+    if weights_meta is None:
+        raise ValueError(
+            f"advisor checkpoint {directory} predates the weights blob; "
+            f"run `repro checkpoint upgrade {directory}` to add it")
+    return weights_meta
 
-    Raises ``ValueError`` (never a crash further in) when the blob is
-    missing, truncated, padded, or fails its manifest digest — a corrupt
-    rollout must surface as a clean refusal the caller can fall back
-    from.
+
+def _blob_nbytes(weights_meta: Dict) -> int:
+    """Size of the weights blob in bytes, per the manifest."""
+    return (int(weights_meta["total_words"])
+            * np.dtype(weights_meta["dtype"]).itemsize)
+
+
+def _read_blob_into(directory: Path, weights_meta: Dict, buf) -> None:
+    """Read + integrity-check ``weights.bin`` straight into ``buf``.
+
+    ``buf`` is a writable buffer of at least :func:`_blob_nbytes` bytes —
+    a private ``bytearray`` or a fresh shared segment — so the blob is
+    read once, with no intermediate copy.  Raises ``ValueError`` (never a
+    crash further in) when the blob is missing, truncated, padded, or
+    fails its manifest digest — a corrupt rollout must surface as a
+    clean refusal.
     """
     blob_path = directory / weights_meta["file"]
     if not blob_path.is_file():
         raise ValueError(f"advisor weights blob missing: {blob_path}")
-    raw = blob_path.read_bytes()
-    itemsize = np.dtype(weights_meta["dtype"]).itemsize
-    expected = int(weights_meta["total_words"]) * itemsize
-    if len(raw) != expected:
+    expected = _blob_nbytes(weights_meta)
+    size = blob_path.stat().st_size
+    if size != expected:
         raise ValueError(
-            f"advisor weights blob {blob_path} is {len(raw)} bytes, "
+            f"advisor weights blob {blob_path} is {size} bytes, "
             f"manifest says {expected} (truncated or corrupt)")
-    digest = hashlib.blake2b(raw).hexdigest()
+    with memoryview(buf)[:expected] as view, blob_path.open("rb") as handle:
+        handle.readinto(view)  # a short read leaves zeros: digest fails
+        digest = hashlib.blake2b(view).hexdigest()
     if digest != weights_meta["digest"]:
         raise ValueError(
             f"advisor weights blob {blob_path} failed digest validation")
-    return raw
+
+
+def _head_view(buf, weights_meta: Dict, head: str) -> np.ndarray:
+    """Flat zero-copy view over one head's slice of a blob buffer — the
+    one slicer for private and shared blobs alike."""
+    entry = weights_meta["heads"].get(head)
+    if entry is None:
+        raise KeyError(f"head {head!r} not in weights manifest "
+                       f"(has {sorted(weights_meta['heads'])})")
+    dtype = np.dtype(weights_meta["dtype"])
+    return np.ndarray((int(entry["words"]),), dtype=dtype, buffer=buf,
+                      offset=int(entry["offset"]) * dtype.itemsize)
 
 
 def load_advisor(dirpath, share: bool = False, segment: Optional[str] = None):
     """Reload every head of an advisor checkpoint written by
     :func:`save_advisor`.
 
-    Three modes:
+    Every mode builds the models from ``.npz`` metadata and binds their
+    parameters onto the digest-checked ``weights.bin`` blob; the modes
+    differ only in where the blob bytes live:
 
-    - **default** (``share=False``) — eager per-process load, returns
-      ``{name: (model, vocab, max_len)}`` exactly as before.
-    - ``share=True`` — eager load, then publish the checkpoint's
-      ``weights.bin`` blob into a fresh named shared segment and rebind
-      every model onto it; returns ``(heads, SharedWeights)``.  The
-      caller owns the segment (must eventually ``unlink``).  A legacy
-      checkpoint without a blob returns ``(heads, None)`` — served
-      exactly as before, just not shared.
+    - **default** — one private writable buffer, read once and digested
+      in place; returns ``{name: (model, vocab, max_len)}``.
+    - ``share=True`` — a fresh named shared segment (via
+      :func:`share_weights`); returns ``(heads, SharedWeights)``.  The
+      caller owns the segment (must eventually ``unlink``).
     - ``segment="repro-weights-..."`` — attach an *existing* segment
-      (published by :func:`share_weights` in the router) and bind models
-      constructed from checkpoint metadata only onto its views; no
-      weight array is ever deserialized in this process.  Returns
-      ``(heads, SharedWeights)``; the handle is attach-only (``unlink``
-      stays with the segment's creator).
+      (published by :func:`share_weights` in the router) and validate its
+      digest.  Returns ``(heads, SharedWeights)``; the handle is
+      attach-only (``unlink`` stays with the segment's creator).
 
-    Blob integrity (size + blake2b digest) is validated in the sharing
-    modes; corruption raises ``ValueError`` rather than crashing.
+    A missing, truncated or corrupt blob raises ``ValueError``, as does a
+    checkpoint written before the blob existed (the message names
+    ``repro checkpoint upgrade DIR``).
     """
     if share and segment is not None:
         raise ValueError("load_advisor: share=True and segment= are "
                          "mutually exclusive")
     directory = Path(dirpath)
     manifest = _read_manifest(directory)
-    weights_meta = manifest.get("weights")
-
+    weights_meta = _weights_meta(directory, manifest)
+    shared: Optional[SharedWeights] = None
     if segment is not None:
-        if weights_meta is None:
-            raise ValueError(
-                f"checkpoint {directory} has no weights blob manifest; "
-                "cannot bind onto a shared segment")
         shared = SharedWeights.attach(segment, weights_meta)
-        try:
+    elif share:
+        shared = share_weights(directory)
+    else:
+        buf = bytearray(_blob_nbytes(weights_meta))
+        _read_blob_into(directory, weights_meta, buf)
+    try:
+        if segment is not None:
             shared.validate()
-            heads: Dict[str, Tuple[PragFormer, Vocab, int]] = {}
-            for name, entry in manifest["heads"].items():
-                model, vocab = _load_pragformer_shell(
-                    str(directory / entry["file"]))
-                _bind_head(model, shared.head_view(name))
-                heads[name] = (model, vocab, int(entry["max_len"]))
-        except Exception:
+        if shared is not None:
+            buf = shared._shm.buf
+        heads: Dict[str, Tuple[PragFormer, Vocab, int]] = {}
+        for name, entry in manifest["heads"].items():
+            model, vocab = _load_pragformer_shell(
+                str(directory / entry["file"]))
+            _bind_head(model, _head_view(buf, weights_meta, name))
+            heads[name] = (model, vocab, int(entry["max_len"]))
+    except Exception:
+        if shared is not None:
             shared.close()
-            raise
-        return heads, shared
+            if share:
+                shared.unlink()
+        raise
+    return heads if shared is None else (heads, shared)
 
+
+def share_weights(dirpath) -> "SharedWeights":
+    """Publish a checkpoint's weights blob into a named shared segment.
+
+    The router-side half of one-copy serving: reads ``weights.bin``
+    straight into a fresh ``multiprocessing.shared_memory`` segment under
+    :data:`WEIGHTS_NAME_PREFIX`, digest-validates it there, and returns
+    the owning handle — without constructing any model.  Workers then
+    attach by name via ``load_advisor(dirpath, segment=handle.name)``.
+    Raises ``ValueError`` for a corrupt or pre-blob checkpoint (leaving
+    no segment behind) and ``OSError`` when the segment cannot be
+    created.  The caller owns the segment and must ``unlink`` it once
+    the last attachment has drained.
+    """
+    directory = Path(dirpath)
+    weights_meta = _weights_meta(directory, _read_manifest(directory))
+    shared = SharedWeights.create(weights_meta)
+    try:
+        _read_blob_into(directory, weights_meta, shared._shm.buf)
+    except BaseException:
+        shared.close()
+        shared.unlink()
+        raise
+    return shared
+
+
+def upgrade_advisor(dirpath) -> bool:
+    """Add the ``weights.bin`` blob to a checkpoint written before it
+    existed, in place; ``repro checkpoint upgrade DIR`` runs this.
+
+    Rebuilds the directory from its per-head ``.npz`` files
+    (:func:`load_pragformer` + :func:`save_advisor`), keeping each head's
+    serving ``max_len``.  Does nothing — and returns ``False`` — when the
+    manifest already records a blob; returns ``True`` after an upgrade.
+    """
+    directory = Path(dirpath)
+    manifest = _read_manifest(directory)
+    if "weights" in manifest:
+        return False
     heads = {}
     for name, entry in manifest["heads"].items():
         model, vocab = load_pragformer(str(directory / entry["file"]))
         heads[name] = (model, vocab, int(entry["max_len"]))
-    if not share:
-        return heads
-    if weights_meta is None:
-        return heads, None  # legacy checkpoint: eager copies, unshared
-    raw = _read_blob(directory, weights_meta)
-    shared = SharedWeights.create(weights_meta, raw)
-    try:
-        for name, (model, _vocab, _max_len) in heads.items():
-            _bind_head(model, shared.head_view(name))
-    except Exception:
-        shared.close()
-        shared.unlink()
-        raise
-    return heads, shared
-
-
-def share_weights(dirpath) -> Optional["SharedWeights"]:
-    """Publish a checkpoint's weights blob into a named shared segment.
-
-    The router-side half of one-copy serving: reads ``weights.bin``
-    (digest-validated), copies it into a fresh
-    ``multiprocessing.shared_memory`` segment under
-    :data:`WEIGHTS_NAME_PREFIX`, and returns the owning handle — without
-    constructing any model.  Workers then attach by name via
-    ``load_advisor(dirpath, segment=handle.name)``.  Returns ``None``
-    for legacy checkpoints that predate the blob (callers fall back to
-    broadcast eager loading).  The caller owns the segment and must
-    ``unlink`` it once the last attachment has drained.
-    """
-    directory = Path(dirpath)
-    manifest = _read_manifest(directory)
-    weights_meta = manifest.get("weights")
-    if weights_meta is None:
-        return None
-    raw = _read_blob(directory, weights_meta)
-    return SharedWeights.create(weights_meta, raw)
+    save_advisor(heads, directory)
+    return True
 
 
 class SharedWeights:
@@ -402,26 +432,25 @@ class SharedWeights:
     in-flight snapshots in the workers keep reading it safely.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, weights_meta: Dict,
-                 owner: bool) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory,
+                 weights_meta: Dict) -> None:
         self._shm = shm
         self._meta = weights_meta
-        self._owner = owner
         self._closed = False
 
     @classmethod
-    def create(cls, weights_meta: Dict, raw: bytes) -> "SharedWeights":
-        """Create a fresh owning segment initialised with blob ``raw``."""
-        nbytes = max(1, len(raw))  # SharedMemory rejects size=0
+    def create(cls, weights_meta: Dict) -> "SharedWeights":
+        """Create a fresh owning segment sized for the blob (contents are
+        filled by the caller — :func:`share_weights` reads into it)."""
+        nbytes = max(1, _blob_nbytes(weights_meta))  # size=0 is rejected
         shm = shared_memory.SharedMemory(
             create=True, size=nbytes, name=_segment_name())
-        shm.buf[:len(raw)] = raw
-        return cls(shm, weights_meta, owner=True)
+        return cls(shm, weights_meta)
 
     @classmethod
     def attach(cls, name: str, weights_meta: Dict) -> "SharedWeights":
         """Attach to an existing segment by name (non-owning)."""
-        return cls(_attach_segment(name), weights_meta, owner=False)
+        return cls(_attach_segment(name), weights_meta)
 
     @property
     def name(self) -> str:
@@ -429,19 +458,9 @@ class SharedWeights:
         return self._shm.name
 
     @property
-    def dtype(self) -> np.dtype:
-        """Element dtype of the blob (uniform across heads)."""
-        return np.dtype(self._meta["dtype"])
-
-    @property
-    def total_words(self) -> int:
-        """Total blob length in elements, across all heads."""
-        return int(self._meta["total_words"])
-
-    @property
     def nbytes(self) -> int:
         """Blob payload size in bytes (the ``/dev/shm`` sizing number)."""
-        return self.total_words * self.dtype.itemsize
+        return _blob_nbytes(self._meta)
 
     def validate(self) -> None:
         """Check segment size and blob digest against the manifest.
@@ -454,7 +473,7 @@ class SharedWeights:
             raise ValueError(
                 f"shared weights segment {self.name} is {self._shm.size} "
                 f"bytes, manifest needs {self.nbytes}")
-        digest = hashlib.blake2b(bytes(self._shm.buf[:self.nbytes])).hexdigest()
+        digest = hashlib.blake2b(self._shm.buf[:self.nbytes]).hexdigest()
         if digest != self._meta["digest"]:
             raise ValueError(
                 f"shared weights segment {self.name} failed digest "
@@ -462,13 +481,7 @@ class SharedWeights:
 
     def head_view(self, head: str) -> np.ndarray:
         """Flat zero-copy view over one head's slice of the blob."""
-        entry = self._meta["heads"].get(head)
-        if entry is None:
-            raise KeyError(f"head {head!r} not in weights manifest "
-                           f"(has {sorted(self._meta['heads'])})")
-        offset_bytes = int(entry["offset"]) * self.dtype.itemsize
-        return np.ndarray((int(entry["words"]),), dtype=self.dtype,
-                          buffer=self._shm.buf, offset=offset_bytes)
+        return _head_view(self._shm.buf, self._meta, head)
 
     def close(self) -> None:
         """Drop this process's mapping (idempotent, best-effort).

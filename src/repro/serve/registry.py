@@ -253,25 +253,23 @@ class ModelRegistry:
         """Reload a registry saved by :meth:`save` / ``save_advisor``,
         including each head's serving ``max_len``.
 
-        With ``share=True`` the heads are additionally published into a
-        fresh shared weights segment (``load_advisor(share=True)``) and
-        the return value becomes ``(registry, handle)`` where ``handle``
-        is the owning :class:`~repro.models.persistence.SharedWeights`
-        (``None`` for a legacy checkpoint without a blob).  Under a
+        The heads are bound onto the checkpoint's digest-checked
+        ``weights.bin`` blob (see :func:`repro.models.load_advisor`): a
+        private copy by default.  With ``share=True`` the blob is read
+        into a fresh shared weights segment instead and the return value
+        becomes ``(registry, handle)`` where ``handle`` is the owning
+        :class:`~repro.models.persistence.SharedWeights`.  Under a
         ``fork``-started shard fleet this is what makes the *initial*
         weights one-copy too, not just reloads.
         """
         from repro.models.persistence import load_advisor
 
+        loaded = load_advisor(path, share=share)
+        heads, handle = loaded if share else (loaded, None)
         registry = cls()
-        if share:
-            heads, handle = load_advisor(path, share=True)
-            for name, (model, vocab, max_len) in heads.items():
-                registry.register(name, model, vocab, max_len=max_len)
-            return registry, handle
-        for name, (model, vocab, max_len) in load_advisor(path).items():
+        for name, (model, vocab, max_len) in heads.items():
             registry.register(name, model, vocab, max_len=max_len)
-        return registry
+        return (registry, handle) if share else registry
 
     def save(self, path) -> None:
         """Write every head to ``path`` via :func:`repro.models.save_advisor`."""
@@ -803,10 +801,10 @@ class MultiModelEngine:
         agreement counters always compare against one fixed primary.
 
         ``segment`` names an already-published shared weights segment
-        (see :func:`repro.models.share_weights`): the new heads then map
-        the fleet's one read-only weight copy instead of deserializing
-        the checkpoint here, and the swap is just a slot-pointer flip.
-        An unreachable segment silently falls back to the eager load.
+        (see :func:`repro.models.persistence.share_weights`): the new
+        heads then map the fleet's one read-only weight copy instead of
+        reading the blob here, and the swap is just a slot-pointer flip.
+        An unreachable segment falls back to a private blob load.
         """
         heads, shared = self._load_checkpoint_heads(advisor_dir,
                                                     segment=segment)
@@ -842,9 +840,9 @@ class MultiModelEngine:
         without touching any engine on a missing/incomplete checkpoint).
 
         With ``segment`` set, binds the heads onto that already-published
-        shared weights segment (zero weight bytes deserialized here); an
-        unreachable or invalid segment falls back to the eager per-process
-        load — availability beats sharing.  Returns ``(heads, handle)``
+        shared weights segment (zero weight bytes read here); an
+        unreachable or invalid segment falls back to a private blob load
+        — availability beats sharing.  Returns ``(heads, handle)``
         where ``handle`` is the :class:`~repro.models.persistence
         .SharedWeights` attachment or ``None``.
         """
@@ -854,7 +852,7 @@ class MultiModelEngine:
         if segment is not None:
             try:
                 heads, shared = load_advisor(advisor_dir, segment=segment)
-            except (ValueError, FileNotFoundError, OSError):
+            except (ValueError, OSError):
                 heads = load_advisor(advisor_dir)
         else:
             heads = load_advisor(advisor_dir)

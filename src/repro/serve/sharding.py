@@ -18,13 +18,15 @@ hosting its own engine built by a caller-supplied zero-argument factory:
   sub-batch, so tokenization runs on every shard's core in parallel, and
   the only shared-memory segments the fleet creates are the one-copy
   weight segments (created and unlinked by the parent; workers only
-  attach).
+  attach).  Every fleet runs worker processes, ``n_shards=1`` included;
+  in-process serving is the wrapped engine itself.
 * **Concurrent callers** — replies are tagged with request ids, so multiple
   threads (e.g. HTTP handler threads) can have calls in flight at once;
   calls touching disjoint shards proceed fully in parallel.
-* **Graceful fallback** — ``n_shards=1`` (without autoscaling) builds the
-  engine in-process and skips multiprocessing entirely (same API, zero IPC
-  overhead), so callers can treat the shard count as a pure tuning knob.
+* **One-copy weights** — every rollout (reload, canary) publishes the
+  checkpoint's digest-checked weights blob into one parent-owned shared
+  segment and workers bind onto it by name; a fleet falls back to private
+  per-worker blob copies only when the segment cannot be created.
 * **Load-signal autoscaling** — with an :class:`AutoscaleConfig`, the
   engine samples the in-flight backlog each call into a rolling window and
   grows/shrinks the active worker count between ``min_shards`` and
@@ -275,7 +277,7 @@ def _dispatch(engine, method: str, payload):
     ``start_canary`` payloads ``(path, fraction, version, segment)``;
     ``segment`` (``None`` when the rollout published no shared weights)
     goes to the engine as is, so an error inside a segment-mapped reload
-    reaches the caller instead of being retried as an eager load."""
+    reaches the caller instead of being retried as a private load."""
     if method == "ping":
         return "pong"
     if method == "stats":
@@ -401,9 +403,7 @@ class ShardedEngine:
     autoscaling: the worker fleet grows and shrinks between the
     configured bounds as the rolling backlog — and, with
     ``latency_high_ms``, per-snippet latency — signals demand (see
-    :class:`AutoscaleConfig`).  Autoscaling always runs in
-    multiprocessing mode — the in-process ``n_shards=1`` fallback cannot
-    grow.
+    :class:`AutoscaleConfig`).
 
     Thread-safe: replies carry request ids, so concurrent bulk calls (e.g.
     HTTP handler threads) run in parallel — per shard, whichever caller is
@@ -423,7 +423,6 @@ class ShardedEngine:
         autoscale: Optional[AutoscaleConfig] = None,
         supervisor: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosConfig] = None,
-        share_weights: bool = True,
         shared_weights: Optional[object] = None,
     ) -> None:
         if n_shards < 1:
@@ -448,19 +447,18 @@ class ShardedEngine:
         self._reload_count = 0
         # one-copy weights: rollouts publish the checkpoint blob into a
         # parent-owned shared segment and broadcast its name instead of
-        # having every worker re-deserialize the checkpoint.  The parent
-        # keeps every handle it ever created so close() unlinks them all
-        # even when workers died mid-mapping;
-        # the *current* primary/canary segments stay linked while live —
-        # respawned workers attach them by name at replay.
-        self._share_weights = bool(share_weights)
+        # having every worker read its own copy.  The parent keeps every
+        # handle it ever created so close() unlinks them all even when
+        # workers died mid-mapping; the *current* primary/canary segments
+        # stay linked while live — respawned workers attach them by name
+        # at replay.  ``shared_weights`` is the segment the factory's
+        # registry is already bound to (``from_checkpoint(share=True)``).
         self._all_weights: List[object] = []
         self._weights_primary = shared_weights
         self._weights_canary = None
         if shared_weights is not None:
             self._all_weights.append(shared_weights)
         self._model_version = "0"
-        self._local = None
         self._workers: List[mp.Process] = []
         self._requests: List[mp.queues.Queue] = []
         self._responses: List[mp.queues.Queue] = []
@@ -493,12 +491,6 @@ class ShardedEngine:
         self._fallback_failed = False
         self._stop_supervisor = threading.Event()
         self._supervisor_thread: Optional[threading.Thread] = None
-        if n_shards == 1 and autoscale is None:
-            # in-process fallback: same API, no IPC, no extra processes
-            self.routed.append(0)
-            self._depth.append(0)
-            self._local = factory()
-            return
         # reply plumbing: one reader at a time per shard; replies that
         # belong to another thread's request are parked in _pending
         self._recv_locks: List[threading.Lock] = []
@@ -726,10 +718,6 @@ class ShardedEngine:
         and re-running them elsewhere would fail the same way."""
         if self._closed:
             raise RuntimeError("sharded engine is closed")
-        if self._local is not None:
-            with self._meta_lock:  # routed[] is read-modify-write
-                self.routed[0] += len(codes)
-            return list(getattr(self._local, method)(list(codes)))
         self._observe_load()
         # hash outside the lock (keys are shard-count independent); bucket
         # + send under it so a concurrent resize cannot strand a sub-batch
@@ -1146,8 +1134,6 @@ class ShardedEngine:
         reqs = [AdviceRequest.of(r) for r in requests]
         if not reqs:
             return []
-        if self._local is not None:
-            return self._local.advise_v1(reqs)
         if any(r.code is None for r in reqs):
             raise ValueError(
                 "the fleet's workers own encoding; submit AdviceRequest "
@@ -1173,20 +1159,21 @@ class ShardedEngine:
 
     def _publish_weights(self, path: str):
         """Map ``path``'s weight blob into a fresh parent-owned shared
-        segment for a rollout; ``None`` when sharing is off, the
-        checkpoint predates blob manifests, or mapping fails — workers
-        then fall back to eager per-process deserialization, trading
-        memory for availability."""
-        if not self._share_weights or self._local is not None:
-            return None
+        segment for a rollout.
+
+        A corrupt or pre-blob checkpoint raises ``ValueError`` here,
+        before any worker is sent a message.  ``None`` only when the OS
+        refuses the segment (or the checkpoint cannot be read, which the
+        workers then report): workers fall back to private blob copies,
+        trading memory for availability."""
+        from repro.models.persistence import share_weights
+
         try:
-            from repro.models.persistence import share_weights
             shared = share_weights(path)
-        except (ValueError, OSError):
+        except OSError:
             return None
-        if shared is not None:
-            with self._route_lock:
-                self._all_weights.append(shared)
+        with self._route_lock:
+            self._all_weights.append(shared)
         return shared
 
     def _retire_segment(self, shared) -> None:
@@ -1212,15 +1199,7 @@ class ShardedEngine:
         so /dev/shm ends clean even when workers died holding a
         mapping."""
         for shared in self._all_weights:
-            try:
-                shared.close()
-            except Exception:  # noqa: BLE001 — best-effort teardown
-                pass
-        for shared in self._all_weights:
-            try:
-                shared.unlink()
-            except Exception:  # noqa: BLE001 — already unlinked
-                pass
+            self._retire_segment(shared)
 
     # -- hot reload --------------------------------------------------------
 
@@ -1246,17 +1225,9 @@ class ShardedEngine:
             raise RuntimeError(
                 f"canary {self._canary_spec[2]} is active; promote() or "
                 "rollback() it before reloading the primary")
-        if self._local is not None:
-            reload_fn = getattr(self._local, "reload", None)
-            if reload_fn is None:
-                raise RuntimeError(
-                    "local engine does not support reload(path)")
-            version = reload_fn(path)
-            self._reload_spec = (path, version, None)
-            return version
         # publish the checkpoint blob into one shared segment *before*
         # broadcasting, so every worker maps the same copy instead of
-        # re-deserializing the checkpoint N times
+        # reading the checkpoint N times
         shared = self._publish_weights(path)
         segment = None if shared is None else shared.name
         with self._route_lock:
@@ -1268,15 +1239,7 @@ class ShardedEngine:
             # sees the spec (and replays it) or got a broadcast token
             previous_spec = self._reload_spec
             self._reload_spec = (path, version, segment)
-        failures: List[str] = []
-        for shard, token in enumerate(tokens):
-            try:
-                status, result = self._collect(token)
-            except RuntimeError as exc:
-                failures.append(str(exc))
-                continue
-            if status != "ok":
-                failures.append(f"shard {shard} failed: {result}")
+        failures = self._failures(tokens)
         if failures:
             with self._route_lock:
                 # don't poison future grown workers with a bad checkpoint
@@ -1303,6 +1266,11 @@ class ShardedEngine:
         with self._route_lock:
             tokens = [self._send(shard, method, payload)
                       for shard in range(self.n_shards)]
+        return self._failures(tokens)
+
+    def _failures(self, tokens: Sequence[_Token]) -> List[str]:
+        """Collect one broadcast's replies (token ``i`` went to shard
+        ``i``) and return every failure, named by shard."""
         failures: List[str] = []
         for shard, token in enumerate(tokens):
             try:
@@ -1335,11 +1303,6 @@ class ShardedEngine:
         path = str(path)
         if self._closed:
             raise RuntimeError("sharded engine is closed")
-        if self._local is not None:
-            version = self._local.start_canary(path, fraction,
-                                               version=version)
-            self._canary_spec = (path, fraction, version, None)
-            return version
         shared = self._publish_weights(path)
         segment = None if shared is None else shared.name
         try:
@@ -1361,15 +1324,7 @@ class ShardedEngine:
             # blew up before the spec was remembered: drop the segment
             self._retire_segment(shared)
             raise
-        failures: List[str] = []
-        for shard, token in enumerate(tokens):
-            try:
-                status, result = self._collect(token)
-            except RuntimeError as exc:
-                failures.append(str(exc))
-                continue
-            if status != "ok":
-                failures.append(f"shard {shard} failed: {result}")
+        failures = self._failures(tokens)
         if failures:
             try:  # drop the partial rollout everywhere, then report
                 self.rollback()
@@ -1395,12 +1350,6 @@ class ShardedEngine:
             if self._canary_spec is None:
                 raise RuntimeError("no canary active")
             path, _, version, segment = self._canary_spec
-        if self._local is not None:
-            result = self._local.promote()
-            with self._route_lock:
-                self._reload_spec = (path, version, segment)
-                self._canary_spec = None
-            return result
         failures = [f for f in self._broadcast("canary_promote", None)
                     if "no canary active" not in f]
         if failures:
@@ -1428,13 +1377,8 @@ class ShardedEngine:
         if self._closed:
             raise RuntimeError("sharded engine is closed")
         with self._route_lock:
-            if self._canary_spec is None and self._local is None:
+            if self._canary_spec is None:
                 raise RuntimeError("no canary active")
-        if self._local is not None:
-            self._local.rollback()
-            with self._route_lock:
-                self._canary_spec = None
-            return
         failures = [f for f in self._broadcast("canary_rollback", None)
                     if "no canary active" not in f]
         if failures:
@@ -1450,8 +1394,6 @@ class ShardedEngine:
         """Model heads hosted by the workers (asked of shard 0 — every
         worker is built by the same factory); empty for single-model
         engines."""
-        if self._local is not None:
-            return _head_names(self._local)
         status, result = self._collect(
             self._send(0, "heads", None, deadline=self._request_deadline()))
         if status != "ok":
@@ -1485,10 +1427,7 @@ class ShardedEngine:
         broken fleet and must keep working while the fleet is broken.
         JSON-ready.
         """
-        if self._local is not None:
-            shards = [snapshot_stats(self._local)]
-        else:
-            shards = self._scatter_stats()
+        shards = self._scatter_stats()
         # error placeholders carry no counters: aggregate over healthy only
         healthy = [s for s in shards
                    if isinstance(s, dict) and "error" not in s]
@@ -1549,7 +1488,6 @@ class ShardedEngine:
             }
         with self._route_lock:
             out["weights"] = {
-                "sharing": self._share_weights and self._local is None,
                 "mode": ("shared" if self._weights_primary is not None
                          else "private"),
                 "primary_segment": (None if self._weights_primary is None
@@ -1608,12 +1546,6 @@ class ShardedEngine:
                     fb_close()
                 except Exception:  # noqa: BLE001 — best-effort teardown
                     pass
-        if self._local is not None:
-            close = getattr(self._local, "close", None)
-            if close is not None:
-                close()
-            self._unlink_weights()
-            return
         with self._route_lock:
             workers = list(self._workers)
             requests = list(self._requests)

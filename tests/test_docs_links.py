@@ -4,12 +4,15 @@ Docs rot silently — a renamed file leaves `[text](old/path.md)` links that
 404 for every reader.  This suite walks every tracked ``*.md`` file in the
 repo and fails on relative links whose targets don't exist, pins the
 README + serving/operations docs to the surface they promise to cover
-(endpoints and operator CLI flags), and audits every public symbol in
+(endpoints and operator CLI flags), fails on any ``--flag`` the docs name
+that neither the CLI nor ``scripts/check.sh`` accepts, and audits every
+public symbol in
 ``repro.serve.*`` for a docstring — the serving stack is the repo's
 operator-facing API, and an undocumented public function there is a doc
 bug, not a style nit.
 """
 
+import argparse
 import inspect
 import pkgutil
 import re
@@ -65,13 +68,25 @@ class TestRelativeLinks:
         assert "architecture.md" in serving
 
 
+def _cli_parsers():
+    """``(command path, parser)`` for ``repro`` itself (path ``""``) and
+    every nested subcommand, e.g. ``("checkpoint upgrade", ...)``."""
+    from repro import cli
+
+    stack = [("", cli._build_parser())]
+    while stack:
+        path, parser = stack.pop()
+        yield path, parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                stack.extend((f"{path} {name}".strip(), sub)
+                             for name, sub in action.choices.items())
+
+
 class TestCliCoverage:
     def _subcommands(self):
-        """Every registered ``repro`` subcommand name, from the parser."""
-        from repro import cli
-
-        source = Path(cli.__file__).read_text()
-        return sorted(set(re.findall(r"add_parser\(\s*\"(\w[\w-]*)\"", source)))
+        """Every registered ``repro`` subcommand path, from the parser."""
+        return sorted(path for path, _parser in _cli_parsers() if path)
 
     def test_readme_covers_every_subcommand(self):
         readme = (REPO_ROOT / "README.md").read_text()
@@ -116,6 +131,29 @@ class TestCliCoverage:
                      "--gate-margin", "--canary", "--canary-fraction",
                      "--request-timeout", "--max-body-bytes"):
             assert f'"{flag}"' in source, f"cli.py lost {flag}"
+
+    def test_docs_name_no_stale_flags(self):
+        """Every ``--flag`` in README.md and docs/*.md must be accepted
+        somewhere: a ``repro`` CLI option, ``--help``, or a
+        ``scripts/check.sh`` mode (its ``case`` arms).  Catches docs that
+        outlive a removed flag or mode."""
+        known = {"--help"}
+        for _path, parser in _cli_parsers():
+            for action in parser._actions:
+                known.update(o for o in action.option_strings
+                             if o.startswith("--"))
+        check_sh = (REPO_ROOT / "scripts" / "check.sh").read_text()
+        modes = set(re.findall(r"^\s*(--[\w-]+)\)", check_sh, re.M))
+        assert "--shm-weights" in modes, "check.sh case arms not parsed"
+        known |= modes
+        docs = [REPO_ROOT / "README.md",
+                *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        stale = sorted(
+            f"{doc.relative_to(REPO_ROOT)}: {flag}" for doc in docs
+            for flag in set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*",
+                                       doc.read_text()))
+            if flag not in known)
+        assert not stale, f"docs name flags nothing accepts: {stale}"
 
     def test_architecture_doc_maps_every_package(self):
         """docs/architecture.md must name every top-level repro package

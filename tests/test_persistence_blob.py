@@ -6,19 +6,23 @@ plus a manifest entry (dtype, per-head offsets, blake2b digest).  The
 contract under test:
 
 * round trip — ``load_advisor(share=True)`` maps the blob into a named
-  shared segment and the bound heads are bit-identical to eager loading;
-* validation — a corrupt or truncated blob is a clean ``ValueError``,
-  never silently-wrong weights;
-* legacy fallback — checkpoints written before the blob era still load
-  (eagerly), and ``share_weights`` reports ``None`` instead of raising.
+  shared segment and the bound heads are bit-identical to the default
+  (private blob) load;
+* validation — every load mode refuses a missing, truncated or corrupt
+  blob with a clean ``ValueError``, never silently-wrong weights;
+* pre-blob checkpoints — refused with a message naming
+  ``repro checkpoint upgrade``, which rebuilds them bit-identically.
 """
 
+import glob
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.models import PragFormer
 from repro.models.persistence import (
     WEIGHTS_NAME_PREFIX,
@@ -132,19 +136,40 @@ class TestBlobRoundTrip:
             shared.unlink()
 
 
+def _truncate(blob):
+    blob.write_bytes(blob.read_bytes()[:blob.stat().st_size // 2])
+
+
+def _flip_byte(blob):
+    raw = bytearray(blob.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    blob.write_bytes(bytes(raw))
+
+
+def _load(checkpoint, mode, segment=None):
+    """``load_advisor`` in ``mode`` (``segment`` attaches ``segment``)."""
+    if mode == "default":
+        return load_advisor(checkpoint)
+    if mode == "share":
+        return load_advisor(checkpoint, share=True)
+    return load_advisor(checkpoint, segment=segment)
+
+
+MODES = ("default", "share", "segment")
+
+
+def _segments():
+    return set(glob.glob(f"/dev/shm/{WEIGHTS_NAME_PREFIX}-*"))
+
+
 class TestBlobValidation:
     def test_corrupt_blob_raises(self, checkpoint):
-        blob = checkpoint / "weights.bin"
-        raw = bytearray(blob.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        blob.write_bytes(bytes(raw))
+        _flip_byte(checkpoint / "weights.bin")
         with pytest.raises(ValueError, match="digest"):
             load_advisor(checkpoint, share=True)
 
     def test_truncated_blob_raises(self, checkpoint):
-        blob = checkpoint / "weights.bin"
-        raw = blob.read_bytes()
-        blob.write_bytes(raw[: len(raw) // 2])
+        _truncate(checkpoint / "weights.bin")
         with pytest.raises(ValueError):
             load_advisor(checkpoint, share=True)
 
@@ -153,33 +178,73 @@ class TestBlobValidation:
         with pytest.raises(ValueError):
             load_advisor(checkpoint, share=True)
 
-    def test_eager_load_ignores_blob_damage(self, checkpoint):
-        """The default (non-shared) path reads the per-head .npz files
-        only — blob damage must not break plain deserialization."""
-        (checkpoint / "weights.bin").write_bytes(b"garbage")
-        heads = load_advisor(checkpoint)
-        assert set(heads) == set(HEAD_NAMES)
+    @pytest.mark.parametrize("damage", [_truncate, _flip_byte],
+                             ids=["truncated", "flipped-byte"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_refuses_damaged_blob(self, checkpoint, mode, damage):
+        """No load mode may bind weights the manifest digest does not
+        vouch for.  The segment mode sees the damage in the segment, so
+        the test damages the published bytes there too."""
+        publisher = share_weights(checkpoint) if mode == "segment" else None
+        try:
+            damage(checkpoint / "weights.bin")
+            if publisher is not None:
+                damaged = (checkpoint / "weights.bin").read_bytes()
+                publisher._shm.buf[:publisher.nbytes] = damaged.ljust(
+                    publisher.nbytes, b"\0")
+            before = _segments()
+            with pytest.raises(ValueError):
+                _load(checkpoint, mode, publisher and publisher.name)
+            assert _segments() <= before  # a refused load leaks nothing
+        finally:
+            if publisher is not None:
+                publisher.close()
+                publisher.unlink()
 
 
-class TestLegacyFallback:
-    @pytest.fixture()
-    def legacy_checkpoint(self, checkpoint):
-        """A pre-blob checkpoint: no weights.bin, no manifest section."""
-        (checkpoint / "weights.bin").unlink()
-        manifest_path = checkpoint / "advisor.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest.pop("weights")
-        manifest_path.write_text(json.dumps(manifest))
-        return checkpoint
+def _make_pre_blob(checkpoint):
+    """Turn ``checkpoint`` into one written before the blob existed: no
+    weights.bin, no manifest section."""
+    (checkpoint / "weights.bin").unlink()
+    manifest_path = checkpoint / "advisor.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.pop("weights")
+    manifest_path.write_text(json.dumps(manifest))
+    return checkpoint
 
-    def test_share_true_falls_back_to_eager(self, legacy_checkpoint):
-        heads, shared = load_advisor(legacy_checkpoint, share=True)
-        assert shared is None
-        assert set(heads) == set(HEAD_NAMES)
 
-    def test_share_weights_returns_none(self, legacy_checkpoint):
-        assert share_weights(legacy_checkpoint) is None
+class TestPreBlobUpgrade:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pre_blob_checkpoint_is_refused(self, checkpoint, mode):
+        _make_pre_blob(checkpoint)
+        with pytest.raises(ValueError, match="repro checkpoint upgrade"):
+            _load(checkpoint, mode, segment="repro-weights-nope")
+        with pytest.raises(ValueError, match="repro checkpoint upgrade"):
+            share_weights(checkpoint)
 
-    def test_segment_mode_needs_blob_manifest(self, legacy_checkpoint):
-        with pytest.raises(ValueError):
-            load_advisor(legacy_checkpoint, segment="repro-weights-nope")
+    def test_cli_upgrade_restores_identical_weights(self, checkpoint,
+                                                    capsys):
+        original = load_advisor(checkpoint)
+        _make_pre_blob(checkpoint)
+        assert cli.main(["checkpoint", "upgrade", str(checkpoint)]) == 0
+        assert "upgraded" in capsys.readouterr().out
+        upgraded = load_advisor(checkpoint)
+        assert list(upgraded) == list(original)
+        for name, (model, vocab, max_len) in original.items():
+            got_model, got_vocab, got_max_len = upgraded[name]
+            assert _flat_params(got_model).tobytes() == \
+                _flat_params(model).tobytes(), name
+            assert got_vocab._itos == vocab._itos
+            assert got_max_len == max_len
+
+    def test_upgrade_leaves_current_checkpoint_untouched(self, checkpoint,
+                                                         tmp_path, capsys):
+        pristine = tmp_path / "pristine"
+        shutil.copytree(checkpoint, pristine)
+        assert cli.main(["checkpoint", "upgrade", str(checkpoint)]) == 0
+        assert "already" in capsys.readouterr().out
+        files = sorted(p.name for p in pristine.iterdir())
+        assert sorted(p.name for p in checkpoint.iterdir()) == files
+        for name in files:
+            assert (checkpoint / name).read_bytes() == \
+                (pristine / name).read_bytes(), name

@@ -85,20 +85,17 @@ class TestRouting:
         assert sum(routed) == 6
 
 
-class TestFallbackSingleShard:
-    def test_no_worker_processes(self, factory):
-        sharded = ShardedEngine(factory, n_shards=1)
-        try:
-            assert sharded._workers == []
-            assert sharded._local is not None
-        finally:
-            sharded.close()
-
-    def test_matches_unsharded_engine(self, factory):
+class TestSingleShard:
+    def test_starts_one_worker_and_matches_in_process_engine(self, factory):
+        """``n_shards=1`` is a one-worker fleet — with or without
+        autoscaling — and answers like the engine it wraps."""
         expected = factory().predict_proba(SNIPPETS)
         with ShardedEngine(factory, n_shards=1) as sharded:
+            assert len(sharded._workers) == 1
+            assert sharded._workers[0].is_alive()
             np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
                                        expected, atol=1e-5)
+            assert sharded.routed == [len(SNIPPETS)]
 
     def test_rejects_nonpositive_shards(self, factory):
         with pytest.raises(ValueError):
@@ -381,12 +378,6 @@ class TestAutoscaling:
             for _ in range(10):  # idle traffic: would shrink if allowed
                 sharded.advise_many(SNIPPETS[:2])
             assert sharded.n_shards == 2
-
-    def test_autoscale_forces_multiprocess_mode(self, factory):
-        with ShardedEngine(factory, n_shards=1,
-                           autoscale=self._burst_cfg()) as sharded:
-            assert sharded._local is None
-            assert len(sharded._workers) == 1
 
     def test_cooldown_blocks_consecutive_resizes(self, factory):
         cfg = AutoscaleConfig(min_shards=1, max_shards=4,

@@ -6,8 +6,10 @@ shared segment and workers map it read-only — reload and canary
 promotion become "map the new segment, flip the slot pointer", the
 retired segment is unlinked immediately (POSIX drain semantics free it
 when the last mapping closes), and ``close()`` unlinks every segment the
-engine ever created even when workers died holding a mapping.  Verdicts
-must be bit-identical to per-worker eager loading — sharing is a memory
+engine ever created even when workers died holding a mapping.  A
+checkpoint whose blob fails its digest is refused before any worker
+hears of it.  Verdicts must be bit-identical to a fleet cold-started on
+the same checkpoint (private blob copies) — sharing is a memory
 optimization, never a numerics change.
 """
 
@@ -92,11 +94,11 @@ def _build_multi(path, config):
                             config=config)
 
 
-def _fleet(path, n_shards=2, share=True, supervisor=None):
+def _fleet(path, n_shards=2, supervisor=None):
     return ShardedEngine(
         functools.partial(_build_multi, str(path),
                           EngineConfig(max_batch_size=8)),
-        n_shards=n_shards, share_weights=share, supervisor=supervisor)
+        n_shards=n_shards, supervisor=supervisor)
 
 
 def _probs(advisor, codes=SNIPPETS):
@@ -113,7 +115,6 @@ class TestReloadSegmentSwap:
             sharded.reload(b)
             weights = sharded.stats()["weights"]
             assert weights["mode"] == "shared"
-            assert weights["sharing"] is True
             assert weights["canary_segment"] is None
             name = weights["primary_segment"]
             assert name is not None and name.startswith(WEIGHTS_NAME_PREFIX)
@@ -148,20 +149,47 @@ class TestReloadSegmentSwap:
             assert len(_probs(sharded)) == len(SNIPPETS)
 
     def test_no_sharing_mode_is_bit_identical(self, checkpoints):
-        """--no-shared-weights parity: both modes must produce the same
-        verdicts after the same reload — sharing is invisible to
+        """A fleet hot-swapped onto B's shared segment answers exactly
+        like a fleet cold-started on B, whose workers each load a private
+        blob copy (``mode == "private"``) — sharing is invisible to
         callers."""
         a, b = checkpoints
         before = _segments()
-        with _fleet(a, share=True) as shared_fleet, \
-                _fleet(a, share=False) as private_fleet:
-            shared_fleet.reload(b)
-            private_fleet.reload(b)
-            assert private_fleet.stats()["weights"]["mode"] == "private"
-            assert (private_fleet.stats()["weights"]["primary_segment"]
-                    is None)
-            np.testing.assert_allclose(_probs(shared_fleet),
-                                       _probs(private_fleet), atol=0)
+        with _fleet(a) as swapped, _fleet(b) as cold:
+            swapped.reload(b)
+            assert swapped.stats()["weights"]["mode"] == "shared"
+            assert cold.stats()["weights"]["mode"] == "private"
+            np.testing.assert_allclose(_probs(swapped), _probs(cold),
+                                       atol=0)
+        assert _segments() <= before
+
+    @pytest.mark.parametrize("rollout", ["reload", "start_canary"])
+    def test_corrupt_blob_is_refused_before_any_worker(self, checkpoints,
+                                                       rollout):
+        """A blob failing its digest must fail the rollout in the parent:
+        no version change, no private-copy fallback, the old weights keep
+        serving, and no segment is left behind."""
+        a, b = checkpoints
+        blob = b / "weights.bin"
+        raw = bytearray(blob.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        blob.write_bytes(bytes(raw))
+        before = _segments()
+        with _fleet(a) as sharded, \
+                MultiModelEngine(ModelRegistry.from_checkpoint(a)) as fresh:
+            expected = _probs(fresh)
+            version = sharded.stats()["model_version"]
+            with pytest.raises(ValueError, match="digest"):
+                if rollout == "reload":
+                    sharded.reload(b)
+                else:
+                    sharded.start_canary(b, 0.5)
+            stats = sharded.stats()
+            assert stats["model_version"] == version
+            assert stats["weights"]["segments_created"] == 0
+            assert stats.get("canary") is None
+            assert _segments() <= before
+            np.testing.assert_allclose(_probs(sharded), expected, atol=1e-6)
         assert _segments() <= before
 
 
