@@ -86,13 +86,21 @@ class TestRouting:
 
 
 class TestSingleShard:
-    def test_starts_one_worker_and_matches_in_process_engine(self, factory):
-        """``n_shards=1`` is a one-worker fleet — with or without
-        autoscaling — and answers like the engine it wraps."""
-        expected = factory().predict_proba(SNIPPETS)
-        with ShardedEngine(factory, n_shards=1) as sharded:
+    @pytest.mark.parametrize("autoscale", [None, AutoscaleConfig(
+        min_shards=1, max_shards=3, high_watermark=0.01,
+        low_watermark=0.005, window=3, cooldown_s=0.0)],
+        ids=["fixed", "autoscaled"])
+    def test_starts_one_worker(self, factory, autoscale):
+        """``n_shards=1`` is a one-worker fleet, with or without
+        autoscaling; there is no in-process mode."""
+        with ShardedEngine(factory, n_shards=1,
+                           autoscale=autoscale) as sharded:
             assert len(sharded._workers) == 1
             assert sharded._workers[0].is_alive()
+
+    def test_matches_unsharded_engine(self, factory):
+        expected = factory().predict_proba(SNIPPETS)
+        with ShardedEngine(factory, n_shards=1) as sharded:
             np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
                                        expected, atol=1e-5)
             assert sharded.routed == [len(SNIPPETS)]
