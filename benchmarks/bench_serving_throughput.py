@@ -283,26 +283,6 @@ def test_serving_throughput(benchmark):
     # fully warm pass: every request hits the prediction LRU
     _, warm_elapsed = timed(engine.predict_proba, trace)
 
-    # async queue: per-request latency under a full-load burst
-    async_engine = InferenceEngine(model, vocab, max_len=max_len)
-    with async_engine:
-        done_at = [0.0] * len(trace)
-        submitted, futures = [], []
-
-        def _stamp(i):
-            return lambda fut: done_at.__setitem__(i, time.perf_counter())
-
-        burst_start = time.perf_counter()
-        for i, code in enumerate(trace):
-            submitted.append(time.perf_counter())
-            future = async_engine.submit(code)
-            future.add_done_callback(_stamp(i))
-            futures.append(future)
-        for future in futures:
-            future.result(timeout=120)
-        async_elapsed = time.perf_counter() - burst_start
-        async_lat = [done - t0 for done, t0 in zip(done_at, submitted)]
-
     # -- shard sweep: pinned fleets of 1/2/4 worker processes --------------
     # min_shards == max_shards, so every point (n=1 included) runs real
     # worker processes and pays the queue IPC.  Each worker gets
@@ -836,10 +816,6 @@ def test_serving_throughput(benchmark):
             "speedup_vs_sequential": round(speedup, 2),
         },
         "engine_trace_warm": {"snippets_per_s": round(len(trace) / warm_elapsed, 1)},
-        "engine_async_trace": {
-            "snippets_per_s": round(len(trace) / async_elapsed, 1),
-            "latency": _percentiles(async_lat),
-        },
         "all_distinct_cold": {
             "sequential_snippets_per_s": round(len(codes) / seq_distinct_elapsed, 1),
             "engine_snippets_per_s": round(len(codes) / cold_elapsed, 1),

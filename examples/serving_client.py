@@ -4,9 +4,8 @@ Builds the multi-model advisor (directive + private/reduction clause heads)
 from the small-scale experiment context, then exercises every front door:
 
 1. single and bulk ``advise_v1`` calls straight into the engine,
-2. the async queue API (``submit`` -> Future),
-3. the HTTP API on an ephemeral port (/advise, /advise/batch, /healthz),
-4. the ``/stats`` metrics the traffic produced.
+2. the HTTP API on an ephemeral port (/advise, /advise/batch, /healthz),
+3. the ``/stats`` metrics the traffic produced.
 
 First run trains the three models (a few minutes at SMALL scale, memoized
 for the process).  Run:  python examples/serving_client.py
@@ -60,13 +59,7 @@ for loop, verdict in zip(LOOPS, advisor.advise_v1(TRACE)[: len(LOOPS)]):
     print(f"  [{mark}] p={verdict.probability:.3f} "
           f"clauses: {clauses}  | {loop[:48]}")
 
-# -- 2. async queue --------------------------------------------------------
-print("\n== async submit ==")
-futures = [advisor.directive_engine.submit(loop) for loop in LOOPS]
-for loop, future in zip(LOOPS, futures):
-    print(f"  P(directive) = {future.result(timeout=60)[1]:.3f}  | {loop[:48]}")
-
-# -- 3. the HTTP front-end -------------------------------------------------
+# -- 2. the HTTP front-end -------------------------------------------------
 server = make_server(advisor, port=0)  # ephemeral port
 threading.Thread(target=server.serve_forever, daemon=True).start()
 host, port = server.server_address[:2]
@@ -83,7 +76,7 @@ for result in batch["results"]:
     print(f"POST /advise/batch [{result['id']}] -> "
           f"needs_directive={result['needs_directive']}")
 
-# -- 4. the metrics all that traffic produced ------------------------------
+# -- 3. the metrics all that traffic produced ------------------------------
 print("\n== GET /stats ==")
 stats = http_json(base + "/stats")
 print("http counters:", stats["http"])

@@ -3,8 +3,9 @@
 #
 #   scripts/check.sh            # lint + tier-1 + perf smoke
 #   scripts/check.sh --fast     # tier-1 only
-#   scripts/check.sh --docs     # docs health only: links, CLI-flag
-#                               # coverage, repro.serve docstring audit
+#   scripts/check.sh --docs     # docs health only: links, CLI-flag and
+#                               # API-name coverage, repro.serve docstring
+#                               # audit, and a run of the serving example
 #   scripts/check.sh --lint     # lint only (ruff, or the stdlib fallback)
 #   scripts/check.sh --perf     # perf smoke subset only
 #   scripts/check.sh --chaos    # chaos smoke only: fault-injection suite
@@ -26,7 +27,8 @@
 # seconds, not minutes — to catch hot-path regressions (e.g. the fused and
 # legacy training paths drifting apart) without paying for the full
 # BENCH_* report sweep.  The --docs step is the documentation pass alone
-# (also part of tier-1), for doc-only edits.  Lint runs `ruff check .`
+# (the docs suite is also part of tier-1) plus a run of
+# examples/serving_client.py, which no test imports.  Lint runs `ruff check .`
 # (config in pyproject.toml) when ruff is installed, otherwise the stdlib
 # fallback linter scripts/lint_fallback.py.
 #
@@ -72,7 +74,10 @@ stage_tier1() {
 }
 
 stage_docs() {
-    python -m pytest -x -q tests/test_docs_links.py
+    python -m pytest -x -q tests/test_docs_links.py || return
+    # the serving tour drives the public advisor API end to end (it
+    # trains the small advisor first, so it takes several seconds)
+    python examples/serving_client.py
 }
 
 stage_perf_smoke() {

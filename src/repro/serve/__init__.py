@@ -9,8 +9,8 @@ Six modules build on each other:
   :class:`ShardedEngine`, ``/v1/*`` over HTTP); ``SCHEMA_VERSION``
   names the wire schema.
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`: length-bucketed
-  micro-batching, token-digest prediction LRU, tokenize-once memo, sync
-  bulk + async queue APIs for one model.
+  micro-batching, token-digest prediction LRU, tokenize-once memo, and
+  synchronous bulk calls for one model.
 * :mod:`repro.serve.registry` — :class:`ModelRegistry` /
   :class:`MultiModelEngine`: the directive model plus the ``private`` /
   ``reduction`` clause models behind one engine, with one staged

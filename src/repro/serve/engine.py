@@ -1,12 +1,13 @@
 """High-throughput batched inference engine for the PragFormer advisor.
 
 The paper's end goal (§2.1) is an advisor that classifies arbitrary incoming
-code snippets; this module turns the one-snippet-at-a-time ``advise`` path
-into serving infrastructure:
+code snippets; this module turns the model's forward pass into serving
+infrastructure, reached through synchronous bulk calls
+(:meth:`InferenceEngine.predict_proba` / :meth:`~InferenceEngine.advise_many`
+and their pre-encoded ``*_encoded`` twins):
 
 * **Tokenize once** — snippets go through :func:`repro.tokenize.text_tokens`
-  (or a :class:`~repro.data.encoding.TokenCache` for corpus records) and
-  :class:`~repro.tokenize.Vocab` exactly as in training, with results
+  and :class:`~repro.tokenize.Vocab` exactly as in training, with results
   memoized by source digest so repeated traffic never re-lexes.
 * **Micro-batching** — pending snippets are sorted by encoded length and
   packed greedily into length-homogeneous buckets (at most
@@ -17,11 +18,6 @@ into serving infrastructure:
   digest of the token ids; identical snippets (the common case under heavy
   traffic) skip the model entirely, and duplicates *within* one batch are
   coalesced into a single forward row.
-* **Sync and async APIs** — :meth:`InferenceEngine.predict_proba` /
-  :meth:`~InferenceEngine.advise_many` for bulk calls;
-  :meth:`~InferenceEngine.submit` enqueues a request and returns a
-  :class:`concurrent.futures.Future`, with a background worker that flushes
-  a batch when it is full or ``flush_interval`` elapses.
 * **Hot model swap** — the model, vocabulary, serving length, and a
   *version tag* live together in one immutable slot;
   :meth:`~InferenceEngine.swap_model` replaces the slot atomically.  Every
@@ -42,22 +38,19 @@ stack over HTTP.  ``docs/serving.md`` walks the architecture end to end.
 from __future__ import annotations
 
 import hashlib
-import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.encoding import TokenCache, pad_encoded
+from repro.data.encoding import pad_encoded
 from repro.models.pragformer import PragFormer
 from repro.nn.dtype import get_dtype
 from repro.serve.metrics import EngineStats
-from repro.tokenize import ERROR_TOKEN, Representation, Vocab, \
-    robust_text_tokens
+from repro.tokenize import ERROR_TOKEN, Vocab, robust_text_tokens
 
 __all__ = ["EngineConfig", "EngineStats", "LRUCache", "Advice",
            "InferenceEngine", "ModelSlot", "source_digest"]
@@ -83,13 +76,12 @@ class EngineConfig:
     """Serving knobs.
 
     ``max_batch_size`` bounds one forward pass; ``cache_capacity`` bounds
-    both the prediction LRU and the tokenize/encode memo (0 disables them);
-    ``flush_interval`` is how long the async worker waits for a batch to
-    fill before running a partial one.  ``bucket_waste`` bounds how ragged a
-    length bucket may be: a bucket is closed early once padding it to the
-    next row's length would exceed ``bucket_waste`` x the real token cells,
-    keeping buckets length-homogeneous so short snippets never pay a long
-    snippet's quadratic attention cost.
+    both the prediction LRU and the tokenize/encode memo (0 disables them).
+    ``bucket_waste`` bounds how ragged a length bucket may be: a bucket is
+    closed early once padding it to the next row's length would exceed
+    ``bucket_waste`` x the real token cells, keeping buckets
+    length-homogeneous so short snippets never pay a long snippet's
+    quadratic attention cost.
 
     ``gate_margin`` enables cross-request clause gating in
     :class:`~repro.serve.registry.MultiModelEngine`: when set, clause heads
@@ -108,7 +100,6 @@ class EngineConfig:
 
     max_batch_size: int = 128
     cache_capacity: int = 4096
-    flush_interval: float = 0.005
     bucket_waste: float = 1.35
     gate_margin: Optional[float] = None
     max_snippet_bytes: int = 262144
@@ -119,8 +110,6 @@ class EngineConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
-        if self.flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
         if self.bucket_waste < 1.0:
             raise ValueError("bucket_waste must be >= 1.0")
         if self.gate_margin is not None and not 0.0 <= self.gate_margin <= 0.5:
@@ -218,15 +207,12 @@ class ModelSlot:
         return self.version.encode("utf-8")
 
 
-_SHUTDOWN = object()
-
-
 class InferenceEngine:
     """Batched, cached serving front-end for a trained :class:`PragFormer`.
 
     Thread-safe: the prediction cache is lock-protected and model forwards
-    are serialized (the NumPy modules keep per-forward state), so the sync
-    bulk API and the async queue can be used concurrently.  The model,
+    are serialized (the NumPy modules keep per-forward state), so concurrent
+    callers (e.g. HTTP handler threads) may share one engine.  The model,
     vocabulary, serving length, and version tag live in one immutable
     :class:`ModelSlot` that :meth:`swap_model` replaces atomically; every
     request snapshots the slot once, so a swap under load never mixes
@@ -251,19 +237,13 @@ class InferenceEngine:
         # on dirty input it emits ERROR_TOKEN instead of raising
         self.tokenizer = tokenizer or robust_text_tokens
         self.cache = LRUCache(self.config.cache_capacity)
+        # (ids, recovered) per version-prefixed source digest, or the
+        # rejection reason string for a snippet the caps turned away
         self._encode_memo = LRUCache(self.config.cache_capacity)
-        # version-prefixed digests of snippets whose lexing needed error
-        # recovery — how advise_many stamps Advice.recovered even when
-        # the encoding itself is a memo hit
-        self._recovered_memo = LRUCache(self.config.cache_capacity)
         self.stats = EngineStats()
         self._swap_count = 0
         self._cache_lock = threading.Lock()
         self._model_lock = threading.Lock()
-        self._queue: "queue.Queue" = queue.Queue()
-        self._worker: Optional[threading.Thread] = None
-        self._worker_lock = threading.Lock()
-        self._closed = False
 
     # -- the live model slot -----------------------------------------------
 
@@ -322,26 +302,13 @@ class InferenceEngine:
         a snippet the engine rejects (byte cap / lex budget); the batched
         advise paths answer those with a neutral degraded verdict instead.
         """
-        ids = self._encode(self._slot, code)
-        if ids is None:
+        encoded = self._encode(self._slot, code)
+        if encoded is None:
             raise ValueError(
                 "snippet rejected by dirty-input limits "
                 f"(max_snippet_bytes={self.config.max_snippet_bytes}, "
                 f"lex_budget_s={self.config.lex_budget_s})")
-        return ids
-
-    def reject_reason(self, code: str) -> Optional[str]:
-        """Pre-tokenize admission check: why ``code`` must be rejected.
-
-        Returns ``"oversize"`` when the snippet exceeds
-        ``max_snippet_bytes``, else ``None``.  Cheap (one UTF-8 encode), so
-        routers and registries call it before spending lex time; the
-        budget/error causes only materialize during :meth:`encode` itself.
-        """
-        limit = self.config.max_snippet_bytes
-        if limit and len(code.encode("utf-8", errors="replace")) > limit:
-            return "oversize"
-        return None
+        return encoded[0]
 
     def _count_rejected(self, reason: str) -> None:
         """Bump the rejected counters under the cache lock."""
@@ -354,20 +321,23 @@ class InferenceEngine:
             else:
                 self.stats.rejected_error += 1
 
-    def _encode(self, slot: ModelSlot, code: str,
-                key: Optional[bytes] = None) -> Optional[np.ndarray]:
-        """Encode ``code`` under ``slot``, or ``None`` when rejected.
+    def _encode(self, slot: ModelSlot,
+                code: str) -> Optional[Tuple[np.ndarray, bool]]:
+        """Encode ``code`` under ``slot`` as ``(ids, recovered)``, or
+        ``None`` when rejected.
 
-        Memo keys carry slot.version so a row encoded with an old
-        vocabulary is never reused after a swap.  Rejections are memoized
-        too (as the reason string) so a repeated poison snippet pays its
-        lex budget once, not per request; every rejected answer still
-        ticks the ``rejected``/``rejected_*`` counters.  Callers that
-        already computed the version-prefixed digest pass it as ``key``
-        to skip the second hash.
+        ``recovered`` is True when lexing needed error recovery
+        (``ERROR_TOKEN`` in the stream); it travels with the row so the
+        flag survives exactly as long as the encoding does.  Memo keys
+        carry slot.version so a row encoded with an old vocabulary is
+        never reused after a swap.  Rejections are memoized too (as the
+        reason string) so a repeated poison snippet pays its lex budget
+        once, not per request; every rejected answer still ticks the
+        ``rejected``/``rejected_*`` counters.  The byte cap is checked
+        before lexing (one UTF-8 encode); the budget/error causes only
+        materialize while tokenizing.
         """
-        if key is None:
-            key = slot.version_bytes + source_digest(code)
+        key = slot.version_bytes + source_digest(code)
         with self._cache_lock:
             hit = self._encode_memo.get(key)
         if hit is not None:
@@ -375,10 +345,13 @@ class InferenceEngine:
                 self._count_rejected(hit)
                 return None
             return hit
-        reason = self.reject_reason(code)
+        limit = self.config.max_snippet_bytes
+        reason: Optional[str] = None
         recovered = False
         tokens: List[str] = []
-        if reason is None:
+        if limit and len(code.encode("utf-8", errors="replace")) > limit:
+            reason = "oversize"
+        else:
             start = time.monotonic()
             try:
                 tokens = self.tokenizer(code)
@@ -394,14 +367,13 @@ class InferenceEngine:
                 self._encode_memo.put(key, reason)
             self._count_rejected(reason)
             return None
-        ids = slot.vocab.encode(tokens, max_len=slot.max_len)
+        encoded = (slot.vocab.encode(tokens, max_len=slot.max_len), recovered)
         with self._cache_lock:
             self.stats.tokenized += 1
             if recovered:
                 self.stats.recovered += 1
-                self._recovered_memo.put(key, True)
-            self.stats.encode_evictions += self._encode_memo.put(key, ids)
-        return ids
+            self.stats.encode_evictions += self._encode_memo.put(key, encoded)
+        return encoded
 
     @staticmethod
     def _digest(slot: ModelSlot, ids: np.ndarray) -> bytes:
@@ -421,8 +393,9 @@ class InferenceEngine:
             [self._encode(slot, code) for code in codes], slot)
         return probs
 
-    def _predict_maybe_rejected(self, encoded: List[Optional[np.ndarray]],
-                                slot: ModelSlot):
+    def _predict_maybe_rejected(
+            self, encoded: List[Optional[Tuple[np.ndarray, bool]]],
+            slot: ModelSlot):
         """Run the rows that encoded; give the rest neutral 0.5 verdicts.
 
         Returns ``(probs, rejected)`` where ``rejected[i]`` is True for a
@@ -430,8 +403,8 @@ class InferenceEngine:
         snippet in a batch never fails or stalls its neighbours — they
         still take the normal batched path.
         """
-        rejected = [ids is None for ids in encoded]
-        ok_rows = [ids for ids in encoded if ids is not None]
+        rejected = [enc is None for enc in encoded]
+        ok_rows = [enc[0] for enc in encoded if enc is not None]
         ok_probs = self._predict_encoded(ok_rows, slot)
         n_rejected = len(encoded) - len(ok_rows)
         if not n_rejected:
@@ -445,10 +418,6 @@ class InferenceEngine:
                 probs[i] = next(it)
         return probs, rejected
 
-    def advise(self, code: str) -> Advice:
-        """One snippet -> :class:`Advice` (batched path, cache included)."""
-        return self.advise_many([code])[0]
-
     def advise_many(self, codes: Sequence[str]) -> List[Advice]:
         """Bulk :class:`Advice` for ``codes``; positive iff P(+) > 0.5.
 
@@ -456,15 +425,10 @@ class InferenceEngine:
         the same neutral-verdict contract the fleet uses for a dead worker,
         so callers need exactly one degraded-handling path.  Verdicts
         computed from error-recovered lexing carry ``recovered=True``
-        (stamped from the recovered-digest memo, so memo-hit encodings
-        keep the flag too)."""
+        (the flag is memoized with the encoding, so memo hits keep it)."""
         slot = self._slot
-        keys = [slot.version_bytes + source_digest(code) for code in codes]
-        encoded = [self._encode(slot, code, key=key)
-                   for code, key in zip(codes, keys)]
-        with self._cache_lock:
-            recovered = [self._recovered_memo.get(key) is not None
-                         for key in keys]
+        encoded = [self._encode(slot, code) for code in codes]
+        recovered = [enc is not None and enc[1] for enc in encoded]
         probs, rejected = self._predict_maybe_rejected(encoded, slot)
         return [Advice(float(p), bool(p > 0.5), degraded=bad, recovered=rec)
                 for p, bad, rec in zip(probs[:, 1], rejected, recovered)]
@@ -492,15 +456,6 @@ class InferenceEngine:
         iff P(+) > 0.5, exactly as the text path decides."""
         probs = self.predict_proba_encoded(rows)[:, 1]
         return [Advice(float(p), bool(p > 0.5)) for p in probs]
-
-    def predict_records(self, records: Sequence, cache: TokenCache,
-                        rep: Representation = Representation.TEXT) -> np.ndarray:
-        """Bulk probabilities for corpus :class:`Record` objects, with
-        tokenization memoized through the shared :class:`TokenCache`."""
-        slot = self._slot
-        encoded = [slot.vocab.encode(cache.tokens(rec, rep), max_len=slot.max_len)
-                   for rec in records]
-        return self._predict_encoded(encoded, slot)
 
     # -- core batching path ------------------------------------------------
 
@@ -578,103 +533,3 @@ class InferenceEngine:
             real_cells += length
         if bucket:
             yield bucket
-
-    # -- async queue API ---------------------------------------------------
-
-    def submit(self, code: str) -> Future:
-        """Enqueue one snippet; the returned future resolves to its (2,)
-        probability vector once a micro-batch containing it has run.
-
-        The request snapshots the current :class:`ModelSlot`, so a
-        :meth:`swap_model` racing the queue cannot run an old-vocabulary
-        row through the new model.  A rejected snippet (byte cap / lex
-        budget) resolves immediately to the neutral ``[0.5, 0.5]``
-        placeholder rather than entering the batch queue."""
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        self._ensure_worker()
-        future: Future = Future()
-        slot = self._slot
-        ids = self._encode(slot, code)
-        if ids is None:
-            future.set_result(np.full(2, 0.5, dtype=get_dtype()))
-            return future
-        self._queue.put((slot, ids, future))
-        return future
-
-    def _ensure_worker(self) -> None:
-        with self._worker_lock:
-            if self._worker is None or not self._worker.is_alive():
-                self._worker = threading.Thread(
-                    target=self._worker_loop, name="inference-engine", daemon=True)
-                self._worker.start()
-
-    def _worker_loop(self) -> None:
-        cfg = self.config
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            batch = [item]
-            deadline = time.monotonic() + cfg.flush_interval
-            while len(batch) < cfg.max_batch_size:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
-                try:
-                    nxt = self._queue.get(timeout=timeout)
-                except queue.Empty:
-                    break
-                if nxt is _SHUTDOWN:
-                    self._flush(batch)
-                    return
-                batch.append(nxt)
-            self._flush(batch)
-
-    def _flush(self, batch: List) -> None:
-        # group by model slot: a swap_model racing the queue may leave rows
-        # from two versions in one flush, and each must run on (and cache
-        # under) the weights it snapshotted at submit time
-        groups: "OrderedDict[int, List]" = OrderedDict()
-        for item in batch:
-            groups.setdefault(id(item[0]), []).append(item)
-        for items in groups.values():
-            slot = items[0][0]
-            try:
-                probs = self._predict_encoded([ids for _, ids, _ in items],
-                                              slot)
-            except BaseException as exc:  # surface errors to every waiter
-                for _, _, future in items:
-                    if not future.done():
-                        future.set_exception(exc)
-                continue
-            for (_, _, future), p in zip(items, probs):
-                if not future.done():
-                    future.set_result(p)
-
-    def close(self) -> None:
-        """Stop the async worker (idempotent); sync APIs keep working."""
-        self._closed = True
-        with self._worker_lock:
-            worker = self._worker
-            self._worker = None
-        if worker is not None and worker.is_alive():
-            self._queue.put(_SHUTDOWN)
-            worker.join(timeout=5.0)
-        # a submit() racing close() may have enqueued behind the shutdown
-        # sentinel; fail those futures instead of leaving waiters hanging
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                future = item[-1]
-                if not future.done():
-                    future.set_exception(RuntimeError("engine is closed"))
-
-    def __enter__(self) -> "InferenceEngine":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -477,8 +477,8 @@ class MultiModelEngine:
     to finish the rollout — see ``docs/operations.md``.
 
     Thread-safe to the same degree as :class:`InferenceEngine`.  Use as a
-    context manager (or call :meth:`close`) to stop the per-head async
-    workers.
+    context manager (or call :meth:`close`) to release the shared-weights
+    attachments.
     """
 
     def __init__(
@@ -934,8 +934,7 @@ class MultiModelEngine:
         swapped to the canary's (model, vocab, max_len) under the canary's
         version tag, so in-flight primary requests finish on the weights
         they started with and every version-prefixed cache key written
-        under the old primary misses by construction afterwards.  The
-        canary engine set is closed (queued async work drains first); a
+        under the old primary misses by construction afterwards.  A
         request racing the promote falls back to the just-promoted
         primary.  Raises ``RuntimeError`` with no canary active.
         """
@@ -953,8 +952,6 @@ class MultiModelEngine:
             self.registry = state.registry
             self.model_version = state.version
             self._finish_canary(state, "promoted", reason)
-        for engine in state.engines.values():
-            engine.close()
         return state.version
 
     def rollback(self, reason: Optional[str] = None) -> str:
@@ -970,8 +967,6 @@ class MultiModelEngine:
             state.finished = True
             self._canary = None
             self._finish_canary(state, "rolled_back", reason)
-        for engine in state.engines.values():
-            engine.close()
         return self.model_version
 
     def _finish_canary(self, state: "_CanaryState", outcome: str,
@@ -1061,19 +1056,14 @@ class MultiModelEngine:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Close every per-head engine, canary set included (idempotent).
+        """Close the shared-weights attachments, canary's included
+        (idempotent).
 
-        Shared-weights attachments are closed best-effort afterwards —
-        model parameter views may keep a mapping exported until the
-        models are collected, which is fine: unlinking (the creator's
-        job) does not wait on it, and the pages free with the process.
+        Best-effort: model parameter views may keep a mapping exported
+        until the models are collected, which is fine: unlinking (the
+        creator's job) does not wait on it, and the pages free with the
+        process.
         """
-        state = self._canary
-        if state is not None:
-            for engine in state.engines.values():
-                engine.close()
-        for engine in self.engines.values():
-            engine.close()
         for handle in self._weights_handles:
             handle.close()
 

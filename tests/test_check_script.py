@@ -69,7 +69,8 @@ class TestModeInvocations:
         result = _run(env, "--docs")
         assert result.returncode == 0, result.stderr
         calls = _calls(log)
-        assert calls == ["python -m pytest -x -q tests/test_docs_links.py"]
+        assert calls == ["python -m pytest -x -q tests/test_docs_links.py",
+                         "python examples/serving_client.py"]
         assert "check.sh: stage 'docs' passed" in result.stdout
 
     def test_default_runs_lint_tier1_then_perf_smoke(self, shim):

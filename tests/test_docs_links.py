@@ -5,14 +5,16 @@ Docs rot silently — a renamed file leaves `[text](old/path.md)` links that
 repo and fails on relative links whose targets don't exist, pins the
 README + serving/operations docs to the surface they promise to cover
 (endpoints and operator CLI flags), fails on any ``--flag`` the docs name
-that neither the CLI nor ``scripts/check.sh`` accepts, and audits every
-public symbol in
+that neither the CLI nor ``scripts/check.sh`` accepts, fails on any
+`` `Class.member` `` the docs name that the class no longer has, and
+audits every public symbol in
 ``repro.serve.*`` for a docstring — the serving stack is the repo's
 operator-facing API, and an undocumented public function there is a doc
 bug, not a style nit.
 """
 
 import argparse
+import dataclasses
 import inspect
 import pkgutil
 import re
@@ -167,6 +169,74 @@ class TestCliCoverage:
         assert not missing, f"docs/architecture.md missing packages: {missing}"
         assert "/advise" in doc, "request path walk-through missing"
         assert "`cli.py`" in doc
+
+
+#: `Class.member` references, optionally called: `Class.member(...)`.
+_API_REF = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
+
+#: Packages whose exported classes the docs' API references are checked
+#: against.
+_API_PACKAGES = ("repro.serve", "repro.models", "repro.nn", "repro.train",
+                 "repro.data", "repro.tokenize")
+
+
+def _exported_classes():
+    """``{name: class}`` for every class in the packages' ``__all__``."""
+    classes = {}
+    for package in _API_PACKAGES:
+        module = import_module(package)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                classes[name] = obj
+    return classes
+
+
+def _has_member(cls, member):
+    """Is ``member`` a class attribute, a dataclass field, or an instance
+    attribute assigned as ``self.<member> = ...`` in the class (or a base
+    class) source?"""
+    if hasattr(cls, member):
+        return True
+    if dataclasses.is_dataclass(cls) and member in {
+            f.name for f in dataclasses.fields(cls)}:
+        return True
+    assign = re.compile(rf"\bself\.{member}\s*(?::[^=\n]+)?=(?!=)")
+    for klass in cls.__mro__[:-1]:  # skip object
+        try:
+            source = inspect.getsource(klass)
+        except (OSError, TypeError):
+            continue
+        if assign.search(source):
+            return True
+    return False
+
+
+class TestApiNames:
+    def test_docs_name_no_stale_api_members(self):
+        """Every `` `Class.member` `` in README.md and docs/*.md whose
+        class is exported by a core package must still exist on that
+        class.  Catches docs that outlive a deleted method or option."""
+        classes = _exported_classes()
+        docs = [REPO_ROOT / "README.md",
+                *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        refs = [(doc, cls, member) for doc in docs
+                for cls, member in _API_REF.findall(doc.read_text())
+                if cls in classes]
+        assert len(refs) >= 20, "API-reference scan looks wrong"
+        stale = sorted(f"{doc.relative_to(REPO_ROOT)}: {cls}.{member}"
+                       for doc, cls, member in refs
+                       if not _has_member(classes[cls], member))
+        assert not stale, f"docs name API members that do not exist: {stale}"
+
+    def test_instance_attributes_resolve(self):
+        """Guard the resolver: an attribute only assigned in ``__init__``
+        counts, a name the class never had does not."""
+        from repro.serve import CheckpointWatcher, InferenceEngine
+
+        assert _has_member(CheckpointWatcher, "last_error")
+        assert not hasattr(CheckpointWatcher, "last_error")
+        assert not _has_member(InferenceEngine, "submit")
 
 
 class TestServeDocstrings:

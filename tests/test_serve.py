@@ -79,7 +79,6 @@ class TestBatchedEqualsSequential:
         assert all(isinstance(a, Advice) for a in advice)
         for a in advice:
             assert a.needs_directive == (a.probability > 0.5)
-        assert engine.advise(SNIPPETS[0]) == advice[0]
 
     def test_empty_batch(self, engine):
         assert engine.predict_proba([]).shape == (0, 2)
@@ -184,27 +183,22 @@ class TestBatchHistogram:
         assert sum(merged["batch_size_hist"].values()) == merged["batches"]
 
 
-class TestAsyncQueue:
-    def test_submit_matches_sync(self, model_and_vocab):
-        model, vocab = model_and_vocab
-        sync = InferenceEngine(model, vocab, max_len=TINY.max_len)
-        expected = sync.predict_proba(SNIPPETS)
-        with InferenceEngine(model, vocab, max_len=TINY.max_len) as engine:
-            futures = [engine.submit(code) for code in SNIPPETS]
-            results = np.vstack([f.result(timeout=30) for f in futures])
-        np.testing.assert_allclose(results, expected, atol=1e-5)
+class TestRecoveredFlag:
+    # three snippets the recovering lexer has to patch, one clean one
+    DIRTY = ["for (i = 0; i < n; i++) a[i] = `b[i];",
+             "int x = 1 @ 2;",
+             "for (i = 0; i < n; i++) s += $a[i];"]
 
-    def test_submit_after_close_raises(self, model_and_vocab):
+    @pytest.mark.parametrize("capacity", [4096, 1, 0])
+    def test_flag_survives_any_memo_size(self, model_and_vocab, capacity):
+        """``Advice.recovered`` rides with the encoding, so it is right
+        however small the memo is (``--cache-size 0`` included)."""
         model, vocab = model_and_vocab
-        engine = InferenceEngine(model, vocab, max_len=TINY.max_len)
-        engine.close()
-        with pytest.raises(RuntimeError):
-            engine.submit(SNIPPETS[0])
-
-    def test_close_idempotent(self, engine):
-        engine.submit(SNIPPETS[0]).result(timeout=30)
-        engine.close()
-        engine.close()
+        engine = InferenceEngine(model, vocab, max_len=TINY.max_len,
+                                 config=EngineConfig(cache_capacity=capacity))
+        advice = engine.advise_many(self.DIRTY + [SNIPPETS[0]])
+        assert [a.recovered for a in advice] == [True, True, True, False]
+        assert engine.stats.recovered == len(self.DIRTY)
 
 
 class TestEngineConfigValidation:
@@ -214,4 +208,8 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError):
             EngineConfig(cache_capacity=-1)
         with pytest.raises(ValueError):
-            EngineConfig(flush_interval=-0.1)
+            EngineConfig(bucket_waste=0.99)
+        with pytest.raises(ValueError):
+            EngineConfig(max_snippet_bytes=-1)
+        with pytest.raises(ValueError):
+            EngineConfig(lex_budget_s=0)

@@ -112,19 +112,39 @@ class TestEngineSwapModel:
         assert engine.stats.tokenized == 2  # re-encoded, not memoized
         assert before.shape != after.shape or not np.array_equal(before, after)
 
-    def test_async_submit_snapshots_slot(self, vocab):
-        """Futures submitted before a swap resolve on the old weights."""
-        old = PragFormer(len(vocab), TINY, rng=1)
+    def test_swap_mid_call_keeps_snapshotted_slot(self, vocab):
+        """A swap landing inside a bulk call (here: from the first
+        bucket's forward) leaves the rest of that call on the slot it
+        snapshotted; the next call runs wholly on the new weights."""
+        old = _SwapOnFirstForward(len(vocab), TINY, rng=1)
         new = PragFormer(len(vocab), TINY, rng=2)
-        expected_old = InferenceEngine(old, vocab,
-                                       max_len=TINY.max_len).predict_proba(SNIPPETS)
-        # a long flush window holds the batch open across the swap
-        with InferenceEngine(old, vocab, max_len=TINY.max_len,
-                             config=EngineConfig(flush_interval=0.2)) as engine:
-            futures = [engine.submit(code) for code in SNIPPETS]
-            engine.swap_model(new, vocab, TINY.max_len)
-            got = np.vstack([f.result(timeout=30) for f in futures])
-        np.testing.assert_allclose(got, expected_old, atol=1e-6)
+        codes = SNIPPETS[:4]
+        config = EngineConfig(max_batch_size=1)  # one bucket per snippet
+        expected_old = InferenceEngine(old, vocab, max_len=TINY.max_len,
+                                       config=config).predict_proba(codes)
+        expected_new = InferenceEngine(new, vocab, max_len=TINY.max_len,
+                                       config=config).predict_proba(codes)
+        engine = InferenceEngine(old, vocab, max_len=TINY.max_len,
+                                 config=config)
+        old.hook = lambda: engine.swap_model(new, vocab, TINY.max_len)
+        during = engine.predict_proba(codes)
+        assert old.hook is None and engine.model_version == "swap-1"
+        assert engine.stats.batches == len(codes)
+        np.testing.assert_array_equal(during, expected_old)
+        np.testing.assert_array_equal(engine.predict_proba(codes),
+                                      expected_new)
+
+
+class _SwapOnFirstForward(PragFormer):
+    """A model that runs ``hook`` (once) at the start of its next forward."""
+
+    hook = None
+
+    def predict_proba(self, *args, **kwargs):
+        hook, self.hook = self.hook, None
+        if hook is not None:
+            hook()
+        return super().predict_proba(*args, **kwargs)
 
 
 class TestMultiModelReload:
