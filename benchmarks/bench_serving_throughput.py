@@ -861,7 +861,8 @@ def test_serving_throughput(benchmark):
           f"report: {path}")
 
     assert speedup >= 5.0, f"engine only {speedup:.2f}x sequential on the trace"
-    # near-parity expected on one core now that the sequential path shares
+    # near-parity expected on the bench host (nproc = 2 on the last run)
+    # now that the sequential path shares
     # the fused hot path (see module docstring).  The floor only catches
     # pathologies: standalone the ratio measures ~1.0, but mid-suite runs
     # (heap/GC churn from earlier model training) have been observed as low

@@ -36,7 +36,8 @@ their (more modest, dispatch-bound) speedups alongside.
 
 The **ddp** section (PR 9) measures the shared-memory data-parallel
 trainer at {1, 2, 4} workers on one MLM workload: steps/sec (report-only —
-the bench host is a single core, so wall-clock cannot scale), the
+the bench host has few cores, ``nproc`` = 2 on the last run, so wall-clock
+cannot scale past them), the
 bit-identity parity counter (gated ``== 0``), the reduce-ops-per-step
 invariant (gated ``== 1``: the all-reduce must stay one vectorized sum),
 and the machine-independent *counter speedup* — total examples over the
@@ -329,8 +330,9 @@ def _run_fit(config: PragFormerConfig, vocab_size: int, split: EncodedSplit,
     """(steps/sec, epoch wall-time, tokens/sec) for one full fit()."""
     warm = _make_model(config, vocab_size, legacy)
     warm.fit(split, epochs=1)  # warm BLAS, allocator, and caches
-    # best of two timed runs: the bench host is a shared single core, and
-    # a single fit() is short enough for scheduler noise to swing it
+    # best of two timed runs: the bench host's few cores (nproc = 2 on the
+    # last run) are shared, and a single fit() is short enough for
+    # scheduler noise to swing it
     elapsed = np.inf
     for _ in range(2):
         model = _make_model(config, vocab_size, legacy)

@@ -12,7 +12,8 @@
 #                               # (worker kill/hang/drop, admission control)
 #   scripts/check.sh --fuzz     # fuzz smoke only: seeded dirty-input
 #                               # sweep through the recovering frontend
-#                               # (REPRO_FUZZ_N mutants/corpus, ~30 s)
+#                               # and arbitrary JSON bodies at the HTTP
+#                               # endpoints (REPRO_FUZZ_N per sweep, ~1 min)
 #   scripts/check.sh --ddp      # DDP determinism only: the data-parallel
 #                               # trainer's bit-identity/parity suite
 #                               # (1-vs-N losses + arena bytes, worker
@@ -95,12 +96,15 @@ stage_chaos_smoke() {
 }
 
 stage_fuzz_smoke() {
-    # seeded, deterministic dirty-input sweep: every mutant must come
-    # back with diagnostics inside the budget, never an exception.  The
-    # recovery suite is part of tier-1 at a small REPRO_FUZZ_N; this
-    # mode rescales the same property tests to a deeper sweep.
+    # seeded, deterministic dirty-input sweeps: every mutant must come
+    # back with diagnostics inside the budget, never an exception, and
+    # every JSON body posted to the HTTP endpoints must get an answer,
+    # never a dropped connection.  Both suites are part of tier-1 at a
+    # small REPRO_FUZZ_N; this mode rescales the same property tests to
+    # a deeper sweep.
     REPRO_FUZZ_N="${REPRO_FUZZ_N:-1200}" \
-        python -m pytest -x -q tests/test_clang_recovery.py
+        python -m pytest -x -q tests/test_clang_recovery.py \
+        tests/test_serve_http_fuzz.py
 }
 
 stage_ddp() {

@@ -55,7 +55,9 @@ not valid UTF-8 are re-decoded with replacement characters when the bad
 bytes sit inside JSON string values (the robust lexer downstream treats
 U+FFFD like any other dirty byte) and answered with a structured ``400``
 when they corrupt the JSON framing — either way the ``invalid_body``
-counter in the ``/stats`` admission block ticks.  **Admission
+counter in the ``/stats`` admission block ticks.  JSON the parser
+refuses for size (ints past the int-string digit limit, runaway
+nesting) is a ``400`` too.  **Admission
 control** (:class:`AdmissionConfig`) protects the advisor behind the
 endpoints: oversized bodies are rejected with ``413`` before they are
 read, batches above the snippet cap with ``400``, traffic beyond the
@@ -238,6 +240,10 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-advisor/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: with Nagle on, a reply that
+    #: leaves in more than one segment waits out the client's delayed ACK
+    #: (~40 ms on Linux) before its tail is sent
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -255,8 +261,10 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # what end_headers() would do, with the body appended: status line,
+        # headers and body leave in one sendall instead of two writes
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _error(self, status: int, message: str,
                headers: Optional[Dict[str, str]] = None) -> None:
@@ -321,7 +329,9 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             undecodable = True
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError and ints past Python's
+        # int-string digit limit; RecursionError covers runaway nesting
+        except (ValueError, RecursionError) as exc:
             if undecodable:
                 self._error(400, "request body is not valid UTF-8")
             else:
@@ -473,17 +483,20 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             self._error(400, "request needs a non-empty string 'path' field")
             return
         fraction = payload.get("fraction", 0.1)
+        # range-check before float(): an int too large for a float would
+        # raise OverflowError there, while int/float comparison is exact
         if (isinstance(fraction, bool) or not isinstance(fraction, (int, float))
-                or not 0.0 < float(fraction) <= 1.0):
+                or not 0 < fraction <= 1):
             self._error(400, "'fraction' must be a number in (0, 1]")
             return
+        fraction = float(fraction)
         start = getattr(self.server.advisor, "start_canary", None)
         if start is None:
             self._error(501, "advisor does not support canary rollouts")
             return
         self.server.bump("canary")
         try:
-            version = start(path, float(fraction))
+            version = start(path, fraction)
         except RuntimeError as exc:  # a canary is already rolling out
             self._error(409, str(exc))
             return
@@ -491,7 +504,7 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             self._error(500, f"canary failed to start: {exc}")
             return
         self._send_json(200, {"status": "canary-started", "path": path,
-                              "fraction": float(fraction),
+                              "fraction": fraction,
                               "version": version})
 
     def _handle_canary_finish(self, action: str, counter: str) -> None:

@@ -119,7 +119,8 @@ class TestModeInvocations:
         assert result.returncode == 0, result.stderr
         calls = _calls(log)
         assert calls == [
-            "python -m pytest -x -q tests/test_clang_recovery.py"]
+            "python -m pytest -x -q tests/test_clang_recovery.py "
+            "tests/test_serve_http_fuzz.py"]
         assert "check.sh: stage 'fuzz-smoke' passed" in result.stdout
 
     def test_ddp_runs_determinism_suite_only(self, shim):

@@ -1,6 +1,9 @@
 """Round-trip tests for the stdlib HTTP advisor front-end."""
 
+import http.client
 import json
+import queue
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -10,6 +13,7 @@ import pytest
 from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import ModelRegistry, MultiModelEngine, make_server
+from repro.serve.http_api import MAX_BODY_BYTES, _AdvisorHandler
 from repro.tokenize import Vocab, text_tokens
 
 TINY = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
@@ -22,14 +26,18 @@ SNIPPETS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def server_url():
+def _tiny_advisor():
     vocab = Vocab.build([text_tokens(code) for code in SNIPPETS], min_freq=1)
     registry = ModelRegistry()
     for name in ("directive", "private", "reduction"):
         registry.register(name, PragFormer(len(vocab), TINY), vocab,
                           max_len=TINY.max_len)
-    advisor = MultiModelEngine(registry)
+    return MultiModelEngine(registry)
+
+
+@pytest.fixture(scope="module")
+def server_url():
+    advisor = _tiny_advisor()
     server = make_server(advisor, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -99,6 +107,94 @@ class TestEndpoints:
         assert combined["cache_hits"] > 0
         assert combined["batches"] > 0
         assert sum(combined["batch_size_hist"].values()) == combined["batches"]
+
+
+class _CountingWriter:
+    """``wfile`` wrapper recording every write (one write is one
+    ``sendall`` on the unbuffered socket writer)."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.sends = []
+
+    def write(self, data):
+        self.sends.append(bytes(data))
+        return self.raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)
+
+
+class TestWire:
+    """Each response leaves as one send on a TCP_NODELAY socket — with
+    Nagle on, a reply split across two sends waits out the client's
+    delayed ACK.  Deterministic: reads socket options and counts writes,
+    never times anything."""
+
+    @pytest.fixture(scope="class")
+    def wire_server(self):
+        connections = queue.Queue()
+
+        class Recording(_AdvisorHandler):
+            def setup(self):
+                super().setup()
+                self.nodelay = self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                self.wfile = _CountingWriter(self.wfile)
+
+            def finish(self):
+                super().finish()
+                connections.put((self.nodelay, self.wfile.sends))
+
+        advisor = _tiny_advisor()
+        server = make_server(advisor, port=0)
+        server.RequestHandlerClass = Recording
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server.server_address[:2], connections
+        server.shutdown()
+        server.server_close()
+        advisor.close()
+        thread.join(timeout=5)
+
+    @pytest.mark.parametrize("method,path,body,length,status", [
+        ("POST", "/v1/advise", {"code": SNIPPETS[0]}, None, 200),
+        ("POST", "/v1/advise/batch", {"codes": SNIPPETS}, None, 200),
+        ("GET", "/v1/nope", None, None, 404),
+        ("POST", "/v1/advise", b"not json", None, 400),
+        ("POST", "/v1/advise", None, MAX_BODY_BYTES + 1, 413),
+    ], ids=["advise", "batch", "404", "400", "413"])
+    def test_one_send_per_response_on_nodelay_socket(
+            self, wire_server, method, path, body, length, status):
+        address, connections = wire_server
+        if isinstance(body, dict):
+            body = json.dumps(body).encode("utf-8")
+        conn = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            conn.putrequest(method, path)
+            if body is not None or length is not None:
+                conn.putheader("Content-Type", "application/json")
+                conn.putheader("Content-Length",
+                               str(length if length is not None
+                                   else len(body)))
+            conn.endheaders(body)
+            resp = conn.getresponse()
+            payload = resp.read()
+            headers = resp.getheaders()
+        finally:
+            conn.close()
+        nodelay, sends = connections.get(timeout=10)
+        assert nodelay == 1
+        assert len(sends) == 1
+        # the one send is the whole response, in send_response/send_header
+        # order: errors close the connection, keep-alive 200s do not
+        expected = ["Server", "Date", "Content-Type", "Content-Length"]
+        if status != 200:
+            expected.append("Connection")
+        assert [name for name, _ in headers] == expected
+        assert sends[0].startswith(f"HTTP/1.1 {status} ".encode())
+        assert sends[0].endswith(b"\r\n\r\n" + payload)
+        assert isinstance(json.loads(payload), dict)
 
 
 class TestReloadEndpoint:
@@ -299,10 +395,6 @@ class TestErrorHandling:
         """The 413 path answers from the Content-Length header alone and
         must tell the client the connection is done (the unread body would
         otherwise be parsed as the next request)."""
-        import http.client
-
-        from repro.serve.http_api import MAX_BODY_BYTES
-
         host, port = server_url.removeprefix("http://").split(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=10)
         try:
@@ -433,6 +525,11 @@ class TestCanaryEndpoints:
             url + "/canary", {"path": str(ckpt_b), "fraction": 0})[0] == 400
         assert self._post_status(
             url + "/canary", {"path": str(ckpt_b), "fraction": "lots"})[0] == 400
+        # an int too large for a float is out of range, not a dropped
+        # connection
+        status, body = self._post_status(
+            url + "/canary", {"path": str(ckpt_b), "fraction": 10 ** 400})
+        assert status == 400 and "error" in body
         status, body = self._post_status(
             url + "/canary", {"path": str(ckpt_b / "nope")})
         assert status == 500
