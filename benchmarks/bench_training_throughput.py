@@ -7,8 +7,10 @@ replays both loops twice:
 
 * **legacy** — a faithful inline reconstruction of the pre-overhaul hot
   path (the same technique ``bench_serving_throughput`` uses for its
-  sequential baseline): per-parameter AdamW with per-parameter clipping,
-  post-LN blocks built from separate residual adds + ``LayerNorm``,
+  sequential baseline): the pre-overhaul fine-tune and MLM loops stepping
+  a per-parameter AdamW with per-parameter clipping (both replicated
+  here; the library keeps only :class:`repro.nn.FusedAdamW`), post-LN
+  blocks built from separate residual adds + ``LayerNorm``,
   attention whose scores/softmax/dropout each allocate fresh full-size
   temporaries, allocation-per-call dropout masks and GELU, a dense MLM
   head that projects *every* position into vocab-sized logits
@@ -51,7 +53,6 @@ forward instead of dropping it.
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +65,16 @@ from repro.data.encoding import EncodedSplit, encode_batch
 from repro.models.pragformer import (
     PragFormer,
     PragFormerConfig,
-    _JointModel,
+    _Joint,
     _length_bucketed_batches,
     trim_batch,
 )
-from repro.models.pretrain import MLMConfig, MLMPretrainer, _Joint, mask_tokens
+from repro.models.pretrain import MLMConfig, MLMPretrainer, mask_tokens
 from repro.nn import (
-    AdamW,
     EncoderConfig,
     FusedAdamW,
     LayerNorm,
-    clip_grad_norm,
+    cross_entropy,
     masked_cross_entropy,
 )
 from repro.nn.attention import _NEG_INF
@@ -280,6 +280,57 @@ class _LegacyEncoderLayer(Module):
         return d
 
 
+class _LegacyAdamW:
+    """Pre-overhaul AdamW: ~10 NumPy calls and fresh temporaries per
+    parameter per step, decoupled weight decay on matrices only."""
+
+    def __init__(self, model, lr: float, weight_decay: float,
+                 betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+        self.named = list(model.named_parameters())
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for _, p in self.named]
+        self._v = [np.zeros_like(p.data) for _, p in self.named]
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        step_size = self.lr / bias1
+        for (_, p), m, v in zip(self.named, self._m, self._v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            denom = np.sqrt(v / bias2) + self.eps
+            p.data -= step_size * (m / denom)
+            if self.weight_decay and p.data.ndim > 1:
+                p.data -= self.lr * self.weight_decay * p.data
+
+    def zero_grad(self) -> None:
+        for _, p in self.named:
+            p.zero_grad()
+
+
+def _legacy_clip_grad_norm(params, max_norm: float) -> float:
+    """Pre-overhaul clip: one ``(g*g).sum()`` per parameter, a Python
+    accumulate, then one scale per parameter."""
+    total = 0.0
+    for p in params:
+        total += float((p.grad * p.grad).sum())
+    norm = float(np.sqrt(total))
+    if norm > max_norm > 0:
+        scale = max_norm / (norm + 1e-12)
+        for p in params:
+            p.grad *= scale
+    return norm
+
+
 def _legacyfy_encoder(enc) -> None:
     """Swap an encoder's hot-path modules for the pre-overhaul
     implementations in place (weights and rng streams are shared, so the
@@ -325,18 +376,53 @@ def _make_model(config, vocab_size, legacy: bool) -> PragFormer:
     return _legacyfy(model) if legacy else model
 
 
+def _legacy_fit(model: PragFormer, split: EncodedSplit, epochs: int):
+    """Pre-overhaul ``PragFormer.fit`` without a validation split: the
+    same length-bucketed batches, per-parameter AdamW and clipping.
+    Returns the per-epoch train losses."""
+    cfg = model.config
+    opt = _LegacyAdamW(_Joint(model.encoder, model.head), lr=cfg.lr,
+                       weight_decay=cfg.weight_decay)
+    params = model.encoder.parameters() + model.head.parameters()
+    lengths = split.mask.sum(axis=1)
+    losses = []
+    for _ in range(epochs):
+        model.encoder.train()
+        model.head.train()
+        total, batches = 0.0, 0
+        for sel in _length_bucketed_batches(lengths, cfg.batch_size,
+                                            model._shuffle_rng):
+            ids, mask = trim_batch(split.ids[sel], split.mask[sel])
+            loss, dlogits = cross_entropy(model._forward_logits(ids, mask),
+                                          split.labels[sel])
+            opt.zero_grad()
+            model._backward(dlogits)
+            _legacy_clip_grad_norm(params, cfg.grad_clip)
+            opt.step()
+            total += loss
+            batches += 1
+        losses.append(total / max(1, batches))
+    return losses
+
+
+def _fit(model: PragFormer, split: EncodedSplit, epochs: int, legacy: bool):
+    if legacy:
+        return _legacy_fit(model, split, epochs)
+    return model.fit(split, epochs=epochs)
+
+
 def _run_fit(config: PragFormerConfig, vocab_size: int, split: EncodedSplit,
              epochs: int, legacy: bool):
     """(steps/sec, epoch wall-time, tokens/sec) for one full fit()."""
     warm = _make_model(config, vocab_size, legacy)
-    warm.fit(split, epochs=1)  # warm BLAS, allocator, and caches
+    _fit(warm, split, 1, legacy)  # warm BLAS, allocator, and caches
     # best of two timed runs: the bench host's few cores (nproc = 2 on the
     # last run) are shared, and a single fit() is short enough for
     # scheduler noise to swing it
     elapsed = np.inf
     for _ in range(2):
         model = _make_model(config, vocab_size, legacy)
-        _, run = timed(model.fit, split, epochs=epochs)
+        _, run = timed(_fit, model, split, epochs, legacy)
         elapsed = min(elapsed, run)
     steps = epochs * _steps_per_epoch(len(split), config.batch_size)
     real_tokens = epochs * float(split.mask.sum())
@@ -369,8 +455,8 @@ def _legacy_mlm_fit(pre: MLMPretrainer, ids, mask, epochs: int):
     position + ``masked_cross_entropy`` on (B, L, V), float64 loss mask,
     per-parameter AdamW and clipping."""
     cfg = pre.cfg
-    opt = AdamW(_Joint(pre.encoder, pre.mlm_head), lr=cfg.lr,
-                weight_decay=cfg.weight_decay)
+    opt = _LegacyAdamW(_Joint(pre.encoder, pre.mlm_head), lr=cfg.lr,
+                       weight_decay=cfg.weight_decay)
     params = pre.encoder.parameters() + pre.mlm_head.parameters()
     n = ids.shape[0]
     bs = cfg.batch_size
@@ -390,7 +476,7 @@ def _legacy_mlm_fit(pre: MLMPretrainer, ids, mask, epochs: int):
             loss, dlogits = masked_cross_entropy(logits, targets, loss_mask)
             opt.zero_grad()
             pre.encoder.backward(pre.mlm_head.backward(dlogits))
-            clip_grad_norm(params, cfg.grad_clip)
+            _legacy_clip_grad_norm(params, cfg.grad_clip)
             opt.step()
             total += loss
             batches += 1
@@ -442,8 +528,9 @@ def _optimizer_microbench(config: PragFormerConfig, vocab_size: int,
     for name, fused in (("legacy_adamw", False), ("fused_adamw", True)):
         model = PragFormer(vocab_size, config)
         params = model.encoder.parameters() + model.head.parameters()
-        opt_cls = FusedAdamW if fused else AdamW
-        opt = opt_cls(_JointModel(model), lr=1e-3)
+        joint = _Joint(model.encoder, model.head)
+        opt = (FusedAdamW(joint, lr=1e-3) if fused
+               else _LegacyAdamW(joint, lr=1e-3, weight_decay=0.01))
         rng = np.random.default_rng(0)
         for p in params:
             p.grad += rng.normal(size=p.grad.shape).astype(p.grad.dtype)
@@ -452,7 +539,7 @@ def _optimizer_microbench(config: PragFormerConfig, vocab_size: int,
             if fused:
                 opt.clip_grad_norm(1.0)
             else:
-                clip_grad_norm(params, 1.0)
+                _legacy_clip_grad_norm(params, 1.0)
             opt.step()
         elapsed = time.perf_counter() - start
         results[name] = {
@@ -493,8 +580,7 @@ def test_training_throughput(benchmark):
     # -- §4.3 fine-tuning -------------------------------------------------
     for scale_name, n_examples, epochs, config in SCALES:
         split, vocab = _workload(n_examples, config.max_len)
-        legacy_cfg = replace(config, fused_optimizer=False)
-        legacy = _run_fit(legacy_cfg, len(vocab), _legacy_split(split),
+        legacy = _run_fit(config, len(vocab), _legacy_split(split),
                           epochs, legacy=True)
         fused = _run_fit(config, len(vocab), split, epochs, legacy=False)
         speedup = round(fused["steps_per_s"] / legacy["steps_per_s"], 2)
@@ -656,10 +742,8 @@ def test_training_step_smoke():
                               d_head_hidden=12, max_len=24, batch_size=8,
                               seed=5)
     split, vocab = _workload(32, config.max_len)
-    legacy_cfg = replace(config, fused_optimizer=False)
-    legacy = _make_model(legacy_cfg, len(vocab), legacy=True)
-    hist_l = legacy.fit(_legacy_split(split), epochs=1)
+    legacy = _make_model(config, len(vocab), legacy=True)
+    losses_l = _legacy_fit(legacy, _legacy_split(split), epochs=1)
     fused = _make_model(config, len(vocab), legacy=False)
     hist_f = fused.fit(split, epochs=1)
-    np.testing.assert_allclose(hist_l.train_loss, hist_f.train_loss,
-                               rtol=1e-2)
+    np.testing.assert_allclose(losses_l, hist_f.train_loss, rtol=1e-2)

@@ -55,6 +55,9 @@ _FORMAT_VERSION = 1
 _ADVISOR_MANIFEST = "advisor.json"
 _ADVISOR_FORMAT_VERSION = 1
 _WEIGHTS_BLOB = "weights.bin"
+#: ``PragFormerConfig`` fields that no longer exist but that checkpoints
+#: saved by earlier versions still carry; loading drops them.
+_RETIRED_CONFIG_KEYS = frozenset({"fused_optimizer"})
 
 #: ``/dev/shm`` name prefix for shared weight segments — audited for leaks
 #: by ``tests/conftest.py`` alongside the DDP prefix.
@@ -154,7 +157,9 @@ def _load_pragformer_shell(path: str) -> Tuple[PragFormer, Vocab]:
         meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version in {path}")
-    config = PragFormerConfig(**meta["config"])
+    config = PragFormerConfig(**{
+        key: value for key, value in meta["config"].items()
+        if key not in _RETIRED_CONFIG_KEYS})
     itos = meta["vocab"]
     vocab = Vocab(itos[4:])  # specials are re-prepended by Vocab
     model = PragFormer(len(vocab), config)

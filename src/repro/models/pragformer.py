@@ -14,12 +14,11 @@ import numpy as np
 
 from repro.data.encoding import EncodedSplit
 from repro.nn import (
-    AdamW,
     ClassificationHead,
     EncoderConfig,
     FusedAdamW,
     TransformerEncoder,
-    clip_grad_norm,
+    WarmupSchedule,
     cross_entropy,
     softmax,
 )
@@ -81,11 +80,6 @@ class PragFormerConfig:
     grad_clip: float = 1.0
     #: fraction of total steps spent in linear LR warmup (0 disables)
     warmup_frac: float = 0.0
-    #: step with the flat-arena FusedAdamW (default) or the legacy
-    #: per-parameter AdamW.  Given identical gradients the two step
-    #: bit-identically; whole trajectories agree to float round-off (the
-    #: clip-norm reduction order differs — see tests/test_nn_arena.py)
-    fused_optimizer: bool = True
     seed: int = 0
 
 
@@ -127,7 +121,7 @@ class PragFormer:
             self.config.d_model, self.config.d_head_hidden,
             n_classes=2, dropout=self.config.dropout, rng=r_head,
         )
-        self._optimizer: Optional[AdamW] = None
+        self._optimizer: Optional[FusedAdamW] = None
         #: step losses + reduce counters from the last DDP fit (bench input)
         self.ddp_stats: Optional[dict] = None
 
@@ -146,9 +140,6 @@ class PragFormer:
 
     def _backward(self, dlogits: np.ndarray) -> None:
         self.encoder.backward(self.head.backward(dlogits))
-
-    def _params(self):
-        return self.encoder.parameters() + self.head.parameters()
 
     # -- training ------------------------------------------------------------------
 
@@ -170,27 +161,17 @@ class PragFormer:
         to those points').
 
         ``n_workers`` switches to the shared-memory data-parallel trainer
-        (:mod:`repro.train.ddp`; requires ``fused_optimizer``): the loss
-        trajectory and final weights are bit-identical at every worker
-        count.  ``None`` keeps the legacy single-process loop.
+        (:mod:`repro.train.ddp`): the loss trajectory and final weights
+        are bit-identical at every worker count.  ``None`` keeps the
+        single-process loop (a different — also deterministic —
+        arithmetic: no micro-shards, dropout from the model's own rng
+        streams).  Both continue one optimizer across calls.
         """
         if n_workers is not None:
             return self._fit_ddp(train, validation, epochs, verbose,
                                  restore_best, int(n_workers))
         cfg = self.config
-        if self._optimizer is None:
-            opt_cls = FusedAdamW if cfg.fused_optimizer else AdamW
-            opt = opt_cls(_JointModel(self), lr=cfg.lr, weight_decay=cfg.weight_decay)
-            self._optimizer = opt
-        else:
-            opt = self._optimizer
-        schedule = None
-        if cfg.warmup_frac > 0:
-            from repro.nn import WarmupSchedule
-
-            total_steps = epochs * max(1, (len(train) + cfg.batch_size - 1) // cfg.batch_size)
-            schedule = WarmupSchedule(opt, peak_lr=cfg.lr,
-                                      warmup_steps=max(1, int(cfg.warmup_frac * total_steps)))
+        opt, schedule = self._optimizer_and_schedule(len(train), epochs)
         history = TrainHistory()
         n = len(train)
         bs = cfg.batch_size
@@ -210,11 +191,7 @@ class PragFormer:
                 loss, dlogits = cross_entropy(logits, labels)
                 opt.zero_grad()
                 self._backward(dlogits)
-                if isinstance(opt, FusedAdamW):
-                    # one dot product over the arena, not a per-param loop
-                    opt.clip_grad_norm(cfg.grad_clip)
-                else:
-                    clip_grad_norm(self._params(), cfg.grad_clip)
+                opt.clip_grad_norm(cfg.grad_clip)
                 if schedule is not None:
                     schedule.step()
                 opt.step()
@@ -244,30 +221,14 @@ class PragFormer:
         Every micro-shard re-seeds its dropout streams from the
         ``(seed, step, shard)`` key and reports *sum*-reduced gradients
         with its example count as weight, so the trained objective is the
-        exact batch-mean CE of the legacy loop.  Validation (and the
+        exact batch-mean CE of the single-process loop.  Validation (and the
         restore-best snapshot) runs in the parent between epochs while the
         workers sit blocked on their semaphores; ``load_state_dict`` writes
         parameters in place, so a restored snapshot lands in the shared
         segment the workers read.
         """
         cfg = self.config
-        if not cfg.fused_optimizer:
-            raise ValueError(
-                "n_workers requires fused_optimizer=True: the DDP trainer "
-                "reduces into and steps the flat parameter arena")
-        if self._optimizer is None:
-            self._optimizer = FusedAdamW(_JointModel(self), lr=cfg.lr,
-                                         weight_decay=cfg.weight_decay)
-        opt = self._optimizer
-        schedule = None
-        if cfg.warmup_frac > 0:
-            from repro.nn import WarmupSchedule
-
-            total_steps = epochs * max(
-                1, (len(train) + cfg.batch_size - 1) // cfg.batch_size)
-            schedule = WarmupSchedule(
-                opt, peak_lr=cfg.lr,
-                warmup_steps=max(1, int(cfg.warmup_frac * total_steps)))
+        opt, schedule = self._optimizer_and_schedule(len(train), epochs)
         seed = int(self._shuffle_rng.integers(2**62))
         ftype = get_dtype().type
         ids_all, mask_all, labels_all = train.ids, train.mask, train.labels
@@ -317,6 +278,25 @@ class PragFormer:
             self.encoder.load_state_dict(best_state[0])
             self.head.load_state_dict(best_state[1])
         return history
+
+    def _optimizer_and_schedule(self, n_examples: int, epochs: int):
+        """Both fit loops' optimizer and LR schedule.  The optimizer is
+        built once and memoized, so moments and the bias-correction step
+        count carry across ``fit`` calls; the warmup schedule (``None``
+        with ``warmup_frac`` 0) spans this call's steps."""
+        cfg = self.config
+        if self._optimizer is None:
+            self._optimizer = FusedAdamW(_Joint(self.encoder, self.head),
+                                         lr=cfg.lr,
+                                         weight_decay=cfg.weight_decay)
+        schedule = None
+        if cfg.warmup_frac > 0:
+            total_steps = epochs * max(
+                1, (n_examples + cfg.batch_size - 1) // cfg.batch_size)
+            schedule = WarmupSchedule(
+                self._optimizer, peak_lr=cfg.lr,
+                warmup_steps=max(1, int(cfg.warmup_frac * total_steps)))
+        return self._optimizer, schedule
 
     # -- inference -----------------------------------------------------------------
 
@@ -372,12 +352,14 @@ class PragFormer:
         return total_loss / max(1, n), correct / max(1, n)
 
 
-class _JointModel:
-    """Adapter exposing encoder+head parameters to AdamW as one model."""
+class _Joint:
+    """Adapter exposing an encoder + head pair to the optimizer as one
+    model (parameters named ``encoder.*`` then ``head.*``)."""
 
-    def __init__(self, model: PragFormer) -> None:
-        self._model = model
+    def __init__(self, encoder: TransformerEncoder, head) -> None:
+        self.encoder = encoder
+        self.head = head
 
     def named_parameters(self):
-        yield from self._model.encoder.named_parameters("encoder.")
-        yield from self._model.head.named_parameters("head.")
+        yield from self.encoder.named_parameters("encoder.")
+        yield from self.head.named_parameters("head.")

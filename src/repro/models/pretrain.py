@@ -23,7 +23,7 @@ from repro.nn import (
     cross_entropy,
 )
 from repro.nn.dtype import get_dtype
-from repro.models.pragformer import trim_batch
+from repro.models.pragformer import _Joint, trim_batch
 from repro.tokenize.vocab import Vocab
 from repro.train.ddp import (
     DataParallelTrainer,
@@ -107,16 +107,14 @@ class MLMPretrainer:
         ``n_workers`` switches to the shared-memory data-parallel trainer
         (:mod:`repro.train.ddp`): bit-deterministic in the worker count, so
         ``n_workers=1`` and ``n_workers=4`` give identical losses and
-        weights.  ``None`` keeps the legacy single-process loop (a
-        different — also deterministic — arithmetic: it shards nothing and
-        draws masks from the epoch rng stream).
+        weights.  ``None`` keeps the single-process loop (a different —
+        also deterministic — arithmetic: it shards nothing and draws masks
+        from the epoch rng stream).  Both continue one optimizer across
+        calls.
         """
         if n_workers is not None:
             return self._fit_ddp(ids, mask, epochs, verbose, int(n_workers))
-        joint = _Joint(self.encoder, self.mlm_head)
-        # flat-arena optimizer: whole-model step + clip in a handful of
-        # vectorized calls (legacy AdamW remains available in repro.nn)
-        opt = FusedAdamW(joint, lr=self.cfg.lr, weight_decay=self.cfg.weight_decay)
+        opt = self._memo_optimizer()
         losses: List[float] = []
         n = ids.shape[0]
         bs = self.cfg.batch_size
@@ -163,13 +161,10 @@ class MLMPretrainer:
         from the ``(seed, step, shard)`` key, computes *sum*-reduced MLM
         gradients, and reports (loss total, masked-position count); the
         trainer normalizes by the batch's total masked positions, so the
-        objective is the same per-position mean CE as the legacy loop.
+        objective is the same per-position mean CE as the single-process
+        loop.
         """
-        if self._optimizer is None:
-            self._optimizer = FusedAdamW(
-                _Joint(self.encoder, self.mlm_head),
-                lr=self.cfg.lr, weight_decay=self.cfg.weight_decay)
-        opt = self._optimizer
+        opt = self._memo_optimizer()
         seed = int(self._rng.integers(2**62))
         ftype = get_dtype().type
 
@@ -217,16 +212,16 @@ class MLMPretrainer:
             }
         return losses
 
+    def _memo_optimizer(self) -> FusedAdamW:
+        """The one optimizer both fit loops step, built on first use, so
+        moments and the bias-correction step count carry across calls."""
+        if self._optimizer is None:
+            self._optimizer = FusedAdamW(
+                _Joint(self.encoder, self.mlm_head),
+                lr=self.cfg.lr, weight_decay=self.cfg.weight_decay)
+        return self._optimizer
+
     def encoder_state(self) -> Dict[str, np.ndarray]:
         """The pretrained encoder checkpoint PragFormer transfers from."""
         return self.encoder.state_dict()
 
-
-class _Joint:
-    def __init__(self, encoder: TransformerEncoder, head: MLMHead) -> None:
-        self.encoder = encoder
-        self.head = head
-
-    def named_parameters(self):
-        yield from self.encoder.named_parameters("encoder.")
-        yield from self.head.named_parameters("head.")

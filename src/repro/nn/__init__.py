@@ -15,7 +15,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import cross_entropy, masked_cross_entropy, softmax
 from repro.nn.module import Module, Parameter, ParameterArena
-from repro.nn.optim import AdamW, FusedAdamW, WarmupSchedule, clip_grad_norm
+from repro.nn.optim import FusedAdamW, WarmupSchedule
 from repro.nn.scratch import BufferPool, pooling_disabled, pooling_enabled
 from repro.nn.transformer import (
     EncoderConfig,
@@ -41,10 +41,8 @@ __all__ = [
     "Module",
     "Parameter",
     "ParameterArena",
-    "AdamW",
     "FusedAdamW",
     "WarmupSchedule",
-    "clip_grad_norm",
     "BufferPool",
     "pooling_disabled",
     "pooling_enabled",

@@ -249,7 +249,9 @@ class ParameterArena:
         return float(np.sqrt(np.dot(self.grad, self.grad)))
 
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Fused equivalent of :func:`repro.nn.optim.clip_grad_norm`."""
+        """Scale all gradients so their global L2 norm is at most
+        ``max_norm`` (one dot product, at most one scale); returns the
+        pre-clip norm."""
         norm = self.grad_norm()
         if norm > max_norm > 0:
             self.grad *= max_norm / (norm + 1e-12)

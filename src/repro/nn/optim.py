@@ -1,100 +1,42 @@
-"""Optimizers: AdamW (§4.3) with decoupled weight decay, plus gradient
-clipping and a linear-warmup schedule.
+"""Optimizer: AdamW (§4.3) with decoupled weight decay, plus a
+linear-warmup schedule.
 
-Two implementations of the same update rule:
-
-* :class:`AdamW` — the legacy per-parameter stepper (a Python loop over
-  every parameter array).  Kept as the reference implementation and for
-  models that cannot be flattened.
-* :class:`FusedAdamW` — steps a :class:`~repro.nn.module.ParameterArena`
-  with ~10 whole-arena vectorized calls and a single scratch buffer,
-  regardless of parameter count.  Elementwise operations are issued in the
-  exact order of the legacy loop, so given identical gradients the two
-  produce bit-identical parameters (see ``tests/test_nn_arena.py``).
-
-All state updates are in place on preallocated moment buffers — no
-per-step allocation in the training hot loop.
+:class:`FusedAdamW` steps a :class:`~repro.nn.module.ParameterArena` with
+~10 whole-arena vectorized calls and a single scratch buffer, regardless
+of parameter count.  All state updates are in place on preallocated
+moment buffers — no per-step allocation in the training hot loop.
+Gradient clipping is the arena's one-dot-product
+:meth:`~repro.nn.module.ParameterArena.clip_grad_norm`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter, ParameterArena
+from repro.nn.module import Module, ParameterArena
 
-__all__ = ["AdamW", "FusedAdamW", "clip_grad_norm", "WarmupSchedule"]
-
-
-def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm."""
-    total = 0.0
-    for p in params:
-        total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            p.grad *= scale
-    return norm
-
-
-class AdamW:
-    """AdamW (Loshchilov & Hutter): Adam step + decoupled weight decay.
-
-    Decay is skipped for 1-D parameters (biases, LayerNorm scales), the
-    standard practice the paper's training setup inherits from RoBERTa.
-    """
-
-    def __init__(self, model: Module, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01) -> None:
-        self.named = list(model.named_parameters())
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
-        self._m = [np.zeros_like(p.data) for _, p in self.named]
-        self._v = [np.zeros_like(p.data) for _, p in self.named]
-
-    def step(self) -> None:
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
-        step_size = self.lr / bias1
-        for (name, p), m, v in zip(self.named, self._m, self._v):
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            denom = np.sqrt(v / bias2) + self.eps
-            p.data -= step_size * (m / denom)
-            if self.weight_decay and p.data.ndim > 1:
-                p.data -= self.lr * self.weight_decay * p.data
-
-    def zero_grad(self) -> None:
-        for _, p in self.named:
-            p.zero_grad()
+__all__ = ["FusedAdamW", "WarmupSchedule"]
 
 
 class FusedAdamW:
-    """AdamW over a flat :class:`~repro.nn.module.ParameterArena`.
+    """AdamW (Loshchilov & Hutter) over a flat
+    :class:`~repro.nn.module.ParameterArena`: Adam step + decoupled
+    weight decay.
 
-    The legacy :class:`AdamW` issues ~10 NumPy calls (plus several
+    A per-parameter stepper issues ~10 NumPy calls (plus several
     temporaries) *per parameter* per step; at small model scales that
     dispatch overhead rivals the actual arithmetic.  Here the whole model
     is one contiguous buffer, so a step is ~10 calls total, reusing one
     preallocated scratch array: no per-step allocation at all.
 
     Decoupled weight decay is applied through the arena's ``decay_mask``
-    (1.0 on matrices, 0.0 on 1-D parameters), preserving the bias/LayerNorm
-    exemption as a single multiply.  The operation order matches the legacy
-    loop elementwise, so trajectories are bit-comparable.
+    (1.0 on matrices, 0.0 on 1-D parameters): the bias/LayerNorm
+    exemption the paper's setup inherits from RoBERTa, as a single
+    multiply.  The elementwise operation order is the textbook
+    per-parameter loop's, so the two step bit-identically (see the
+    reference stepper in ``tests/test_nn_arena.py``).
     """
 
     def __init__(self, model: Union[Module, ParameterArena], lr: float = 1e-3,
@@ -122,7 +64,7 @@ class FusedAdamW:
         m *= b1
         np.multiply(grad, 1.0 - b1, out=tmp)
         m += tmp
-        # v = b2*v + (1-b2)*g*g   (legacy evaluates ((1-b2)*g)*g)
+        # v = b2*v + (1-b2)*g*g   (evaluated as ((1-b2)*g)*g)
         v *= b2
         np.multiply(grad, 1.0 - b2, out=tmp)
         tmp *= grad
@@ -188,7 +130,7 @@ class WarmupSchedule:
     """Linear warmup to ``peak_lr`` over ``warmup_steps``, then constant or
     linear decay to zero at ``total_steps`` (if given)."""
 
-    def __init__(self, optimizer: Union[AdamW, FusedAdamW], peak_lr: float,
+    def __init__(self, optimizer: FusedAdamW, peak_lr: float,
                  warmup_steps: int, total_steps: int = 0) -> None:
         self.opt = optimizer
         self.peak = peak_lr

@@ -163,7 +163,8 @@ class ExperimentContext:
             # (PYTHONHASHSEED) and made clause models irreproducible
             model = PragFormer(len(enc.vocab), self.scale.pragformer,
                                rng=self.scale.seed + zlib.crc32(clause.encode("utf-8")) % 1000)
-            model.fit(enc.train, enc.validation, epochs=self.scale.epochs)
+            model.fit(enc.train, enc.validation, epochs=self.scale.epochs,
+                      n_workers=self.train_workers)
             self._clause_models[clause] = model
         return self._clause_models[clause]
 

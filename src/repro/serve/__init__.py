@@ -70,7 +70,6 @@ from repro.serve.registry import (
     CanaryPolicy,
     CheckpointWatcher,
     ClauseAdvice,
-    FullAdvice,
     ModelHead,
     ModelRegistry,
     MultiModelEngine,
@@ -102,7 +101,6 @@ __all__ = [
     "DeadlineExceeded",
     "EngineConfig",
     "EngineStats",
-    "FullAdvice",
     "InferenceEngine",
     "LRUCache",
     "ModelHead",

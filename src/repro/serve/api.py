@@ -107,10 +107,9 @@ class AdviceResult:
         return [name for name, c in self.clauses.items() if c.suggested]
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready dict — a strict superset of the legacy
-        ``FullAdvice.as_dict`` shape, so v1 responses stay readable by
-        legacy clients (same keys, same rounding) while adding the new
-        first-class fields."""
+        """JSON-ready dict — the v1 response body.  Legacy ``/advise``
+        answers it trimmed to ``http_api.LEGACY_KEYS`` (same keys, same
+        rounding), so legacy clients read v1 responses unchanged."""
         body = {
             "needs_directive": self.verdict,
             "p_directive": round(self.probability, 6),
@@ -128,22 +127,3 @@ class AdviceResult:
         if self.id is not None:
             body["id"] = self.id
         return body
-
-    @classmethod
-    def from_full(cls, full, model_version: str = "0",
-                  arm: str = "primary",
-                  id: Optional[str] = None) -> "AdviceResult":
-        """Build a result from a legacy ``FullAdvice`` (duck-typed: any
-        object with ``directive``/``clauses``/``degraded``), attaching
-        the operational context the legacy shape cannot carry."""
-        directive = full.directive
-        return cls(
-            verdict=directive.needs_directive,
-            probability=float(directive.probability),
-            clauses=dict(full.clauses),
-            degraded=full.degraded,
-            recovered=getattr(directive, "recovered", False),
-            model_version=model_version,
-            arm=arm,
-            id=id,
-        )

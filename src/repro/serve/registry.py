@@ -19,10 +19,9 @@ behind a single front door:
   snippet's arm (primary or canary) from its source digest, runs the
   directive head, applies the gate, fans out to the clause heads and
   assembles the answers.  Source text and pre-encoded rows differ only in
-  how each head gets its rows.
-* :class:`FullAdvice` — the combined verdict: the directive
-  :class:`~repro.serve.engine.Advice` plus one :class:`ClauseAdvice` per
-  clause head, JSON-ready via :meth:`FullAdvice.as_dict`.
+  how each head gets its rows.  Each answer is one
+  :class:`~repro.serve.api.AdviceResult`: the directive verdict plus one
+  :class:`ClauseAdvice` per clause head.
 
 Three operability layers ride on top (see ``docs/operations.md``):
 
@@ -56,7 +55,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,7 +79,6 @@ __all__ = [
     "CanaryPolicy",
     "CheckpointWatcher",
     "ClauseAdvice",
-    "FullAdvice",
     "ModelHead",
     "ModelRegistry",
     "MultiModelEngine",
@@ -137,45 +135,6 @@ class ClauseAdvice:
         p > 0.5."""
         p = float(probability)
         return cls(p, p > 0.5)
-
-
-@dataclass(frozen=True)
-class FullAdvice:
-    """Combined advisor verdict: directive decision + per-clause verdicts.
-
-    ``clauses`` maps clause-head name (``"private"``, ``"reduction"``) to
-    :class:`ClauseAdvice`; a clause is only *recommended* when the snippet
-    also needs a directive — a ``private`` clause on a serial loop is
-    meaningless — which is what :meth:`recommended_clauses` encodes.
-    ``degraded`` marks a verdict the fleet could not compute (see
-    :class:`~repro.serve.engine.Advice`): neutral placeholder values, no
-    clause verdicts, and the flag surfaces in :meth:`as_dict` so HTTP
-    clients can tell.
-    """
-
-    directive: Advice
-    clauses: Dict[str, ClauseAdvice]
-    degraded: bool = False
-
-    def recommended_clauses(self) -> List[str]:
-        """Clause names worth suggesting: directive-positive and p > 0.5."""
-        if not self.directive.needs_directive:
-            return []
-        return [name for name, c in self.clauses.items() if c.suggested]
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready dict — the ``/advise`` HTTP response body."""
-        return {
-            "needs_directive": self.directive.needs_directive,
-            "p_directive": round(self.directive.probability, 6),
-            "clauses": {
-                name: {"probability": round(c.probability, 6),
-                       "suggested": c.suggested}
-                for name, c in self.clauses.items()
-            },
-            "recommended_clauses": self.recommended_clauses(),
-            "degraded": self.degraded,
-        }
 
 
 class ModelRegistry:
@@ -607,29 +566,29 @@ class MultiModelEngine:
             raise ValueError("advise_v1: one call must not mix code= and "
                              "ids= requests")
         if n_encoded:
-            fulls, state, routed = self._advise(
+            results, state, routed = self._advise(
                 [r.ids for r in reqs], [r.digest for r in reqs], encoded=True)
         else:
-            fulls, state, routed = self._advise([r.code for r in reqs])
+            results, state, routed = self._advise([r.code for r in reqs])
         return [
-            AdviceResult.from_full(
-                full,
-                model_version=(state.version if canary
-                               else self.model_version),
-                arm="canary" if canary else "primary",
-                id=req.id)
-            for req, full, canary in zip(reqs, fulls, routed)
+            replace(result,
+                    model_version=(state.version if canary
+                                   else self.model_version),
+                    arm="canary" if canary else "primary",
+                    id=req.id)
+            for req, result, canary in zip(reqs, results, routed)
         ]
 
-    def advise_full_many(self, codes: Sequence[str]) -> List[FullAdvice]:
-        """:meth:`advise_v1`'s pipeline over source text, answering bare
-        :class:`FullAdvice` — the fleet's ``advise_full_many`` wire method
-        lands here."""
+    def advise_full_many(self, codes: Sequence[str]) -> List[AdviceResult]:
+        """:meth:`advise_v1`'s pipeline over source text, answering
+        results without the ``model_version``/``arm``/``id`` stamps — the
+        fleet's ``advise_full_many`` wire method lands here (the router
+        stamps them)."""
         return self._advise(codes)[0]
 
     def advise_full_many_encoded(self, rows: Sequence[np.ndarray],
                                  digests: Sequence[bytes]
-                                 ) -> List[FullAdvice]:
+                                 ) -> List[AdviceResult]:
         """:meth:`advise_full_many` for token-id rows already encoded
         under the directive head's vocabulary and ``max_len``, with their
         16-byte source digests.  There is no source text, so canary
@@ -654,8 +613,8 @@ class MultiModelEngine:
         also get a shadow primary directive verdict for the agreement
         counters, and a failing canary arm is served by the primary and
         counted — a bad canary checkpoint degrades metrics, never
-        availability.  Returns ``(fulls, state, routed)``: the results in
-        request order, the canary state the split used (``None`` without
+        availability.  Returns ``(results, state, routed)``: the unstamped
+        results in request order, the canary state the split used (``None`` without
         a rollout) and the per-item canary flags.
         """
         if encoded:
@@ -669,44 +628,44 @@ class MultiModelEngine:
             digests = [source_digest(code) for code in items]
         routed = [canary_routes_digest(digest, state.fraction)
                   for digest in digests]
-        out: List[Optional[FullAdvice]] = [None] * len(items)
+        out: List[Optional[AdviceResult]] = [None] * len(items)
         p_rows = [i for i, canary in enumerate(routed) if not canary]
         c_rows = [i for i, canary in enumerate(routed) if canary]
         if p_rows:
             start = time.perf_counter()
             try:
-                p_full = self._run_arm(self.engines,
-                                       [items[i] for i in p_rows], encoded)
+                p_results = self._run_arm(self.engines,
+                                          [items[i] for i in p_rows], encoded)
             except Exception:
                 state.note_primary_errors(len(p_rows))
                 raise
             state.note_primary(len(p_rows), time.perf_counter() - start)
-            for i, full in zip(p_rows, p_full):
-                out[i] = full
+            for i, result in zip(p_rows, p_results):
+                out[i] = result
         if c_rows:
             c_items = [items[i] for i in c_rows]
             start = time.perf_counter()
             try:
-                c_full = self._run_arm(state.engines, c_items, encoded)
+                c_results = self._run_arm(state.engines, c_items, encoded)
             except Exception:
                 self._apply_decision(state.note_canary_errors(len(c_rows)))
-                c_full = self._run_arm(self.engines, c_items, encoded)
+                c_results = self._run_arm(self.engines, c_items, encoded)
             else:
                 elapsed = time.perf_counter() - start
                 # cheap: one extra directive-head batch, largely
                 # cache-resident on repeated traffic
                 shadow = self._head_advice(self.directive_engine, c_items,
                                            encoded)
-                agreed = [got.directive.needs_directive == ref.needs_directive
-                          for got, ref in zip(c_full, shadow)]
+                agreed = [got.verdict == ref.needs_directive
+                          for got, ref in zip(c_results, shadow)]
                 self._apply_decision(
                     state.note_canary(len(c_rows), elapsed, agreed))
-            for i, full in zip(c_rows, c_full):
-                out[i] = full
+            for i, result in zip(c_rows, c_results):
+                out[i] = result
         return out, state, routed
 
     def _run_arm(self, engines: Dict[str, InferenceEngine], items: Sequence,
-                 encoded: bool) -> List[FullAdvice]:
+                 encoded: bool) -> List[AdviceResult]:
         """One arm's stages: directive head, gate, clause heads, assembly.
 
         With ``config.gate_margin`` set, clause heads only see the items
@@ -728,15 +687,18 @@ class MultiModelEngine:
             for name, engine in engines.items() if name != DIRECTIVE
         }
         fan_row = {orig: row for row, orig in enumerate(fan_idx)}
-        full = []
+        results = []
         for i, adv in enumerate(directive):
             row = fan_row.get(i)
             clauses = {} if row is None else {
                 name: ClauseAdvice.of(probs[row])
                 for name, probs in clause_probs.items()
             }
-            full.append(FullAdvice(adv, clauses, degraded=adv.degraded))
-        return full
+            results.append(AdviceResult(
+                adv.needs_directive, probability=float(adv.probability),
+                clauses=clauses, degraded=adv.degraded,
+                recovered=adv.recovered))
+        return results
 
     def _head_advice(self, engine: InferenceEngine, items: Sequence,
                      encoded: bool) -> List[Advice]:

@@ -77,7 +77,7 @@ import multiprocessing as mp
 import queue as queue_mod
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -857,10 +857,8 @@ class ShardedEngine:
         if method == "advise_many":
             return [Advice(0.5, False, degraded=True) for _ in range(count)]
         if method == "advise_full_many":
-            from repro.serve.registry import FullAdvice
-
-            return [FullAdvice(Advice(0.5, False, degraded=True), {},
-                               degraded=True) for _ in range(count)]
+            return [AdviceResult(False, 0.5, degraded=True)
+                    for _ in range(count)]
         raise RuntimeError(f"no neutral verdict for method {method!r}")
 
     # -- supervision -------------------------------------------------------
@@ -1139,17 +1137,17 @@ class ShardedEngine:
                 "the fleet's workers own encoding; submit AdviceRequest "
                 "with code=, not pre-encoded ids=")
         codes = [r.code for r in reqs]
-        fulls = self._scatter_call("advise_full_many", codes)
+        answers = self._scatter_call("advise_full_many", codes)
         with self._route_lock:
             spec = self._canary_spec
             primary_version = self._model_version
         if spec is not None:
             from repro.serve.registry import canary_routes
         results: List[AdviceResult] = []
-        for req, full in zip(reqs, fulls):
+        for req, answer in zip(reqs, answers):
             canary = spec is not None and canary_routes(req.code, spec[1])
-            results.append(AdviceResult.from_full(
-                full,
+            results.append(replace(
+                answer,
                 model_version=spec[2] if canary else primary_version,
                 arm="canary" if canary else "primary",
                 id=req.id))

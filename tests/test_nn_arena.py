@@ -4,10 +4,9 @@ The tentpole claims of the training hot-path overhaul are verified here:
 
 * flattening a model into a :class:`ParameterArena` changes *nothing*
   observable — state dicts, checkpoints, and forwards are identical;
-* :class:`FusedAdamW` steps are bit-identical to the legacy per-parameter
-  :class:`AdamW` given the same gradients;
-* whole training trajectories (``PragFormer.fit`` with clipping, dropout,
-  length-bucketed batches) match between the two optimizers;
+* :class:`FusedAdamW` steps are bit-identical to a per-parameter
+  reference AdamW (the textbook loop, kept below) given the same
+  gradients, and the arena clip matches a per-parameter reference clip;
 * one training step leaves no float64 anywhere in the hot state.
 """
 
@@ -19,8 +18,8 @@ import pytest
 
 from repro.data.encoding import EncodedSplit
 from repro.models.pragformer import PragFormer, PragFormerConfig
-from repro.nn import AdamW, FusedAdamW, ParameterArena, clip_grad_norm
-from repro.nn.dtype import assert_compute_dtype, get_dtype, use_dtype
+from repro.nn import FusedAdamW, ParameterArena
+from repro.nn.dtype import assert_compute_dtype, get_dtype
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 
@@ -34,6 +33,57 @@ class TwoLayer(Module):
         super().__init__()
         self.a = Linear(4, 6, rng=rng)
         self.b = Linear(6, 2, rng=rng + 1)
+
+
+class _ReferenceAdamW:
+    """Per-parameter AdamW: Adam step + decoupled weight decay on
+    matrices only, one Python loop iteration per parameter.
+    :class:`FusedAdamW` must match it bit for bit."""
+
+    def __init__(self, model, lr, weight_decay, betas=(0.9, 0.999),
+                 eps=1e-8):
+        self.named = list(model.named_parameters())
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for _, p in self.named]
+        self._v = [np.zeros_like(p.data) for _, p in self.named]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        step_size = self.lr / bias1
+        for (_, p), m, v in zip(self.named, self._m, self._v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            denom = np.sqrt(v / bias2) + self.eps
+            p.data -= step_size * (m / denom)
+            if self.weight_decay and p.data.ndim > 1:
+                p.data -= self.lr * self.weight_decay * p.data
+
+    def zero_grad(self):
+        for _, p in self.named:
+            p.zero_grad()
+
+
+def _reference_clip_grad_norm(params, max_norm):
+    """Per-parameter global-norm clip; returns the pre-clip norm."""
+    total = 0.0
+    for p in params:
+        total += float((p.grad * p.grad).sum())
+    norm = float(np.sqrt(total))
+    if norm > max_norm > 0:
+        scale = max_norm / (norm + 1e-12)
+        for p in params:
+            p.grad *= scale
+    return norm
 
 
 def _toy_split(n=32, length=10, vocab=24, seed=0):
@@ -118,7 +168,7 @@ class TestFusedAdamWParity:
     def test_steps_bit_identical_to_legacy(self):
         """Same gradients in -> bit-identical parameters out, many steps."""
         legacy, fused = self._twin_models()
-        opt_l = AdamW(legacy, lr=3e-3, weight_decay=0.02)
+        opt_l = _ReferenceAdamW(legacy, lr=3e-3, weight_decay=0.02)
         opt_f = FusedAdamW(fused, lr=3e-3, weight_decay=0.02)
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -135,27 +185,6 @@ class TestFusedAdamWParity:
                                        fused.named_parameters()):
             np.testing.assert_array_equal(pl.data, pf.data, err_msg=name)
 
-    def test_fit_trajectory_matches_legacy(self):
-        """Full §4.3 recipe (clip + dropout + bucketing) under float64,
-        where the only remaining difference — reduction order inside the
-        clip norm — is far below the comparison tolerance."""
-        with use_dtype(np.float64):
-            split = _toy_split()
-            val = _toy_split(n=16, seed=1)
-            legacy = PragFormer(24, PragFormerConfig(fused_optimizer=False, **TINY))
-            fused = PragFormer(24, PragFormerConfig(fused_optimizer=True, **TINY))
-            hist_l = legacy.fit(split, val, epochs=3)
-            hist_f = fused.fit(split, val, epochs=3)
-            np.testing.assert_allclose(hist_l.train_loss, hist_f.train_loss,
-                                       rtol=1e-9)
-            np.testing.assert_allclose(hist_l.valid_loss, hist_f.valid_loss,
-                                       rtol=1e-9)
-            state_l = legacy.encoder.state_dict()
-            state_f = fused.encoder.state_dict()
-            for key in state_l:
-                np.testing.assert_allclose(state_l[key], state_f[key],
-                                           rtol=1e-7, atol=1e-10, err_msg=key)
-
     def test_fused_clip_matches_legacy_clip(self):
         legacy, fused = self._twin_models()
         opt_f = FusedAdamW(fused, lr=0.0, weight_decay=0.0)
@@ -165,7 +194,7 @@ class TestFusedAdamWParity:
             g = rng.normal(size=pl.grad.shape).astype(get_dtype()) * 5
             pl.grad += g
             pf.grad += g
-        norm_l = clip_grad_norm(legacy.parameters(), 1.0)
+        norm_l = _reference_clip_grad_norm(legacy.parameters(), 1.0)
         norm_f = opt_f.clip_grad_norm(1.0)
         assert norm_l == pytest.approx(norm_f, rel=1e-5)
         for (name, pl), (_, pf) in zip(legacy.named_parameters(),

@@ -1,9 +1,10 @@
-"""Tests for AdamW, gradient clipping, schedules, and Module plumbing."""
+"""Tests for AdamW (:class:`FusedAdamW`), gradient clipping, schedules,
+and Module plumbing."""
 
 import numpy as np
 import pytest
 
-from repro.nn import AdamW, Linear, Module, Parameter, WarmupSchedule, clip_grad_norm
+from repro.nn import FusedAdamW, Linear, Module, Parameter, WarmupSchedule
 from repro.nn.layers import Dropout
 
 
@@ -25,7 +26,7 @@ class TestAdamW:
     def test_converges_on_quadratic(self):
         target = np.array([1.0, -2.0, 3.0])
         model = Quadratic(target)
-        opt = AdamW(model, lr=0.1, weight_decay=0.0)
+        opt = FusedAdamW(model, lr=0.1, weight_decay=0.0)
         for _ in range(300):
             opt.zero_grad()
             model.loss_and_grad()
@@ -34,13 +35,13 @@ class TestAdamW:
 
     def test_weight_decay_shrinks_matrices_only(self):
         layer = Linear(3, 3, rng=0)
-        opt = AdamW(layer, lr=0.0, weight_decay=0.1)
+        opt = FusedAdamW(layer, lr=0.0, weight_decay=0.1)
         w_before = layer.W.data.copy()
         b_before = layer.b.data.copy()
         opt.step()
         # lr=0 means the Adam step is zero, but decay uses lr too -> no change
         np.testing.assert_array_equal(layer.W.data, w_before)
-        opt2 = AdamW(layer, lr=0.01, weight_decay=0.5)
+        opt2 = FusedAdamW(layer, lr=0.01, weight_decay=0.5)
         layer.W.grad[...] = 0.0
         layer.b.grad[...] = 0.0
         opt2.step()
@@ -50,7 +51,7 @@ class TestAdamW:
     def test_step_is_deterministic(self):
         def run():
             layer = Linear(4, 4, rng=5)
-            opt = AdamW(layer, lr=1e-3)
+            opt = FusedAdamW(layer, lr=1e-3)
             for _ in range(5):
                 opt.zero_grad()
                 out = layer.forward(np.ones((2, 4)))
@@ -63,30 +64,33 @@ class TestAdamW:
 
 class TestClipGradNorm:
     def test_noop_below_threshold(self):
-        p = Parameter(np.zeros(3))
-        p.grad[...] = np.array([0.3, 0.0, 0.4])  # norm 0.5
-        norm = clip_grad_norm([p], 1.0)
+        model = Quadratic(np.zeros(3))
+        opt = FusedAdamW(model)
+        model.w.grad[...] = np.array([0.3, 0.0, 0.4])  # norm 0.5
+        norm = opt.clip_grad_norm(1.0)
         assert abs(norm - 0.5) < 1e-12
-        np.testing.assert_allclose(p.grad, [0.3, 0.0, 0.4])
+        np.testing.assert_allclose(model.w.grad, [0.3, 0.0, 0.4])
 
     def test_scales_above_threshold(self):
-        p = Parameter(np.zeros(2))
-        p.grad[...] = np.array([3.0, 4.0])  # norm 5
-        clip_grad_norm([p], 1.0)
-        np.testing.assert_allclose(np.linalg.norm(p.grad), 1.0, atol=1e-9)
+        model = Quadratic(np.zeros(2))
+        opt = FusedAdamW(model)
+        model.w.grad[...] = np.array([3.0, 4.0])  # norm 5
+        opt.clip_grad_norm(1.0)
+        np.testing.assert_allclose(np.linalg.norm(model.w.grad), 1.0,
+                                   atol=1e-9)
 
 
 class TestWarmupSchedule:
     def test_linear_warmup(self):
         layer = Linear(2, 2, rng=0)
-        opt = AdamW(layer, lr=0.0)
+        opt = FusedAdamW(layer, lr=0.0)
         sched = WarmupSchedule(opt, peak_lr=1.0, warmup_steps=10)
         lrs = [sched.step() for _ in range(10)]
         np.testing.assert_allclose(lrs, np.linspace(0.1, 1.0, 10))
 
     def test_decay_to_zero(self):
         layer = Linear(2, 2, rng=0)
-        opt = AdamW(layer, lr=0.0)
+        opt = FusedAdamW(layer, lr=0.0)
         sched = WarmupSchedule(opt, peak_lr=1.0, warmup_steps=2, total_steps=10)
         for _ in range(10):
             last = sched.step()

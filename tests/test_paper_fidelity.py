@@ -115,10 +115,10 @@ class TestSection43Setup:
 
     def test_optimizer_is_adamw(self):
         """§4.3: parameters updated 'via the AdamW gradient descent
-        optimizer' — either implementation of the rule (the flat-arena
-        FusedAdamW default, or the legacy per-parameter AdamW)."""
+        optimizer' — the flat-arena FusedAdamW, with decoupled weight
+        decay."""
         from repro.models.pragformer import PragFormer, PragFormerConfig
-        from repro.nn import AdamW, FusedAdamW
+        from repro.nn import FusedAdamW
 
         model = PragFormer(32, PragFormerConfig(d_model=16, n_heads=2, n_layers=1,
                                                 d_ff=16, d_head_hidden=8))
@@ -128,10 +128,5 @@ class TestSection43Setup:
 
         split = EncodedSplit(split_ids, np.ones((4, 8)), np.zeros(4, dtype=np.int64))
         model.fit(split, epochs=1)
-        assert isinstance(model._optimizer, (AdamW, FusedAdamW))
-
-        legacy = PragFormer(32, PragFormerConfig(
-            d_model=16, n_heads=2, n_layers=1, d_ff=16, d_head_hidden=8,
-            fused_optimizer=False))
-        legacy.fit(split, epochs=1)
-        assert isinstance(legacy._optimizer, AdamW)
+        assert isinstance(model._optimizer, FusedAdamW)
+        assert model._optimizer.weight_decay == model.config.weight_decay > 0

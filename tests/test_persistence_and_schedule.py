@@ -73,6 +73,26 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_pragformer(path)
 
+    def test_loads_checkpoint_with_retired_optimizer_option(self, trained,
+                                                            tmp_path):
+        """Checkpoints saved while ``PragFormerConfig`` still had the
+        ``fused_optimizer`` switch carry it in their config; they load
+        with the same config and weights."""
+        import json
+
+        model, enc = trained
+        path = str(tmp_path / "model.npz")
+        save_pragformer(model, enc.vocab, path)
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        meta["config"]["fused_optimizer"] = True
+        data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).copy()
+        np.savez(path, **data)
+        loaded, _ = load_pragformer(path)
+        assert loaded.config == model.config
+        np.testing.assert_array_equal(loaded.predict_proba(enc.test),
+                                      model.predict_proba(enc.test))
+
 
 class TestScheduleClause:
     def test_schedule_dynamic_dataset(self, corpus):

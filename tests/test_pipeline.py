@@ -38,6 +38,20 @@ class TestContext:
         m2 = ctx.pragformer
         assert m1 is m2
 
+    def test_clause_model_honours_train_workers(self):
+        """``train_workers`` routes every fit through the DDP trainer,
+        the clause models' included (a DDP fit leaves ``ddp_stats``)."""
+        from dataclasses import replace
+
+        from repro.pipeline.context import ExperimentContext
+
+        context = ExperimentContext(replace(TINY, name="tiny-workers",
+                                            corpus_records=80, epochs=1))
+        context.train_workers = 1
+        model = context.clause_model("private")
+        assert model.ddp_stats is not None
+        assert model.ddp_stats["counters"]["steps"] > 0
+
     def test_default_scale_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "small")
         assert get_scale().name == "small"

@@ -72,7 +72,7 @@ def checkpoints(vocab, tmp_path):
 
 @pytest.fixture()
 def verdicts(vocab, checkpoints):
-    """Reference FullAdvice per snippet from fresh engines on A and B."""
+    """Reference AdviceResult per snippet from fresh engines on A and B."""
     a, b = checkpoints
     with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ea, \
             MultiModelEngine(ModelRegistry.from_checkpoint(b)) as eb:

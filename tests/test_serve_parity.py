@@ -3,7 +3,7 @@ same answer however it is asked.
 
 The traffic is a seeded clean-corpus sample, every fixture under
 ``tests/data/dirty/`` and seeded :mod:`repro.clang.fuzz` mutants, served
-from one advisor checkpoint.  Four parities hold on all of it:
+from one advisor checkpoint.  Five parities hold on all of it:
 
 * **input form** — source text and pre-encoded ``ids=``/``digest=``
   requests answer identically (except ``recovered``, which only lexing
@@ -17,10 +17,11 @@ from one advisor checkpoint.  Four parities hold on all of it:
   checkpoint answers exactly as the primary (except ``arm`` and
   ``model_version``);
 * **HTTP shape** — legacy ``POST /advise`` is ``POST /v1/advise``
-  trimmed to the legacy keys;
-* **fleet** — a 2-shard :class:`~repro.serve.ShardedEngine` answers
-  exactly as the in-process engine, gated and ungated, without a canary
-  and with one at fraction 1.0.
+  trimmed to the legacy keys, and ``POST /v1/advise/batch`` answers each
+  snippet exactly as ``POST /v1/advise`` does;
+* **fleet** — a :class:`~repro.serve.ShardedEngine` of 1, 2 or 4 shards
+  answers exactly as the in-process engine, gated and ungated, without a
+  canary and with one at fraction 1.0.
 
 Each configuration runs on a fresh engine, so no cache hides a
 divergence.  Where two configurations send different batches to a head
@@ -29,6 +30,7 @@ row is computed identically whatever else is in flight, so the
 comparison can stay exact.
 """
 
+import contextlib
 import functools
 import json
 import threading
@@ -148,51 +150,91 @@ class TestConfigurationParity:
     def test_legacy_advise_is_trimmed_v1_advise(self, checkpoint, traffic):
         bodies = {}
         for path in ("/advise", "/v1/advise"):
-            with _engine(checkpoint) as advisor:
-                server = make_server(advisor, port=0)
-                thread = threading.Thread(target=server.serve_forever,
-                                          daemon=True)
-                thread.start()
-                host, port = server.server_address[:2]
-                try:
-                    bodies[path] = [_post(f"http://{host}:{port}{path}",
-                                          {"code": code})
-                                    for code in traffic]
-                finally:
-                    server.shutdown()
-                    server.server_close()
-                    thread.join(timeout=5)
+            with _serving(checkpoint) as url:
+                bodies[path] = [_post(url + path, {"code": code})
+                                for code in traffic]
         for code, legacy, v1 in zip(traffic, bodies["/advise"],
                                     bodies["/v1/advise"]):
             assert set(legacy) == set(LEGACY_KEYS)
             assert legacy == {key: v1[key] for key in LEGACY_KEYS}, code[:60]
 
+    def test_batch_advise_equals_single_advise(self, checkpoint, traffic):
+        """The batch sends every snippet to the heads in one call, so both
+        servers run with ``max_batch_size=1`` to keep the comparison
+        exact.  ``{"codes": [...]}`` batch answers carry the snippet's
+        index as ``id``; single answers carry no ``id``."""
+        with _serving(checkpoint, max_batch_size=1) as url:
+            singles = [_post(url + "/v1/advise", {"code": code})
+                       for code in traffic]
+        with _serving(checkpoint, max_batch_size=1) as url:
+            batch = _post(url + "/v1/advise/batch",
+                          {"codes": traffic})["results"]
+        assert [body.pop("id") for body in batch] == list(range(len(traffic)))
+        for code, single, batched in zip(traffic, singles, batch):
+            assert batched == single, code[:60]
+
+
+_GATES = pytest.mark.parametrize("gate_margin", [0.0, 0.1],
+                                 ids=["ungated", "gated"])
+_ARMS = pytest.mark.parametrize("canary", [False, True],
+                                ids=["primary", "canary"])
+
 
 class TestFleetParity:
-    @pytest.mark.parametrize("gate_margin", [0.0, 0.1],
-                             ids=["ungated", "gated"])
-    @pytest.mark.parametrize("canary", [False, True],
-                             ids=["primary", "canary"])
+    """Each worker gets only its shard's sub-batch, so both sides run
+    with ``max_batch_size=1`` to keep the comparison exact."""
+
+    @_GATES
+    @_ARMS
     def test_two_shard_fleet_equals_in_process(self, checkpoint, traffic,
                                                gate_margin, canary):
-        """Each worker gets only its shard's sub-batch, so both sides run
-        with ``max_batch_size=1`` to keep the comparison exact."""
+        self._assert_fleet_parity(checkpoint, traffic, 2, gate_margin,
+                                  canary)
+
+    @_GATES
+    @_ARMS
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_fleet_equals_in_process(self, checkpoint, traffic, n_shards,
+                                     gate_margin, canary):
+        self._assert_fleet_parity(checkpoint, traffic, n_shards,
+                                  gate_margin, canary)
+
+    @staticmethod
+    def _assert_fleet_parity(checkpoint, traffic, n_shards, gate_margin,
+                             canary):
         config = dict(max_batch_size=1, gate_margin=gate_margin)
         with _engine(checkpoint, **config) as local, \
                 ShardedEngine(functools.partial(_engine, checkpoint,
                                                 **config),
-                              n_shards=2) as fleet:
+                              n_shards=n_shards) as fleet:
             if canary:
                 local.start_canary(checkpoint, 1.0, version="cnry")
                 fleet.start_canary(checkpoint, 1.0, version="cnry")
             expected = local.advise_v1(traffic)
             got = fleet.advise_v1(traffic)
             routed = fleet.stats()["routed"]
-        assert all(routed), "both shards must serve traffic"
+        assert len(routed) == n_shards
+        assert all(routed), "every shard must serve traffic"
         assert any(r.recovered for r in got), "traffic must be dirty"
         assert {r.arm for r in got} == {"canary" if canary else "primary"}
         for code, e, g in zip(traffic, expected, got):
             assert g == e, code[:60]
+
+
+@contextlib.contextmanager
+def _serving(checkpoint, **config):
+    """An HTTP advisor on a fresh engine; yields its base URL."""
+    with _engine(checkpoint, **config) as advisor:
+        server = make_server(advisor, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            yield f"http://{host}:{port}"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
 
 
 def _post(url, payload):

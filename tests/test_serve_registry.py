@@ -11,7 +11,6 @@ from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     AdviceResult,
     EngineConfig,
-    FullAdvice,
     ModelRegistry,
     MultiModelEngine,
 )
@@ -88,12 +87,12 @@ class TestAdviseFull:
         assert body["degraded"] is False  # a real prediction, not a stub
         for clause in body["clauses"].values():
             assert set(clause) == {"probability", "suggested"}
-        # the wire method under it answers the bare legacy shape
+        # the wire method under it answers the same result, without the
+        # model_version/arm/id stamps advise_v1 puts on
         full = advisor.advise_full_many([SNIPPETS[0]])[0]
-        assert isinstance(full, FullAdvice)
-        assert set(full.as_dict()) == {"needs_directive", "p_directive",
-                                       "clauses", "recommended_clauses",
-                                       "degraded"}
+        assert isinstance(full, AdviceResult)
+        assert (full.arm, full.id) == ("primary", None)
+        assert replace(full, model_version=result.model_version) == result
 
     def test_clause_head_parity_with_direct_predict(self, advisor, registry):
         """Engine output must equal the clause model's own predict_proba."""
@@ -109,11 +108,14 @@ class TestAdviseFull:
     def test_directive_parity_with_single_head_paths(self, advisor):
         full = advisor.advise_full_many(SNIPPETS)
         directive_only = advisor.advise_many(SNIPPETS)
-        assert [f.directive for f in full] == directive_only
+        assert [(f.probability, f.verdict, f.degraded, f.recovered)
+                for f in full] == [
+            (a.probability, a.needs_directive, a.degraded, a.recovered)
+            for a in directive_only]
 
     def test_clauses_only_recommended_when_directive_positive(self, advisor):
         for full in advisor.advise_full_many(SNIPPETS):
-            if not full.directive.needs_directive:
+            if not full.verdict:
                 assert full.recommended_clauses() == []
             else:
                 assert full.recommended_clauses() == [
@@ -157,14 +159,14 @@ class TestClauseGating:
         with self._gated(registry, 0.0) as gated_engine:
             gated = gated_engine.advise_full_many(SNIPPETS)
         for u, g in zip(ungated, gated):
-            assert g.directive == u.directive
+            assert (g.verdict, g.probability) == (u.verdict, u.probability)
             if g.clauses:  # fanned out: clause verdicts must be identical
                 for name in u.clauses:
                     np.testing.assert_allclose(
                         g.clauses[name].probability,
                         u.clauses[name].probability, atol=1e-6)
             else:          # gated out: only directive-negative snippets
-                assert not g.directive.needs_directive
+                assert not g.verdict
             assert g.recommended_clauses() == u.recommended_clauses()
 
     def test_negative_snippets_skip_clause_heads(self, registry, advisor):
@@ -231,9 +233,9 @@ class TestAdvisorCheckpoint:
         with MultiModelEngine(reloaded) as eng:
             got = eng.advise_full_many(SNIPPETS)
         for a, b in zip(expected, got):
-            assert a.directive.needs_directive == b.directive.needs_directive
-            np.testing.assert_allclose(a.directive.probability,
-                                       b.directive.probability, atol=1e-5)
+            assert a.verdict == b.verdict
+            np.testing.assert_allclose(a.probability, b.probability,
+                                       atol=1e-5)
             for name in a.clauses:
                 np.testing.assert_allclose(a.clauses[name].probability,
                                            b.clauses[name].probability,

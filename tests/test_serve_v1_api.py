@@ -34,6 +34,7 @@ from repro.serve import (
     make_server,
 )
 from repro.serve.engine import source_digest
+from repro.serve.http_api import LEGACY_KEYS
 from repro.tokenize import Vocab, robust_text_tokens, text_tokens
 
 TINY = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
@@ -100,12 +101,12 @@ class TestEngineParity:
 
     def test_v1_dict_is_strict_superset_of_legacy(self, engine):
         for code in SNIPPETS:
-            legacy = engine.advise_full_many([code])[0].as_dict()
+            wire = engine.advise_full_many([code])[0].as_dict()
             v1 = engine.advise_v1([code])[0].as_dict()
-            for key, value in legacy.items():
-                assert v1[key] == value, key
-            assert set(v1) - set(legacy) == {"recovered", "model_version",
-                                             "arm"}
+            for key in LEGACY_KEYS:
+                assert v1[key] == wire[key], key
+            assert set(v1) - set(LEGACY_KEYS) == {"recovered",
+                                                  "model_version", "arm"}
 
     def test_single_and_bulk_shims_match_v1(self, engine):
         results = engine.advise_v1(SNIPPETS)
@@ -188,9 +189,8 @@ class TestShardedV1:
         with self._fleet(a) as sharded:
             results = sharded.advise_v1(SNIPPETS)
             for full, res in zip(fulls, results):
-                assert res.probability == pytest.approx(
-                    full.directive.probability)
-                assert res.verdict == full.directive.needs_directive
+                assert res.probability == pytest.approx(full.probability)
+                assert res.verdict == full.verdict
                 assert res.arm == "primary"
 
     def test_fleet_recovered_over_shm_transport(self, checkpoints):

@@ -422,6 +422,19 @@ class TestModelWiring:
         for key in enc_1:
             np.testing.assert_array_equal(enc_1[key], enc_2[key], err_msg=key)
 
+    @pytest.mark.parametrize("n_workers", [None, 1])
+    def test_mlm_fit_calls_continue_one_optimizer(self, n_workers):
+        """Two fits step one optimizer: Adam's step count (bias
+        correction) and moments carry over, in both training loops."""
+        vocab, cfg, ids, mask = self._mlm_setup()
+        pre = MLMPretrainer(cfg, vocab, MLMConfig(batch_size=8), rng=11)
+        pre.fit(ids, mask, epochs=2, n_workers=n_workers)
+        first = pre._optimizer
+        pre.fit(ids, mask, epochs=1, n_workers=n_workers)
+        steps_per_epoch = -(-len(ids) // 8)
+        assert pre._optimizer is first
+        assert first.t == 3 * steps_per_epoch
+
     def _split(self, n=23, length=12, vocab=20, seed=3):
         rng = np.random.default_rng(seed)
         ids = rng.integers(4, vocab, size=(n, length)).astype(np.int32)
@@ -452,14 +465,6 @@ class TestModelWiring:
         for key in head_1:
             np.testing.assert_array_equal(head_1[key], head_2[key],
                                           err_msg=key)
-
-    def test_pragformer_ddp_requires_fused_optimizer(self):
-        cfg = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
-                               d_head_hidden=8, max_len=12, batch_size=8,
-                               fused_optimizer=False)
-        model = PragFormer(20, cfg, rng=5)
-        with pytest.raises(ValueError, match="fused_optimizer"):
-            model.fit(self._split(), epochs=1, n_workers=2)
 
     def test_cli_train_accepts_workers_flag(self):
         from unittest import mock

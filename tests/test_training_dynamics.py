@@ -65,18 +65,17 @@ class TestDropoutBehaviour:
 
 class TestGradClip:
     def test_clip_engages_on_large_loss(self):
-        from repro.nn import clip_grad_norm
         from repro.nn.losses import cross_entropy
 
         split = random_split(3, n=16)
         model = PragFormer(20, CFG)
+        opt, _ = model._optimizer_and_schedule(len(split), epochs=1)
         logits = model._forward_logits(split.ids, split.mask)
         # inflate gradients artificially
         _, dlogits = cross_entropy(logits * 50, split.labels)
-        for p in model._params():
-            p.zero_grad()
+        opt.zero_grad()
         model._backward(dlogits * 100)
-        norm_before = clip_grad_norm(model._params(), max_norm=1.0)
-        norm_after = clip_grad_norm(model._params(), max_norm=1.0)
+        norm_before = opt.clip_grad_norm(max_norm=1.0)
+        norm_after = opt.clip_grad_norm(max_norm=1.0)
         assert norm_before > 1.0
         assert norm_after <= 1.0 + 1e-6
