@@ -245,6 +245,19 @@ class _LegacyAttention(Module):
         return self.qkv_proj.backward(dqkv)
 
 
+class _LegacyLayerNorm(LayerNorm):
+    """Pre-overhaul LayerNorm forward: ufunc mean/var reductions and a
+    fresh temporary per step of the normalization."""
+
+    def forward(self, x):
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat = (x - mean) * inv_std
+        self._cache = (x_hat, inv_std)
+        return x_hat * self.gamma.data + self.beta.data
+
+
 class _LegacyEncoderLayer(Module):
     """Pre-overhaul post-LN block: ``x = LN(x + sublayer(x))`` with the
     residual sum materialized separately from an unfused LayerNorm."""
@@ -262,7 +275,7 @@ class _LegacyEncoderLayer(Module):
 
     @staticmethod
     def _layernorm_from(rln):
-        ln = LayerNorm(rln.gamma.data.size, eps=rln.eps)
+        ln = _LegacyLayerNorm(rln.gamma.data.size, eps=rln.eps)
         ln.gamma = rln.gamma
         ln.beta = rln.beta
         return ln

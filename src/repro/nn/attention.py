@@ -15,6 +15,12 @@ weights anyway).  Since the scores live in a pooled scratch buffer, the
 retained maps are only valid until this module's next forward — consumers
 that hold maps across forwards must set ``retain_attention``, which
 stores a private copy in every mode.
+
+``n_queries`` restricts an inference forward to the first query rows:
+keys and values still cover every position, but the score, softmax,
+context and output-projection work shrinks from L rows to ``n_queries``.
+A classifier that reads only the CLS position runs its last block this
+way (see :meth:`PragFormer.predict_proba`).
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = Linear(d_model, d_model, rng=r_o)
         self.attn_dropout = Dropout(dropout, rng=r_d)
         self.retain_attention = False
-        self.last_attention: Optional[np.ndarray] = None  # (B, H, L, L)
+        self.last_attention: Optional[np.ndarray] = None  # (B, H, nq, L)
         self._cache = None
         self._pool = BufferPool()
 
@@ -96,15 +102,26 @@ class MultiHeadSelfAttention(Module):
         b, h, l, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
-    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
+                n_queries: Optional[int] = None) -> np.ndarray:
         """``mask`` is either (B, L) with 1 for real tokens and 0 for padding,
         or a precomputed additive bias broadcastable to (B, H, L, L) — the
         encoder stack passes the latter so the bias is built once per forward
-        instead of once per layer."""
+        instead of once per layer.
+
+        ``n_queries`` (inference only) attends from the first ``n_queries``
+        positions alone and returns (B, n_queries, D); ``None`` keeps every
+        row."""
         b, l, _ = x.shape
+        if n_queries is not None and not self.inference:
+            raise ValueError("n_queries needs inference_mode: backward "
+                             "expects every query row")
         qkv = self.qkv_proj.forward(x)  # (B, L, 3D)
         qkv = qkv.reshape(b, l, 3, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
         q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, L, d_head) views
+        # keys and values span every position; queries may be cut to a prefix
+        q = q[:, :, :n_queries]
+        nq = q.shape[2]
 
         # python float, not np.float64: a strong float64 scalar would upcast
         # the entire score/softmax/context chain out of the compute dtype
@@ -115,8 +132,8 @@ class MultiHeadSelfAttention(Module):
         q *= scale
         # scores live in a pooled buffer reused across steps with the same
         # bucket shape; the softmax then runs in place on it, so one
-        # (B, H, L, L) buffer serves the whole score -> attention chain
-        scores = self._pool.get("scores", (b, self.n_heads, l, l), x.dtype)
+        # (B, H, nq, L) buffer serves the whole score -> attention chain
+        scores = self._pool.get("scores", (b, self.n_heads, nq, l), x.dtype)
         np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
         if mask is not None:
             if mask.ndim == 2:
@@ -138,10 +155,10 @@ class MultiHeadSelfAttention(Module):
         else:
             self.last_attention = None
         attn_dropped = self.attn_dropout.forward(attn)
-        context = self._pool.get("context", (b, self.n_heads, l, self.d_head), x.dtype)
+        context = self._pool.get("context", (b, self.n_heads, nq, self.d_head), x.dtype)
         np.matmul(attn_dropped, v, out=context)
-        merged = self._pool.get("merged", (b, l, self.d_model), x.dtype)
-        np.copyto(merged.reshape(b, l, self.n_heads, self.d_head),
+        merged = self._pool.get("merged", (b, nq, self.d_model), x.dtype)
+        np.copyto(merged.reshape(b, nq, self.n_heads, self.d_head),
                   context.transpose(0, 2, 1, 3))
         out = self.out_proj.forward(merged)
         self._cache = None if self.inference else (q, k, v, attn, attn_dropped, scale)

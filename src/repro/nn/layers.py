@@ -100,12 +100,16 @@ class LayerNorm(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # GEMV reductions (see ResidualLayerNorm) over the short d axis;
+        # the centered copy is normalized in place into x_hat
+        x_hat = x - mean_lastaxis(x)
+        var = mean_lastaxis(np.square(x_hat))
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
         self._cache = None if self.inference else (x_hat, inv_std)
-        return x_hat * self.gamma.data + self.beta.data
+        out = x_hat * self.gamma.data
+        out += self.beta.data
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x_hat, inv_std = self._cache

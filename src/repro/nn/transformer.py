@@ -84,8 +84,14 @@ class TransformerEncoderLayer(Module):
         self.drop1 = Dropout(cfg.dropout, rng=r_d1)
         self.drop2 = Dropout(cfg.dropout, rng=r_d2)
 
-    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        x = self.ln1.forward(x, self.drop1.forward(self.attn.forward(x, mask)))
+    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
+                n_queries: Optional[int] = None) -> np.ndarray:
+        """(B, L, D) -> (B, L, D), or (B, n_queries, D) when ``n_queries``
+        (inference only) keeps just the first rows: attention still reads
+        every position's keys and values, the residuals, LayerNorms and FFN
+        run on the kept rows alone."""
+        attended = self.attn.forward(x, mask, n_queries)
+        x = self.ln1.forward(x[:, :n_queries], self.drop1.forward(attended))
         x = self.ln2.forward(x, self.drop2.forward(self.ffn.forward(x)))
         return x
 
@@ -104,6 +110,10 @@ class TransformerEncoder(Module):
 
     ``forward`` returns the full hidden-state sequence (B, L, D); heads pick
     what they need (CLS slot for classification, all positions for MLM).
+    An inference caller that reads only the first ``n_queries`` positions
+    can pass ``n_queries``: the last block then computes those rows alone
+    and the result is (B, n_queries, D).  Earlier blocks always run in
+    full, because the last block's keys and values need every position.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: RngLike = None) -> None:
@@ -118,7 +128,8 @@ class TransformerEncoder(Module):
             TransformerEncoderLayer(cfg, rng=r) for r in r_layers
         ]
 
-    def forward(self, ids: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    def forward(self, ids: np.ndarray, mask: Optional[np.ndarray] = None,
+                n_queries: Optional[int] = None) -> np.ndarray:
         b, l = ids.shape
         if l > self.cfg.max_len:
             raise ValueError(f"sequence length {l} exceeds max_len {self.cfg.max_len}")
@@ -139,8 +150,14 @@ class TransformerEncoder(Module):
         positions = np.broadcast_to(np.arange(l, dtype=np.int32), (b, l))
         x = self.tok_emb.forward(ids) + self.pos_emb.forward(positions)
         x = self.emb_drop.forward(self.emb_ln.forward(x))
-        for layer in self.layers:
+        for layer in self.layers[:-1]:
             x = layer.forward(x, mask)
+        if self.layers:
+            # only the last block may cut its queries: it still reads every
+            # position's keys and values from the block before
+            last = self.layers[-1]
+            x = (last.forward(x, mask) if n_queries is None
+                 else last.forward(x, mask, n_queries))
         return x
 
     def backward(self, dy: np.ndarray) -> None:

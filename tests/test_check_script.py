@@ -10,6 +10,7 @@ exit on a failing stage (the old ``set -e`` subshell ambiguity this
 replaced).
 """
 
+import json
 import os
 import stat
 import subprocess
@@ -219,3 +220,37 @@ class TestCiWorkflowMirrorsCheckScript:
             assert mode in script
         assert "ruff check" in script
         assert "lint_fallback.py" in script
+
+
+class TestBenchWorkflow:
+    """The scheduled bench refresh runs every benchmark workload untraced
+    and traced, gates the fresh reports and uploads what it measured."""
+
+    @pytest.fixture(scope="class")
+    def workflow(self):
+        return (REPO_ROOT / ".github" / "workflows" / "bench.yml").read_text()
+
+    def test_triggers_weekly_and_by_hand_only(self, workflow):
+        assert "schedule:" in workflow and "cron:" in workflow
+        assert "workflow_dispatch:" in workflow
+        assert "push:" not in workflow and "pull_request:" not in workflow
+
+    def test_runs_every_benchmark_workload_untraced_and_traced(self,
+                                                               workflow):
+        bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        for workload in (w["name"] for w in bench["workloads"]):
+            for trace in (0, 1):
+                cmd = (f"python3 perfbench/run.py --workload {workload} "
+                       f"--seed 1 --trace {trace}")
+                assert cmd in workflow, f"bench.yml does not run {cmd}"
+
+    def test_refreshes_reports_then_gates_them(self, workflow):
+        refresh = workflow.index("python -m pytest -q -m perf")
+        gate = workflow.index("python scripts/bench_gate.py")
+        assert refresh < gate
+
+    def test_uploads_perfbench_output_and_reports(self, workflow):
+        upload = workflow[workflow.index("actions/upload-artifact@v4"):]
+        assert "if: always()" in workflow
+        assert ".perfbench/" in upload
+        assert "benchmarks/BENCH_*.json" in upload

@@ -1,0 +1,261 @@
+"""The CLS-only last encoder block that PragFormer's inference runs.
+
+``ClassificationHead`` reads only the CLS row, so ``predict_proba`` and
+``evaluate`` ask the encoder to run its last block for query row 0 alone
+(``n_queries=1``).  That path is checked two ways:
+
+* **oracle** — against the full-sequence forward (``_forward_logits``
+  under ``eval()``), on random padded batches and, through
+  ``MultiModelEngine.advise_v1``, on a clean sample, every dirty fixture
+  and seeded fuzz mutants.  The declared tolerance: probabilities within
+  1e-6 in float32 and 1e-12 in float64; argmax, verdicts, clauses and
+  flags exact.  Bits may move because the last block's GEMMs, LayerNorms
+  and FFN run on one row instead of L.  The models keep their initial
+  weights, whose probabilities already span about 0.2-0.99.  Batching a
+  row with others moves the full path's own answer by more than the
+  pruning does (``test_pruning_moves_less_than_batching``);
+* **in effect / full path intact** — the last block allocates no
+  (B, H, L, L) scores, ``retain_attention`` and ``fit`` still run every
+  row, and the explain tooling reads the same maps as a full forward.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.clang.fuzz import fuzz_corpus
+from repro.corpus import CorpusConfig, build_corpus
+from repro.data.encoding import EncodedSplit
+from repro.explain.attention import cls_attention
+from repro.models import PragFormer
+from repro.models.pragformer import PragFormerConfig
+from repro.nn import softmax
+from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.dtype import use_dtype
+from repro.serve import ModelRegistry, MultiModelEngine
+from repro.tokenize import Vocab, robust_text_tokens
+
+DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
+VOCAB = 300
+
+
+def _batch(rng, b, length, all_real=False):
+    ids = rng.integers(4, VOCAB, size=(b, length)).astype(np.int32)
+    lengths = np.full(b, length) if all_real else rng.integers(1, length + 1, b)
+    lengths[0] = length  # trim_batch would cut an all-padding tail
+    mask = (np.arange(length)[None, :] < lengths[:, None])
+    ids[~mask] = 0
+    return ids, mask.astype(np.float32)
+
+
+def _shapes(seed, n=24):
+    """(B, L, all_real) draws over B 1-40, L 1-110, plus the edges."""
+    rng = np.random.default_rng(seed)
+    draws = [(int(rng.integers(1, 41)), int(rng.integers(1, 111)), False)
+             for _ in range(n)]
+    return draws + [(1, 1, True), (40, 1, True), (7, 110, True),
+                    (40, 110, False), (1, 110, False), (13, 2, False)]
+
+
+def _full_and_pruned(model, ids, mask):
+    model.encoder.eval()
+    model.head.eval()
+    full = softmax(model._forward_logits(ids, mask))
+    model.encoder.inference_mode()
+    model.head.inference_mode()
+    pruned = softmax(model._forward_logits(ids, mask, n_queries=1))
+    return full, pruned
+
+
+class TestOracle:
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6),
+                                           (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    def test_pruned_matches_full_sequence_forward(self, dtype, tol):
+        with use_dtype(dtype):
+            model = PragFormer(VOCAB, rng=3)
+            rng = np.random.default_rng(17)
+            spread = []
+            for b, length, all_real in _shapes(seed=5):
+                ids, mask = _batch(rng, b, length, all_real)
+                full, pruned = _full_and_pruned(model, ids, mask)
+                assert pruned.dtype == np.dtype(dtype)
+                assert pruned.shape == (b, 2)
+                np.testing.assert_allclose(pruned, full, rtol=0, atol=tol,
+                                           err_msg=f"B={b} L={length}")
+                assert (pruned.argmax(1) == full.argmax(1)).all()
+                spread.append(full[:, 1])
+        spread = np.concatenate(spread)
+        assert spread.min() < 0.3 and spread.max() > 0.95
+
+    def test_pruning_moves_less_than_batching(self):
+        """Scoring a row inside a padded batch instead of alone already
+        moves the full path's probabilities; the CLS-only block moves them
+        by less."""
+        model = PragFormer(VOCAB, rng=3)
+        rng = np.random.default_rng(17)
+        pruning = batching = 0.0
+        for b, length, all_real in _shapes(seed=5):
+            ids, mask = _batch(rng, b, length, all_real)
+            full, pruned = _full_and_pruned(model, ids, mask)
+            model.encoder.eval()
+            model.head.eval()
+            for i in range(b):
+                n = int(mask[i].sum())
+                alone = softmax(model._forward_logits(ids[i:i + 1, :n],
+                                                      mask[i:i + 1, :n]))
+                batching = max(batching, float(np.abs(alone - full[i]).max()))
+            pruning = max(pruning, float(np.abs(pruned - full).max()))
+        assert 0 < pruning < batching
+
+    def test_predict_proba_and_evaluate_match_full_forward(self):
+        model = PragFormer(VOCAB, rng=4)
+        rng = np.random.default_rng(23)
+        ids, mask = _batch(rng, 90, 110)
+        labels = rng.integers(0, 2, 90)
+        split = EncodedSplit(ids=ids, mask=mask, labels=labels)
+        got = model.predict_proba(split, batch_size=16)
+        loss, acc = model.evaluate(split, batch_size=16)
+        model.encoder.eval()
+        model.head.eval()
+        ref = np.empty_like(got)
+        for i in range(90):
+            n = int(mask[i].sum())
+            ref[i] = softmax(model._forward_logits(ids[i:i + 1, :n],
+                                                   mask[i:i + 1, :n]))[0]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
+        assert acc == float((ref.argmax(1) == labels).mean())
+        ref_loss = -np.log(ref[np.arange(90), labels]).mean()
+        assert loss == pytest.approx(ref_loss, abs=1e-5)
+
+
+@pytest.fixture(scope="module")
+def traffic():
+    clean = [rec.code for rec in
+             build_corpus(CorpusConfig(n_records=40, seed=11)).records]
+    dirty = [path.read_bytes().decode("utf-8", errors="replace")
+             for path in sorted(DIRTY_DIR.glob("*.c"))]
+    assert len(dirty) == 52
+    return clean + dirty + fuzz_corpus(clean, n=60, seed=9)
+
+
+@pytest.fixture(scope="module")
+def registry(traffic):
+    """Three two-layer heads over one vocabulary.  Seeds 2-4 give a
+    directive head that says yes to about 70% of the traffic and clause
+    heads that recommend on most of those, so every verdict and clause
+    branch is compared."""
+    cfg = PragFormerConfig(d_model=32, n_heads=4, n_layers=2, d_ff=64,
+                           d_head_hidden=32, max_len=110)
+    vocab = Vocab.build([robust_text_tokens(code) for code in traffic])
+    out = ModelRegistry()
+    for k, name in enumerate(("directive", "private", "reduction"), start=2):
+        model = PragFormer(len(vocab), replace(cfg, seed=k), rng=k)
+        out.register(name, model, vocab, max_len=cfg.max_len)
+    return out
+
+
+class TestEngineOracle:
+    def test_advise_v1_matches_full_sequence_forward(self, registry,
+                                                     traffic, monkeypatch):
+        with MultiModelEngine(registry) as engine:
+            pruned = engine.advise_v1(traffic)
+        # retain_attention runs every block in full: the reference forward
+        full_proba = PragFormer.predict_proba
+        monkeypatch.setattr(
+            PragFormer, "predict_proba",
+            lambda self, split, batch_size=128, retain_attention=False:
+            full_proba(self, split, batch_size, retain_attention=True))
+        with MultiModelEngine(registry) as engine:
+            full = engine.advise_v1(traffic)
+        assert {r.verdict for r in full} == {True, False}
+        assert any(r.recovered for r in full)
+        assert any(r.recommended_clauses() for r in full)
+        for code, p, f in zip(traffic, pruned, full):
+            assert (p.verdict, p.degraded, p.recovered) == \
+                (f.verdict, f.degraded, f.recovered), code[:60]
+            assert abs(p.probability - f.probability) <= 1e-6, code[:60]
+            assert p.clauses.keys() == f.clauses.keys(), code[:60]
+            for name, clause in f.clauses.items():
+                got = p.clauses[name]
+                assert got.suggested == clause.suggested, code[:60]
+                assert abs(got.probability - clause.probability) <= 1e-6, \
+                    code[:60]
+            assert p.recommended_clauses() == f.recommended_clauses()
+
+
+class TestPruningInEffect:
+    B, L = 12, 96
+
+    def _split(self):
+        ids, mask = _batch(np.random.default_rng(2), self.B, self.L,
+                           all_real=True)
+        return EncodedSplit(ids=ids, mask=mask,
+                            labels=np.zeros(self.B, np.int64))
+
+    def test_last_block_allocates_no_square_scores(self):
+        model = PragFormer(VOCAB, rng=0)
+        model.predict_proba(self._split())
+        cfg = model.config
+        itemsize = model.encoder.tok_emb.W.data.itemsize
+        square = self.B * cfg.n_heads * self.L * self.L * itemsize
+        full_rows = self.B * self.L * cfg.d_model * itemsize
+        *body, last = model.encoder.layers
+        assert all(layer.attn._pool.nbytes() >= square for layer in body)
+        assert last.attn._pool.nbytes() < square
+        assert last.ln2._pool.nbytes() < full_rows
+
+    def test_retain_attention_keeps_full_maps_in_every_layer(self):
+        model = PragFormer(VOCAB, rng=0)
+        split = self._split()
+        retained = model.predict_proba(split, retain_attention=True)
+        maps = model.encoder.attention_maps()
+        assert len(maps) == model.config.n_layers
+        for attn in maps:
+            assert attn.shape == (self.B, model.config.n_heads, self.L,
+                                  self.L)
+        np.testing.assert_allclose(model.predict_proba(split), retained,
+                                   rtol=0, atol=1e-6)
+
+    def test_cls_attention_reads_a_full_forward(self):
+        model = PragFormer(VOCAB, rng=0)
+        vocab = Vocab.build([robust_text_tokens(
+            "for (i = 0; i < n; i++) s += a[i] * b[i];")])
+        code = "for (i = 0; i < n; i++) { s += a[i] * b[i]; }"
+        got = cls_attention(model, vocab, code)
+        ids = vocab.encode(robust_text_tokens(code), max_len=110)[None, :]
+        model.encoder.eval()
+        model.encoder.forward(ids, np.ones(ids.shape, np.float32))
+        cls_row = model.encoder.attention_maps()[-1][0, :, 0, :].mean(axis=0)
+        assert [w for _, w in got] == [float(w) for w in cls_row[1:]]
+
+    def test_fit_trains_on_every_row(self, monkeypatch):
+        calls = []
+        forward = MultiHeadSelfAttention.forward
+
+        def spy(self, x, mask=None, n_queries=None):
+            calls.append((self.inference, n_queries))
+            return forward(self, x, mask, n_queries)
+
+        monkeypatch.setattr(MultiHeadSelfAttention, "forward", spy)
+        rng = np.random.default_rng(0)
+        ids, mask = _batch(rng, 24, 20)
+        split = EncodedSplit(ids=ids, mask=mask,
+                             labels=rng.integers(0, 2, 24))
+        cfg = PragFormerConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32,
+                               d_head_hidden=16, batch_size=8)
+        PragFormer(VOCAB, cfg, rng=0).fit(split, split, epochs=2)
+        training = [nq for inference, nq in calls if not inference]
+        assert len(training) == 2 * 3 * cfg.n_layers
+        assert training == [None] * len(training)
+        assert (True, 1) in calls  # validation ran the CLS-only block
+
+    def test_n_queries_outside_inference_mode_raises(self):
+        attn = MultiHeadSelfAttention(16, 2, rng=0)
+        x = np.zeros((2, 5, 16), np.float32)
+        with pytest.raises(ValueError, match="inference_mode"):
+            attn.forward(x, n_queries=1)
+        attn.inference_mode()
+        assert attn.forward(x, n_queries=1).shape == (2, 1, 16)
