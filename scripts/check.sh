@@ -11,8 +11,9 @@
 #   scripts/check.sh --chaos    # chaos smoke only: fault-injection suite
 #                               # (worker kill/hang/drop, admission control)
 #   scripts/check.sh --fuzz     # fuzz smoke only: seeded dirty-input
-#                               # sweep through the recovering frontend
-#                               # and arbitrary JSON bodies at the HTTP
+#                               # sweep through the recovering frontend,
+#                               # the lexer's differential oracle, and
+#                               # arbitrary JSON bodies at the HTTP
 #                               # endpoints (REPRO_FUZZ_N per sweep, ~1 min)
 #   scripts/check.sh --ddp      # DDP determinism only: the data-parallel
 #                               # trainer's bit-identity/parity suite
@@ -97,14 +98,15 @@ stage_chaos_smoke() {
 
 stage_fuzz_smoke() {
     # seeded, deterministic dirty-input sweeps: every mutant must come
-    # back with diagnostics inside the budget, never an exception, and
-    # every JSON body posted to the HTTP endpoints must get an answer,
-    # never a dropped connection.  Both suites are part of tier-1 at a
-    # small REPRO_FUZZ_N; this mode rescales the same property tests to
-    # a deeper sweep.
+    # back with diagnostics inside the budget, never an exception, must
+    # lex exactly as the reference per-character scanner does, and every
+    # JSON body posted to the HTTP endpoints must get an answer, never a
+    # dropped connection.  All three suites are part of tier-1 at a small
+    # REPRO_FUZZ_N; this mode rescales the same property tests to a
+    # deeper sweep.
     REPRO_FUZZ_N="${REPRO_FUZZ_N:-1200}" \
         python -m pytest -x -q tests/test_clang_recovery.py \
-        tests/test_serve_http_fuzz.py
+        tests/test_clang_lexer_oracle.py tests/test_serve_http_fuzz.py
 }
 
 stage_ddp() {

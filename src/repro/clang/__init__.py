@@ -6,7 +6,7 @@ the paper's DFS textual form (Tables 2 and 6), and parses/unparses
 ``#pragma omp`` directives into a structured clause model.
 """
 
-from repro.clang.lexer import Lexer, LexError, Token, TokenKind, tokenize
+from repro.clang.lexer import LexError, Token, TokenKind, tokenize
 from repro.clang.nodes import (
     ArrayRef,
     Assignment,
@@ -47,7 +47,6 @@ from repro.clang.pragma import Clause, OmpDirective, PragmaError, parse_pragma
 from repro.clang.serialize import ast_to_dfs_text, unparse
 
 __all__ = [
-    "Lexer",
     "LexError",
     "Token",
     "TokenKind",

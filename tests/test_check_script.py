@@ -121,7 +121,7 @@ class TestModeInvocations:
         calls = _calls(log)
         assert calls == [
             "python -m pytest -x -q tests/test_clang_recovery.py "
-            "tests/test_serve_http_fuzz.py"]
+            "tests/test_clang_lexer_oracle.py tests/test_serve_http_fuzz.py"]
         assert "check.sh: stage 'fuzz-smoke' passed" in result.stdout
 
     def test_ddp_runs_determinism_suite_only(self, shim):
@@ -254,3 +254,42 @@ class TestBenchWorkflow:
         assert "if: always()" in workflow
         assert ".perfbench/" in upload
         assert "benchmarks/BENCH_*.json" in upload
+
+    @staticmethod
+    def _step_script(workflow, command):
+        """The ``run: |`` script of the one step that runs ``command``."""
+        steps = [s for s in workflow.split("\n      - name: ")
+                 if command in s]
+        assert len(steps) == 1, f"expected one step running {command}"
+        lines = steps[0].split("        run: |\n", 1)[1].splitlines()
+        return "\n".join(line[10:] for line in lines
+                         if line.startswith(" " * 10)) + "\n"
+
+    @pytest.mark.parametrize("trace", [0, 1])
+    def test_perfbench_steps_keep_their_result_lines(self, workflow, tmp_path,
+                                                     trace):
+        """Each perfbench step tees its stdout into the uploaded
+        ``.perfbench/results/`` under pipefail: the lines land in the
+        artifact, and a failing run still fails its step.  The step
+        scripts run here for real against a stub ``python3`` that prints
+        a result line and exits 3."""
+        bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        shim_dir = tmp_path / "bin"
+        shim_dir.mkdir()
+        stub = shim_dir / "python3"
+        stub.write_text('#!/bin/sh\necho \'{"metrics": {}}\'\nexit 3\n')
+        stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
+        env = dict(os.environ, PATH=f"{shim_dir}:{os.environ['PATH']}")
+        for workload in (w["name"] for w in bench["workloads"]):
+            script = self._step_script(
+                workflow, f"python3 perfbench/run.py --workload {workload} "
+                          f"--seed 1 --trace {trace}")
+            assert script.index("set -o pipefail") < script.index("| tee")
+            # GitHub runs an unqualified `run:` as `bash -e {0}`
+            result = subprocess.run(["bash", "-e", "-c", script], env=env,
+                                    cwd=tmp_path, capture_output=True,
+                                    text=True, timeout=30)
+            assert result.returncode == 3, result.stderr
+            out = tmp_path / ".perfbench" / "results" / \
+                f"{workload}-trace{trace}.jsonl"
+            assert out.read_text() == '{"metrics": {}}\n'
