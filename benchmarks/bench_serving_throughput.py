@@ -23,10 +23,10 @@ not-pathological floor; the trace speedup is the gate that matters.
 Results go to ``BENCH_serving.json`` as the first entry in the perf
 trajectory.
 
-Five further sections exercise the serving stack's newer layers: a
+Seven further sections exercise the serving stack's newer layers: a
 **shard sweep** replays the trace twice over through
 :class:`repro.serve.ShardedEngine` fleets *pinned* at {1, 2, 4} worker
-processes (``min_shards == max_shards``, so every point pays real
+processes (every fleet runs worker processes, so every point pays real
 cross-process traffic, including n=1; digest-hash routing keeps each
 shard's LRU hot; each worker gets ``nproc // n_shards`` BLAS threads) —
 interleaved reps with medians, recording the 2-shard
@@ -46,9 +46,7 @@ pass starts a second checkpoint on a digest slice of traffic while client
 threads hammer the engine, reads the per-arm counters, and promotes it
 live (zero failed requests, zero canary-arm errors, zero stale verdicts
 after the promote — the invariants ``scripts/bench_gate.py`` holds CI
-to); an **autoscale burst** drives a queue-depth-autoscaled sharded
-engine through a bursty then idle phase and records the resize trail;
-and a **fault injection** pass kills one of four shards mid-trace with
+to); and a **fault injection** pass kills one of four shards mid-trace with
 the deterministic :mod:`repro.serve.chaos` schedule — every request must
 still be answered (answered fraction 1.0, zero lost), the supervisor
 must respawn the slot, and the recovery time plus supervisor counters go
@@ -95,7 +93,6 @@ from repro.data.encoding import encode_batch
 from repro.models import PragFormer
 from repro.serve import (
     AdmissionConfig,
-    AutoscaleConfig,
     ChaosConfig,
     EngineConfig,
     InferenceEngine,
@@ -283,9 +280,9 @@ def test_serving_throughput(benchmark):
     # fully warm pass: every request hits the prediction LRU
     _, warm_elapsed = timed(engine.predict_proba, trace)
 
-    # -- shard sweep: pinned fleets of 1/2/4 worker processes --------------
-    # min_shards == max_shards, so every point (n=1 included) runs real
-    # worker processes and pays the queue IPC.  Each worker gets
+    # -- shard sweep: fleets of 1/2/4 worker processes ---------------------
+    # every point (n=1 included) runs real worker processes and pays the
+    # queue IPC.  Each worker gets
     # nproc // n_shards BLAS threads (at least one), as a deployment
     # would and as perfbench/run.py does: left at OpenBLAS's default of
     # one spinning thread per core in every worker, a 2-shard fleet
@@ -307,12 +304,9 @@ def test_serving_throughput(benchmark):
     sweep_mismatches = 0
     for rep in range(SWEEP_REPS):
         for n_shards in SHARD_COUNTS:
-            pinned = AutoscaleConfig(min_shards=n_shards,
-                                     max_shards=n_shards)
             factory = functools.partial(engine_factory,
                                         blas_threads=sweep_blas[n_shards])
-            with ShardedEngine(factory, n_shards=n_shards,
-                               autoscale=pinned) as fleet:
+            with ShardedEngine(factory, n_shards=n_shards) as fleet:
                 got, cold = timed(fleet.predict_proba, sweep_trace)
                 warms = [timed(fleet.predict_proba, sweep_trace)[1]
                          for _ in range(SWEEP_WARM_PASSES)]
@@ -335,13 +329,12 @@ def test_serving_throughput(benchmark):
     shard_sweep = {
         "trace_requests": len(sweep_trace),
         "reps": SWEEP_REPS,
-        "pinned_autoscale": True,
         # per-worker BLAS threads by fleet size; None when this BLAS
         # cannot be capped (the workers then keep its default pool)
         "blas_threads_per_worker": ({str(n): t for n, t in sweep_blas.items()}
                                     if _blas_thread_setter() is not None
                                     else None),
-        # the sharding tax: pinned 2-shard vs pinned 1-shard throughput
+        # the sharding tax: 2-shard vs 1-shard throughput
         "scaling_2shard": round(_sweep_tput(2) / _sweep_tput(1), 3),
         # the smallest fleet within the tolerance of the sweep's best
         "crossover_tolerance": SWEEP_CROSSOVER_TOL,
@@ -583,51 +576,6 @@ def test_serving_throughput(benchmark):
         }
         live.close()
 
-    # -- autoscale burst: queue-depth resize between min and max shards ----
-    autoscale_cfg = AutoscaleConfig(min_shards=1, max_shards=2,
-                                    high_watermark=0.25, low_watermark=0.05,
-                                    window=4, cooldown_s=0.5)
-    with ShardedEngine(engine_factory, n_shards=1,
-                       autoscale=autoscale_cfg) as scaled:
-        stop = threading.Event()
-        burst_errors: list = []
-
-        def burst_client():
-            while not stop.is_set():
-                try:
-                    scaled.predict_proba(trace[:64])
-                except Exception as exc:  # noqa: BLE001 — counted below
-                    burst_errors.append(exc)
-                    return
-
-        burst = [threading.Thread(target=burst_client) for _ in range(4)]
-        burst_start = time.monotonic()
-        for t in burst:
-            t.start()
-        while scaled.n_shards < 2 and time.monotonic() - burst_start < 30:
-            time.sleep(0.05)
-        grew_to = scaled.n_shards
-        grow_s = time.monotonic() - burst_start
-        stop.set()
-        for t in burst:
-            t.join(timeout=60)
-        assert not burst_errors, burst_errors
-        idle_start = time.monotonic()
-        while scaled.n_shards > 1 and time.monotonic() - idle_start < 30:
-            scaled.predict_proba(trace[:8])
-        shrank_to = scaled.n_shards
-        scaler_state = scaled.stats()["autoscaler"]
-    autoscale_burst = {
-        "config": {"min_shards": 1, "max_shards": 2,
-                   "high_watermark": 0.25, "low_watermark": 0.05,
-                   "window": 4, "cooldown_s": 0.5},
-        "grew_to": grew_to,
-        "grow_s": round(grow_s, 2),
-        "shrank_to": shrank_to,
-        "resizes": scaler_state["resizes"],
-        "last_resize": scaler_state["last_resize"],
-    }
-
     # -- fault injection: kill one of four shards mid-trace ----------------
     # the chaos schedule kills shard FAULT_KILL_SLOT on its 4th serving
     # call; every request must still be answered (retried on a healthy
@@ -826,7 +774,6 @@ def test_serving_throughput(benchmark):
         "clause_gating": clause_gating,
         "reload_under_load": reload_under_load,
         "canary_rollout": canary_rollout,
-        "autoscale_burst": autoscale_burst,
         "fault_injection": fault_injection,
         "dirty_trace": dirty_trace_section,
         "stats": engine.stats.as_dict(),
@@ -849,8 +796,7 @@ def test_serving_throughput(benchmark):
           f"{canary_rollout['canary_requests']} req at "
           f"{CANARY_FRACTION:.0%} promoted in "
           f"{canary_rollout['promote_s'] * 1e3:.0f}ms with "
-          f"{canary_rollout['failed_requests']} failures; autoscale "
-          f"{grew_to}->{shrank_to} shards; chaos kill: "
+          f"{canary_rollout['failed_requests']} failures; chaos kill: "
           f"{fault_injection['answered']}/{fault_injection['requests']} "
           f"answered, {fault_injection['lost_requests']} lost, recovered in "
           f"{fault_injection['recovery_s']}s, "
@@ -900,10 +846,6 @@ def test_serving_throughput(benchmark):
     assert canary_rollout["stale_after_promote"] == 0
     assert canary_rollout["outcome"] == "promoted"
     assert canary_rollout["model_version"] == canary_rollout["version"]
-    # autoscaler: the burst grew the fleet, idleness shrank it back
-    assert autoscale_burst["grew_to"] == 2, "burst must reach max_shards"
-    assert autoscale_burst["shrank_to"] == 1, "idle fleet must shrink to min"
-    assert autoscale_burst["resizes"] >= 2
     # fault injection: a killed shard loses nothing — every request
     # answered for real, the slot respawned, latency bounded by deadlines
     assert fault_injection["lost_requests"] == 0

@@ -90,7 +90,8 @@ stage_perf_smoke() {
 
 stage_chaos_smoke() {
     # the deterministic fault-injection suite: worker kill/hang/drop/
-    # malformed faults, crash-loop degrade, admission control.  Part of
+    # malformed faults, respawn replay of the fleet's reload and canary
+    # state, crash-loop degrade, admission control.  Part of
     # tier-1 too; this mode isolates it so serving changes get a fast,
     # targeted signal before the full suite.
     python -m pytest -x -q tests/test_serve_faults.py

@@ -30,11 +30,10 @@ schema (schemas in ``docs/serving.md``).  In either mode
 ``--shards N`` partitions traffic across N worker processes with
 digest-hash routing (:class:`repro.serve.ShardedEngine`; a sharded
 advisor loaded from ``--watch`` maps one shared read-only weight copy
-fleet-wide), and
-``--min-shards``/``--max-shards`` turn on queue-depth autoscaling between
-those bounds.  ``--http`` additionally supports ``--watch DIR`` (start
-from — and hot-reload on changes to — an advisor checkpoint directory
-written by ``ModelRegistry.save``), ``--gate-margin M`` (clause heads
+fleet-wide; the fleet keeps N workers for its lifetime).  ``--http``
+additionally supports ``--watch DIR`` (start from — and hot-reload on
+changes to — an advisor checkpoint directory written by
+``ModelRegistry.save``), ``--gate-margin M`` (clause heads
 only see snippets whose directive probability clears ``0.5 - M``), and
 ``--canary DIR`` / ``--canary-fraction F`` (serve a second checkpoint to
 a deterministic digest slice of traffic next to the primary; finish the
@@ -116,21 +115,6 @@ def _engine_config(args: argparse.Namespace):
                         **kwargs)
 
 
-def _autoscale_config(args: argparse.Namespace):
-    """:class:`AutoscaleConfig` from ``--min-shards``/``--max-shards``, or
-    ``None`` when neither flag was given (fixed shard count)."""
-    from repro.serve import AutoscaleConfig
-
-    min_shards = getattr(args, "min_shards", None)
-    max_shards = getattr(args, "max_shards", None)
-    if min_shards is None and max_shards is None:
-        return None
-    min_shards = min_shards or 1
-    return AutoscaleConfig(
-        min_shards=min_shards,
-        max_shards=max_shards or max(min_shards, getattr(args, "shards", 1)))
-
-
 def _supervisor_config(args: argparse.Namespace):
     """:class:`SupervisorConfig` from ``--request-timeout``, or ``None``
     (engine defaults) when the flag was not given.  ``0`` disables
@@ -187,8 +171,8 @@ def _build_directive_engine(model, vocab, max_len, config):
 def _make_full_advisor(args: argparse.Namespace):
     """Multi-model advisor (directive + clause heads), optionally sharded.
 
-    With ``--shards N > 1`` (or autoscaling bounds) each worker process
-    builds its own :class:`MultiModelEngine` from the registry.  With
+    With ``--shards N > 1`` each worker process builds its own
+    :class:`MultiModelEngine` from the registry.  With
     ``--watch DIR`` pointing at an existing advisor checkpoint, the
     registry is loaded from it instead of training via the experiment
     context — the deployment path: train elsewhere, ``ModelRegistry.save``,
@@ -205,9 +189,8 @@ def _make_full_advisor(args: argparse.Namespace):
 
     config = _engine_config(args)
     watch = getattr(args, "watch", None)
-    autoscale = _autoscale_config(args)
     shards = getattr(args, "shards", 1)
-    sharded = shards > 1 or autoscale is not None
+    sharded = shards > 1
     registry = None
     shared = None
     if watch:
@@ -227,7 +210,6 @@ def _make_full_advisor(args: argparse.Namespace):
     if sharded:
         try:
             return ShardedEngine(factory, n_shards=shards,
-                                 autoscale=autoscale,
                                  supervisor=_supervisor_config(args),
                                  shared_weights=shared)
         except BaseException:
@@ -308,8 +290,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "directive head only; there are no clause heads to gate)",
               file=sys.stderr)
         return 2
-    autoscale = _autoscale_config(args)
-    if args.shards > 1 or autoscale is not None:
+    if args.shards > 1:
         import functools
 
         from repro.pipeline import get_context
@@ -321,8 +302,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             functools.partial(_build_directive_engine, ctx.pragformer,
                               enc.vocab, ctx.scale.pragformer.max_len,
                               _engine_config(args)),
-            n_shards=args.shards, autoscale=autoscale,
-            supervisor=_supervisor_config(args))
+            n_shards=args.shards, supervisor=_supervisor_config(args))
     else:
         _, engine = _make_engine(args)
 
@@ -471,11 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shards", type=int, default=1, metavar="N",
                          help="partition traffic across N worker processes "
                               "(digest-hash routing; 1 = in-process)")
-    p_serve.add_argument("--min-shards", type=int, default=None, metavar="N",
-                         help="lower bound for queue-depth shard autoscaling "
-                              "(giving --min-shards or --max-shards enables it)")
-    p_serve.add_argument("--max-shards", type=int, default=None, metavar="N",
-                         help="upper bound for queue-depth shard autoscaling")
     p_serve.add_argument("--watch", type=str, default=None, metavar="DIR",
                          help="with --http: serve the advisor checkpoint in DIR "
                               "and hot-reload whenever a new checkpoint lands "

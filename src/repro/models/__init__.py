@@ -2,7 +2,6 @@
 transfer substitute), and the BoW + logistic-regression baseline."""
 
 from repro.models.bow import BowConfig, BowLogistic
-from repro.models.generator import DirectiveGenerator, GeneratedDirective
 from repro.models.hybrid import HybridAdvisor
 from repro.models.persistence import (
     load_advisor,
@@ -17,8 +16,6 @@ from repro.models.pretrain import MLMConfig, MLMPretrainer, mask_tokens
 __all__ = [
     "BowConfig",
     "BowLogistic",
-    "DirectiveGenerator",
-    "GeneratedDirective",
     "HybridAdvisor",
     "load_advisor",
     "load_pragformer",

@@ -23,8 +23,7 @@ Six modules build on each other:
   :meth:`~MultiModelEngine.rollback`, :class:`CanaryPolicy`).
 * :mod:`repro.serve.sharding` — :class:`ShardedEngine`: bulk traffic
   partitioned across worker processes by source digest over their
-  request/reply queues, per-shard caches kept hot, queue-depth
-  autoscaling between :class:`AutoscaleConfig` bounds, and fault
+  request/reply queues, per-shard caches kept hot, and fault
   tolerance (:class:`SupervisorConfig`): worker supervision with
   heartbeats and respawn budgets, per-request deadlines, and degraded
   verdicts instead of hangs or exceptions.
@@ -40,7 +39,7 @@ Six modules build on each other:
 Counters live in :mod:`repro.serve.metrics`.  CLI front-ends: ``repro
 serve`` (JSON-lines on stdin, or ``--http PORT``), ``repro advise``.
 The full walk-through is in ``docs/serving.md``; the operator's guide
-(deploy, probe, reload, autoscale) is ``docs/operations.md``.
+(deploy, probe, reload, canary, faults) is ``docs/operations.md``.
 """
 
 from repro.serve.api import SCHEMA_VERSION, AdviceRequest, AdviceResult
@@ -61,7 +60,6 @@ from repro.serve.http_api import (
 )
 from repro.serve.metrics import (
     ArmStats,
-    RollingMean,
     batch_hist_bucket,
     merge_arm_stats,
     merge_stat_dicts,
@@ -77,7 +75,6 @@ from repro.serve.registry import (
     checkpoint_mtime,
 )
 from repro.serve.sharding import (
-    AutoscaleConfig,
     DeadlineExceeded,
     ShardedEngine,
     SupervisorConfig,
@@ -93,7 +90,6 @@ __all__ = [
     "AdviceResult",
     "AdvisorHTTPServer",
     "ArmStats",
-    "AutoscaleConfig",
     "CanaryPolicy",
     "ChaosConfig",
     "CheckpointWatcher",
@@ -107,7 +103,6 @@ __all__ = [
     "ModelRegistry",
     "ModelSlot",
     "MultiModelEngine",
-    "RollingMean",
     "ShardedEngine",
     "SupervisorConfig",
     "batch_hist_bucket",

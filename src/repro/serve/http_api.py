@@ -68,7 +68,7 @@ inference failures (half-open probes after the cooldown re-close it).
 working exactly when the service is shedding.  Start the server from the
 CLI with ``repro serve --http PORT`` or programmatically via
 :func:`make_server` / :func:`serve_forever`.  The operator's guide to the
-lifecycle (probing, reload, autoscaling, failure modes) is
+lifecycle (probing, reload, canary rollouts, failure modes) is
 ``docs/operations.md``.
 """
 

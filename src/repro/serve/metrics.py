@@ -13,10 +13,6 @@ Every layer of the serving stack reports through the types here:
   worker process).
 * :func:`batch_hist_bucket` — the shared histogram bucketing rule, exposed
   so the bench reporter and tests label buckets identically.
-* :class:`RollingMean` — a fixed-size window over a load signal, used by
-  :class:`~repro.serve.sharding.ShardedEngine`'s autoscaler to smooth
-  per-call queue-depth and per-batch latency samples into a resize
-  decision.
 * :class:`ArmStats` / :func:`merge_arm_stats` — per-arm counters for a
   canary deployment (requests, errors, verdict agreement against the
   primary arm, latency), kept once for the primary arm and once for the
@@ -31,65 +27,11 @@ straight into ``json.dumps`` for the ``/stats`` HTTP endpoint and the
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
 
-__all__ = ["ArmStats", "EngineStats", "RollingMean", "batch_hist_bucket",
-           "merge_arm_stats", "merge_engine_stats", "merge_stat_dicts"]
-
-
-class RollingMean:
-    """Thread-safe rolling window of float samples with an O(1) mean.
-
-    The autoscaler's smoothing primitive: each serving call pushes one
-    queue-depth sample, and resize decisions read the mean over the last
-    ``window`` samples instead of reacting to a single spike.  ``full`` is
-    the hysteresis gate — no decision is taken until the window has seen
-    ``window`` fresh samples, and :meth:`clear` empties it after a resize
-    so the next decision is based entirely on post-resize load.
-    """
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._lock = threading.Lock()
-        self._samples: "deque[float]" = deque(maxlen=window)
-        self._sum = 0.0
-
-    def push(self, value: float) -> None:
-        """Add one sample, dropping the oldest once the window is full."""
-        with self._lock:
-            if len(self._samples) == self.window:
-                self._sum -= self._samples[0]
-            self._samples.append(float(value))
-            self._sum += float(value)
-
-    def mean(self) -> float:
-        """Mean over the current samples (0.0 when empty)."""
-        with self._lock:
-            if not self._samples:
-                return 0.0
-            return self._sum / len(self._samples)
-
-    @property
-    def full(self) -> bool:
-        """True once ``window`` samples have accumulated since the last
-        :meth:`clear` — the autoscaler's take-no-decision-yet gate."""
-        with self._lock:
-            return len(self._samples) == self.window
-
-    def clear(self) -> None:
-        """Forget every sample (called after a resize, for hysteresis)."""
-        with self._lock:
-            self._samples.clear()
-            self._sum = 0.0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
+__all__ = ["ArmStats", "EngineStats", "batch_hist_bucket", "merge_arm_stats",
+           "merge_engine_stats", "merge_stat_dicts"]
 
 
 def batch_hist_bucket(rows: int) -> str:

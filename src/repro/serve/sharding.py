@@ -27,31 +27,22 @@ hosting its own engine built by a caller-supplied zero-argument factory:
   checkpoint's digest-checked weights blob into one parent-owned shared
   segment and workers bind onto it by name; a fleet falls back to private
   per-worker blob copies only when the segment cannot be created.
-* **Load-signal autoscaling** — with an :class:`AutoscaleConfig`, the
-  engine samples the in-flight backlog each call into a rolling window and
-  grows/shrinks the active worker count between ``min_shards`` and
-  ``max_shards``.  With ``latency_high_ms`` set, a second rolling window
-  over per-snippet round-trip latency also triggers growth — a slow model
-  saturates its workers long before the queue deepens, and latency is the
-  signal that sees it.  Routing stays consistent on resize (always
-  ``digest % n_shards`` over the *active* count), growth replays the last
-  hot-reload (and any live canary) so new workers never serve stale
-  weights, and hysteresis (full-window gate + cooldown) keeps the fleet
-  from flapping.
+* **Fixed size** — a fleet keeps the ``n_shards`` workers it was built
+  with; a slot is only ever respawned in place after its worker died.
 * **Hot reload** — :meth:`reload` broadcasts an advisor-checkpoint swap to
-  every active worker (workers must host an engine exposing
+  every worker (workers must host an engine exposing
   ``reload(path)``, e.g. :class:`~repro.serve.registry.MultiModelEngine`).
 * **Canary rollout** — :meth:`start_canary` / :meth:`promote` /
   :meth:`rollback` broadcast the registry-level canary deployment to
   every worker under one parent-issued version tag; because arm
   assignment is a pure digest hash, every worker splits traffic
-  identically, and workers the autoscaler grows mid-rollout replay the
-  canary at spawn.
+  identically, and a worker respawned mid-rollout replays the canary at
+  spawn.
 * **Fault tolerance** — a worker supervisor (see
-  :class:`SupervisorConfig`) heartbeats every active worker over the
+  :class:`SupervisorConfig`) heartbeats every worker over the
   reply-token plumbing, detects crashed or wedged processes, and
-  respawns the slot with the same replay-at-spawn path the autoscaler
-  uses, under an exponential-backoff restart budget; every serving
+  respawns the slot, replaying the last reload and any live canary at
+  spawn, under an exponential-backoff restart budget; every serving
   request carries a deadline, and a request that times out or lands on a
   dead worker is retried once on a healthy shard (then the in-process
   fallback engine) before being answered with an explicit *degraded*
@@ -59,8 +50,7 @@ hosting its own engine built by a caller-supplied zero-argument factory:
   injection for all of this lives in :mod:`repro.serve.chaos`.
 * **Observability** — :meth:`stats` aggregates every worker's engine
   counters and reports per-shard routed-request counts, live queue depths
-  (requests sent but not yet answered), the deployed model version, the
-  autoscaler's state (current shards, last resize and its reason), and
+  (requests sent but not yet answered), the deployed model version, and
   the supervisor's fault counters (``restarts``, ``faults``,
   ``deadline_exceeded``, ``degraded_answers``).
 
@@ -87,10 +77,10 @@ from repro.nn.dtype import get_dtype
 from repro.serve.chaos import ChaosConfig, inject_fault
 from repro.serve.api import AdviceRequest, AdviceResult
 from repro.serve.engine import Advice, source_digest
-from repro.serve.metrics import RollingMean, merge_arm_stats, merge_stat_dicts
+from repro.serve.metrics import merge_arm_stats, merge_stat_dicts
 
-__all__ = ["AutoscaleConfig", "DeadlineExceeded", "ShardedEngine",
-           "SupervisorConfig", "shard_of", "snapshot_stats"]
+__all__ = ["DeadlineExceeded", "ShardedEngine", "SupervisorConfig",
+           "shard_of", "snapshot_stats"]
 
 _STOP = "stop"
 
@@ -122,59 +112,6 @@ def shard_of(code: str, n_shards: int) -> int:
     always hits the same shard's warm caches.
     """
     return _route_key(code) % n_shards
-
-
-@dataclass(frozen=True)
-class AutoscaleConfig:
-    """Queue-depth autoscaling knobs for :class:`ShardedEngine`.
-
-    Each serving call samples the mean per-shard backlog (requests sent
-    but unanswered, over active shards) into a rolling window of
-    ``window`` samples.  Once the window is full and ``cooldown_s`` has
-    passed since the last resize, a mean above ``high_watermark`` grows
-    the fleet by one worker and a mean below ``low_watermark`` shrinks it
-    by one, always staying within ``[min_shards, max_shards]``.  The
-    window is cleared after every resize, so the next decision is based
-    entirely on post-resize load — together with the cooldown this is the
-    hysteresis that prevents flapping.
-
-    ``latency_high_ms`` (optional) adds a second grow signal: a rolling
-    window over the per-snippet round-trip latency of each worker
-    sub-batch (send to reply, forward pass included).  When its mean
-    exceeds the watermark the fleet grows even with shallow queues —
-    sequential callers never build a backlog, but a slow (e.g. just
-    reloaded, bigger) model still saturates the workers — and while it is
-    above the watermark the fleet refuses to shrink.  ``None`` (default)
-    keeps autoscaling purely queue-depth driven.  Tuning guidance lives
-    in ``docs/operations.md``.
-    """
-
-    min_shards: int = 1
-    max_shards: int = 4
-    high_watermark: float = 2.0
-    low_watermark: float = 0.25
-    window: int = 16
-    cooldown_s: float = 5.0
-    latency_high_ms: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.min_shards < 1:
-            raise ValueError("min_shards must be >= 1")
-        if self.max_shards < self.min_shards:
-            raise ValueError("max_shards must be >= min_shards")
-        if not 0.0 <= self.low_watermark < self.high_watermark:
-            raise ValueError(
-                "need 0 <= low_watermark < high_watermark")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
-        if self.latency_high_ms is not None and self.latency_high_ms <= 0:
-            raise ValueError("latency_high_ms must be > 0 (or None)")
-
-    def clamp(self, n_shards: int) -> int:
-        """``n_shards`` clamped into ``[min_shards, max_shards]``."""
-        return max(self.min_shards, min(self.max_shards, n_shards))
 
 
 @dataclass(frozen=True)
@@ -304,16 +241,16 @@ def _worker_main(factory, requests, responses, reload_spec=None,
 
     ``reload_spec`` — a ``(checkpoint_path, version_tag, segment)``
     triple — replays the parent's last *successful* hot reload on a
-    worker spawned after it (the autoscaler growing the fleet): the
+    worker spawned after it (the supervisor respawning a dead slot): the
     factory closes over the registry the parent started with, so without
-    the replay a grown worker would serve pre-reload weights.  The
+    the replay a respawned worker would serve pre-reload weights.  The
     parent-issued tag keeps every worker's ``model_version`` identical;
     ``segment``, when set, names the parent-owned shared weights segment
     the rollout published, so the replayed reload maps the fleet's one
     weight copy instead of re-deserializing the checkpoint.
     ``canary_spec`` — ``(path, fraction, version_tag, segment)`` —
-    likewise replays a canary rollout that was live when the grow was
-    scheduled, so a grown worker splits traffic exactly like its
+    likewise replays a canary rollout that was live when the respawn
+    began, so a respawned worker splits traffic exactly like its
     siblings.  A failed replay (the checkpoint vanished since) falls
     back to the weights already loaded and keeps serving — a live worker
     with a divergent ``model_version`` in ``/stats`` beats a dead slot.
@@ -369,21 +306,19 @@ class _Token(NamedTuple):
     """Handle for one in-flight worker request.
 
     Captures the response queue and process object *at send time*: if the
-    autoscaler later retires this slot and respawns it with fresh queues,
-    the caller still collects its reply from the queue the retired worker
-    writes to.  ``sent_at`` (monotonic seconds) is the round-trip
-    latency reference for the autoscaler's latency signal.  ``deadline``
-    (monotonic seconds, ``None`` = wait forever) bounds the collect;
-    ``tracked`` is whether the request counts toward the shard's queue
-    depth (supervisor heartbeats do not — they would pollute the
-    autoscaler's backlog signal).
+    supervisor respawns this slot with fresh queues, the caller still
+    waits on the dead worker it sent to and sees that death as an error,
+    never a reply meant for someone else.  ``deadline`` (monotonic
+    seconds, ``None`` = wait forever) bounds the collect; ``tracked`` is
+    whether the request counts toward the shard's queue depth (supervisor
+    heartbeats do not — they would read as backlog in
+    :meth:`ShardedEngine.queue_depth`).
     """
 
     rid: int
     shard: int
     responses: object
     worker: object
-    sent_at: float
     deadline: Optional[float] = None
     tracked: bool = True
 
@@ -396,14 +331,8 @@ class ShardedEngine:
     :class:`~repro.serve.registry.MultiModelEngine`, or anything exposing
     the same bulk methods).  All bulk calls (:meth:`predict_proba`,
     :meth:`advise_many`, :meth:`advise_v1`) route per snippet by
-    :func:`shard_of` over the *active* shard count and preserve request
-    order in the returned results.
-
-    Passing ``autoscale=AutoscaleConfig(...)`` turns on load-signal
-    autoscaling: the worker fleet grows and shrinks between the
-    configured bounds as the rolling backlog — and, with
-    ``latency_high_ms``, per-snippet latency — signals demand (see
-    :class:`AutoscaleConfig`).
+    :func:`shard_of` over ``n_shards``, which never changes after
+    construction, and preserve request order in the returned results.
 
     Thread-safe: replies carry request ids, so concurrent bulk calls (e.g.
     HTTP handler threads) run in parallel — per shard, whichever caller is
@@ -420,17 +349,13 @@ class ShardedEngine:
         factory: Callable[[], object],
         n_shards: int = 1,
         mp_context: Optional[str] = None,
-        autoscale: Optional[AutoscaleConfig] = None,
         supervisor: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosConfig] = None,
         shared_weights: Optional[object] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if autoscale is not None:
-            n_shards = autoscale.clamp(n_shards)
         self.n_shards = n_shards
-        self.autoscale = autoscale
         #: fault-tolerance knobs; defaults apply when not given
         self.supervisor = (supervisor if supervisor is not None
                            else SupervisorConfig())
@@ -438,7 +363,7 @@ class ShardedEngine:
         self.routed: List[int] = []       # requests routed per slot, ever
         self._depth: List[int] = []       # sub-batches in flight per slot
         self._meta_lock = threading.Lock()   # routed/_depth/request ids
-        self._route_lock = threading.RLock()  # active shard count + resizes
+        self._route_lock = threading.RLock()  # slot contents + rollout specs
         self._rids = itertools.count()
         self._factory = factory
         self._reload_spec: Optional[Tuple[str, str, Optional[str]]] = None
@@ -463,17 +388,7 @@ class ShardedEngine:
         self._requests: List[mp.queues.Queue] = []
         self._responses: List[mp.queues.Queue] = []
         self._closed = False
-        # autoscaler state
-        self._window = (RollingMean(autoscale.window)
-                        if autoscale is not None else None)
-        self._lat_window = (RollingMean(autoscale.window)
-                            if autoscale is not None
-                            and autoscale.latency_high_ms is not None
-                            else None)
-        self._last_resize_at = time.monotonic()
-        self._resizes = 0
-        self._resizing = False    # a grow is preparing outside _route_lock
-        self._last_resize: Optional[Dict[str, object]] = None
+        self._respawning = False  # a respawn is preparing outside _route_lock
         # fault-tolerance state (counters under _meta_lock)
         self._restarts = 0            # successful worker respawns
         self._faults = 0              # fault observations (dead/hung/garbled)
@@ -513,7 +428,7 @@ class ShardedEngine:
     def _start_worker(self, index: int,
                       reload_spec: Optional[Tuple[str, str]],
                       canary_spec: Optional[Tuple[str, float, str]]
-                      ) -> Optional[Tuple]:
+                      ) -> Tuple:
         """Spawn a worker process for slot ``index`` (no routing changes).
 
         Deliberately runs *without* ``_route_lock``: process start can
@@ -521,20 +436,11 @@ class ShardedEngine:
         :meth:`_install_worker` publishes it.  ``reload_spec`` /
         ``canary_spec`` (the caller's snapshots of the last successful
         reload and any live canary) are replayed in the worker at startup
-        so a grown worker never serves pre-rollout weights and splits
-        canary traffic like its siblings.  Returns ``None`` — grow
-        aborted, retry later — when the slot's retired worker is still
-        draining in-flight requests: terminating it would fail the
-        callers waiting on those replies.  Every (re)spawn gets fresh
-        queues; callers of the retired worker keep collecting from the
-        old ones (see :class:`_Token`).
+        so a respawned worker never serves pre-rollout weights and splits
+        canary traffic like its siblings.  Every (re)spawn gets fresh
+        queues; callers of the dead worker keep waiting on the old ones
+        (see :class:`_Token`).
         """
-        if index < len(self._workers):
-            old = self._workers[index]
-            if old.is_alive():  # retired worker still draining
-                old.join(timeout=1.0)
-                if old.is_alive():
-                    return None  # don't kill its in-flight work; retry
         req: "mp.queues.Queue" = self._mp_ctx.Queue()
         resp: "mp.queues.Queue" = self._mp_ctx.Queue()
         # a respawned worker is only re-armed with the chaos schedule when
@@ -554,11 +460,11 @@ class ShardedEngine:
     def _install_worker(self, index: int, started: Tuple) -> None:
         """Publish a started worker into slot ``index``.
 
-        Appends a new slot or replaces a retired one (the autoscaler
-        growing back into it).  Per-slot locks and pending-reply parking
-        are created once and never replaced — late replies from a retired
-        worker drain through the queue objects their callers captured in
-        their :class:`_Token`.  Callers resizing a live engine hold
+        Appends a new slot at construction or replaces a dead worker (the
+        supervisor respawning it).  Per-slot locks and pending-reply
+        parking are created once and never replaced — callers of the dead
+        worker wait on the queue objects they captured in their
+        :class:`_Token`.  Callers respawning into a live engine hold
         ``_route_lock``.
         """
         proc, req, resp = started
@@ -585,7 +491,7 @@ class ShardedEngine:
     # -- routing -----------------------------------------------------------
 
     def shard_of(self, code: str) -> int:
-        """Shard index this engine routes ``code`` to (active count)."""
+        """Shard index this engine routes ``code`` to."""
         return shard_of(code, self.n_shards)
 
     # -- worker IPC --------------------------------------------------------
@@ -603,7 +509,7 @@ class ShardedEngine:
         with self._route_lock:
             token = _Token(next(self._rids), shard,
                            self._responses[shard], self._workers[shard],
-                           time.monotonic(), deadline, tracked)
+                           deadline, tracked)
             if tracked:
                 with self._meta_lock:
                     self._depth[shard] += 1
@@ -679,7 +585,7 @@ class ShardedEngine:
         and whether ``token.deadline`` has passed (a *hung* worker is
         still alive; only the deadline unblocks its callers).  Queue and
         process come from the token, so a slot respawned by the
-        autoscaler cannot redirect a caller onto the wrong queue."""
+        supervisor cannot redirect a caller onto the wrong queue."""
         while True:
             timeout = 1.0
             if token.deadline is not None:
@@ -718,18 +624,15 @@ class ShardedEngine:
         and re-running them elsewhere would fail the same way."""
         if self._closed:
             raise RuntimeError("sharded engine is closed")
-        self._observe_load()
-        # hash outside the lock (keys are shard-count independent); bucket
-        # + send under it so a concurrent resize cannot strand a sub-batch
-        # on a retiring worker.  Collection happens outside the lock.
-        keys = [_route_key(code) for code in codes]
+        n = self.n_shards
+        by_shard: Dict[int, List[int]] = {}
+        for i, code in enumerate(codes):
+            by_shard.setdefault(_route_key(code) % n, []).append(i)
         deadline = self._request_deadline()
+        # send every sub-batch under one lock hold, so a rollout broadcast
+        # lands either before or after all of them; workers overlap, and
+        # collection happens outside the lock
         with self._route_lock:
-            n = self.n_shards
-            by_shard: Dict[int, List[int]] = {}
-            for i, key in enumerate(keys):
-                by_shard.setdefault(key % n, []).append(i)
-            # send every sub-batch before collecting: workers overlap
             tokens: Dict[int, _Token] = {}
             for shard, rows in by_shard.items():
                 with self._meta_lock:
@@ -761,11 +664,6 @@ class ShardedEngine:
                     self._faults += 1
                 faulted.append((shard, rows))
                 continue
-            if self._lat_window is not None:
-                # per-snippet round-trip latency of this sub-batch (queue
-                # wait + forward pass) — the autoscaler's slow-model signal
-                elapsed = time.monotonic() - tokens[shard].sent_at
-                self._lat_window.push(elapsed * 1e3 / max(1, len(rows)))
             for i, value in zip(rows, result):
                 out[i] = value
         if failures:
@@ -876,7 +774,7 @@ class ShardedEngine:
                 pass
 
     def _check_fleet(self) -> None:
-        """One supervision pass over the active slots.
+        """One supervision pass over every slot.
 
         A slot whose process died is revived (subject to its backoff
         schedule).  A live slot is pinged over the normal reply plumbing
@@ -889,7 +787,7 @@ class ShardedEngine:
         cfg = self.supervisor
         for index in range(self.n_shards):
             with self._route_lock:
-                if self._closed or index >= self.n_shards:
+                if self._closed:
                     return
                 proc = self._workers[index]
             if not proc.is_alive():
@@ -920,24 +818,24 @@ class ShardedEngine:
     def _revive(self, index: int) -> None:
         """Respawn the dead worker in slot ``index``.
 
-        Serialized against autoscaler grows via ``_resizing`` and paced
-        by the slot's exponential-backoff schedule.  The respawn replays
-        the remembered reload spec and any live canary — identical to the
-        autoscaler's replay-at-spawn path — so a revived worker serves
-        the fleet's current weights, not the factory's.  Once
-        ``restart_budget`` consecutive revives have failed the slot is
-        marked *degraded*: retries slow to the capped backoff and the
-        in-process fallback engine is warmed so traffic the dead slot
-        owned still gets real answers.
+        Serialized against other revives via ``_respawning`` and paced by
+        the slot's exponential-backoff schedule.  The respawn replays the
+        remembered reload spec and any live canary (see
+        :func:`_worker_main`), so a revived worker serves the fleet's
+        current weights, not the factory's.  Once ``restart_budget``
+        consecutive revives have failed the slot is marked *degraded*:
+        retries slow to the capped backoff and the in-process fallback
+        engine is warmed so traffic the dead slot owned still gets real
+        answers.
         """
         cfg = self.supervisor
         now = time.monotonic()
         with self._route_lock:
-            if (self._closed or self._resizing or index >= self.n_shards
+            if (self._closed or self._respawning
                     or self._workers[index].is_alive()
                     or now < self._slot_next_retry[index]):
                 return
-            self._resizing = True
+            self._respawning = True
             reload_spec = self._reload_spec
             canary_spec = self._canary_spec
         try:
@@ -954,8 +852,6 @@ class ShardedEngine:
                     now + cfg.restart_backoff_max_s)
                 self._fallback()
             started = self._start_worker(index, reload_spec, canary_spec)
-            if started is None:  # pragma: no cover — retired, draining
-                return
             with self._route_lock:
                 if self._closed:  # closed while spawning: stop the orphan
                     started[1].put(_STOP)
@@ -964,146 +860,7 @@ class ShardedEngine:
             with self._meta_lock:
                 self._restarts += 1
         finally:
-            self._resizing = False
-
-    # -- autoscaling -------------------------------------------------------
-
-    def _observe_load(self) -> None:
-        """Sample the backlog this call arrives into, then maybe resize.
-
-        The sample is taken *before* this call's own sends, so it measures
-        contention from other in-flight callers: sequential traffic
-        samples zero (scale down), concurrent bursts sample the queue the
-        burst is building (scale up)."""
-        if self._window is None:
-            return
-        with self._meta_lock:
-            n = self.n_shards
-            backlog = sum(self._depth[:n])
-        self._window.push(backlog / n)
-        self._maybe_autoscale()
-
-    def _latency_signal(self) -> Tuple[float, bool]:
-        """``(mean per-snippet ms, above-watermark?)`` of the latency
-        window; ``(0.0, False)`` when the signal is disabled or not yet
-        full."""
-        cfg = self.autoscale
-        if (self._lat_window is None or cfg is None
-                or cfg.latency_high_ms is None):
-            return 0.0, False
-        mean = self._lat_window.mean()
-        return mean, self._lat_window.full and mean > cfg.latency_high_ms
-
-    def _maybe_autoscale(self) -> None:
-        """Apply the resize rule when the window is full and cooled down.
-
-        Growth fires on either signal — deep queues (concurrent burst) or
-        high per-snippet latency (slow model, see
-        ``AutoscaleConfig.latency_high_ms``); shrinking requires an idle
-        queue *and* a latency window below the watermark.
-
-        Shrinking is cheap (retire the top slot) and completes under
-        ``_route_lock`` on the calling thread.  Growing spawns a process,
-        which can take seconds — exactly when the fleet is backlogged —
-        so it is handed to a short-lived background thread (``_resizing``
-        serializes grows) and the sampling request continues unstalled;
-        only the final publish of the new slot takes the lock.
-        """
-        cfg = self.autoscale
-        if cfg is None or self._closed or not self._window.full:
-            return
-        if time.monotonic() - self._last_resize_at < cfg.cooldown_s:
-            return
-        with self._route_lock:
-            # re-check under the lock: another caller may just have resized
-            # (clearing the window) or the cooldown may have restarted
-            if (self._closed or self._resizing or not self._window.full
-                    or time.monotonic() - self._last_resize_at < cfg.cooldown_s):
-                return
-            mean = self._window.mean()
-            lat_mean, lat_slow = self._latency_signal()
-            if ((mean > cfg.high_watermark or lat_slow)
-                    and self.n_shards < cfg.max_shards):
-                if mean > cfg.high_watermark:
-                    reason = (f"mean queue depth {mean:.2f} > "
-                              f"high watermark {cfg.high_watermark}")
-                else:
-                    reason = (f"mean per-snippet latency {lat_mean:.2f} ms > "
-                              f"latency watermark {cfg.latency_high_ms} ms")
-                self._resizing = True
-                threading.Thread(
-                    target=self._grow,
-                    args=(self.n_shards, self._reload_spec,
-                          self._canary_spec, reason),
-                    name="advisor-autoscale-grow", daemon=True).start()
-            elif (mean < cfg.low_watermark and not lat_slow
-                  and self.n_shards > cfg.min_shards):
-                # shrink: the retiring slot leaves the routing set first,
-                # then receives _STOP — queue FIFO ordering means
-                # sub-batches already sent are answered before it exits
-                retiring = self.n_shards - 1
-                self._requests[retiring].put(_STOP)
-                self.n_shards = retiring
-                self._note_resize(retiring + 1, retiring,
-                                  f"mean queue depth {mean:.2f} < "
-                                  f"low watermark {cfg.low_watermark}")
-
-    def _grow(self, index: int, reload_spec: Optional[Tuple[str, str]],
-              canary_spec: Optional[Tuple[str, float, str]],
-              reason: str) -> None:
-        """Background grow: spawn, publish, catch up on racing rollouts.
-
-        ``reload_spec`` / ``canary_spec`` were snapshotted under
-        ``_route_lock`` when this grow was scheduled; a reload or canary
-        broadcast landing between then and the publish only reaches the
-        *published* slots, so after installing we re-check both specs and
-        send the new worker catch-up messages — in rollout order: drop a
-        canary that ended (its promote, if any, shows up as a changed
-        reload spec), replay the reload, then start a canary that began.
-        A catch-up failure leaves the worker serving its spawn-time
-        weights — alive but with a divergent ``model_version`` visible in
-        :meth:`stats`.
-        """
-        catchups: List[_Token] = []
-        try:
-            started = self._start_worker(index, reload_spec, canary_spec)
-            if started is None:
-                return  # retired slot still draining; a later tick retries
-            with self._route_lock:
-                if self._closed:  # closed while preparing: stop the orphan
-                    started[1].put(_STOP)
-                    return
-                self._install_worker(index, started)
-                self.n_shards = index + 1
-                self._note_resize(index, index + 1, reason)
-                msgs: List[Tuple[str, object]] = []
-                canary_changed = self._canary_spec != canary_spec
-                if canary_changed and canary_spec is not None:
-                    msgs.append(("canary_rollback", None))
-                if (self._reload_spec is not None
-                        and self._reload_spec != reload_spec):
-                    msgs.append(("reload", self._reload_spec))
-                if canary_changed and self._canary_spec is not None:
-                    msgs.append(("start_canary", self._canary_spec))
-                catchups = [self._send(index, method, payload)
-                            for method, payload in msgs]
-        finally:
-            self._resizing = False
-        for catchup in catchups:
-            try:
-                self._collect(catchup)
-            except RuntimeError:  # pragma: no cover — worker died at start
-                pass
-
-    def _note_resize(self, old: int, new: int, reason: str) -> None:
-        """Record one resize and restart the hysteresis clocks."""
-        self._resizes += 1
-        self._last_resize = {"from": old, "to": new, "reason": reason,
-                             "at": round(time.time(), 3)}
-        self._last_resize_at = time.monotonic()
-        self._window.clear()
-        if self._lat_window is not None:
-            self._lat_window.clear()
+            self._respawning = False
 
     # -- bulk APIs ---------------------------------------------------------
 
@@ -1202,18 +959,18 @@ class ShardedEngine:
     # -- hot reload --------------------------------------------------------
 
     def reload(self, path) -> Optional[str]:
-        """Broadcast a checkpoint reload to every active worker.
+        """Broadcast a checkpoint reload to every worker.
 
         Workers must host an engine exposing ``reload(path, version=...)``
         (a :class:`~repro.serve.registry.MultiModelEngine`); each swaps
         its heads atomically as described there, all under **one**
         parent-issued version tag so the whole fleet — including workers
-        the autoscaler spawns later, which replay the reload at startup —
-        reports the same ``model_version``.  Raises if any worker fails —
+        the supervisor respawns later, which replay the reload at startup
+        — reports the same ``model_version``.  Raises if any worker fails —
         the error names the shards, shards that did reload keep the new
         weights (re-issue the reload after fixing the checkpoint), and
         the remembered replay spec reverts to the last *fully successful*
-        reload so future grown workers never start from a known-bad
+        reload so respawned workers never start from a known-bad
         checkpoint.  Returns the new version tag.
         """
         path = str(path)
@@ -1233,14 +990,15 @@ class ShardedEngine:
             version = f"v{self._reload_count}:{Path(path).name}"
             tokens = [self._send(shard, "reload", (path, version, segment))
                       for shard in range(self.n_shards)]
-            # remembered under the lock: a grow racing this reload either
-            # sees the spec (and replays it) or got a broadcast token
+            # remembered under the lock: a respawn racing this reload
+            # either sees the spec (and replays it) or its dead worker got
+            # a broadcast token, which fails the reload
             previous_spec = self._reload_spec
             self._reload_spec = (path, version, segment)
         failures = self._failures(tokens)
         if failures:
             with self._route_lock:
-                # don't poison future grown workers with a bad checkpoint
+                # don't poison respawned workers with a bad checkpoint
                 if self._reload_spec == (path, version, segment):
                     self._reload_spec = previous_spec
             # shards that did reload keep their mapping (POSIX drain);
@@ -1259,7 +1017,7 @@ class ShardedEngine:
     # -- canary rollout ----------------------------------------------------
 
     def _broadcast(self, method: str, payload) -> List[str]:
-        """Send ``method`` to every active shard and collect the failures
+        """Send ``method`` to every shard and collect the failures
         (caller holds no locks; sends happen under ``_route_lock``)."""
         with self._route_lock:
             tokens = [self._send(shard, method, payload)
@@ -1282,12 +1040,12 @@ class ShardedEngine:
 
     def start_canary(self, path, fraction: float,
                      version: Optional[str] = None) -> str:
-        """Broadcast a canary rollout to every active worker.
+        """Broadcast a canary rollout to every worker.
 
         Workers must host an engine exposing ``start_canary`` (a
         :class:`~repro.serve.registry.MultiModelEngine`); the parent
         issues **one** version tag so the whole fleet — including workers
-        the autoscaler grows mid-rollout, which replay the canary at
+        the supervisor respawns mid-rollout, which replay the canary at
         spawn — agrees on the rollout's identity, and the digest-based
         arm split is identical on every worker by construction.  If any
         worker fails to start, the rollout is rolled back everywhere and
@@ -1335,7 +1093,7 @@ class ShardedEngine:
         """Broadcast canary promotion: every worker atomically makes the
         canary its primary (see ``MultiModelEngine.promote``), and the
         remembered reload spec moves to the promoted checkpoint so
-        workers grown later replay it.  Raises with no canary active, or
+        workers respawned later replay it.  Raises with no canary active, or
         naming the shards that failed.  On a partial failure the canary
         spec is *kept*: shards that promoted hold the new weights, and
         re-issuing ``promote()`` converges the rest (already-promoted
@@ -1399,23 +1157,20 @@ class ShardedEngine:
         return result
 
     def queue_depth(self) -> List[int]:
-        """Per-active-shard count of requests sent but not yet answered."""
+        """Per-shard count of requests sent but not yet answered."""
         with self._meta_lock:
-            return list(self._depth[:self.n_shards])
+            return list(self._depth)
 
     def stats(self) -> Dict[str, object]:
         """Aggregate + per-shard serving metrics.
 
         Shape: ``{"n_shards", "routed": [per-slot request counts],
-        "queue_depth": [in-flight requests per active shard], "shards":
+        "queue_depth": [in-flight requests per shard], "shards":
         [per-worker engine snapshots], "combined": merged counters}`` —
         plus ``"model_version"`` when the workers report one, a
         ``"canary"`` block (version, fraction, per-arm counters summed
         across workers, and ``shards_live`` — how many workers host the
-        canary) when one is rolling out, and an ``"autoscaler"`` block
-        (bounds, current shards, resize count, last resize with its
-        reason, latency watermark + window mean when the latency signal
-        is on) when autoscaling is on, and always a ``"supervisor"``
+        canary) when one is rolling out, and always a ``"supervisor"``
         block with the fault-tolerance counters (``restarts``, ``faults``,
         ``deadline_exceeded``, ``retries``, ``degraded_answers``,
         ``fallback_answers``, ``degraded_shards``), and a ``"weights"``
@@ -1458,20 +1213,6 @@ class ShardedEngine:
             out["last_canary"] = next(
                 (s["last_canary"] for s in shards
                  if isinstance(s, dict) and s.get("last_canary")), None)
-        if self.autoscale is not None:
-            out["autoscaler"] = {
-                "min_shards": self.autoscale.min_shards,
-                "max_shards": self.autoscale.max_shards,
-                "current_shards": self.n_shards,
-                "resizes": self._resizes,
-                "last_resize": self._last_resize,
-                "window_mean": round(self._window.mean(), 3),
-            }
-            if self._lat_window is not None:
-                out["autoscaler"]["latency_high_ms"] = (
-                    self.autoscale.latency_high_ms)
-                out["autoscaler"]["window_latency_mean_ms"] = round(
-                    self._lat_window.mean(), 3)
         with self._meta_lock:
             out["supervisor"] = {
                 "request_timeout_s": self.supervisor.request_timeout_s,
@@ -1481,8 +1222,7 @@ class ShardedEngine:
                 "retries": self._retries,
                 "degraded_answers": self._degraded_answers,
                 "fallback_answers": self._fallback_answers,
-                "degraded_shards": int(
-                    sum(self._slot_degraded[:self.n_shards])),
+                "degraded_shards": int(sum(self._slot_degraded)),
             }
         with self._route_lock:
             out["weights"] = {

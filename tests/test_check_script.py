@@ -202,6 +202,15 @@ class TestCiWorkflowMirrorsCheckScript:
                      "scripts/check.sh --shm-weights"):
             assert mode in workflow, f"ci.yml does not run {mode}"
 
+    def test_chaos_stage_names_respawn_replay(self, workflow):
+        """The chaos stage is where respawn replay is tested; both its
+        check.sh comment and its CI step say so."""
+        stage = CHECK_SH.read_text().split("stage_chaos_smoke() {")[1]
+        assert "respawn replay" in stage.split("}")[0]
+        step = next(line for line in workflow.splitlines()
+                    if "name: chaos smoke" in line)
+        assert "respawn replay" in step
+
     def test_workflow_runs_bench_gate(self, workflow):
         assert "python scripts/bench_gate.py" in workflow
 

@@ -85,36 +85,17 @@ class TestServeParser:
         assert args["shards"] == 1
         assert args["batch_size"] == 128
         assert args["cache_size"] == 4096
-        # operability knobs default off: no watch, no autoscale, no gating
+        # operability knobs default off: no watch, no gating
         assert args["watch"] is None
-        assert args["min_shards"] is None
-        assert args["max_shards"] is None
         assert args["gate_margin"] is None
 
     def test_operability_flags(self):
         args = self._parse(["serve", "--http", "8080",
                             "--watch", "ckpt_dir", "--watch-interval", "0.5",
-                            "--min-shards", "2", "--max-shards", "6",
                             "--gate-margin", "0.05"])
         assert args["watch"] == "ckpt_dir"
         assert args["watch_interval"] == 0.5
-        assert args["min_shards"] == 2
-        assert args["max_shards"] == 6
         assert args["gate_margin"] == 0.05
-
-    def test_autoscale_config_from_flags(self):
-        from argparse import Namespace
-
-        from repro.cli import _autoscale_config
-
-        assert _autoscale_config(Namespace()) is None
-        cfg = _autoscale_config(Namespace(min_shards=2, max_shards=6, shards=1))
-        assert (cfg.min_shards, cfg.max_shards) == (2, 6)
-        # one-sided flags fill the other bound sensibly
-        cfg = _autoscale_config(Namespace(min_shards=None, max_shards=4, shards=1))
-        assert (cfg.min_shards, cfg.max_shards) == (1, 4)
-        cfg = _autoscale_config(Namespace(min_shards=2, max_shards=None, shards=8))
-        assert (cfg.min_shards, cfg.max_shards) == (2, 8)
 
     def test_watch_requires_http(self, capsys):
         assert main(["serve", "--watch", "ckpt_dir"]) == 2

@@ -1,17 +1,12 @@
-"""Tests for the future-work extensions: directive generation, the hybrid
-model+S2S advisor, and attention introspection."""
-
-from pathlib import Path
+"""Tests for the future-work extensions: the hybrid model+S2S advisor,
+attention introspection, and clause suggestions in ``repro advise``."""
 
 import pytest
 
-from repro.clang.pragma import parse_pragma
 from repro.explain import attention_by_token_class, cls_attention
-from repro.models import DirectiveGenerator, HybridAdvisor, PragFormerConfig
+from repro.models import HybridAdvisor, PragFormerConfig
 from repro.pipeline import ScaleConfig
 from repro.pipeline.context import get_context
-
-DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
 
 TINY = ScaleConfig(
     name="tiny-ext",
@@ -26,71 +21,6 @@ TINY = ScaleConfig(
 @pytest.fixture(scope="module")
 def ctx():
     return get_context(TINY)
-
-
-def _generator(ctx, threshold=0.5):
-    enc = ctx.encoded()
-    return DirectiveGenerator(
-        ctx.pragformer, enc.vocab,
-        private_model=ctx.clause_model("private"),
-        private_vocab=ctx.clause_encoded("private").vocab,
-        reduction_model=ctx.clause_model("reduction"),
-        reduction_vocab=ctx.clause_encoded("reduction").vocab,
-        max_len=TINY.pragformer.max_len,
-        threshold=threshold,
-    )
-
-
-@pytest.fixture(scope="module")
-def generator(ctx):
-    return _generator(ctx)
-
-
-class TestDirectiveGenerator:
-    def test_generated_directive_parses(self, generator):
-        out = generator.generate("for (i = 0; i < n; i++) s += a[i] * b[i];")
-        if out.directive is not None:
-            omp = parse_pragma(out.directive)
-            assert omp.is_parallel_for
-
-    def test_reduction_variable_filled_from_analysis(self, generator):
-        out = generator.generate("for (i = 0; i < n; i++) acc += vals[i];")
-        assert out.reduction_specs == (("+", "acc"),)
-        if out.directive and out.p_reduction and out.p_reduction > 0.5:
-            assert "reduction(+:acc)" in out.directive
-
-    def test_private_variables_from_analysis(self, generator):
-        code = ("for (i = 0; i < n; i++)\n"
-                "  for (j = 0; j < m; j++)\n"
-                "    c[i][j] = a[i][j] + b[i][j];")
-        out = generator.generate(code)
-        assert "j" in out.private_vars
-
-    def test_negative_prediction_returns_none(self, generator):
-        # I/O loop: the directive model should say no
-        out = generator.generate(
-            'for (i = 0; i < n; i++) fprintf(stderr, "%d", x[i]);')
-        if out.p_directive <= 0.5:
-            assert out.directive is None
-
-    def test_probability_fields_populated(self, generator):
-        out = generator.generate("for (i = 0; i < n; i++) y[i] = x[i];")
-        assert 0.0 <= out.p_directive <= 1.0
-
-    @pytest.mark.parametrize("threshold", [0.5, 0.0])
-    def test_dirty_fixtures_never_raise(self, ctx, threshold):
-        """Malformed C gets a verdict, never a lex/parse exception; with
-        threshold 0 every fixture also takes the clause + pragma path."""
-        generator = _generator(ctx, threshold)
-        fixtures = sorted(DIRTY_DIR.glob("*.c"))
-        assert len(fixtures) == 52
-        for path in fixtures:
-            out = generator.generate(
-                path.read_bytes().decode("utf-8", errors="replace"))
-            if out.directive is not None:
-                assert parse_pragma(out.directive).is_parallel_for, path.name
-            elif threshold == 0.0:
-                assert out.p_directive == 0.0, path.name
 
 
 class TestHybridAdvisor:

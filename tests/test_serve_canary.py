@@ -23,7 +23,6 @@ import pytest
 from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
-    AutoscaleConfig,
     CanaryPolicy,
     EngineConfig,
     ModelRegistry,
@@ -398,50 +397,6 @@ class TestShardedCanary:
             sharded.start_canary(b, FRACTION)
             with pytest.raises(RuntimeError, match="canary"):
                 sharded.reload(b)
-
-    def test_grown_worker_replays_canary(self, checkpoints, verdicts):
-        """Acceptance: an autoscaler grow mid-rollout keeps canary state
-        consistent — the grown worker splits traffic like its siblings."""
-        a, b = checkpoints
-        exp_a, exp_b = verdicts
-        factory = functools.partial(_build_multi, a,
-                                    EngineConfig(max_batch_size=8))
-        cfg = AutoscaleConfig(min_shards=1, max_shards=2,
-                              high_watermark=0.01, low_watermark=0.005,
-                              window=2, cooldown_s=0.0)
-        with ShardedEngine(factory, n_shards=1, autoscale=cfg) as sharded:
-            version = sharded.start_canary(b, FRACTION)
-            stop = threading.Event()
-            errors: list = []
-
-            def client():
-                while not stop.is_set():
-                    try:
-                        sharded.advise_v1(SNIPPETS)
-                    except Exception as exc:  # noqa: BLE001
-                        errors.append(exc)
-                        return
-
-            threads = [threading.Thread(target=client) for _ in range(4)]
-            for t in threads:
-                t.start()
-            import time as _time
-            deadline = _time.monotonic() + 45
-            while sharded.n_shards < 2 and _time.monotonic() < deadline:
-                _time.sleep(0.05)
-            stop.set()
-            for t in threads:
-                t.join(timeout=30)
-            assert not errors, errors
-            assert sharded.n_shards == 2, "burst must grow the fleet"
-            # the grown worker must agree on the rollout: every shard
-            # reports the same canary version, and verdicts still split
-            # by digest exactly as before the grow
-            stats = sharded.stats()
-            assert stats["canary"]["shards_live"] == 2
-            assert stats["canary"]["version"] == version
-            got = sharded.advise_v1(SNIPPETS)
-            _assert_arm_split(got, exp_a, exp_b)
 
 
 class TestReviewRegressions:

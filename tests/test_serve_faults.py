@@ -1,5 +1,6 @@
 """Fault-tolerance tests: the chaos harness driving worker supervision,
-request deadlines, degraded verdicts, and HTTP admission control.
+request deadlines, degraded verdicts, respawn replay of the fleet's
+reload and canary state, and HTTP admission control.
 
 Every scenario here is deterministic — :class:`repro.serve.ChaosConfig`
 schedules worker kill / hang / drop / malformed / slow faults at fixed
@@ -10,11 +11,13 @@ fleet heals itself within the restart budget.  This file is also the CI
 ``chaos-smoke`` stage (``scripts/check.sh --chaos``).
 """
 
+import functools
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,13 +27,15 @@ from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     AdmissionConfig,
     AdviceResult,
-    AutoscaleConfig,
     ChaosConfig,
     CheckpointWatcher,
     EngineConfig,
     InferenceEngine,
+    ModelRegistry,
+    MultiModelEngine,
     ShardedEngine,
     SupervisorConfig,
+    canary_routes,
     make_server,
     shard_of,
 )
@@ -82,6 +87,60 @@ def factory(model_and_vocab):
                                config=EngineConfig(max_batch_size=8))
 
     return build
+
+
+# multi-head advisor checkpoints for the respawn-replay tests; the
+# snippets cover both arms of a 50% canary slice and both shards
+REPLAY_SNIPPETS = [
+    f"for (i = 0; i < n; i++) a[i] = b[i] * {k} + c[i];" for k in range(16)
+]
+CANARY_FRACTION = 0.5
+
+
+@pytest.fixture(scope="module")
+def advisor_checkpoints(tmp_path_factory):
+    """Two three-head advisor checkpoints with distinct weights."""
+    vocab = Vocab.build([text_tokens(code) for code in REPLAY_SNIPPETS],
+                        min_freq=1)
+    root = tmp_path_factory.mktemp("advisors")
+    paths = []
+    for name, seed0 in (("ckpt_a", 0), ("ckpt_b", 100)):
+        registry = ModelRegistry()
+        for k, head in enumerate(("directive", "private", "reduction")):
+            registry.register(
+                head, PragFormer(len(vocab), replace(TINY, seed=seed0 + k),
+                                 rng=seed0 + k),
+                vocab, max_len=TINY.max_len)
+        registry.save(root / name)
+        paths.append(root / name)
+    return tuple(paths)
+
+
+@pytest.fixture(scope="module")
+def advisor_verdicts(advisor_checkpoints):
+    """Reference results per snippet from in-process engines on A and B."""
+    a, b = advisor_checkpoints
+    with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ea, \
+            MultiModelEngine(ModelRegistry.from_checkpoint(b)) as eb:
+        return ea.advise_v1(REPLAY_SNIPPETS), eb.advise_v1(REPLAY_SNIPPETS)
+
+
+def _multi_engine(path):
+    """Module-level worker factory for a multi-head advisor."""
+    return MultiModelEngine(ModelRegistry.from_checkpoint(path),
+                            config=EngineConfig(max_batch_size=8))
+
+
+def _assert_arm_split(got, exp_a, exp_b):
+    """Every snippet's answer comes from its digest-assigned arm."""
+    for code, g, a, b in zip(REPLAY_SNIPPETS, got, exp_a, exp_b):
+        ref = b if canary_routes(code, CANARY_FRACTION) else a
+        assert not g.degraded
+        np.testing.assert_allclose(g.probability, ref.probability, atol=1e-6)
+        for name in ref.clauses:
+            np.testing.assert_allclose(g.clauses[name].probability,
+                                       ref.clauses[name].probability,
+                                       atol=1e-6)
 
 
 def wait_until(predicate, timeout=15.0, interval=0.05):
@@ -295,40 +354,93 @@ class TestLifecycleUnderFaults:
         assert time.monotonic() - start < 10.0
         sharded.close()  # idempotent on an already-broken fleet
 
-    def test_autoscaler_shrink_with_inflight_request(self, factory):
-        """A request in flight on the retiring slot must be answered —
-        shrink retires the slot FIFO behind it — and the supervisor must
-        not resurrect a slot the autoscaler retired."""
-        code1 = code_on_shard(1, 2)
-        code0 = code_on_shard(0, 2)
-        expected = factory().advise_many([code1])[0]
-        # slot 1's first serving call takes ~1s; the construction-time
-        # cooldown (0.3s) guarantees the shrink decision fires while that
-        # call is still in flight on the slot being retired
-        chaos = ChaosConfig(slow_at=(0,), slots=(1,), slow_s=1.0)
-        auto = AutoscaleConfig(min_shards=1, max_shards=2, window=1,
-                               cooldown_s=0.3, low_watermark=0.75,
-                               high_watermark=10.0)
-        sup = SupervisorConfig(**{**FAST, "request_timeout_s": 10.0})
-        results = []
-        with ShardedEngine(factory, n_shards=2, autoscale=auto, chaos=chaos,
-                           supervisor=sup) as sharded:
-            t = threading.Thread(target=lambda: results.append(
-                sharded.advise_many([code1])[0]))
-            t.start()
-            time.sleep(0.1)  # the slow call is now in flight on slot 1
-            deadline = time.monotonic() + 10.0
-            while sharded.n_shards == 2 and time.monotonic() < deadline:
-                sharded.advise_many([code0])
-                time.sleep(0.02)
-            t.join(timeout=15.0)
-            assert not t.is_alive()
-            assert sharded.n_shards == 1
-            assert results and not results[0].degraded
-            assert results[0].probability == pytest.approx(
-                expected.probability, abs=1e-5)
-            time.sleep(0.3)  # several supervisor ticks
-            assert sharded.n_shards == 1  # retired slot stays retired
+
+class TestRespawnReplay:
+    """A respawned worker replays the fleet's rollout state at spawn: the
+    last successful reload and any live canary.  Each test kills slot 1
+    on its first serving call and waits for the supervisor to respawn
+    it; the replacement is not re-armed, so it then serves normally."""
+
+    def _fleet(self, path, **kwargs):
+        chaos = ChaosConfig(kill_at=(0,), slots=(1,))
+        factory = functools.partial(_multi_engine, str(path))
+        return ShardedEngine(factory, n_shards=2, chaos=chaos,
+                             supervisor=SupervisorConfig(**FAST), **kwargs)
+
+    def _kill_and_respawn(self, sharded):
+        """Serve until slot 1 is killed, then wait for its respawn.
+        Returns the answers to the call that killed it."""
+        got = sharded.advise_v1(REPLAY_SNIPPETS)
+        wait_until(lambda: sharded.stats()["supervisor"]["restarts"] >= 1)
+        wait_until(lambda: all(w.is_alive() for w in sharded._workers))
+        return got
+
+    def test_killed_worker_replays_canary(self, advisor_checkpoints,
+                                          advisor_verdicts):
+        """A worker killed mid-canary comes back hosting the canary: the
+        same version on every shard and the same digest arm split."""
+        a, b = advisor_checkpoints
+        exp_a, exp_b = advisor_verdicts
+        with self._fleet(a) as sharded:
+            version = sharded.start_canary(b, CANARY_FRACTION)
+            # the killed slot's rows were retried on slot 0, which hosts
+            # the canary too
+            _assert_arm_split(self._kill_and_respawn(sharded), exp_a, exp_b)
+            stats = sharded.stats()
+            assert stats["canary"]["shards_live"] == 2
+            assert stats["canary"]["version"] == version
+            retries = stats["supervisor"]["retries"]
+            got = sharded.advise_v1(REPLAY_SNIPPETS)
+            assert sharded.stats()["supervisor"]["retries"] == retries
+            _assert_arm_split(got, exp_a, exp_b)
+            assert [r.arm == "canary" for r in got] == [
+                canary_routes(code, CANARY_FRACTION)
+                for code in REPLAY_SNIPPETS]
+            assert {r.model_version for r in got} == {"0", version}
+
+    def test_failed_reload_is_not_replayed(self, advisor_checkpoints,
+                                           advisor_verdicts, tmp_path):
+        """A failed reload reverts the replay spec, so a worker respawned
+        afterwards starts on the factory weights and serves real
+        answers instead of replaying a known-bad checkpoint."""
+        a, _ = advisor_checkpoints
+        exp_a, _ = advisor_verdicts
+        with self._fleet(a) as sharded:
+            with pytest.raises(RuntimeError):
+                sharded.reload(tmp_path / "never_written")
+            assert sharded._reload_spec is None  # reverted, not remembered
+            self._kill_and_respawn(sharded)
+            retries = sharded.stats()["supervisor"]["retries"]
+            got = sharded.advise_v1(REPLAY_SNIPPETS)
+            assert sharded.stats()["supervisor"]["retries"] == retries
+            assert not any(r.degraded for r in got)
+            for g, e in zip(got, exp_a):
+                np.testing.assert_allclose(g.probability, e.probability,
+                                           atol=1e-6)
+
+    def test_respawned_worker_reports_fleet_version(self,
+                                                    advisor_checkpoints,
+                                                    advisor_verdicts):
+        """After two reloads, a respawned worker replays the last one:
+        it reports the fleet's parent-issued ``model_version`` and serves
+        the reloaded weights."""
+        a, b = advisor_checkpoints
+        _, exp_b = advisor_verdicts
+        with self._fleet(a) as sharded:
+            assert sharded.reload(a) == f"v1:{a.name}"
+            version = sharded.reload(b)
+            assert version == f"v2:{b.name}"
+            self._kill_and_respawn(sharded)
+            stats = sharded.stats()
+            assert [s["model_version"] for s in stats["shards"]] == [
+                version] * 2
+            assert stats["model_version"] == version
+            got = sharded.advise_v1(REPLAY_SNIPPETS)
+            assert sharded.stats()["supervisor"]["retries"] == (
+                stats["supervisor"]["retries"])
+            for g, e in zip(got, exp_b):
+                np.testing.assert_allclose(g.probability, e.probability,
+                                           atol=1e-6)
 
 
 class TestWatcherResilience:

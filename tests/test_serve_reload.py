@@ -360,77 +360,6 @@ class TestShardedReload:
             with pytest.raises(RuntimeError, match="reload"):
                 sharded.reload("anywhere")
 
-    def test_version_tag_consistent_across_grown_workers(self, checkpoints):
-        """Workers the autoscaler spawns after several reloads must report
-        the same parent-issued model_version as their siblings — the tag
-        is the operator's fleet-wide rollout check."""
-        from repro.serve import AutoscaleConfig
-
-        a, b = checkpoints
-        cfg = AutoscaleConfig(min_shards=1, max_shards=2,
-                              high_watermark=0.01, low_watermark=0.0,
-                              window=2, cooldown_s=0.0)
-        with ShardedEngine(self._factory(a), n_shards=1,
-                           autoscale=cfg) as sharded:
-            assert sharded.reload(a) == f"v1:{a.name}"
-            version = sharded.reload(b)
-            assert version == f"v2:{b.name}"
-            _grow_under_burst(sharded, target=2)
-            snapshots = sharded.stats()["shards"]
-            assert len(snapshots) == 2
-            assert [s["model_version"] for s in snapshots] == [version] * 2
-
-    def test_failed_reload_does_not_poison_grown_workers(self, checkpoints,
-                                                         tmp_path):
-        """A failed broadcast must revert the replay spec: a worker grown
-        afterwards starts on the factory weights and serves, instead of
-        dying on the bad checkpoint at startup."""
-        from repro.serve import AutoscaleConfig
-
-        a, _ = checkpoints
-        cfg = AutoscaleConfig(min_shards=1, max_shards=2,
-                              high_watermark=0.01, low_watermark=0.0,
-                              window=2, cooldown_s=0.0)
-        with ShardedEngine(self._factory(a), n_shards=1,
-                           autoscale=cfg) as sharded:
-            with pytest.raises(RuntimeError):
-                sharded.reload(tmp_path / "never_written")
-            assert sharded._reload_spec is None  # reverted, not remembered
-            _grow_under_burst(sharded, target=2)
-            # every shard — including the grown one — serves
-            full = sharded.advise_v1(SNIPPETS)
-            assert len(full) == len(SNIPPETS)
-            assert not any(f.degraded for f in full)
-
-
-def _grow_under_burst(sharded, target, n_threads=4, timeout=45.0):
-    """Hammer ``sharded`` with concurrent bulk calls until it has grown to
-    ``target`` active shards (asserts it does within ``timeout``)."""
-    import time
-
-    stop = threading.Event()
-    errors: list = []
-
-    def client():
-        while not stop.is_set():
-            try:
-                sharded.advise_many(SNIPPETS)
-            except Exception as exc:  # noqa: BLE001 — surfaced below
-                errors.append(exc)
-                return
-
-    threads = [threading.Thread(target=client) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + timeout
-    while sharded.n_shards < target and time.monotonic() < deadline:
-        time.sleep(0.05)
-    stop.set()
-    for t in threads:
-        t.join(timeout=30)
-    assert not errors, errors
-    assert sharded.n_shards == target, "fleet failed to grow under burst"
-
 
 def _sharded_worker(path):
     """Module-level worker factory (picklable under 'spawn')."""

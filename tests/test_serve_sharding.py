@@ -14,12 +14,10 @@ from repro.models.persistence import WEIGHTS_NAME_PREFIX
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     Advice,
-    AutoscaleConfig,
     EngineConfig,
     InferenceEngine,
     ModelRegistry,
     MultiModelEngine,
-    RollingMean,
     ShardedEngine,
     SupervisorConfig,
     shard_of,
@@ -86,15 +84,10 @@ class TestRouting:
 
 
 class TestSingleShard:
-    @pytest.mark.parametrize("autoscale", [None, AutoscaleConfig(
-        min_shards=1, max_shards=3, high_watermark=0.01,
-        low_watermark=0.005, window=3, cooldown_s=0.0)],
-        ids=["fixed", "autoscaled"])
-    def test_starts_one_worker(self, factory, autoscale):
-        """``n_shards=1`` is a one-worker fleet, with or without
-        autoscaling; there is no in-process mode."""
-        with ShardedEngine(factory, n_shards=1,
-                           autoscale=autoscale) as sharded:
+    def test_starts_one_worker(self, factory):
+        """``n_shards=1`` is a one-worker fleet; there is no in-process
+        mode."""
+        with ShardedEngine(factory, n_shards=1) as sharded:
             assert len(sharded._workers) == 1
             assert sharded._workers[0].is_alive()
 
@@ -275,130 +268,39 @@ class TestMultiProcess:
             sharded.head_names()
 
 
-class TestRollingMean:
-    def test_mean_over_window(self):
-        window = RollingMean(3)
-        assert window.mean() == 0.0 and not window.full
-        for v in (1.0, 2.0, 3.0):
-            window.push(v)
-        assert window.full and window.mean() == pytest.approx(2.0)
-        window.push(6.0)  # evicts the 1.0
-        assert window.mean() == pytest.approx(11.0 / 3)
-        window.clear()
-        assert len(window) == 0 and window.mean() == 0.0
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            RollingMean(0)
-
-
-class TestAutoscaleConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AutoscaleConfig(min_shards=0)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(min_shards=3, max_shards=2)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(low_watermark=2.0, high_watermark=1.0)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(window=0)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(cooldown_s=-1)
-
-    def test_clamp(self):
-        cfg = AutoscaleConfig(min_shards=2, max_shards=4)
-        assert cfg.clamp(1) == 2
-        assert cfg.clamp(3) == 3
-        assert cfg.clamp(9) == 4
-
-
-class TestAutoscaling:
-    """Queue-depth shard autoscaling: grow under bursts, shrink when idle,
-    stay correct across every resize."""
-
-    def _burst_cfg(self, max_shards=3):
-        # tiny window + zero cooldown so tests converge in a few calls; a
-        # microscopic high watermark makes any observed backlog a grow
-        # signal, and the low watermark only fires on a truly idle window
-        return AutoscaleConfig(min_shards=1, max_shards=max_shards,
-                               high_watermark=0.01, low_watermark=0.005,
-                               window=3, cooldown_s=0.0)
-
-    def _hammer_until(self, sharded, predicate, n_threads=4, timeout=45.0):
-        """Concurrent bulk calls until ``predicate()`` (or timeout)."""
-        stop = threading.Event()
+class TestFixedSize:
+    def test_concurrent_load_keeps_size_and_stats_shape(self, factory):
+        """A fleet serves concurrent callers on the workers it was built
+        with, and ``stats()`` keeps the keys operators and benches read."""
+        expected = factory().predict_proba(SNIPPETS)
         errors = []
 
         def client():
-            while not stop.is_set():
-                try:
-                    sharded.advise_many(SNIPPETS)
-                except Exception as exc:  # noqa: BLE001 — surfaced below
-                    errors.append(exc)
-                    return
+            try:
+                for _ in range(5):
+                    np.testing.assert_allclose(
+                        sharded.predict_proba(SNIPPETS), expected, atol=1e-5)
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
 
-        threads = [threading.Thread(target=client) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + timeout
-        while not predicate() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        stop.set()
-        for t in threads:
-            t.join(timeout=30)
-        assert not errors, errors
-        return predicate()
-
-    def test_grows_under_burst_and_shrinks_when_idle(self, factory):
-        """The acceptance gate: a bursty trace resizes the fleet between
-        the configured bounds, with correct predictions throughout."""
-        expected = factory().predict_proba(SNIPPETS)
-        with ShardedEngine(factory, n_shards=1,
-                           autoscale=self._burst_cfg()) as sharded:
-            assert sharded.n_shards == 1
-            grew = self._hammer_until(sharded,
-                                      lambda: sharded.n_shards == 3)
-            assert grew, "burst load must grow the fleet to max_shards"
-            # predictions remain correct on the re-routed fleet
-            np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
-                                       expected, atol=1e-5)
-            # sequential traffic samples an empty backlog -> shrink to min
-            deadline = time.monotonic() + 45.0
-            while sharded.n_shards > 1 and time.monotonic() < deadline:
-                np.testing.assert_allclose(
-                    sharded.predict_proba(SNIPPETS), expected, atol=1e-5)
-            assert sharded.n_shards == 1, "idle fleet must shrink to min"
-            stats = sharded.stats()
-            scaler = stats["autoscaler"]
-            assert scaler["min_shards"] == 1 and scaler["max_shards"] == 3
-            assert scaler["current_shards"] == 1
-            assert scaler["resizes"] >= 4  # 1->2->3 then 3->2->1
-            assert "low watermark" in scaler["last_resize"]["reason"]
-            assert scaler["last_resize"]["from"] == 2
-            assert scaler["last_resize"]["to"] == 1
-
-    def test_respects_min_shards_floor(self, factory):
-        cfg = AutoscaleConfig(min_shards=2, max_shards=3,
-                              high_watermark=10.0, low_watermark=0.01,
-                              window=2, cooldown_s=0.0)
-        with ShardedEngine(factory, n_shards=1, autoscale=cfg) as sharded:
-            assert sharded.n_shards == 2  # clamped up at construction
-            for _ in range(10):  # idle traffic: would shrink if allowed
-                sharded.advise_many(SNIPPETS[:2])
-            assert sharded.n_shards == 2
-
-    def test_cooldown_blocks_consecutive_resizes(self, factory):
-        cfg = AutoscaleConfig(min_shards=1, max_shards=4,
-                              high_watermark=0.01, low_watermark=0.005,
-                              window=1, cooldown_s=3600.0)
-        with ShardedEngine(factory, n_shards=1, autoscale=cfg) as sharded:
-            self._hammer_until(sharded, lambda: False, timeout=1.0)
-            assert sharded.n_shards == 1  # construction-time cooldown holds
-
-    def test_fixed_engine_reports_no_autoscaler(self, factory):
         with ShardedEngine(factory, n_shards=2) as sharded:
-            sharded.predict_proba(SNIPPETS)
-            assert "autoscaler" not in sharded.stats()
+            workers = list(sharded._workers)
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not errors, errors
+            assert sharded.n_shards == 2 and sharded._workers == workers
+            stats = sharded.stats()
+            assert set(stats) == {"n_shards", "routed", "queue_depth",
+                                  "shards", "combined", "supervisor",
+                                  "weights"}
+            assert sum(stats["routed"]) == 20 * len(SNIPPETS)
+            assert len(stats["shards"]) == 2
+            assert stats["queue_depth"] == [0, 0]
+            assert stats["supervisor"]["retries"] == 0
+            assert stats["combined"]["requests"] == 20 * len(SNIPPETS)
 
 
 # -- fleet invariants over the worker queues ---------------------------------
