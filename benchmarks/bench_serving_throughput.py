@@ -24,11 +24,13 @@ Results go to ``BENCH_serving.json`` as the first entry in the perf
 trajectory.
 
 Seven further sections exercise the serving stack's newer layers: a
-**shard sweep** replays the trace twice over through
+**shard sweep** replays the trace twice over through ``advise_v1`` on
 :class:`repro.serve.ShardedEngine` fleets *pinned* at {1, 2, 4} worker
-processes (every fleet runs worker processes, so every point pays real
-cross-process traffic, including n=1; digest-hash routing keeps each
-shard's LRU hot; each worker gets ``nproc // n_shards`` BLAS threads) —
+processes, each worker hosting a directive-only
+:class:`repro.serve.MultiModelEngine` (every fleet runs worker processes,
+so every point pays real cross-process traffic, including n=1;
+digest-hash routing keeps each shard's LRU hot; each worker gets
+``nproc // n_shards`` BLAS threads) —
 interleaved reps with medians, recording the 2-shard
 over 1-shard throughput ratio (the sharding tax), the crossover point
 (smallest fleet within the noise tolerance of the sweep's best), and
@@ -47,7 +49,8 @@ threads hammer the engine, reads the per-arm counters, and promotes it
 live (zero failed requests, zero canary-arm errors, zero stale verdicts
 after the promote — the invariants ``scripts/bench_gate.py`` holds CI
 to); and a **fault injection** pass kills one of four shards mid-trace with
-the deterministic :mod:`repro.serve.chaos` schedule — every request must
+the deterministic :mod:`repro.serve.chaos` schedule (the same
+directive-only fleet, driven through ``advise_v1``) — every request must
 still be answered (answered fraction 1.0, zero lost), the supervisor
 must respawn the slot, and the recovery time plus supervisor counters go
 into the report — then overloads the HTTP front-end past its in-flight
@@ -175,14 +178,21 @@ def _blas_thread_setter():
 
 
 def _shard_worker_engine(model, vocab, max_len, blas_threads=None):
-    """Worker-side engine builder for the shard sweep (module-level so it
+    """Worker-side builder for the shard sweep and the fault injection
+    pass: a directive-only :class:`MultiModelEngine` (module-level so it
     pickles under the 'spawn' start method).  ``blas_threads`` caps the
     worker's OpenBLAS pool, as a deployment would."""
     setter = _blas_thread_setter() if blas_threads else None
     if setter is not None:
         setter(blas_threads)
-    return InferenceEngine(model, vocab, max_len=max_len,
-                           config=EngineConfig(max_batch_size=128))
+    registry = ModelRegistry()
+    registry.register("directive", model, vocab, max_len=max_len)
+    return MultiModelEngine(registry, config=EngineConfig(max_batch_size=128))
+
+
+def _probabilities(results):
+    """Directive probabilities of a batch of ``AdviceResult``."""
+    return np.array([r.probability for r in results])
 
 
 def _percentiles(latencies_s):
@@ -298,7 +308,8 @@ def test_serving_throughput(benchmark):
     cores = os.cpu_count() or 1
     sweep_blas = {n: max(1, cores // n) for n in SHARD_COUNTS}
     sweep_trace = trace * 2
-    in_process = engine_factory().predict_proba(sweep_trace)
+    with engine_factory() as reference:
+        in_process = _probabilities(reference.advise_v1(sweep_trace))
     sweep_runs = {n: {"cold": [], "warm": []} for n in SHARD_COUNTS}
     sweep_stats = {}
     sweep_mismatches = 0
@@ -307,8 +318,8 @@ def test_serving_throughput(benchmark):
             factory = functools.partial(engine_factory,
                                         blas_threads=sweep_blas[n_shards])
             with ShardedEngine(factory, n_shards=n_shards) as fleet:
-                got, cold = timed(fleet.predict_proba, sweep_trace)
-                warms = [timed(fleet.predict_proba, sweep_trace)[1]
+                got, cold = timed(fleet.advise_v1, sweep_trace)
+                warms = [timed(fleet.advise_v1, sweep_trace)[1]
                          for _ in range(SWEEP_WARM_PASSES)]
                 if rep == 0:
                     sweep_stats[n_shards] = fleet.stats()
@@ -316,9 +327,10 @@ def test_serving_throughput(benchmark):
             sweep_runs[n_shards]["warm"].append(min(warms))
             # a worker batches only its own sub-batch, so float32 bits
             # may move with batch shape; a verdict or a probability must not
+            got = _probabilities(got)
             sweep_mismatches += int(np.count_nonzero(
-                ((got[:, 1] > 0.5) != (in_process[:, 1] > 0.5))
-                | ~np.isclose(got[:, 1], in_process[:, 1], rtol=0,
+                ((got > 0.5) != (in_process > 0.5))
+                | ~np.isclose(got, in_process, rtol=0,
                               atol=SWEEP_PARITY_ATOL)))
 
     def _sweep_tput(n_shards, kind="cold"):
@@ -598,7 +610,7 @@ def test_serving_throughput(benchmark):
         for _ in range(FAULT_ROUNDS):
             round_start = time.perf_counter()
             try:
-                got = faulted.predict_proba(fault_trace)
+                got = faulted.advise_v1(fault_trace)
                 answered += len(got)
                 lost_requests += len(fault_trace) - len(got)
             except Exception:  # noqa: BLE001 — a lost round IS the regression

@@ -18,12 +18,17 @@ stack: snippets are tokenized once, packed into length-sorted micro-batches
 longest row, and predictions are memoized in a bounded LRU keyed by the
 token-id digest (``--cache-size``, default 4096; 0 disables).
 
-``serve`` has two front-ends.  The default reads one JSON object per stdin
-line — ``{"id": ..., "code": "..."}``, or a bare path to a C file — and
-writes one JSON directive verdict per line; ``--stats`` dumps engine
-counters to stderr at EOF.  ``--http PORT`` instead loads the directive
-*and* ``private``/``reduction`` clause models behind one
-:class:`repro.serve.MultiModelEngine` and serves ``POST /advise``,
+Every front-end serves through one advisor: a
+:class:`repro.serve.MultiModelEngine` in process, or with ``--shards N``
+a :class:`repro.serve.ShardedEngine` fleet of them, asked through
+``advise_v1``.  ``serve`` has two front-ends.  The default reads one JSON
+object per stdin line — ``{"id": ..., "code": "..."}``, or a bare path to
+a C file — and writes one JSON directive verdict per line from a
+directive-only advisor (a registry with no clause heads); a bad line gets
+an ``{"id", "error"}`` line and the loop goes on.  ``--stats`` dumps the
+advisor's ``stats()`` to stderr at EOF.  ``--http PORT`` instead loads
+the directive *and* ``private``/``reduction`` clause models and serves
+``POST /advise``,
 ``POST /advise/batch``, ``POST /reload``, ``GET /healthz``, and
 ``GET /stats`` — each also mounted under ``/v1/`` with the v1 result
 schema (schemas in ``docs/serving.md``).  In either mode
@@ -46,8 +51,9 @@ and the HTTP front-end enforces admission control
 and the circuit breaker use :class:`repro.serve.AdmissionConfig`
 defaults).  The operator's guide is ``docs/operations.md``.
 
-``advise`` fans each positive snippet out to the clause models through the
-same multi-model engine and prints the suggested clauses.
+``advise`` asks a directive-only advisor first, then fans each positive
+snippet out to the clause models through a full advisor and prints the
+suggested clauses.
 
 ``checkpoint upgrade DIR`` rebuilds, in place, an advisor checkpoint
 written before the ``weights.bin`` blob existed; every advisor load reads
@@ -139,19 +145,6 @@ def _admission_config(args: argparse.Namespace):
     return AdmissionConfig(max_body_bytes=int(max_body))
 
 
-def _make_engine(args: argparse.Namespace):
-    """Directive-only engine (the stdin serving loop's workhorse)."""
-    from repro.pipeline import get_context
-    from repro.serve import InferenceEngine
-
-    ctx = get_context()
-    enc = ctx.encoded()
-    engine = InferenceEngine(ctx.pragformer, enc.vocab,
-                             max_len=ctx.scale.pragformer.max_len,
-                             config=_engine_config(args))
-    return ctx, engine
-
-
 def _build_multi_engine(registry, config):
     """Worker-side builder for sharded serving (module-level so it stays
     picklable under the ``spawn`` start method; under ``fork`` the trained
@@ -161,22 +154,18 @@ def _build_multi_engine(registry, config):
     return MultiModelEngine(registry, config=config)
 
 
-def _build_directive_engine(model, vocab, max_len, config):
-    """Worker-side builder for the directive-only sharded stdin loop."""
-    from repro.serve import InferenceEngine
+def _make_advisor(args: argparse.Namespace, clauses=None):
+    """The advisor every front-end serves through: a
+    :class:`MultiModelEngine`, or with ``--shards N > 1`` a
+    :class:`ShardedEngine` whose worker processes each build their own.
 
-    return InferenceEngine(model, vocab, max_len=max_len, config=config)
-
-
-def _make_full_advisor(args: argparse.Namespace):
-    """Multi-model advisor (directive + clause heads), optionally sharded.
-
-    With ``--shards N > 1`` each worker process builds its own
-    :class:`MultiModelEngine` from the registry.  With
-    ``--watch DIR`` pointing at an existing advisor checkpoint, the
-    registry is loaded from it instead of training via the experiment
-    context — the deployment path: train elsewhere, ``ModelRegistry.save``,
-    serve from the checkpoint and hot-reload on updates.
+    Trained via the experiment context with the directive head plus the
+    ``clauses`` heads (default: the paper's ``private``/``reduction``;
+    ``()`` makes the directive-only advisor of the stdin loop and of
+    ``advise``'s first pass).  With ``--watch DIR`` pointing at an
+    existing advisor checkpoint, the registry is loaded from it instead
+    — the deployment path: train elsewhere, ``ModelRegistry.save``, serve
+    from the checkpoint and hot-reload on updates.
 
     A sharded advisor loaded from a checkpoint maps the weights **once**
     into a shared segment: the parent binds the registry onto it before
@@ -186,6 +175,7 @@ def _make_full_advisor(args: argparse.Namespace):
     import functools
 
     from repro.serve import ModelRegistry, ShardedEngine
+    from repro.serve.registry import DEFAULT_CLAUSES
 
     config = _engine_config(args)
     watch = getattr(args, "watch", None)
@@ -205,7 +195,8 @@ def _make_full_advisor(args: argparse.Namespace):
     if registry is None:
         from repro.pipeline import get_context
 
-        registry = ModelRegistry.from_context(get_context())
+        registry = ModelRegistry.from_context(
+            get_context(), DEFAULT_CLAUSES if clauses is None else clauses)
     factory = functools.partial(_build_multi_engine, registry, config)
     if sharded:
         try:
@@ -231,15 +222,12 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     # directive verdicts first: the clause models only need training when a
     # snippet is directive-positive, so the common all-negative invocation
     # never pays for them
-    ctx, engine = _make_engine(args)
-    advice = engine.advise_many(sources)
-    positive = [i for i, a in enumerate(advice) if a.needs_directive]
+    with _make_advisor(args, clauses=()) as advisor:
+        advice = advisor.advise_v1(sources)
+    positive = [i for i, a in enumerate(advice) if a.verdict]
     clauses = {}
     if positive:
-        from repro.serve import ModelRegistry, MultiModelEngine
-
-        registry = ModelRegistry.from_context(ctx)
-        with MultiModelEngine(registry, config=_engine_config(args)) as advisor:
+        with _make_advisor(args) as advisor:
             results = advisor.advise_v1([sources[i] for i in positive])
         # these files are directive-positive by the verdict printed below,
         # so every clause its head suggests is recommended
@@ -248,7 +236,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
                    for i, result in zip(positive, results)}
     prefix_paths = args.batch or len(paths) > 1
     for i, (path, a) in enumerate(zip(paths, advice)):
-        verdict = "needs an OpenMP directive" if a.needs_directive else "no directive needed"
+        verdict = "needs an OpenMP directive" if a.verdict else "no directive needed"
         lead = f"{path}: " if prefix_paths else "PragFormer: "
         print(f"{lead}{verdict} (p = {a.probability:.3f})")
         for name, p in clauses.get(i, []):
@@ -264,7 +252,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # written while models load still differs from it, so the watcher's
         # first poll picks the rollout up instead of absorbing it
         baseline = checkpoint_mtime(args.watch) if args.watch else None
-        advisor = _make_full_advisor(args)
+        advisor = _make_advisor(args)
         if args.canary:
             version = advisor.start_canary(args.canary, args.canary_fraction)
             print(f"canary {version} serving "
@@ -290,26 +278,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "directive head only; there are no clause heads to gate)",
               file=sys.stderr)
         return 2
-    if args.shards > 1:
-        import functools
+    with _make_advisor(args, clauses=()) as advisor:
+        _serve_lines(advisor, sys.stdin, args.batch_size)
+        if args.stats:
+            print(json.dumps(advisor.stats()), file=sys.stderr)
+    return 0
 
-        from repro.pipeline import get_context
-        from repro.serve import ShardedEngine
 
-        ctx = get_context()
-        enc = ctx.encoded()
-        engine = ShardedEngine(
-            functools.partial(_build_directive_engine, ctx.pragformer,
-                              enc.vocab, ctx.scale.pragformer.max_len,
-                              _engine_config(args)),
-            n_shards=args.shards, supervisor=_supervisor_config(args))
-    else:
-        _, engine = _make_engine(args)
+def _serve_lines(advisor, lines, batch_size: int) -> None:
+    """The stdin loop: one JSON verdict line per request line, asked of
+    ``advisor.advise_v1`` in batches of ``batch_size``.
+
+    A request line is a JSON object with a string ``code`` field (and an
+    optional ``id``), or a bare path to a C file.  A line that is neither
+    — malformed or too deeply nested JSON, a non-string ``code``, an
+    unreadable path — gets an ``{"id", "error"}`` line instead, and the
+    loop goes on."""
 
     def requests():
         # one bad request must not kill the serving loop: parse errors are
         # reported as JSON error lines and the stream continues
-        for line in sys.stdin:
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -321,7 +310,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         raise ValueError("request needs a string 'code' field")
                 else:
                     req = {"id": line, "code": Path(line).read_text()}
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 rid = req.get("id") if isinstance(req, dict) else line[:80]
                 print(json.dumps({"id": rid, "error": str(exc)}))
                 continue
@@ -332,28 +321,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def flush():
         if not batch:
             return
-        for req, advice in zip(batch, engine.advise_many([r["code"] for r in batch])):
+        results = advisor.advise_v1([r["code"] for r in batch])
+        for req, result in zip(batch, results):
             print(json.dumps({
                 "id": req.get("id"),
-                "needs_directive": advice.needs_directive,
-                "p_directive": round(advice.probability, 6),
+                "needs_directive": result.verdict,
+                "p_directive": round(result.probability, 6),
             }))
         sys.stdout.flush()
         batch.clear()
 
     for req in requests():
         batch.append(req)
-        if len(batch) >= args.batch_size:
+        if len(batch) >= batch_size:
             flush()
     flush()
-    if args.stats:
-        from repro.serve import snapshot_stats
-
-        print(json.dumps(snapshot_stats(engine)), file=sys.stderr)
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
-    return 0
 
 
 def _cmd_compar(args: argparse.Namespace) -> int:

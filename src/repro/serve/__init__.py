@@ -21,9 +21,10 @@ Six modules build on each other:
   (:meth:`~MultiModelEngine.start_canary` /
   :meth:`~MultiModelEngine.promote` /
   :meth:`~MultiModelEngine.rollback`, :class:`CanaryPolicy`).
-* :mod:`repro.serve.sharding` — :class:`ShardedEngine`: bulk traffic
-  partitioned across worker processes by source digest over their
-  request/reply queues, per-shard caches kept hot, and fault
+* :mod:`repro.serve.sharding` — :class:`ShardedEngine`: ``advise_v1``
+  traffic partitioned across worker processes, each hosting a
+  :class:`MultiModelEngine`, by source digest over their request/reply
+  queues, per-shard caches kept hot, and fault
   tolerance (:class:`SupervisorConfig`): worker supervision with
   heartbeats and respawn budgets, per-request deadlines, and degraded
   verdicts instead of hangs or exceptions.
@@ -79,7 +80,6 @@ from repro.serve.sharding import (
     ShardedEngine,
     SupervisorConfig,
     shard_of,
-    snapshot_stats,
 )
 
 __all__ = [
@@ -114,5 +114,4 @@ __all__ = [
     "merge_stat_dicts",
     "serve_forever",
     "shard_of",
-    "snapshot_stats",
 ]

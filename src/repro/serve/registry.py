@@ -278,17 +278,22 @@ def canary_routes(code: str, fraction: float) -> bool:
     """Deterministic canary-arm assignment for one snippet.
 
     A snippet goes to the canary iff ``digest % 100 < fraction * 100``
-    over a blake2b digest of the source text, so the assignment is stable
-    across calls, processes, and sharded workers (every worker of a fleet
-    splits traffic identically), and a given snippet never flaps between
-    arms mid-rollout.  The 16-byte digest is deliberately *not* the
-    8-byte one shard routing reduces — blake2b output depends on the
-    digest size, so the two hashes are independent; reusing the routing
-    integer would correlate ``% 100`` with ``% n_shards`` and starve some
-    shards of canary traffic whenever ``n_shards`` shares a factor with
-    100 (e.g. 10 shards at fraction 0.05 would put every canary snippet
-    on shards 0-4).  ``fraction`` is quantized to whole percent —
-    ``start_canary`` rejects fractions that would quantize to zero.
+    over the snippet's 16-byte blake2b :func:`~repro.serve.engine
+    .source_digest`, so the assignment is stable across calls, processes,
+    and sharded workers (every worker of a fleet splits traffic
+    identically), and a given snippet never flaps between arms
+    mid-rollout.  Shard routing reads the same digest — its first 8
+    bytes, reduced ``% n_shards`` — yet the two splits stay independent
+    because this test reduces all 128 bits ``% 100``: the residue mixes
+    in the last 8 bytes, which routing never reads and which are
+    independent of the first 8.  Reducing the routing integer itself
+    would correlate ``% 100`` with ``% n_shards`` and starve some shards
+    of canary traffic whenever ``n_shards`` shares a factor with 100
+    (e.g. 10 shards at fraction 0.05 would put every canary snippet on
+    shards 0-4); as it is, over 40k distinct snippets at 10 shards and
+    fraction 0.05 every shard's canary share reads 0.045-0.054.
+    ``fraction`` is quantized to whole percent — ``start_canary``
+    rejects fractions that would quantize to zero.
     """
     return canary_routes_digest(source_digest(code, size=16), fraction)
 
@@ -421,9 +426,11 @@ class MultiModelEngine:
     head; a shared :class:`_SharedLexMemo` so the expensive pure-Python lex
     runs once per distinct snippet regardless of head count.
     :meth:`advise_v1` is the advice entry point; one staged pipeline
-    (:meth:`_advise`) serves it and the fleet's wire methods: split the
-    batch into arms by source digest, then per arm run the directive
-    head, gate, fan out to the clause heads and assemble.
+    (:meth:`_advise`) serves it and the fleet's ``advise_full_many`` wire
+    method: split the batch into arms by source digest, then per arm run
+    the directive head, gate, fan out to the clause heads and assemble.
+    A registry with no clause heads makes a directive-only engine — the
+    stdin serving loop's and ``repro advise``'s first pass.
 
     With ``config.gate_margin`` set, clause work only fans out for
     snippets whose directive probability exceeds ``0.5 - gate_margin`` —
@@ -480,22 +487,10 @@ class MultiModelEngine:
         self._weights_handles: List[object] = []
         self._weights_mode = "private"
 
-    # -- directive-only paths (shard wire methods) ---------------------------
-
     @property
     def directive_engine(self) -> InferenceEngine:
         """The engine behind the mandatory ``directive`` head."""
         return self.engines[DIRECTIVE]
-
-    def predict_proba(self, codes: Sequence[str]):
-        """(N, 2) directive-head probabilities (clause heads untouched)."""
-        return self.directive_engine.predict_proba(codes)
-
-    def advise_many(self, codes: Sequence[str]) -> List[Advice]:
-        """Directive-only advice for many snippets — where a fleet's
-        ``advise_many`` wire method lands; clause advice and the
-        operational fields come from :meth:`advise_v1`."""
-        return self.directive_engine.advise_many(codes)
 
     # -- pre-encoded (ids=) rows ---------------------------------------------
 

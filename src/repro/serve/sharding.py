@@ -3,13 +3,18 @@
 The NumPy engine is single-process compute-bound, so past one core the only
 way to scale throughput is more processes.  :class:`ShardedEngine` runs N
 worker processes (stdlib :mod:`multiprocessing`, no extra deps), each
-hosting its own engine built by a caller-supplied zero-argument factory:
+hosting its own :class:`~repro.serve.registry.MultiModelEngine` built by a
+caller-supplied zero-argument factory.  The fleet has one serving
+contract: :meth:`ShardedEngine.advise_v1` in, one ``advise_full_many``
+sub-batch per worker on the wire.  A directive-only fleet is simply one
+whose workers host a registry with no clause heads
+(``ModelRegistry.from_context(ctx, clauses=())``).
 
 * **Digest-hash routing** — a snippet is routed by
   ``blake2b(code) % n_shards``, so the *same* snippet always lands on the
   *same* worker and that worker's prediction LRU and tokenize memo stay hot
   (random routing would cut every cache's effective hit rate by 1/N).
-* **Bulk fan-out** — one :meth:`predict_proba` / :meth:`advise_v1`
+* **Bulk fan-out** — one :meth:`~ShardedEngine.advise_v1`
   call splits its codes by shard, sends each worker one sub-batch, and the
   workers run concurrently; results are scattered back into request order.
 * **One data plane** — serving sub-batches and control messages alike
@@ -30,8 +35,7 @@ hosting its own engine built by a caller-supplied zero-argument factory:
 * **Fixed size** — a fleet keeps the ``n_shards`` workers it was built
   with; a slot is only ever respawned in place after its worker died.
 * **Hot reload** — :meth:`reload` broadcasts an advisor-checkpoint swap to
-  every worker (workers must host an engine exposing
-  ``reload(path)``, e.g. :class:`~repro.serve.registry.MultiModelEngine`).
+  every worker.
 * **Canary rollout** — :meth:`start_canary` / :meth:`promote` /
   :meth:`rollback` broadcast the registry-level canary deployment to
   every worker under one parent-issued version tag; because arm
@@ -48,11 +52,12 @@ hosting its own engine built by a caller-supplied zero-argument factory:
   fallback engine) before being answered with an explicit *degraded*
   neutral verdict instead of an exception.  Deterministic fault
   injection for all of this lives in :mod:`repro.serve.chaos`.
-* **Observability** — :meth:`stats` aggregates every worker's engine
-  counters and reports per-shard routed-request counts, live queue depths
-  (requests sent but not yet answered), the deployed model version, and
-  the supervisor's fault counters (``restarts``, ``faults``,
-  ``deadline_exceeded``, ``degraded_answers``).
+* **Observability** — :meth:`stats` aggregates every worker's
+  ``MultiModelEngine.stats()`` counters and reports per-shard
+  routed-request counts, live queue depths (requests sent but not yet
+  answered), the deployed model version, and the supervisor's fault
+  counters (``restarts``, ``faults``, ``deadline_exceeded``,
+  ``degraded_answers``).
 
 Workers are started with the ``fork`` start method when the platform
 offers it (the factory may close over live models — fork shares their
@@ -71,29 +76,26 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.nn.dtype import get_dtype
 from repro.serve.chaos import ChaosConfig, inject_fault
 from repro.serve.api import AdviceRequest, AdviceResult
-from repro.serve.engine import Advice, source_digest
+from repro.serve.engine import source_digest
 from repro.serve.metrics import merge_arm_stats, merge_stat_dicts
 
 __all__ = ["DeadlineExceeded", "ShardedEngine", "SupervisorConfig",
-           "shard_of", "snapshot_stats"]
+           "shard_of"]
 
 _STOP = "stop"
 
-#: Bulk serving methods: the only calls that carry request deadlines, may
-#: be answered with degraded verdicts, and advance the chaos call counter.
-_SERVING_METHODS = frozenset(
-    {"predict_proba", "advise_many", "advise_full_many"})
+#: The one serving wire method: the only call that carries a request
+#: deadline, may be answered with degraded verdicts, and advances the
+#: chaos call counter.
+_SERVE = "advise_full_many"
 
 
 class DeadlineExceeded(RuntimeError):
     """A worker request missed its deadline (see
     ``SupervisorConfig.request_timeout_s``).  Internal to the serving
-    path — callers of the bulk APIs see a degraded verdict, never this."""
+    path — callers of ``advise_v1`` see a degraded verdict, never this."""
 
 
 def _route_key(code: str) -> int:
@@ -122,7 +124,7 @@ class SupervisorConfig:
     ``request_timeout_s`` seconds (``None`` disables).  A request that
     misses it is retried once on a healthy shard, then on the in-process
     fallback engine, and finally answered with a *degraded* neutral
-    verdict (``p = 0.5``, ``needs_directive = False``, ``degraded=True``)
+    verdict (``p = 0.5``, ``verdict = False``, ``degraded=True``)
     — callers always get an answer, never a hang or an exception.
 
     **Supervision** — a daemon thread wakes every
@@ -171,27 +173,6 @@ class SupervisorConfig:
                    self.restart_backoff_s * (2.0 ** consecutive_failures))
 
 
-def snapshot_stats(engine) -> Dict[str, object]:
-    """Engine-agnostic stats snapshot: supports the single-head
-    ``engine.stats`` (an ``EngineStats``), ``MultiModelEngine.stats()``,
-    and ``ShardedEngine.stats()`` alike.  The one helper shared by the
-    worker loop and the CLI's ``--stats`` dump."""
-    stats = getattr(engine, "stats", None)
-    if callable(stats):
-        return stats()
-    if stats is not None:
-        return stats.as_dict()
-    return {}
-
-
-def _head_names(engine) -> List[str]:
-    """Engine-agnostic model-head listing (empty for single-model engines)."""
-    names = getattr(engine, "head_names", None)
-    if callable(names):
-        return list(names())
-    return []
-
-
 def _well_formed(result, expected: int) -> bool:
     """Whether a worker's ``ok`` reply can answer an ``expected``-snippet
     sub-batch: a non-string sequence of exactly that length.  A garbled
@@ -208,19 +189,23 @@ def _well_formed(result, expected: int) -> bool:
 
 
 def _dispatch(engine, method: str, payload):
-    """Run one control/serving method against the worker's engine.
+    """Run one serving/control method against the worker's
+    :class:`~repro.serve.registry.MultiModelEngine`.
 
-    ``reload`` payloads are ``(path, version, segment)`` and
-    ``start_canary`` payloads ``(path, fraction, version, segment)``;
-    ``segment`` (``None`` when the rollout published no shared weights)
-    goes to the engine as is, so an error inside a segment-mapped reload
-    reaches the caller instead of being retried as a private load."""
+    The serving payload is a list of snippets.  ``reload`` payloads are
+    ``(path, version, segment)`` and ``start_canary`` payloads ``(path,
+    fraction, version, segment)``; ``segment`` (``None`` when the rollout
+    published no shared weights) goes to the engine as is, so an error
+    inside a segment-mapped reload reaches the caller instead of being
+    retried as a private load.  Any other method name raises."""
+    if method == _SERVE:
+        return engine.advise_full_many(payload)
     if method == "ping":
         return "pong"
     if method == "stats":
-        return snapshot_stats(engine)
+        return engine.stats()
     if method == "heads":
-        return _head_names(engine)
+        return engine.head_names()
     if method == "reload":
         path, version, segment = payload
         return engine.reload(path, version=version, segment=segment)
@@ -232,7 +217,7 @@ def _dispatch(engine, method: str, payload):
         return engine.promote()
     if method == "canary_rollback":
         return engine.rollback()
-    return getattr(engine, method)(payload)
+    raise ValueError(f"unknown worker method {method!r}")
 
 
 def _worker_main(factory, requests, responses, reload_spec=None,
@@ -287,7 +272,7 @@ def _worker_main(factory, requests, responses, reload_spec=None,
             if msg == _STOP:
                 return
             rid, method, payload = msg
-            if method in _SERVING_METHODS:
+            if method == _SERVE:
                 call_index, serving_calls = serving_calls, serving_calls + 1
                 if chaos is not None and inject_fault(
                         chaos, slot, call_index, responses, rid):
@@ -297,9 +282,7 @@ def _worker_main(factory, requests, responses, reload_spec=None,
             except Exception as exc:  # noqa: BLE001 — relayed to the caller
                 responses.put((rid, "error", f"{type(exc).__name__}: {exc}"))
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
 
 class _Token(NamedTuple):
@@ -324,15 +307,13 @@ class _Token(NamedTuple):
 
 
 class ShardedEngine:
-    """Bulk advisor traffic partitioned across N single-engine workers.
+    """Advisor traffic partitioned across N worker processes.
 
-    ``factory`` builds one engine per worker (an
-    :class:`~repro.serve.engine.InferenceEngine`, a
-    :class:`~repro.serve.registry.MultiModelEngine`, or anything exposing
-    the same bulk methods).  All bulk calls (:meth:`predict_proba`,
-    :meth:`advise_many`, :meth:`advise_v1`) route per snippet by
-    :func:`shard_of` over ``n_shards``, which never changes after
-    construction, and preserve request order in the returned results.
+    ``factory`` builds one :class:`~repro.serve.registry.MultiModelEngine`
+    per worker.  :meth:`advise_v1`, the one serving call, routes per
+    snippet by :func:`shard_of` over ``n_shards``, which never changes
+    after construction, and preserves request order in the returned
+    results.
 
     Thread-safe: replies carry request ids, so concurrent bulk calls (e.g.
     HTTP handler threads) run in parallel — per shard, whichever caller is
@@ -609,9 +590,9 @@ class ShardedEngine:
                             f"shard {token.shard} worker died (exitcode "
                             f"{token.worker.exitcode})") from None
 
-    def _scatter_call(self, method: str, codes: Sequence[str]) -> List:
-        """Fan ``codes`` out by shard, run ``method`` on each worker's
-        sub-batch concurrently, and gather results back in request order.
+    def _scatter_call(self, codes: Sequence[str]) -> List[AdviceResult]:
+        """Fan ``codes`` out by shard, run each worker's sub-batch
+        concurrently, and gather the results back in request order.
 
         Each sub-batch carries a deadline
         (``SupervisorConfig.request_timeout_s``).  A sub-batch whose
@@ -638,7 +619,7 @@ class ShardedEngine:
                 with self._meta_lock:
                     self.routed[shard] += len(rows)
                 tokens[shard] = self._send(
-                    shard, method, [codes[i] for i in rows],
+                    shard, _SERVE, [codes[i] for i in rows],
                     deadline=deadline)
         out: List = [None] * len(codes)
         failures: List[str] = []
@@ -670,9 +651,9 @@ class ShardedEngine:
             raise RuntimeError("; ".join(failures))
         for shard, rows in faulted:
             sub = [codes[i] for i in rows]
-            result = self._retry_subbatch(method, sub, exclude=shard)
+            result = self._retry_subbatch(sub, exclude=shard)
             if result is None:
-                result = self._degraded_result(method, len(rows))
+                result = self._degraded_result(len(rows))
             for i, value in zip(rows, result):
                 out[i] = value
         return out
@@ -684,8 +665,8 @@ class ShardedEngine:
         timeout = self.supervisor.request_timeout_s
         return None if timeout is None else time.monotonic() + timeout
 
-    def _retry_subbatch(self, method: str, sub: List[str],
-                        exclude: int) -> Optional[List]:
+    def _retry_subbatch(self, sub: List[str],
+                        exclude: int) -> Optional[List[AdviceResult]]:
         """One retry of a faulted sub-batch: a live shard other than
         ``exclude`` first, the in-process fallback engine second.
 
@@ -701,7 +682,7 @@ class ShardedEngine:
                     (s for s in ((exclude + k) % n for k in range(1, n))
                      if self._workers[s].is_alive()), None)
                 if target is not None:
-                    token = self._send(target, method, sub,
+                    token = self._send(target, _SERVE, sub,
                                        deadline=self._request_deadline())
         if token is not None:
             try:
@@ -717,7 +698,7 @@ class ShardedEngine:
         fallback = self._fallback()
         if fallback is not None:
             try:
-                result = list(getattr(fallback, method)(sub))
+                result = fallback.advise_full_many(sub)
                 with self._meta_lock:
                     self._fallback_answers += len(sub)
                 return result
@@ -741,23 +722,17 @@ class ShardedEngine:
                     self._fallback_failed = True
             return self._fallback_engine
 
-    def _degraded_result(self, method: str, count: int) -> List:
+    def _degraded_result(self, count: int) -> List[AdviceResult]:
         """Explicit neutral verdicts for ``count`` unanswerable snippets.
 
-        ``p = 0.5`` / ``needs_directive = False`` with ``degraded=True``
-        set — visibly *not* a model prediction, but a well-formed answer
-        the HTTP layer can serialize, so a fleet-wide outage sheds
-        accuracy instead of availability."""
+        ``p = 0.5`` / ``verdict = False`` with ``degraded=True`` set —
+        visibly *not* a model prediction, but a well-formed answer the
+        HTTP layer can serialize, so a fleet-wide outage sheds accuracy
+        instead of availability."""
         with self._meta_lock:
             self._degraded_answers += count
-        if method == "predict_proba":
-            return [np.full(2, 0.5, dtype=get_dtype()) for _ in range(count)]
-        if method == "advise_many":
-            return [Advice(0.5, False, degraded=True) for _ in range(count)]
-        if method == "advise_full_many":
-            return [AdviceResult(False, 0.5, degraded=True)
-                    for _ in range(count)]
-        raise RuntimeError(f"no neutral verdict for method {method!r}")
+        return [AdviceResult(False, 0.5, degraded=True)
+                for _ in range(count)]
 
     # -- supervision -------------------------------------------------------
 
@@ -862,25 +837,10 @@ class ShardedEngine:
         finally:
             self._respawning = False
 
-    # -- bulk APIs ---------------------------------------------------------
+    # -- serving -----------------------------------------------------------
 
-    def predict_proba(self, codes: Sequence[str]) -> np.ndarray:
-        """(N, 2) directive probabilities, sharded and order-preserving."""
-        rows = self._scatter_call("predict_proba", codes)
-        if not rows:
-            # compute dtype, not np.empty's float64 default — the sharded
-            # path must stay as float32-pure as the in-process engine
-            return np.empty((0, 2), dtype=get_dtype())
-        return np.stack([np.asarray(row) for row in rows])
-
-    def advise_many(self, codes: Sequence[str]) -> List[Advice]:
-        """Bulk directive advice across shards (directive-only fleets,
-        e.g. the stdin serving loop's)."""
-        return self._scatter_call("advise_many", codes)
-
-    def advise_v1(self, requests: Sequence) -> List["AdviceResult"]:
-        """The advice entry point over the fleet (workers must host a
-        :class:`~repro.serve.registry.MultiModelEngine`): a batch of
+    def advise_v1(self, requests: Sequence) -> List[AdviceResult]:
+        """The advice entry point over the fleet: a batch of
         :class:`~repro.serve.api.AdviceRequest` (or bare snippet strings)
         in, :class:`~repro.serve.api.AdviceResult` out, with the
         operational context only the router knows stitched on — which
@@ -894,7 +854,7 @@ class ShardedEngine:
                 "the fleet's workers own encoding; submit AdviceRequest "
                 "with code=, not pre-encoded ids=")
         codes = [r.code for r in reqs]
-        answers = self._scatter_call("advise_full_many", codes)
+        answers = self._scatter_call(codes)
         with self._route_lock:
             spec = self._canary_spec
             primary_version = self._model_version
@@ -961,9 +921,8 @@ class ShardedEngine:
     def reload(self, path) -> Optional[str]:
         """Broadcast a checkpoint reload to every worker.
 
-        Workers must host an engine exposing ``reload(path, version=...)``
-        (a :class:`~repro.serve.registry.MultiModelEngine`); each swaps
-        its heads atomically as described there, all under **one**
+        Each worker's :class:`~repro.serve.registry.MultiModelEngine`
+        swaps its heads atomically as described there, all under **one**
         parent-issued version tag so the whole fleet — including workers
         the supervisor respawns later, which replay the reload at startup
         — reports the same ``model_version``.  Raises if any worker fails —
@@ -1042,12 +1001,11 @@ class ShardedEngine:
                      version: Optional[str] = None) -> str:
         """Broadcast a canary rollout to every worker.
 
-        Workers must host an engine exposing ``start_canary`` (a
-        :class:`~repro.serve.registry.MultiModelEngine`); the parent
-        issues **one** version tag so the whole fleet — including workers
-        the supervisor respawns mid-rollout, which replay the canary at
-        spawn — agrees on the rollout's identity, and the digest-based
-        arm split is identical on every worker by construction.  If any
+        The parent issues **one** version tag so the whole fleet —
+        including workers the supervisor respawns mid-rollout, which
+        replay the canary at spawn — agrees on the rollout's identity, and
+        the digest-based arm split is identical on every worker by
+        construction.  If any
         worker fails to start, the rollout is rolled back everywhere and
         the error raised — a traffic split only some shards honour is
         never left serving.  Returns the canary version tag.
@@ -1148,8 +1106,7 @@ class ShardedEngine:
 
     def head_names(self) -> List[str]:
         """Model heads hosted by the workers (asked of shard 0 — every
-        worker is built by the same factory); empty for single-model
-        engines."""
+        worker is built by the same factory)."""
         status, result = self._collect(
             self._send(0, "heads", None, deadline=self._request_deadline()))
         if status != "ok":
@@ -1166,11 +1123,12 @@ class ShardedEngine:
 
         Shape: ``{"n_shards", "routed": [per-slot request counts],
         "queue_depth": [in-flight requests per shard], "shards":
-        [per-worker engine snapshots], "combined": merged counters}`` —
-        plus ``"model_version"`` when the workers report one, a
-        ``"canary"`` block (version, fraction, per-arm counters summed
-        across workers, and ``shards_live`` — how many workers host the
-        canary) when one is rolling out, and always a ``"supervisor"``
+        [per-worker ``MultiModelEngine.stats()`` snapshots], "combined":
+        merged counters}`` — plus, when any worker answered,
+        ``"model_version"``, ``"last_canary"`` and a ``"canary"`` block
+        (``None``, or version, fraction, per-arm counters summed across
+        workers, and ``shards_live`` — how many workers host the canary —
+        while one is rolling out), and always a ``"supervisor"``
         block with the fault-tolerance counters (``restarts``, ``faults``,
         ``deadline_exceeded``, ``retries``, ``degraded_answers``,
         ``fallback_answers``, ``degraded_shards``), and a ``"weights"``
@@ -1182,9 +1140,7 @@ class ShardedEngine:
         """
         shards = self._scatter_stats()
         # error placeholders carry no counters: aggregate over healthy only
-        healthy = [s for s in shards
-                   if isinstance(s, dict) and "error" not in s]
-        flat = [s.get("combined", s) for s in healthy]
+        healthy = [s for s in shards if "error" not in s]
         with self._meta_lock:
             routed = list(self.routed)
         out: Dict[str, object] = {
@@ -1192,15 +1148,11 @@ class ShardedEngine:
             "routed": routed,
             "queue_depth": self.queue_depth(),
             "shards": shards,
-            "combined": merge_stat_dicts(
-                f for f in flat if isinstance(f, dict)),
+            "combined": merge_stat_dicts(s["combined"] for s in healthy),
         }
-        first = next(iter(healthy), None)
-        if isinstance(first, dict) and "model_version" in first:
-            out["model_version"] = first["model_version"]
-        if isinstance(first, dict) and "canary" in first:
-            live = [s["canary"] for s in healthy
-                    if isinstance(s, dict) and s.get("canary")]
+        if healthy:
+            out["model_version"] = healthy[0]["model_version"]
+            live = [s["canary"] for s in healthy if s["canary"]]
             out["canary"] = None if not live else {
                 "version": live[0]["version"],
                 "fraction": live[0]["fraction"],
@@ -1211,8 +1163,8 @@ class ShardedEngine:
                 },
             }
             out["last_canary"] = next(
-                (s["last_canary"] for s in shards
-                 if isinstance(s, dict) and s.get("last_canary")), None)
+                (s["last_canary"] for s in healthy if s["last_canary"]),
+                None)
         with self._meta_lock:
             out["supervisor"] = {
                 "request_timeout_s": self.supervisor.request_timeout_s,
@@ -1278,12 +1230,10 @@ class ShardedEngine:
         with self._fallback_lock:
             fallback, self._fallback_engine = self._fallback_engine, None
         if fallback is not None:
-            fb_close = getattr(fallback, "close", None)
-            if fb_close is not None:
-                try:
-                    fb_close()
-                except Exception:  # noqa: BLE001 — best-effort teardown
-                    pass
+            try:
+                fallback.close()
+            except Exception:  # noqa: BLE001 — best-effort teardown
+                pass
         with self._route_lock:
             workers = list(self._workers)
             requests = list(self._requests)

@@ -107,7 +107,7 @@ class TestAdviseFull:
 
     def test_directive_parity_with_single_head_paths(self, advisor):
         full = advisor.advise_full_many(SNIPPETS)
-        directive_only = advisor.advise_many(SNIPPETS)
+        directive_only = advisor.directive_engine.advise_many(SNIPPETS)
         assert [(f.probability, f.verdict, f.degraded, f.recovered)
                 for f in full] == [
             (a.probability, a.needs_directive, a.degraded, a.recovered)
@@ -170,7 +170,7 @@ class TestClauseGating:
             assert g.recommended_clauses() == u.recommended_clauses()
 
     def test_negative_snippets_skip_clause_heads(self, registry, advisor):
-        directive = advisor.advise_many(SNIPPETS)
+        directive = advisor.directive_engine.advise_many(SNIPPETS)
         n_negative = sum(not a.needs_directive for a in directive)
         n_positive = len(SNIPPETS) - n_negative
         assert n_negative, "workload must contain directive-negative snippets"

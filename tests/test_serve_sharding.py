@@ -13,9 +13,8 @@ from repro.models import PragFormer
 from repro.models.persistence import WEIGHTS_NAME_PREFIX
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
-    Advice,
+    AdviceResult,
     EngineConfig,
-    InferenceEngine,
     ModelRegistry,
     MultiModelEngine,
     ShardedEngine,
@@ -46,15 +45,20 @@ def model_and_vocab():
     return PragFormer(len(vocab), TINY), vocab
 
 
+def _directive_only(model, vocab):
+    """A directive-only worker engine: a registry with no clause heads."""
+    registry = ModelRegistry()
+    registry.register("directive", model, vocab, max_len=TINY.max_len)
+    return MultiModelEngine(registry, config=EngineConfig(max_batch_size=8))
+
+
 @pytest.fixture(scope="module")
 def factory(model_and_vocab):
-    model, vocab = model_and_vocab
+    return functools.partial(_directive_only, *model_and_vocab)
 
-    def build():
-        return InferenceEngine(model, vocab, max_len=TINY.max_len,
-                               config=EngineConfig(max_batch_size=8))
 
-    return build
+def _probs(results):
+    return np.array([r.probability for r in results])
 
 
 class TestRouting:
@@ -76,7 +80,7 @@ class TestRouting:
     def test_duplicates_land_on_one_shard(self, factory):
         code = SNIPPETS[0]
         with ShardedEngine(factory, n_shards=4) as sharded:
-            sharded.predict_proba([code] * 6)
+            sharded.advise_v1([code] * 6)
             routed = sharded.routed
         target = shard_of(code, 4)
         assert routed[target] == 6
@@ -92,9 +96,9 @@ class TestSingleShard:
             assert sharded._workers[0].is_alive()
 
     def test_matches_unsharded_engine(self, factory):
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         with ShardedEngine(factory, n_shards=1) as sharded:
-            np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
+            np.testing.assert_allclose(_probs(sharded.advise_v1(SNIPPETS)),
                                        expected, atol=1e-5)
             assert sharded.routed == [len(SNIPPETS)]
 
@@ -106,33 +110,30 @@ class TestSingleShard:
 class TestMultiProcess:
     @pytest.mark.parametrize("n_shards", [2, 3])
     def test_predictions_match_unsharded(self, factory, n_shards):
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         with ShardedEngine(factory, n_shards=n_shards) as sharded:
-            got = sharded.predict_proba(SNIPPETS)
+            got = _probs(sharded.advise_v1(SNIPPETS))
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
-    def test_advise_many_order_preserved(self, factory):
-        expected = factory().advise_many(SNIPPETS)
+    def test_advise_v1_order_preserved(self, factory):
+        expected = factory().advise_v1(SNIPPETS)
         with ShardedEngine(factory, n_shards=2) as sharded:
-            got = sharded.advise_many(SNIPPETS)
-        assert all(isinstance(a, Advice) for a in got)
+            got = sharded.advise_v1(SNIPPETS)
+        assert all(isinstance(a, AdviceResult) for a in got)
         for a, b in zip(got, expected):
             np.testing.assert_allclose(a.probability, b.probability, atol=1e-5)
-            assert a.needs_directive == b.needs_directive
+            assert a.verdict == b.verdict
+            assert a.clauses == b.clauses == {}
 
     def test_empty_batch(self, factory):
-        from repro.nn.dtype import get_dtype
-
         with ShardedEngine(factory, n_shards=2) as sharded:
-            empty = sharded.predict_proba([])
-            assert empty.shape == (0, 2)
-            # float32-pure like the in-process engine, not float64
-            assert empty.dtype == get_dtype()
+            assert sharded.advise_v1([]) == []
+            assert sum(sharded.routed) == 0
 
     def test_stats_aggregation(self, factory):
         with ShardedEngine(factory, n_shards=2) as sharded:
-            sharded.predict_proba(SNIPPETS)
-            sharded.predict_proba(SNIPPETS)  # warm pass: all LRU hits
+            sharded.advise_v1(SNIPPETS)
+            sharded.advise_v1(SNIPPETS)  # warm pass: all LRU hits
             stats = sharded.stats()
         assert stats["n_shards"] == 2
         assert sum(stats["routed"]) == 2 * len(SNIPPETS)
@@ -143,24 +144,19 @@ class TestMultiProcess:
         assert len(stats["shards"]) == 2
 
     def test_worker_error_is_surfaced(self, model_and_vocab):
-        model, vocab = model_and_vocab
-
         def broken_factory():
-            engine = InferenceEngine(model, vocab, max_len=TINY.max_len)
-            # not callable -> worker-side error on either transport
-            engine.predict_proba = None
-            engine.predict_proba_encoded = None
+            engine = _directive_only(*model_and_vocab)
+            engine.advise_full_many = None  # not callable: worker-side error
             return engine
 
         with ShardedEngine(broken_factory, n_shards=2) as sharded:
             with pytest.raises(RuntimeError, match="shard"):
-                sharded.predict_proba(SNIPPETS)
+                sharded.advise_v1(SNIPPETS)
 
     def test_no_stale_responses_after_one_shard_fails(self, model_and_vocab,
                                                       factory):
         """A failed shard must not leave other shards' replies queued —
         the next call would silently collect the previous call's results."""
-        model, vocab = model_and_vocab
         # healthy snippets live on one shard; pick a BOOM marker that
         # provably hashes to the other one
         other = [c for c in SNIPPETS if shard_of(c, 2) == shard_of(SNIPPETS[0], 2)]
@@ -169,39 +165,38 @@ class TestMultiProcess:
                     if shard_of(f"BOOM {i}", 2) != shard_of(other[0], 2))
 
         def selective_factory():
-            engine = InferenceEngine(model, vocab, max_len=TINY.max_len)
-            real = engine.advise_many
+            engine = _directive_only(*model_and_vocab)
+            real = engine.advise_full_many
 
-            def advise_many(codes):
+            def advise_full_many(codes):
                 if any("BOOM" in c for c in codes):
                     raise ValueError("boom")
                 return real(codes)
 
-            engine.advise_many = advise_many
-            engine.codec = None  # BOOM marker is text-only: pin to queues
+            engine.advise_full_many = advise_full_many
             return engine
 
-        expected = factory().advise_many(other)
+        expected = factory().advise_v1(other)
         lookup = dict(zip(other, expected))
         with ShardedEngine(selective_factory, n_shards=2) as sharded:
             with pytest.raises(RuntimeError, match="shard"):
-                sharded.advise_many([boom, other[0]])
+                sharded.advise_v1([boom, other[0]])
             # the healthy shard's reply for other[0] must have been drained:
             # a fresh call must return advice for its own snippet
-            got = sharded.advise_many([other[1]])[0]
+            got = sharded.advise_v1([other[1]])[0]
             np.testing.assert_allclose(got.probability,
                                        lookup[other[1]].probability, atol=1e-5)
 
     def test_concurrent_bulk_calls_do_not_cross_talk(self, factory):
         import threading
 
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         errors = []
         with ShardedEngine(factory, n_shards=2) as sharded:
             def hammer():
                 try:
                     for _ in range(5):
-                        got = sharded.predict_proba(SNIPPETS)
+                        got = _probs(sharded.advise_v1(SNIPPETS))
                         np.testing.assert_allclose(got, expected, atol=1e-5)
                 except Exception as exc:  # noqa: BLE001 — collected for assert
                     errors.append(exc)
@@ -226,18 +221,16 @@ class TestMultiProcess:
                                heartbeat_interval_s=0)
         with ShardedEngine(crashing_factory, n_shards=2,
                            supervisor=cfg) as sharded:
-            proba = sharded.predict_proba(SNIPPETS)
-            np.testing.assert_allclose(proba, 0.5)
-            advice = sharded.advise_many(SNIPPETS[:2])
+            np.testing.assert_allclose(_probs(sharded.advise_v1(SNIPPETS)),
+                                       0.5)
+            advice = sharded.advise_v1(SNIPPETS[:2])
             assert all(a.degraded for a in advice)
-            assert all(not a.needs_directive for a in advice)
+            assert all(not a.verdict for a in advice)
             sup = sharded.stats()["supervisor"]
             assert sup["degraded_answers"] == len(SNIPPETS) + 2
             assert sup["faults"] >= 2
 
-    def test_head_names_through_workers(self, model_and_vocab):
-        from repro.serve import ModelRegistry, MultiModelEngine
-
+    def test_head_names_through_workers(self, model_and_vocab, factory):
         model, vocab = model_and_vocab
 
         def multi_factory():
@@ -250,18 +243,16 @@ class TestMultiProcess:
             assert sharded.head_names() == ["directive", "private"]
         with ShardedEngine(multi_factory, n_shards=1) as local:
             assert local.head_names() == ["directive", "private"]
-
-    def test_single_model_head_names_empty(self, factory):
-        with ShardedEngine(factory, n_shards=1) as sharded:
-            assert sharded.head_names() == []
+        with ShardedEngine(factory, n_shards=1) as directive_only:
+            assert directive_only.head_names() == ["directive"]
 
     def test_close_idempotent_and_rejects_use(self, factory):
         sharded = ShardedEngine(factory, n_shards=2)
-        sharded.predict_proba(SNIPPETS[:2])
+        sharded.advise_v1(SNIPPETS[:2])
         sharded.close()
         sharded.close()
         with pytest.raises(RuntimeError, match="closed"):
-            sharded.predict_proba(SNIPPETS[:2])
+            sharded.advise_v1(SNIPPETS[:2])
         with pytest.raises(RuntimeError, match="closed"):
             sharded.stats()
         with pytest.raises(RuntimeError, match="closed"):
@@ -272,14 +263,15 @@ class TestFixedSize:
     def test_concurrent_load_keeps_size_and_stats_shape(self, factory):
         """A fleet serves concurrent callers on the workers it was built
         with, and ``stats()`` keeps the keys operators and benches read."""
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         errors = []
 
         def client():
             try:
                 for _ in range(5):
                     np.testing.assert_allclose(
-                        sharded.predict_proba(SNIPPETS), expected, atol=1e-5)
+                        _probs(sharded.advise_v1(SNIPPETS)), expected,
+                        atol=1e-5)
             except Exception as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
@@ -295,7 +287,10 @@ class TestFixedSize:
             stats = sharded.stats()
             assert set(stats) == {"n_shards", "routed", "queue_depth",
                                   "shards", "combined", "supervisor",
-                                  "weights"}
+                                  "weights", "model_version", "canary",
+                                  "last_canary"}
+            assert stats["model_version"] == "0"
+            assert stats["canary"] is None
             assert sum(stats["routed"]) == 20 * len(SNIPPETS)
             assert len(stats["shards"]) == 2
             assert stats["queue_depth"] == [0, 0]
@@ -355,13 +350,13 @@ class TestFleetInvariants:
         """4 producer threads x 4 shards x 2000 snippets in total: every
         reply present, in order, and matching the reference engine."""
         trace = (SNIPPETS * 13)[:100]
-        expected = factory().predict_proba(trace)
+        expected = _probs(factory().advise_v1(trace))
         errors = []
         with ShardedEngine(factory, n_shards=4) as sharded:
             def producer():
                 try:
                     for _ in range(5):  # 5 x 100 snippets per producer
-                        got = sharded.predict_proba(trace)
+                        got = _probs(sharded.advise_v1(trace))
                         assert got.shape == expected.shape
                         np.testing.assert_allclose(got, expected, atol=1e-5)
                 except Exception as exc:  # noqa: BLE001 — assert below
@@ -470,6 +465,16 @@ class _SegmentTypeError:
 
 
 class TestDispatch:
+    def test_unknown_method_raises(self, factory):
+        """The worker answers the one serving method and the control
+        messages; any other name is an error, never an engine attribute
+        lookup."""
+        engine = factory()
+        assert len(_dispatch(engine, "advise_full_many", SNIPPETS[:2])) == 2
+        for method in ("advise_many", "predict_proba", "close"):
+            with pytest.raises(ValueError, match="unknown worker method"):
+                _dispatch(engine, method, SNIPPETS[:2])
+
     def test_segment_rollout_type_error_propagates(self):
         """A ``TypeError`` inside a segment-mapped rollout is the
         caller's error; it must not be retried as a private eager load,

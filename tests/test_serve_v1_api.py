@@ -2,9 +2,9 @@
 
 Three contracts:
 
-* **parity** — the fleet wire methods (``advise_many``,
-  ``advise_full_many``) and ``advise_v1`` answer identically, field by
-  field: they share one pipeline and must never drift apart;
+* **parity** — the fleet wire method (``advise_full_many``), the
+  directive head on its own and ``advise_v1`` answer identically, field
+  by field: they share one pipeline and must never drift apart;
 * **context** — ``model_version`` / ``arm`` / ``recovered`` /
   ``degraded`` ride first-class on every result (engine, fleet, HTTP),
   including the shared-memory transport where workers only ever see
@@ -97,7 +97,7 @@ class TestAdviceRequest:
 
 
 class TestEngineParity:
-    """The wire methods and advise_v1 must answer identically."""
+    """The wire method and advise_v1 must answer identically."""
 
     def test_v1_dict_is_strict_superset_of_legacy(self, engine):
         for code in SNIPPETS:
@@ -110,7 +110,7 @@ class TestEngineParity:
 
     def test_single_and_bulk_shims_match_v1(self, engine):
         results = engine.advise_v1(SNIPPETS)
-        advices = engine.advise_many(SNIPPETS)
+        advices = engine.directive_engine.advise_many(SNIPPETS)
         fulls = engine.advise_full_many(SNIPPETS)
         for res, adv, full in zip(results, advices, fulls):
             assert res.verdict == adv.needs_directive
