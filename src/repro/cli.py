@@ -279,7 +279,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     with _make_advisor(args, clauses=()) as advisor:
-        _serve_lines(advisor, sys.stdin, args.batch_size)
+        _serve_lines(advisor, sys.stdin.buffer, args.batch_size)
         if args.stats:
             print(json.dumps(advisor.stats()), file=sys.stderr)
     return 0
@@ -289,21 +289,24 @@ def _serve_lines(advisor, lines, batch_size: int) -> None:
     """The stdin loop: one JSON verdict line per request line, asked of
     ``advisor.advise_v1`` in batches of ``batch_size``.
 
-    A request line is a JSON object with a string ``code`` field (and an
-    optional ``id``), or a bare path to a C file.  A line that is neither
-    — malformed or too deeply nested JSON, a non-string ``code``, an
-    unreadable path — gets an ``{"id", "error"}`` line instead, and the
-    loop goes on."""
+    ``lines`` yields raw ``bytes`` lines (``sys.stdin.buffer``), decoded
+    one at a time.  A request line is UTF-8: a JSON object with a string
+    ``code`` field (and an optional ``id``), or a bare path to a C file.
+    A line that is neither — undecodable bytes, malformed or too deeply
+    nested JSON, a non-string ``code``, an unreadable path — gets an
+    ``{"id", "error"}`` line instead, and the loop goes on."""
 
     def requests():
         # one bad request must not kill the serving loop: parse errors are
         # reported as JSON error lines and the stream continues
-        for line in lines:
-            line = line.strip()
+        for raw in lines:
+            # the replacement-decoded text names the line in an error
+            line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
             req = None
             try:
+                raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
                 if line.startswith("{"):
                     req = json.loads(line)
                     if not isinstance(req.get("code"), str):

@@ -16,15 +16,24 @@ retained maps are only valid until this module's next forward — consumers
 that hold maps across forwards must set ``retain_attention``, which
 stores a private copy in every mode.
 
+The masked softmax (:func:`_masked_softmax`) is one pass with no per-row
+max on the common path: one global ``min``/``max`` check shows every score
+is small enough that ``exp`` needs no shift, pad keys are zeroed by
+multiplying with the 0/1 key mask after ``exp`` (an exact 0 weight), and
+each row is normalised by one reciprocal multiply.  Only batches with an
+out-of-range score take the exact fallback, which shifts just the rows
+whose own max is out of range.
+
 ``n_queries`` restricts an inference forward to the first query rows:
-keys and values still cover every position, but the score, softmax,
-context and output-projection work shrinks from L rows to ``n_queries``.
-A classifier that reads only the CLS position runs its last block this
-way (see :meth:`PragFormer.predict_proba`).
+keys and values still cover every position, but the query projection,
+score, softmax, context and output-projection work shrinks from L rows to
+``n_queries``.  A classifier that reads only the CLS position runs its
+last block this way (see :meth:`PragFormer.predict_proba`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 import numpy as np
@@ -36,19 +45,60 @@ from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 __all__ = ["MultiHeadSelfAttention"]
 
-_NEG_INF = -1e9
+#: |score| bound under which ``exp`` needs no shift.  exp(-80) ~ 1.8e-35
+#: is above float32's smallest normal (exp(-87.3)), so no weight loses
+#: precision to underflow, and a row of n such terms sums to at most
+#: n * exp(80) ~ n * 5.5e34, finite in float32 for n <= 6000 keys
+#: (:func:`_exp_limit` shrinks the bound for longer rows).  float64's
+#: range is wider still.
+_EXP_LIMIT = 80.0
 
 
-def _softmax_lastaxis(scores: np.ndarray) -> np.ndarray:
-    """In-place softmax over the last axis; returns ``scores`` itself."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    # clamp before exp: masked keys sit at ~-1e9, and exp() of such extreme
-    # arguments can fall off the vectorized path into scalar libm calls
-    # (observed ~100x slower on padded buckets).  exp(-60) ~ 9e-27 is an
-    # exact zero weight after renormalization, far below any tolerance.
-    np.maximum(scores, -60.0, out=scores)
+def _exp_limit(dtype: np.dtype, n_keys: int) -> float:
+    """The largest |score| whose unshifted ``exp`` rows cannot overflow."""
+    return min(_EXP_LIMIT, math.log(float(np.finfo(dtype).max) / n_keys))
+
+
+def _shift_out_of_range_rows(scores: np.ndarray,
+                             key_mask: Optional[np.ndarray],
+                             limit: float) -> None:
+    """The exact fallback: subtract its own max over real keys from every
+    row whose max is out of ``[-limit, limit]``.  Every other row keeps
+    shift 0, so its weights keep the fast path's bits whatever shares its
+    batch.  Pad keys become -inf first: they take no part in a row's max
+    and ``exp`` maps them to 0 however large their raw score."""
+    if key_mask is not None:
+        np.copyto(scores, -np.inf, where=key_mask == 0)
+    row_max = scores.max(axis=-1, keepdims=True)
+    # a row with no real key has max -inf and keeps shift 0
+    shifted = np.isfinite(row_max) & (np.abs(row_max) > limit)
+    scores -= np.where(shifted, row_max, 0)
+
+
+def _masked_softmax(scores: np.ndarray,
+                    key_mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """In-place softmax over the last axis; returns ``scores`` itself.
+
+    ``key_mask`` (0/1 in the scores' dtype, broadcastable to them) gives
+    the keys where it is 0 an exact 0 weight.  The common path takes no
+    per-row max: when every raw score is within :func:`_exp_limit`,
+    ``exp`` runs unshifted.  Otherwise :func:`_shift_out_of_range_rows`
+    shifts the rows that need it.  A row with no real key gets all-zero
+    weights rather than NaNs."""
+    limit = _exp_limit(scores.dtype, scores.shape[-1])
+    if not (-limit <= scores.min() and scores.max() <= limit):
+        _shift_out_of_range_rows(scores, key_mask, limit)
     np.exp(scores, out=scores)
-    scores /= sum_lastaxis(scores)
+    if key_mask is not None:
+        # after exp, not as a -inf bias before it: float64 exp of -inf
+        # runs ~3x slower than of moderate arguments (float32 does not)
+        scores *= key_mask
+    norm = sum_lastaxis(scores)
+    # a row with a real key sums to at least exp(-limit), far above tiny,
+    # so only an all-zero row is clamped
+    np.maximum(norm, np.finfo(scores.dtype).tiny, out=norm)
+    np.reciprocal(norm, out=norm)
+    scores *= norm
     return scores
 
 
@@ -104,23 +154,33 @@ class MultiHeadSelfAttention(Module):
 
     def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
                 n_queries: Optional[int] = None) -> np.ndarray:
-        """``mask`` is either (B, L) with 1 for real tokens and 0 for padding,
-        or a precomputed additive bias broadcastable to (B, H, L, L) — the
-        encoder stack passes the latter so the bias is built once per forward
-        instead of once per layer.
+        """``mask`` is (B, L) with 1 for real tokens and 0 for padding;
+        pad keys get an exact 0 weight.
 
         ``n_queries`` (inference only) attends from the first ``n_queries``
         positions alone and returns (B, n_queries, D); ``None`` keeps every
         row."""
         b, l, _ = x.shape
-        if n_queries is not None and not self.inference:
+        if n_queries is None:
+            qkv = self.qkv_proj.forward(x)  # (B, L, 3D)
+            qkv = qkv.reshape(b, l, 3, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
+            q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, L, d_head) views
+        elif not self.inference:
             raise ValueError("n_queries needs inference_mode: backward "
                              "expects every query row")
-        qkv = self.qkv_proj.forward(x)  # (B, L, 3D)
-        qkv = qkv.reshape(b, l, 3, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, L, d_head) views
-        # keys and values span every position; queries may be cut to a prefix
-        q = q[:, :, :n_queries]
+        else:
+            # keys and values span every position, queries only the kept
+            # prefix: two GEMMs over column slices of the fused weights
+            # instead of projecting queries for rows nobody reads
+            d = self.d_model
+            W, bias = self.qkv_proj.W.data, self.qkv_proj.b.data
+            kv = x.reshape(b * l, d) @ W[:, d:]
+            kv += bias[d:]
+            kv = kv.reshape(b, l, 2, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
+            k, v = kv[0], kv[1]
+            q = x[:, :n_queries].reshape(-1, d) @ W[:, :d]
+            q += bias[:d]
+            q = q.reshape(b, -1, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
         nq = q.shape[2]
 
         # python float, not np.float64: a strong float64 scalar would upcast
@@ -136,11 +196,10 @@ class MultiHeadSelfAttention(Module):
         scores = self._pool.get("scores", (b, self.n_heads, nq, l), x.dtype)
         np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
         if mask is not None:
-            if mask.ndim == 2:
-                # broadcast over heads and query positions; pad keys get -inf
-                mask = (1.0 - mask[:, None, None, :]) * _NEG_INF
-            scores += mask
-        attn = _softmax_lastaxis(scores)
+            # broadcast over heads and query positions, in the scores' dtype
+            # (a float64 mask would upcast the multiply)
+            mask = mask.astype(x.dtype, copy=False)[:, None, None, :]
+        attn = _masked_softmax(scores, mask)
         if self.retain_attention:
             # callers that set the flag (explain tooling) may hold the maps
             # across later forwards, so hand them a private copy in every

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.attention import _NEG_INF, MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import (
     Dropout,
     Embedding,
@@ -133,18 +133,10 @@ class TransformerEncoder(Module):
         b, l = ids.shape
         if l > self.cfg.max_len:
             raise ValueError(f"sequence length {l} exceeds max_len {self.cfg.max_len}")
-        if mask is not None:
-            # keep everything in the compute dtype; a float64 mask would
-            # silently promote the whole attention stack.  The additive key
-            # bias is built once here rather than once per layer.
-            mask = mask.astype(self.tok_emb.W.data.dtype, copy=False)
-            if mask.all():
-                # length-bucketed + trimmed batches are frequently padding-
-                # free; dropping the bias skips one full (B, H, L, L) add
-                # per layer
-                mask = None
-            else:
-                mask = (1.0 - mask[:, None, None, :]) * _NEG_INF
+        if mask is not None and mask.all():
+            # length-bucketed + trimmed batches are frequently padding-free;
+            # dropping the mask skips one full (B, H, L, L) multiply per layer
+            mask = None
         # int32 positions match the encoding pipeline's id dtype (half the
         # index-traffic of int64 through the embedding gathers)
         positions = np.broadcast_to(np.arange(l, dtype=np.int32), (b, l))

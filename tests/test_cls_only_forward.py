@@ -15,8 +15,9 @@
   row with others moves the full path's own answer by more than the
   pruning does (``test_pruning_moves_less_than_batching``);
 * **in effect / full path intact** — the last block allocates no
-  (B, H, L, L) scores, ``retain_attention`` and ``fit`` still run every
-  row, and the explain tooling reads the same maps as a full forward.
+  (B, H, L, L) scores and projects queries for the CLS rows alone,
+  ``retain_attention`` and ``fit`` still run every row, and the explain
+  tooling reads the same maps as a full forward.
 """
 
 from dataclasses import replace
@@ -206,6 +207,38 @@ class TestPruningInEffect:
         assert all(layer.attn._pool.nbytes() >= square for layer in body)
         assert last.attn._pool.nbytes() < square
         assert last.ln2._pool.nbytes() < full_rows
+
+    def test_last_block_projects_queries_for_kept_rows_only(self,
+                                                              monkeypatch):
+        """Every matmul against the query third of the last block's
+        ``qkv_proj.W`` has B rows (one CLS row per snippet), never B*L;
+        keys and values still cover all B*L positions."""
+        model = PragFormer(VOCAB, rng=0)
+        d = model.config.d_model
+        W = model.encoder.layers[-1].attn.qkv_proj.W
+        base = W.data.__array_interface__["data"][0]
+        calls = []  # (rows of x, first and last W column + 1)
+
+        class MatmulSpy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                w = inputs[-1]
+                if ufunc is np.matmul and isinstance(w, MatmulSpy):
+                    first = (w.__array_interface__["data"][0] - base) \
+                        // w.itemsize
+                    calls.append((inputs[0].shape[0], first,
+                                  first + w.shape[1]))
+                inputs = [a.view(np.ndarray) if isinstance(a, MatmulSpy)
+                          else a for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        monkeypatch.setattr(W, "data", W.data.view(MatmulSpy))
+        model.predict_proba(self._split())
+        query_rows = [rows for rows, first, _ in calls if first < d]
+        kv_rows = [rows for rows, first, last in calls
+                   if first >= d and last == 3 * d]
+        assert sum(query_rows) == self.B
+        assert all(rows < self.B * self.L for rows in query_rows)
+        assert sum(kv_rows) == self.B * self.L
 
     def test_retain_attention_keeps_full_maps_in_every_layer(self):
         model = PragFormer(VOCAB, rng=0)

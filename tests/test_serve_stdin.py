@@ -52,7 +52,12 @@ def serve(ctx, monkeypatch, capsys):
     monkeypatch.setattr(repro.pipeline, "get_context", lambda: ctx)
 
     def run(argv, lines):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        """``lines`` is a list of text lines, or the raw stdin bytes; the
+        loop reads ``sys.stdin.buffer``, as on a real stdin."""
+        data = lines if isinstance(lines, bytes) else \
+            ("\n".join(lines) + "\n").encode("utf-8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8"))
         rc = main(["serve", *argv])
         captured = capsys.readouterr()
         return rc, captured.out.splitlines(), captured.err
@@ -112,6 +117,22 @@ def test_deep_json_line_gets_an_error_line(serve, argv):
     assert "recursion" in error["error"]
     assert json.loads(out[1]) == {"id": "after", "needs_directive": True,
                                   "p_directive": 0.540694}
+
+
+@pytest.mark.parametrize("argv", MODES)
+def test_undecodable_line_gets_an_error_line(serve, argv):
+    """Bytes that are not UTF-8 make one bad request: the lines around
+    them, read in the same buffer, are still answered."""
+    rc, out, _ = serve(argv, b'{"id": 1, "code": "x;"}\n\xff\xfe\n'
+                             b'{"id": 2, "code": "y;"}\n')
+    assert rc == 0
+    assert len(out) == 3
+    error = json.loads(out[0])
+    assert error["id"] == "\ufffd\ufffd"
+    assert "utf-8" in error["error"]
+    answers = [json.loads(line) for line in out[1:]]
+    assert [a["id"] for a in answers] == [1, 2]
+    assert all(isinstance(a["needs_directive"], bool) for a in answers)
 
 
 @pytest.mark.parametrize("argv", MODES)

@@ -5,7 +5,8 @@ loop: arbitrary text after the brace, and JSON objects whose ``id`` and
 ``code`` fields hold arbitrary JSON values — huge ints (past the float
 range and past Python's int-string digit limit), NaN and +-inf floats,
 nesting around and past the recursion limit, ``null``, bools and
-non-ASCII strings.  Whatever the lines, the command must return 0 and
+non-ASCII strings, lone surrogates included (they reach stdin as bytes
+that are not UTF-8).  Whatever the lines, the command must return 0 and
 write one JSON object per non-blank line: a verdict or an
 ``{"id", "error"}`` line.  A stub advisor stands in for the model, so
 no weights load.
@@ -105,7 +106,9 @@ def test_every_line_gets_one_json_object(lines, batch_size):
     out = io.StringIO()
     with mock.patch.object(cli, "_make_advisor",
                            lambda args, clauses=None: advisor), \
-            mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(
+                # a drawn lone surrogate becomes bytes that are not UTF-8
+                text.encode("utf-8", "surrogatepass")), encoding="utf-8")), \
             contextlib.redirect_stdout(out):
         rc = cli.main(["serve", "--batch-size", str(batch_size)])
     assert rc == 0
