@@ -1,4 +1,5 @@
-"""Attention hot-path guard: the one-pass masked softmax against the old one.
+"""Attention hot-path guards: the one-pass masked softmax against the old
+one, and the pad-free packed forward against the per-bucket padded one.
 
 Every encoder block's attention runs a masked softmax over (B, H, L, L)
 scores, and at PragFormer's size (L <= 110) it costs more than the matmuls
@@ -13,6 +14,17 @@ This smoke bench times both at a serving shape (B=21, H=4, L=72, float32,
 ~30% pad keys), checks that they agree within 16 float32 ulps at 1.0, and
 asserts a floor on the speedup (about 2.4x on a 2-core x86 host), so a
 return to the per-row max fails ``scripts/check.sh --perf``.
+
+The serving engine runs one packed forward per head per sub-batch
+(``PragFormer.predict_rows``): position-wise work on the real token rows
+alone, attention per length group.  The forward it replaced padded each
+length bucket, ran one forward per bucket and computed the last block for
+the CLS row through a query-slicing branch of the attention module; it is
+kept here, with its ``bucket_waste`` default of 1.35, as
+``_per_bucket_proba``.  The second smoke bench times both on
+a 64-row sub-batch of corpus snippets (one head, float32), checks that
+they agree within 1e-6, and asserts a floor of 1.1x (1.2-1.3x on a
+2-core x86 host).
 """
 
 import time
@@ -20,8 +32,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.corpus import CorpusConfig, build_corpus
+from repro.data.encoding import pad_encoded
+from repro.models import PragFormer
+from repro.nn import softmax
 from repro.nn.attention import _masked_softmax
+from repro.nn.packing import length_groups
 from repro.nn.scratch import sum_lastaxis
+from repro.tokenize import Vocab, robust_text_tokens
 
 pytestmark = pytest.mark.perf
 
@@ -31,6 +49,11 @@ B, H, L = 21, 4, 72
 DTYPE = np.float32
 #: declared agreement: 16 ulps of the compute dtype at 1.0
 TOL = 16 * float(np.finfo(DTYPE).eps)
+#: the packed forward's floor over the per-bucket padded one
+MIN_PACKED_SPEEDUP = 1.1
+SUB_BATCH = 64
+#: the replaced engine's ``bucket_waste`` default
+BUCKET_WASTE = 1.35
 
 
 def _reference_softmax(scores, bias):
@@ -81,3 +104,83 @@ def test_masked_softmax_speedup_smoke():
           f"— reference {old:.3f} ms, one pass {new:.3f} ms "
           f"({old / new:.2f}x), max |diff| {np.abs(got - want).max():.1e}")
     assert old / new >= MIN_SPEEDUP
+
+
+def _cls_attention(attn, x, mask):
+    """The replaced CLS-only attention: keys and values for every
+    position, queries for the CLS row alone, over a padded (B, L) batch."""
+    b, l, d = x.shape
+    h, dh = attn.n_heads, attn.d_head
+    W, bias = attn.qkv_proj.W.data, attn.qkv_proj.b.data
+    kv = x.reshape(b * l, d) @ W[:, d:]
+    kv += bias[d:]
+    kv = kv.reshape(b, l, 2, h, dh).transpose(2, 0, 3, 1, 4)
+    q = x[:, :1].reshape(-1, d) @ W[:, :d]
+    q += bias[:d]
+    q = q.reshape(b, 1, h, dh).transpose(0, 2, 1, 3)
+    q *= 1.0 / float(np.sqrt(dh))
+    scores = np.matmul(q, kv[0].transpose(0, 1, 3, 2))
+    if mask is not None:
+        mask = mask.astype(x.dtype, copy=False)[:, None, None, :]
+    context = np.matmul(_masked_softmax(scores, mask), kv[1])
+    return attn.out_proj.forward(context.transpose(0, 2, 1, 3).reshape(b, 1, d))
+
+
+def _per_bucket_proba(model, rows):
+    """The replaced serving forward over ``rows`` (longest first): one
+    padded forward per length bucket (``BUCKET_WASTE``), the last block
+    for the CLS row only."""
+    encoder = model.encoder
+    out = []
+    for lo, hi in length_groups([len(r) for r in rows], BUCKET_WASTE):
+        model.encoder.inference_mode()
+        model.head.inference_mode()
+        split = pad_encoded(rows[lo:hi], 0)
+        ids = split.ids
+        mask = None if split.mask.all() else split.mask
+        b, l = ids.shape
+        positions = np.broadcast_to(np.arange(l, dtype=np.int32), (b, l))
+        x = encoder.tok_emb.forward(ids) + encoder.pos_emb.forward(positions)
+        x = encoder.emb_ln.forward(x)
+        *body, last = encoder.layers
+        for layer in body:
+            x = layer.forward(x, mask)
+        x = last.ln1.forward(x[:, :1], _cls_attention(last.attn, x, mask))
+        x = last.ln2.forward(x, last.ffn.forward(x))
+        out.append(softmax(model.head.forward(x)))
+    return np.concatenate(out)
+
+
+def _best_ms(forward, model, rows, repeats=40):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        forward(model, rows)
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
+@pytest.mark.smoke
+def test_packed_forward_speedup_smoke():
+    codes = [r.code for r in
+             build_corpus(CorpusConfig(n_records=400, seed=3)).records]
+    tokens = [robust_text_tokens(code) for code in codes]
+    vocab = Vocab.build(tokens, min_freq=2)
+    model = PragFormer(len(vocab), rng=7)
+    rows = sorted((vocab.encode(t, max_len=110) for t in tokens[:SUB_BATCH]),
+                  key=len, reverse=True)
+    real = sum(len(r) for r in rows)
+
+    want = _per_bucket_proba(model, rows)
+    got = model.predict_rows(rows)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    old = new = float("inf")
+    for _ in range(3):  # alternate, keep each side's best
+        old = min(old, _best_ms(_per_bucket_proba, model, rows))
+        new = min(new, _best_ms(PragFormer.predict_rows, model, rows))
+    print(f"\npacked forward: {len(rows)} rows, {real} tokens, "
+          f"{len(length_groups([len(r) for r in rows]))} groups — "
+          f"per-bucket padded {old:.2f} ms, packed {new:.2f} ms "
+          f"({old / new:.2f}x), max |diff| {np.abs(got - want).max():.1e}")
+    assert old / new >= MIN_PACKED_SPEEDUP

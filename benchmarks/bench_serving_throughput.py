@@ -10,8 +10,8 @@ The trace is Zipf-distributed over the corpus, as production snippet
 traffic is: a hot set of snippets accounts for most requests.  That shape
 is what the engine is built for — repeated requests hit the token-digest
 LRU and the tokenize-once memo, duplicates inside a batch are coalesced to
-a single forward row, and the remaining unique rows run in length-sorted
-homogeneous buckets.  The engine must clear >= 5x the sequential
+a single forward row, and the remaining unique rows run in one pad-free
+packed forward per sub-batch.  The engine must clear >= 5x the sequential
 snippets/sec on the trace; an all-distinct cold pass is also recorded.
 On the cold pass, batching historically bought ~1.2-1.5x — almost all of
 it per-call dispatch overhead that the training hot-path overhaul then
@@ -32,7 +32,7 @@ so every point pays real cross-process traffic, including n=1;
 digest-hash routing keeps each shard's LRU hot; each worker gets
 ``nproc // n_shards`` BLAS threads; an untimed warm-up pass over
 snippets outside the trace keeps worker start-up out of the timing) —
-three interleaved reps per fleet size, reported one by one and as their
+seven interleaved reps per fleet size, reported one by one and as their
 median, recording the 2-shard
 over 1-shard throughput ratio (the sharding tax), the crossover point
 (smallest fleet within the noise tolerance of the sweep's best), and
@@ -115,7 +115,7 @@ pytestmark = pytest.mark.perf
 N_REQUESTS = 512
 ZIPF_EXPONENT = 1.35  # ~110 distinct snippets across the 512 requests
 SHARD_COUNTS = (1, 2, 4)
-SWEEP_REPS = 3            # interleaved reps per shard count
+SWEEP_REPS = 7            # interleaved reps per shard count
 SWEEP_WARM_PASSES = 2     # warm passes per fleet; best-of is recorded
 SWEEP_CROSSOVER_TOL = 0.9  # "within noise of best" for the crossover point
 SWEEP_PARITY_ATOL = 1e-5  # sharded vs in-process probability tolerance

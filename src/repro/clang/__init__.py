@@ -6,7 +6,7 @@ the paper's DFS textual form (Tables 2 and 6), and parses/unparses
 ``#pragma omp`` directives into a structured clause model.
 """
 
-from repro.clang.lexer import LexError, Token, TokenKind, tokenize
+from repro.clang.lexer import LexError, Token, TokenKind, token_strings, tokenize
 from repro.clang.nodes import (
     ArrayRef,
     Assignment,
@@ -51,6 +51,7 @@ __all__ = [
     "Token",
     "TokenKind",
     "tokenize",
+    "token_strings",
     "Node",
     "Identifier",
     "Constant",

@@ -33,6 +33,13 @@ continues at the next byte, so the serving path can still hand *something*
 to the model for dirty real-world input.  Recovery never loses progress:
 every ERROR token consumes at least one character, so a recover-mode scan
 always terminates in O(len(source)).
+
+The model-input path needs only the token texts.  :func:`token_strings`
+runs the same master pattern and catch-all code but builds no
+:class:`Token` and counts no lines (an error's line and column are
+computed from the source when it is raised), which halves the cost of
+lexing a snippet; :func:`tokenize` stays the entry point for the parser
+and the corpus pipeline.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-__all__ = ["TokenKind", "Token", "LexError", "tokenize", "KEYWORDS"]
+__all__ = ["TokenKind", "Token", "LexError", "tokenize", "token_strings",
+           "KEYWORDS"]
 
 
 class TokenKind(enum.Enum):
@@ -269,3 +277,33 @@ def tokenize(source: str, keep_pragmas: bool = True,
         else:
             append(Token(TokenKind.EOF, "", line, col))
             return toks
+
+
+def token_strings(source: str, error: Optional[str] = None) -> List[str]:
+    """The values of ``tokenize(source, keep_pragmas=False)`` without the
+    EOF token, scanned without building :class:`Token` objects.
+
+    ``error=None`` is strict mode: malformed input raises the same
+    :class:`LexError` (message, line and column) as :func:`tokenize`.  A
+    string switches to recover mode and stands in for the text of every
+    :data:`TokenKind.ERROR` token.
+    """
+    out: List[str] = []
+    append = out.append
+    match = _MASTER.match
+    recover = error is not None
+    pos = 0
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        if group is None:
+            return out
+        if group < 3:  # an identifier or keyword, or an operator
+            append(m.group(group))
+            pos = m.end()
+            continue
+        kind, value, pos = _scan_other(source, m.start(3), recover)
+        if kind is TokenKind.ERROR:
+            append(error)
+        elif kind is not None and kind is not TokenKind.PRAGMA:
+            append(value)

@@ -8,7 +8,7 @@ loss, and validation accuracy, which are exactly the series of Figures 4–6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.nn import (
     softmax,
 )
 from repro.nn.dtype import get_dtype
+from repro.nn.packing import GROUP_WASTE, PackedBatch
 from repro.train.ddp import DataParallelTrainer, DDPConfig, reseed_stochastic
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -134,13 +135,39 @@ class PragFormer:
 
     # -- core passes -------------------------------------------------------------
 
-    def _forward_logits(self, ids: np.ndarray, mask: np.ndarray,
-                        n_queries: Optional[int] = None) -> np.ndarray:
-        """Logits (B, 2).  The head reads only the CLS row, so inference
-        passes ``n_queries=1`` and the encoder's last block computes that
-        row alone; training and plain ``eval`` forwards keep every row."""
-        hidden = self.encoder.forward(ids, mask, n_queries)
-        return self.head.forward(hidden)
+    def _forward_logits(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Logits (B, 2) from the padded forward (training, ``eval`` and
+        attention retention)."""
+        return self.head.forward(self.encoder.forward(ids, mask))
+
+    def _packed_logits(self, rows: Sequence[np.ndarray],
+                       group_waste: float = GROUP_WASTE) -> np.ndarray:
+        """Logits (N, 2) for encoded id rows, in ``rows`` order, from one
+        pad-free packed forward (see :class:`~repro.nn.packing.PackedBatch`).
+        The head reads only the CLS row, which is all the packed forward
+        returns."""
+        if not (self.encoder.inference and self.head.inference):
+            # a walk over every module (~90 µs): skip it when a previous
+            # forward already left both in inference mode
+            self.encoder.inference_mode()
+            self.head.inference_mode()
+        batch = PackedBatch(rows, group_waste)
+        logits = self.head.forward(self.encoder.forward_packed(batch)[:, None, :])
+        out = np.empty_like(logits)
+        out[batch.order] = logits
+        return out
+
+    def _split_logits(self, split: EncodedSplit, batch_size: int):
+        """``(sel, logits)`` per packed forward over ``split``: ``sel``
+        indexes at most ``batch_size`` rows, longest rows first.  Real tokens must
+        come first in each row (as :func:`~repro.data.encoding.pad_encoded`
+        lays them out); an all-padding row is read as its CLS slot alone."""
+        lengths = np.maximum(split.mask.sum(axis=1).astype(np.intp), 1)
+        order = split.length_order()[::-1]
+        for start in range(0, len(split), batch_size):
+            sel = order[start : start + batch_size]
+            yield sel, self._packed_logits(
+                [split.ids[i, :lengths[i]] for i in sel])
 
     def _backward(self, dlogits: np.ndarray) -> None:
         self.encoder.backward(self.head.backward(dlogits))
@@ -308,37 +335,49 @@ class PragFormer:
                       retain_attention: bool = False) -> np.ndarray:
         """(N, 2) class probabilities.
 
-        Runs in ``inference_mode`` (no activation caching).  The head reads
-        only the CLS position, so the encoder's last block runs for that one
-        query row: its scores are (B, H, 1, L) instead of (B, H, L, L), and
-        its LayerNorms and FFN see one row per snippet.  Probabilities agree
-        with the full-sequence forward to within 1e-6 in float32.
+        Runs in ``inference_mode`` (no activation caching) on the pad-free
+        packed forward, ``batch_size`` rows per call: position-wise work
+        runs on the real tokens alone, attention per group of similar
+        lengths, and the last block for the CLS rows the head reads.
+        Probabilities agree with the padded ``eval`` forward to within 1e-6
+        in float32.
 
-        ``retain_attention`` runs every block in full and keeps each
+        ``retain_attention`` runs the padded forward instead and keeps each
         layer's (B, H, L, L) maps; explain tooling that reads
         ``encoder.attention_maps()`` afterwards must request them.
         """
+        # allocate in the compute dtype: np.empty's float64 default would
+        # silently widen every downstream consumer of the probabilities
+        out = np.empty((len(split), 2), dtype=get_dtype())
+        if not retain_attention:
+            for sel, logits in self._split_logits(split, batch_size):
+                out[sel] = softmax(logits)
+            return out
         self.encoder.inference_mode()
         self.head.inference_mode()
         attns = [layer.attn for layer in self.encoder.layers]
         for attn in attns:
-            attn.retain_attention = retain_attention
+            attn.retain_attention = True
         try:
-            # allocate in the compute dtype: np.empty's float64 default would
-            # silently widen every downstream consumer of the probabilities
-            out = np.empty((len(split), 2), dtype=get_dtype())
             # process in length order so trim_batch bites (longest batch
             # first, so scratch pools size themselves once), then scatter
             order = split.length_order()[::-1]
-            n_queries = None if retain_attention else 1
             for start in range(0, len(split), batch_size):
                 sel = order[start : start + batch_size]
                 ids, mask = trim_batch(split.ids[sel], split.mask[sel])
-                out[sel] = softmax(self._forward_logits(ids, mask, n_queries))
+                out[sel] = softmax(self._forward_logits(ids, mask))
             return out
         finally:
             for attn in attns:
                 attn.retain_attention = False
+
+    def predict_rows(self, rows: Sequence[np.ndarray],
+                     group_waste: float = GROUP_WASTE) -> np.ndarray:
+        """(N, 2) probabilities for encoded id rows (CLS first, no
+        padding) from one packed forward; the serving engine's entry.
+        ``group_waste`` bounds the padding of each attention group (see
+        :func:`~repro.nn.packing.length_groups`)."""
+        return softmax(self._packed_logits(rows, group_waste))
 
     def predict(self, split: EncodedSplit, batch_size: int = 128) -> np.ndarray:
         """Predicted labels: positive iff P(positive) > 0.5 (§4.1)."""
@@ -347,21 +386,14 @@ class PragFormer:
     def evaluate(self, split: EncodedSplit, batch_size: int = 128):
         """(mean CE loss, accuracy) on a split.
 
-        Runs in ``inference_mode`` with the CLS-only last block, like
-        :meth:`predict_proba`; the training forward in :meth:`fit` keeps
-        every row."""
-        self.encoder.inference_mode()
-        self.head.inference_mode()
+        Runs the packed inference forward, like :meth:`predict_proba`; the
+        training forward in :meth:`fit` stays padded."""
         total_loss = 0.0
         correct = 0
-        order = split.length_order()[::-1]
-        for start in range(0, len(split), batch_size):
-            sel = order[start : start + batch_size]
-            ids, mask = trim_batch(split.ids[sel], split.mask[sel])
+        for sel, logits in self._split_logits(split, batch_size):
             labels = split.labels[sel]
-            logits = self._forward_logits(ids, mask, n_queries=1)
             loss, _ = cross_entropy(logits, labels)
-            total_loss += loss * ids.shape[0]
+            total_loss += loss * len(sel)
             correct += int((np.argmax(logits, axis=1) == labels).sum())
         n = len(split)
         return total_loss / max(1, n), correct / max(1, n)

@@ -24,11 +24,14 @@ each row is normalised by one reciprocal multiply.  Only batches with an
 out-of-range score take the exact fallback, which shifts just the rows
 whose own max is out of range.
 
-``n_queries`` restricts an inference forward to the first query rows:
-keys and values still cover every position, but the query projection,
-score, softmax, context and output-projection work shrinks from L rows to
-``n_queries``.  A classifier that reads only the CLS position runs its
-last block this way (see :meth:`PragFormer.predict_proba`).
+:meth:`MultiHeadSelfAttention.forward_packed` is the inference forward
+over a pad-free :class:`~repro.nn.packing.PackedBatch`: the projections
+run on the real token rows alone and only the score/softmax/context step
+runs per length group.  With ``cls_only`` it attends from each snippet's
+CLS row alone — keys and values still cover every token, but queries,
+scores, context and the output projection shrink to one row per snippet,
+which is all a classifier that reads the CLS position needs (see
+:meth:`PragFormer.predict_proba`).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
+from repro.nn.packing import PackedBatch
 from repro.nn.scratch import BufferPool, sum_lastaxis
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -126,7 +130,7 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = Linear(d_model, d_model, rng=r_o)
         self.attn_dropout = Dropout(dropout, rng=r_d)
         self.retain_attention = False
-        self.last_attention: Optional[np.ndarray] = None  # (B, H, nq, L)
+        self.last_attention: Optional[np.ndarray] = None  # (B, H, L, L)
         self._cache = None
         self._pool = BufferPool()
 
@@ -152,48 +156,28 @@ class MultiHeadSelfAttention(Module):
         b, h, l, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
-    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
-                n_queries: Optional[int] = None) -> np.ndarray:
-        """``mask`` is (B, L) with 1 for real tokens and 0 for padding;
-        pad keys get an exact 0 weight.
-
-        ``n_queries`` (inference only) attends from the first ``n_queries``
-        positions alone and returns (B, n_queries, D); ``None`` keeps every
-        row."""
-        b, l, _ = x.shape
-        if n_queries is None:
-            qkv = self.qkv_proj.forward(x)  # (B, L, 3D)
-            qkv = qkv.reshape(b, l, 3, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
-            q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, L, d_head) views
-        elif not self.inference:
-            raise ValueError("n_queries needs inference_mode: backward "
-                             "expects every query row")
-        else:
-            # keys and values span every position, queries only the kept
-            # prefix: two GEMMs over column slices of the fused weights
-            # instead of projecting queries for rows nobody reads
-            d = self.d_model
-            W, bias = self.qkv_proj.W.data, self.qkv_proj.b.data
-            kv = x.reshape(b * l, d) @ W[:, d:]
-            kv += bias[d:]
-            kv = kv.reshape(b, l, 2, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
-            k, v = kv[0], kv[1]
-            q = x[:, :n_queries].reshape(-1, d) @ W[:, :d]
-            q += bias[:d]
-            q = q.reshape(b, -1, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
-        nq = q.shape[2]
-
+    @property
+    def _scale(self) -> float:
         # python float, not np.float64: a strong float64 scalar would upcast
         # the entire score/softmax/context chain out of the compute dtype
-        scale = 1.0 / float(np.sqrt(self.d_head))
+        return 1.0 / float(np.sqrt(self.d_head))
+
+    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """``mask`` is (B, L) with 1 for real tokens and 0 for padding;
+        pad keys get an exact 0 weight."""
+        b, l, _ = x.shape
+        qkv = self.qkv_proj.forward(x)  # (B, L, 3D)
+        qkv = qkv.reshape(b, l, 3, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
+        q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, L, d_head) views
+        scale = self._scale
         # pre-scale q (an L x d_head pass) instead of the L x L score matrix;
         # backward compensates by scaling dq once — dk needs no scale at all
         # because it contracts against the already-scaled q
         q *= scale
         # scores live in a pooled buffer reused across steps with the same
         # bucket shape; the softmax then runs in place on it, so one
-        # (B, H, nq, L) buffer serves the whole score -> attention chain
-        scores = self._pool.get("scores", (b, self.n_heads, nq, l), x.dtype)
+        # (B, H, L, L) buffer serves the whole score -> attention chain
+        scores = self._pool.get("scores", (b, self.n_heads, l, l), x.dtype)
         np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
         if mask is not None:
             # broadcast over heads and query positions, in the scores' dtype
@@ -214,14 +198,78 @@ class MultiHeadSelfAttention(Module):
         else:
             self.last_attention = None
         attn_dropped = self.attn_dropout.forward(attn)
-        context = self._pool.get("context", (b, self.n_heads, nq, self.d_head), x.dtype)
+        context = self._pool.get("context", (b, self.n_heads, l, self.d_head), x.dtype)
         np.matmul(attn_dropped, v, out=context)
-        merged = self._pool.get("merged", (b, nq, self.d_model), x.dtype)
-        np.copyto(merged.reshape(b, nq, self.n_heads, self.d_head),
+        merged = self._pool.get("merged", (b, l, self.d_model), x.dtype)
+        np.copyto(merged.reshape(b, l, self.n_heads, self.d_head),
                   context.transpose(0, 2, 1, 3))
         out = self.out_proj.forward(merged)
         self._cache = None if self.inference else (q, k, v, attn, attn_dropped, scale)
         return out
+
+    def forward_packed(self, x: np.ndarray, batch: PackedBatch,
+                       cls_only: bool = False) -> np.ndarray:
+        """Inference attention over ``batch``'s packed (Σlen, D) token rows.
+
+        Returns (Σlen, D), or (N, D) — one row per snippet — with
+        ``cls_only``, which attends from each snippet's CLS row alone.
+        The fused projections run on the packed rows (queries on the CLS
+        rows only under ``cls_only``); scores, softmax and context run per
+        length group, on the group's rows gathered into a (rows, width)
+        layout whose pad cells are zero."""
+        n_tokens, d = x.shape
+        h, dh = self.n_heads, self.d_head
+        W, bias = self.qkv_proj.W.data, self.qkv_proj.b.data
+        # projections with a zero row after the last token: gathering a
+        # pad cell reads it, so pad keys and values are exact zeros.  The
+        # projections and gathered cells are not pooled: a pool per head
+        # would hold them three times over in a three-head worker
+        if cls_only:
+            q = x[batch.starts] @ W[:, :d]
+            q += bias[:d]
+            q *= self._scale
+            q = q.reshape(-1, 1, h, dh).transpose(0, 2, 1, 3)  # (N, H, 1, dh)
+            parts = 2
+            proj = np.empty((n_tokens + 1, 2 * d), x.dtype)
+            np.matmul(x, W[:, d:], out=proj[:n_tokens])
+            proj[:n_tokens] += bias[d:]
+        else:
+            parts = 3
+            proj = np.empty((n_tokens + 1, 3 * d), x.dtype)
+            np.matmul(x, W, out=proj[:n_tokens])
+            proj[:n_tokens] += bias
+            proj[:n_tokens, :d] *= self._scale
+        proj[n_tokens] = 0
+        merged = self._pool.get("merged", (len(batch) if cls_only else n_tokens, d),
+                                x.dtype)
+        for g in batch.groups:
+            rows, width = g.rows.stop - g.rows.start, g.width
+            cells = (proj[g.tokens] if g.gather is None
+                     else np.take(proj, g.gather, axis=0, mode="clip"))
+            heads = cells.reshape(rows, width, parts, h, dh).transpose(2, 0, 3, 1, 4)
+            qg = q[g.rows] if cls_only else heads[0]
+            k, v = heads[-2], heads[-1]
+            nq = qg.shape[2]
+            scores = self._pool.get("scores", (rows, h, nq, width), x.dtype)
+            np.matmul(qg, k.transpose(0, 1, 3, 2), out=scores)
+            key_mask = (None if g.key_mask is None
+                        else g.key_mask.astype(x.dtype, copy=False))
+            attn = _masked_softmax(scores, key_mask)
+            # the context lands head-merged: (rows, nq, H, dh) memory
+            grid = self._pool.get("grid", (rows, nq, h, dh), x.dtype)
+            np.matmul(attn, v, out=grid.transpose(0, 2, 1, 3))
+            grid = grid.reshape(rows * nq, d)
+            if cls_only:
+                merged[g.rows] = grid
+            elif g.real is None:
+                merged[g.tokens] = grid
+            else:
+                # mode="clip" (every index is in range): under the default
+                # "raise", take buffers its output, ~2x slower
+                np.take(grid, g.real, axis=0, out=merged[g.tokens], mode="clip")
+        self.last_attention = None
+        self._cache = None
+        return self.out_proj.forward(merged)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         q, k, v, attn, attn_dropped, scale = self._cache

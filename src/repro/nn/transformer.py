@@ -3,6 +3,11 @@
 Post-LN layout (as in RoBERTa, which DeepSCC fine-tunes):
 ``x = LN(x + Attn(x)); x = LN(x + FFN(x))``.  Learned positional embeddings,
 GELU feed-forward, dropout on embeddings/attention/FFN.
+
+``forward`` runs a padded (B, L) batch and backs training, ``eval`` and
+attention retention; ``forward_packed`` is the inference forward over a
+pad-free :class:`~repro.nn.packing.PackedBatch` that returns each
+snippet's CLS row.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from repro.nn.layers import (
     ResidualLayerNorm,
 )
 from repro.nn.module import Module
+from repro.nn.packing import PackedBatch
 from repro.utils.rng import RngLike, spawn_rngs
 
 __all__ = ["EncoderConfig", "FeedForward", "TransformerEncoderLayer", "TransformerEncoder"]
@@ -84,16 +90,24 @@ class TransformerEncoderLayer(Module):
         self.drop1 = Dropout(cfg.dropout, rng=r_d1)
         self.drop2 = Dropout(cfg.dropout, rng=r_d2)
 
-    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
-                n_queries: Optional[int] = None) -> np.ndarray:
-        """(B, L, D) -> (B, L, D), or (B, n_queries, D) when ``n_queries``
-        (inference only) keeps just the first rows: attention still reads
-        every position's keys and values, the residuals, LayerNorms and FFN
-        run on the kept rows alone."""
-        attended = self.attn.forward(x, mask, n_queries)
-        x = self.ln1.forward(x[:, :n_queries], self.drop1.forward(attended))
+    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """(B, L, D) -> (B, L, D)."""
+        attended = self.attn.forward(x, mask)
+        x = self.ln1.forward(x, self.drop1.forward(attended))
         x = self.ln2.forward(x, self.drop2.forward(self.ffn.forward(x)))
         return x
+
+    def forward_packed(self, x: np.ndarray, batch: PackedBatch,
+                       cls_only: bool = False) -> np.ndarray:
+        """Inference block over packed (Σlen, D) rows -> (Σlen, D), or
+        (N, D) CLS rows with ``cls_only``: attention still reads every
+        token's keys and values, the residuals, LayerNorms and FFN run on
+        the CLS rows alone.  Dropout is the identity at inference."""
+        attended = self.attn.forward_packed(x, batch, cls_only)
+        if cls_only:
+            x = x[batch.starts]
+        x = self.ln1.forward(x, attended)
+        return self.ln2.forward(x, self.ffn.forward(x))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         # each ResidualLayerNorm backward returns a fresh gradient for the
@@ -110,10 +124,10 @@ class TransformerEncoder(Module):
 
     ``forward`` returns the full hidden-state sequence (B, L, D); heads pick
     what they need (CLS slot for classification, all positions for MLM).
-    An inference caller that reads only the first ``n_queries`` positions
-    can pass ``n_queries``: the last block then computes those rows alone
-    and the result is (B, n_queries, D).  Earlier blocks always run in
-    full, because the last block's keys and values need every position.
+    ``forward_packed`` (inference only) returns the CLS rows (N, D) of a
+    :class:`~repro.nn.packing.PackedBatch`: every block but the last runs
+    on the real token rows, and the last computes the CLS rows alone — its
+    other rows would reach nothing a classification head reads.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: RngLike = None) -> None:
@@ -128,11 +142,9 @@ class TransformerEncoder(Module):
             TransformerEncoderLayer(cfg, rng=r) for r in r_layers
         ]
 
-    def forward(self, ids: np.ndarray, mask: Optional[np.ndarray] = None,
-                n_queries: Optional[int] = None) -> np.ndarray:
+    def forward(self, ids: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
         b, l = ids.shape
-        if l > self.cfg.max_len:
-            raise ValueError(f"sequence length {l} exceeds max_len {self.cfg.max_len}")
+        self._check_length(l)
         if mask is not None and mask.all():
             # length-bucketed + trimmed batches are frequently padding-free;
             # dropping the mask skips one full (B, H, L, L) multiply per layer
@@ -142,15 +154,27 @@ class TransformerEncoder(Module):
         positions = np.broadcast_to(np.arange(l, dtype=np.int32), (b, l))
         x = self.tok_emb.forward(ids) + self.pos_emb.forward(positions)
         x = self.emb_drop.forward(self.emb_ln.forward(x))
-        for layer in self.layers[:-1]:
+        for layer in self.layers:
             x = layer.forward(x, mask)
-        if self.layers:
-            # only the last block may cut its queries: it still reads every
-            # position's keys and values from the block before
-            last = self.layers[-1]
-            x = (last.forward(x, mask) if n_queries is None
-                 else last.forward(x, mask, n_queries))
         return x
+
+    def forward_packed(self, batch: PackedBatch) -> np.ndarray:
+        """CLS hidden states (N, D) of ``batch``, in its packed order."""
+        if not self.inference:
+            raise ValueError("forward_packed needs inference_mode: backward "
+                             "expects a padded forward")
+        self._check_length(batch.longest)
+        x = self.tok_emb.forward(batch.ids) + self.pos_emb.forward(batch.positions)
+        x = self.emb_ln.forward(x)
+        if not self.layers:
+            return x[batch.starts]
+        for layer in self.layers[:-1]:
+            x = layer.forward_packed(x, batch)
+        return self.layers[-1].forward_packed(x, batch, cls_only=True)
+
+    def _check_length(self, length: int) -> None:
+        if length > self.cfg.max_len:
+            raise ValueError(f"sequence length {length} exceeds max_len {self.cfg.max_len}")
 
     def backward(self, dy: np.ndarray) -> None:
         for layer in reversed(self.layers):

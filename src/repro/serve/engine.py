@@ -9,11 +9,13 @@ and their pre-encoded ``*_encoded`` twins):
 * **Tokenize once** — snippets go through :func:`repro.tokenize.text_tokens`
   and :class:`~repro.tokenize.Vocab` exactly as in training, with results
   memoized by source digest so repeated traffic never re-lexes.
-* **Micro-batching** — pending snippets are sorted by encoded length and
-  packed greedily into length-homogeneous buckets (at most
-  ``max_batch_size`` rows, padding waste bounded by ``bucket_waste``), each
-  padded only to its own longest row, so ``trim_batch``'s
-  quadratic-attention savings actually bite on mixed-length traffic.
+* **Pad-free batching** — pending snippets are sorted by encoded length,
+  longest first, and cut into sub-batches of at most ``max_batch_size``
+  rows; each sub-batch is one packed forward
+  (:meth:`PragFormer.predict_rows`) that runs position-wise work on the
+  real tokens alone and attention per group of similar lengths (padding
+  waste bounded by ``bucket_waste``), so short snippets never pay a long
+  snippet's quadratic attention cost.
 * **Result caching** — predictions are memoized in a bounded LRU keyed by a
   digest of the token ids; identical snippets (the common case under heavy
   traffic) skip the model entirely, and duplicates *within* one batch are
@@ -46,9 +48,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.encoding import pad_encoded
+# not called here any more; the name stays because perfbench's tracer
+# wraps ``repro.serve.engine.pad_encoded`` by attribute
+from repro.data.encoding import pad_encoded  # noqa: F401
 from repro.models.pragformer import PragFormer
 from repro.nn.dtype import get_dtype
+from repro.nn.packing import GROUP_WASTE
 from repro.serve.metrics import EngineStats
 from repro.tokenize import ERROR_TOKEN, Vocab, robust_text_tokens
 
@@ -77,11 +82,11 @@ class EngineConfig:
 
     ``max_batch_size`` bounds one forward pass; ``cache_capacity`` bounds
     both the prediction LRU and the tokenize/encode memo (0 disables them).
-    ``bucket_waste`` bounds how ragged a length bucket may be: a bucket is
-    closed early once padding it to the next row's length would exceed
-    ``bucket_waste`` x the real token cells, keeping buckets
-    length-homogeneous so short snippets never pay a long snippet's
-    quadratic attention cost.
+    ``bucket_waste`` shapes only the attention groups inside a forward:
+    a group closes once padding it to its longest row would exceed
+    ``bucket_waste`` x the real token cells, so short snippets never pay
+    a long snippet's quadratic attention cost (see
+    :func:`repro.nn.packing.length_groups`).
 
     ``gate_margin`` enables cross-request clause gating in
     :class:`~repro.serve.registry.MultiModelEngine`: when set, clause heads
@@ -100,7 +105,7 @@ class EngineConfig:
 
     max_batch_size: int = 128
     cache_capacity: int = 4096
-    bucket_waste: float = 1.35
+    bucket_waste: float = GROUP_WASTE
     gate_margin: Optional[float] = None
     max_snippet_bytes: int = 262144
     lex_budget_s: float = 1.0
@@ -297,9 +302,9 @@ class InferenceEngine:
         """Snippet text -> CLS-prefixed, truncated token-id row.
 
         Tokenize-once: results are memoized by source digest (lexing a
-        ~50-token snippet costs about 50 µs, against about 87 µs per head
-        for its forward row on a 2-core host, so repeated traffic must
-        not re-lex).  Raises :class:`ValueError` for
+        ~50-token snippet costs about 60 µs, against about 180 µs per head
+        for its packed forward row in one process on a 2-core host, so
+        repeated traffic must not re-lex).  Raises :class:`ValueError` for
         a snippet the engine rejects (byte cap / lex budget); the batched
         advise paths answer those with a neutral degraded verdict instead.
         """
@@ -489,48 +494,22 @@ class InferenceEngine:
         if not pending:
             return out
 
-        # length-sorted bucketing: each bucket pads only to its own longest
-        # row, so short-snippet buckets run quadratic attention on short L.
-        # Longest bucket first: the model's grow-only scratch pools then
-        # allocate once for the pass instead of reallocating per bucket
-        # (ascending order made every bucket outgrow the previous buffers,
-        # extending the heap with freshly-faulted pages on each step)
+        # longest rows first, one packed forward per sub-batch of at most
+        # max_batch_size rows: sorting keeps similar lengths in one
+        # sub-batch, so its attention groups (bucket_waste) pad little
         unique = sorted(pending.items(), key=lambda kv: len(encoded[kv[1][0]]),
                         reverse=True)
-        for bucket in self._buckets(unique, [len(encoded[rows[0]]) for _, rows in unique]):
-            split = pad_encoded([encoded[rows[0]] for _, rows in bucket],
-                                slot.vocab.pad_id)
+        max_rows = self.config.max_batch_size
+        for start in range(0, len(unique), max_rows):
+            sub = unique[start:start + max_rows]
             with self._model_lock:
-                probs = slot.model.predict_proba(split, batch_size=len(bucket))
+                probs = slot.model.predict_rows(
+                    [encoded[rows[0]] for _, rows in sub],
+                    self.config.bucket_waste)
             with self._cache_lock:
-                self.stats.record_batch(len(bucket))
-                for (key, rows), p in zip(bucket, probs):
+                self.stats.record_batch(len(sub))
+                for (key, rows), p in zip(sub, probs):
                     self.stats.evictions += self.cache.put(key, p)
                     for i in rows:
                         out[i] = p
         return out
-
-    def _buckets(self, unique: List, lengths: List[int]):
-        """Greedy length-homogeneous buckets over descending-length rows.
-
-        A bucket pads to its first (longest) row; it closes when it is full
-        or when admitting the next (shorter) row would pad the bucket
-        beyond ``bucket_waste`` x its real cells."""
-        max_rows = self.config.max_batch_size
-        waste = self.config.bucket_waste
-        bucket: List = []
-        real_cells = 0
-        bucket_max = 0
-        for item, length in zip(unique, lengths):
-            if bucket and (
-                len(bucket) == max_rows
-                or (len(bucket) + 1) * bucket_max > waste * (real_cells + length)
-            ):
-                yield bucket
-                bucket, real_cells = [], 0
-            if not bucket:
-                bucket_max = length
-            bucket.append(item)
-            real_cells += length
-        if bucket:
-            yield bucket

@@ -398,6 +398,7 @@ class ShardedEngine:
         self._mp_ctx = mp.get_context(mp_context)
         for shard in range(n_shards):
             self._install_worker(shard, self._start_worker(shard, None, None))
+        self._await_ready()
         if self.supervisor.heartbeat_interval_s > 0:
             self._supervisor_thread = threading.Thread(
                 target=self._supervise_loop, name="advisor-supervisor",
@@ -437,6 +438,23 @@ class ShardedEngine:
             name=f"advisor-shard-{index}", daemon=True)
         proc.start()
         return proc, req, resp
+
+    def _await_ready(self) -> None:
+        """Ping every worker and wait for the replies, within one
+        ``heartbeat_timeout_s`` in all.  A worker answers only once its
+        factory has built the engine, so the first serving call does not
+        pay worker start-up.  A worker that dies or misses the ping is
+        left to the supervisor, as at any later heartbeat; construction
+        never raises here."""
+        deadline = time.monotonic() + self.supervisor.heartbeat_timeout_s
+        tokens = [self._send(index, "ping", None, deadline=deadline,
+                             tracked=False)
+                  for index in range(self.n_shards)]
+        for token in tokens:
+            try:
+                self._collect(token)
+            except RuntimeError:  # died, or missed the deadline
+                pass
 
     def _install_worker(self, index: int, started: Tuple) -> None:
         """Publish a started worker into slot ``index``.

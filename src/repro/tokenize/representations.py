@@ -17,7 +17,10 @@ from __future__ import annotations
 import enum
 from typing import List, Optional
 
-from repro.clang import Compound, TokenKind, parse, tokenize
+from repro.clang import Compound, parse, token_strings
+# not called here any more; the name stays because perfbench's tracer
+# wraps ``repro.tokenize.representations.tokenize`` by attribute
+from repro.clang import tokenize  # noqa: F401
 from repro.clang.serialize import ast_to_dfs_text, unparse
 from repro.tokenize.replace import build_replacement_map, rename_ast
 
@@ -60,8 +63,9 @@ def represent(code: str, kind: Representation, ast: Optional[Compound] = None) -
 
 
 def text_tokens(source: str) -> List[str]:
-    """Lex C source into token strings (pragmas and EOF dropped)."""
-    return [t.value for t in tokenize(source, keep_pragmas=False)[:-1]]
+    """Lex C source into token strings (pragmas and EOF dropped); raises
+    :class:`~repro.clang.LexError` on malformed input."""
+    return token_strings(source)
 
 
 def robust_text_tokens(source: str) -> List[str]:
@@ -72,10 +76,7 @@ def robust_text_tokens(source: str) -> List[str]:
     identical to :func:`text_tokens`, which is what lets the serving path
     use this as its default tokenizer without perturbing cached encodings.
     """
-    return [
-        ERROR_TOKEN if t.kind is TokenKind.ERROR else t.value
-        for t in tokenize(source, keep_pragmas=False, recover=True)[:-1]
-    ]
+    return token_strings(source, error=ERROR_TOKEN)
 
 
 def tokenize_representation(code: str, kind: Representation,

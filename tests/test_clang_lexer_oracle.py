@@ -16,6 +16,11 @@ with and without pragmas:
   / ``str.isdigit`` and the ASCII fast paths could part ways;
 * named edge cases.
 
+The same inputs check :func:`token_strings`, the strings-only loop the
+model-input path runs, against ``tokenize``'s values (pragmas and EOF
+dropped, ERROR tokens as ``ERROR_TOKEN``), or against the same
+:class:`LexError` in strict mode.
+
 Scale the fuzz and ``hypothesis`` sweeps with ``REPRO_FUZZ_N`` (the CI
 ``--fuzz`` stage raises it, the default keeps tier-1 fast).
 """
@@ -35,9 +40,11 @@ from repro.clang.lexer import (
     LexError,
     Token,
     TokenKind,
+    token_strings,
     tokenize,
 )
 from repro.corpus import CorpusConfig, build_corpus
+from repro.tokenize import ERROR_TOKEN
 
 DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "150"))
@@ -261,7 +268,28 @@ def _outcome(lex, source, keep_pragmas, recover):
         return ("LexError", str(exc), exc.line, exc.col)
 
 
+def _strings_outcome(lex, source, error):
+    """:func:`_outcome` for the strings-only loop's contract."""
+    try:
+        return lex(source, error)
+    except LexError as exc:
+        return ("LexError", str(exc), exc.line, exc.col)
+
+
+def _values_from_tokens(source, error):
+    """What ``token_strings`` must return, read off ``tokenize``."""
+    toks = tokenize(source, keep_pragmas=False, recover=error is not None)
+    return [error if t.kind is TokenKind.ERROR else t.value
+            for t in toks[:-1]]
+
+
 def assert_same_as_reference(source: str) -> None:
+    for error in (None, ERROR_TOKEN):
+        got = _strings_outcome(token_strings, source, error)
+        want = _strings_outcome(_values_from_tokens, source, error)
+        assert got == want, (
+            f"token_strings disagrees with tokenize (error={error!r}) "
+            f"on {source!r}")
     for recover in (False, True):
         for keep_pragmas in (True, False):
             got = _outcome(tokenize, source, keep_pragmas, recover)

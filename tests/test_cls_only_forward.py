@@ -1,23 +1,28 @@
-"""The CLS-only last encoder block that PragFormer's inference runs.
+"""The pad-free packed forward that PragFormer's inference runs.
 
-``ClassificationHead`` reads only the CLS row, so ``predict_proba`` and
-``evaluate`` ask the encoder to run its last block for query row 0 alone
-(``n_queries=1``).  That path is checked two ways:
+``predict_proba``, ``evaluate`` and the serving engine run
+``TransformerEncoder.forward_packed``: position-wise work on the real
+token rows alone, attention per group of similar lengths, and the last
+block for the CLS rows alone, the only rows ``ClassificationHead`` reads.
+That path is checked two ways:
 
-* **oracle** — against the full-sequence forward (``_forward_logits``
-  under ``eval()``), on random padded batches and, through
-  ``MultiModelEngine.advise_v1``, on a clean sample, every dirty fixture
-  and seeded fuzz mutants.  The declared tolerance: probabilities within
-  1e-6 in float32 and 1e-12 in float64; argmax, verdicts, clauses and
-  flags exact.  Bits may move because the last block's GEMMs, LayerNorms
-  and FFN run on one row instead of L.  The models keep their initial
-  weights, whose probabilities already span about 0.2-0.99.  Batching a
-  row with others moves the full path's own answer by more than the
-  pruning does (``test_pruning_moves_less_than_batching``);
-* **in effect / full path intact** — the last block allocates no
-  (B, H, L, L) scores and projects queries for the CLS rows alone,
-  ``retain_attention`` and ``fit`` still run every row, and the explain
-  tooling reads the same maps as a full forward.
+* **oracle** — against the padded full-sequence forward
+  (``_forward_logits`` under ``eval()``), on random padded batches and
+  named edge batches (one row, equal lengths, a CLS-only row, 110-token
+  rows, mixed groups) and, through ``MultiModelEngine.advise_v1``, on a
+  clean sample, every dirty fixture and seeded fuzz mutants.  The
+  declared tolerance: probabilities within 1e-6 in float32 and 1e-12 in
+  float64; argmax, verdicts, clauses and flags exact.  Bits may move
+  because the GEMMs, LayerNorms and FFN run on Σlen (last block: N) rows
+  instead of B·L.  The models keep their initial weights, whose
+  probabilities already span about 0.2-0.99.  Batching a row with others
+  moves the full path's own answer by more than packing does
+  (``test_pruning_moves_less_than_batching``);
+* **in effect / full path intact** — the position-wise GEMMs see Σlen
+  rows, the last block allocates no (B, H, L, L) scores and projects
+  queries for the CLS rows alone, the engine makes one forward per head
+  per sub-batch, ``retain_attention`` and ``fit`` still run the padded
+  forward, and the explain tooling reads the same maps as a full forward.
 """
 
 from dataclasses import replace
@@ -28,27 +33,42 @@ import pytest
 
 from repro.clang.fuzz import fuzz_corpus
 from repro.corpus import CorpusConfig, build_corpus
-from repro.data.encoding import EncodedSplit
+from repro.data.encoding import EncodedSplit, pad_encoded
 from repro.explain.attention import cls_attention
 from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
 from repro.nn import softmax
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.dtype import use_dtype
-from repro.serve import ModelRegistry, MultiModelEngine
+from repro.nn.layers import Linear, ResidualLayerNorm
+from repro.nn.packing import PackedBatch
+from repro.nn.transformer import TransformerEncoder
+from repro.serve import EngineConfig, ModelRegistry, MultiModelEngine
 from repro.tokenize import Vocab, robust_text_tokens
 
 DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
 VOCAB = 300
 
 
-def _batch(rng, b, length, all_real=False):
+def _batch(rng, b, length, all_real=False, lengths=None):
     ids = rng.integers(4, VOCAB, size=(b, length)).astype(np.int32)
-    lengths = np.full(b, length) if all_real else rng.integers(1, length + 1, b)
-    lengths[0] = length  # trim_batch would cut an all-padding tail
-    mask = (np.arange(length)[None, :] < lengths[:, None])
+    if lengths is None:
+        lengths = (np.full(b, length) if all_real
+                   else rng.integers(1, length + 1, b))
+        lengths[0] = length  # trim_batch would cut an all-padding tail
+    mask = (np.arange(length)[None, :] < np.asarray(lengths)[:, None])
     ids[~mask] = 0
     return ids, mask.astype(np.float32)
+
+
+#: named edge batches: lengths per row (the first row is the longest)
+EDGE_BATCHES = {
+    "one_row": [37],
+    "equal_lengths": [50] * 9,
+    "cls_only_row": [64, 30, 1],
+    "rows_of_110": [110, 110, 110, 96],
+    "mixed_groups": [110, 104, 88, 61, 60, 33, 17, 16, 9, 5, 2, 1],
+}
 
 
 def _shapes(seed, n=24):
@@ -61,12 +81,13 @@ def _shapes(seed, n=24):
 
 
 def _full_and_pruned(model, ids, mask):
+    """The padded ``eval`` forward's probabilities, and the packed
+    forward's for the same rows."""
     model.encoder.eval()
     model.head.eval()
     full = softmax(model._forward_logits(ids, mask))
-    model.encoder.inference_mode()
-    model.head.inference_mode()
-    pruned = softmax(model._forward_logits(ids, mask, n_queries=1))
+    rows = [row[:int(n)] for row, n in zip(ids, mask.sum(axis=1))]
+    pruned = model.predict_rows(rows)
     return full, pruned
 
 
@@ -90,6 +111,25 @@ class TestOracle:
                 spread.append(full[:, 1])
         spread = np.concatenate(spread)
         assert spread.min() < 0.3 and spread.max() > 0.95
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6),
+                                           (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("name", sorted(EDGE_BATCHES))
+    def test_edge_batches_match_full_forward(self, name, dtype, tol):
+        lengths = EDGE_BATCHES[name]
+        with use_dtype(dtype):
+            model = PragFormer(VOCAB, rng=3)
+            ids, mask = _batch(np.random.default_rng(41), len(lengths),
+                               lengths[0], lengths=lengths)
+            full, pruned = _full_and_pruned(model, ids, mask)
+        np.testing.assert_allclose(pruned, full, rtol=0, atol=tol)
+        assert (pruned.argmax(1) == full.argmax(1)).all()
+        groups = PackedBatch([row[:n] for row, n in zip(ids, lengths)]).groups
+        if name == "mixed_groups":
+            assert len(groups) > 2
+        if name in ("one_row", "equal_lengths"):
+            assert [g.key_mask for g in groups] == [None]
 
     def test_pruning_moves_less_than_batching(self):
         """Scoring a row inside a padded batch instead of alone already
@@ -163,12 +203,12 @@ class TestEngineOracle:
                                                      traffic, monkeypatch):
         with MultiModelEngine(registry) as engine:
             pruned = engine.advise_v1(traffic)
-        # retain_attention runs every block in full: the reference forward
+        # retain_attention runs the padded forward: the reference
         full_proba = PragFormer.predict_proba
         monkeypatch.setattr(
-            PragFormer, "predict_proba",
-            lambda self, split, batch_size=128, retain_attention=False:
-            full_proba(self, split, batch_size, retain_attention=True))
+            PragFormer, "predict_rows",
+            lambda self, rows, group_waste=None: full_proba(
+                self, pad_encoded(rows, 0), len(rows), retain_attention=True))
         with MultiModelEngine(registry) as engine:
             full = engine.advise_v1(traffic)
         assert {r.verdict for r in full} == {True, False}
@@ -267,12 +307,19 @@ class TestPruningInEffect:
     def test_fit_trains_on_every_row(self, monkeypatch):
         calls = []
         forward = MultiHeadSelfAttention.forward
+        forward_packed = MultiHeadSelfAttention.forward_packed
 
-        def spy(self, x, mask=None, n_queries=None):
-            calls.append((self.inference, n_queries))
-            return forward(self, x, mask, n_queries)
+        def spy(self, x, mask=None):
+            calls.append((self.inference, None))
+            return forward(self, x, mask)
+
+        def packed_spy(self, x, batch, cls_only=False):
+            calls.append((self.inference, "packed"))
+            return forward_packed(self, x, batch, cls_only)
 
         monkeypatch.setattr(MultiHeadSelfAttention, "forward", spy)
+        monkeypatch.setattr(MultiHeadSelfAttention, "forward_packed",
+                            packed_spy)
         rng = np.random.default_rng(0)
         ids, mask = _batch(rng, 24, 20)
         split = EncodedSplit(ids=ids, mask=mask,
@@ -283,12 +330,81 @@ class TestPruningInEffect:
         training = [nq for inference, nq in calls if not inference]
         assert len(training) == 2 * 3 * cfg.n_layers
         assert training == [None] * len(training)
-        assert (True, 1) in calls  # validation ran the CLS-only block
+        assert (True, "packed") in calls  # validation ran packed
 
-    def test_n_queries_outside_inference_mode_raises(self):
-        attn = MultiHeadSelfAttention(16, 2, rng=0)
-        x = np.zeros((2, 5, 16), np.float32)
+    def test_packed_forward_outside_inference_mode_raises(self):
+        encoder = TransformerEncoder(PragFormer(VOCAB).encoder.cfg, rng=0)
+        batch = PackedBatch([np.arange(2, 7, dtype=np.int32),
+                             np.arange(2, 5, dtype=np.int32)])
         with pytest.raises(ValueError, match="inference_mode"):
-            attn.forward(x, n_queries=1)
-        attn.inference_mode()
-        assert attn.forward(x, n_queries=1).shape == (2, 1, 16)
+            encoder.forward_packed(batch)
+        encoder.inference_mode()
+        assert encoder.forward_packed(batch).shape == (2, encoder.cfg.d_model)
+
+    def test_position_wise_work_sees_only_real_rows(self, monkeypatch):
+        """Every GEMM, LayerNorm and FFN outside attention runs on the
+        Σlen real token rows (the last block: on the B CLS rows), never
+        on B·L padded cells."""
+        model = PragFormer(VOCAB, rng=0)
+        lengths = EDGE_BATCHES["mixed_groups"]
+        ids, mask = _batch(np.random.default_rng(5), len(lengths),
+                           lengths[0], lengths=lengths)
+        real, b = sum(lengths), len(lengths)
+        names = {id(m): name for name, m in (
+            [(f"{i}.out_proj", layer.attn.out_proj)
+             for i, layer in enumerate(model.encoder.layers)]
+            + [(f"{i}.fc{k}", getattr(layer.ffn, f"fc{k}"))
+               for i, layer in enumerate(model.encoder.layers)
+               for k in (1, 2)]
+            + [(f"{i}.ln{k}", getattr(layer, f"ln{k}"))
+               for i, layer in enumerate(model.encoder.layers)
+               for k in (1, 2)])}
+        rows = {}
+        for cls in (Linear, ResidualLayerNorm):
+            def spy(self, x, *args, _forward=cls.forward):
+                if id(self) in names:
+                    rows[names[id(self)]] = x.shape[0]
+                return _forward(self, x, *args)
+            monkeypatch.setattr(cls, "forward", spy)
+        qkv_rows = []
+        matmul = np.matmul
+        W0 = model.encoder.layers[0].attn.qkv_proj.W.data
+
+        def matmul_spy(a, w, *args, **kwargs):
+            if w is W0:
+                qkv_rows.append(a.shape[0])
+            return matmul(a, w, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        model.predict_proba(EncodedSplit(ids, mask, np.zeros(b, np.int64)))
+        *body, _ = range(model.config.n_layers)
+        want = {f"{i}.{name}": real for i in body
+                for name in ("out_proj", "fc1", "fc2", "ln1", "ln2")}
+        last = model.config.n_layers - 1
+        want.update({f"{last}.{name}": b for name in
+                     ("out_proj", "fc1", "fc2", "ln1", "ln2")})
+        assert rows == want
+        assert qkv_rows == [real]
+        assert real < 0.6 * b * lengths[0]
+
+    def test_engine_runs_one_forward_per_head_per_sub_batch(
+            self, registry, traffic, monkeypatch):
+        calls = []
+        forward_packed = TransformerEncoder.forward_packed
+
+        def spy(self, batch):
+            calls.append((id(self), len(batch)))
+            return forward_packed(self, batch)
+
+        monkeypatch.setattr(TransformerEncoder, "forward_packed", spy)
+        codes = traffic[:100]
+        config = EngineConfig(max_batch_size=32, cache_capacity=0)
+        with MultiModelEngine(registry, config=config) as engine:
+            engine.advise_v1(codes)
+        heads = {id(registry.get(name).model.encoder)
+                 for name in registry.names()}
+        assert {enc for enc, _ in calls} == heads
+        for head in heads:
+            sizes = [n for enc, n in calls if enc == head]
+            assert sizes[:-1] == [32] * (len(sizes) - 1)
+            assert 0 < sizes[-1] <= 32 and sum(sizes) > 90

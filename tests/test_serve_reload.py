@@ -114,12 +114,12 @@ class TestEngineSwapModel:
 
     def test_swap_mid_call_keeps_snapshotted_slot(self, vocab):
         """A swap landing inside a bulk call (here: from the first
-        bucket's forward) leaves the rest of that call on the slot it
+        sub-batch's forward) leaves the rest of that call on the slot it
         snapshotted; the next call runs wholly on the new weights."""
         old = _SwapOnFirstForward(len(vocab), TINY, rng=1)
         new = PragFormer(len(vocab), TINY, rng=2)
         codes = SNIPPETS[:4]
-        config = EngineConfig(max_batch_size=1)  # one bucket per snippet
+        config = EngineConfig(max_batch_size=1)  # one forward per snippet
         expected_old = InferenceEngine(old, vocab, max_len=TINY.max_len,
                                        config=config).predict_proba(codes)
         expected_new = InferenceEngine(new, vocab, max_len=TINY.max_len,
@@ -140,11 +140,11 @@ class _SwapOnFirstForward(PragFormer):
 
     hook = None
 
-    def predict_proba(self, *args, **kwargs):
+    def predict_rows(self, *args, **kwargs):
         hook, self.hook = self.hook, None
         if hook is not None:
             hook()
-        return super().predict_proba(*args, **kwargs)
+        return super().predict_rows(*args, **kwargs)
 
 
 class TestMultiModelReload:

@@ -230,6 +230,39 @@ class TestMultiProcess:
             assert sup["degraded_answers"] == len(SNIPPETS) + 2
             assert sup["faults"] >= 2
 
+    def test_construction_waits_for_every_worker_engine(self, factory):
+        """Construction pings every new worker, and a worker answers only
+        after its factory built the engine, so the first call does not
+        pay a slow start-up."""
+
+        def slow_factory():
+            time.sleep(0.5)
+            return factory()
+
+        with ShardedEngine(slow_factory, n_shards=2) as sharded:
+            start = time.monotonic()
+            sharded.advise_v1(SNIPPETS)
+            assert time.monotonic() - start < 0.25
+
+    def test_construction_outwaits_no_hung_factory(self, factory):
+        """The readiness wait is bounded by ``heartbeat_timeout_s`` and
+        never raises; the wedged slot stays the supervisor's."""
+
+        def hung_factory():
+            time.sleep(30)
+
+        cfg = SupervisorConfig(heartbeat_timeout_s=0.5,
+                               heartbeat_interval_s=0)
+        start = time.monotonic()
+        sharded = ShardedEngine(hung_factory, n_shards=2, supervisor=cfg)
+        try:
+            assert time.monotonic() - start < 3.0
+            assert all(w.is_alive() for w in sharded._workers)
+        finally:
+            for worker in sharded._workers:
+                worker.terminate()
+            sharded.close()
+
     def test_head_names_through_workers(self, model_and_vocab, factory):
         model, vocab = model_and_vocab
 
