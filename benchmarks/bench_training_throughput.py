@@ -79,6 +79,7 @@ from repro.nn import (
 )
 from repro.nn.module import Module
 from repro.tokenize import Vocab, text_tokens
+from repro.train.ddp import reseed_stochastic
 
 pytestmark = pytest.mark.perf
 
@@ -148,7 +149,10 @@ class _LegacyDropout(Module):
         self.rng = rng
         self._mask = None
 
-    def forward(self, x):
+    def forward(self, x, draw_shape=None):
+        # draw_shape: the library FeedForward's argument for a CLS-only
+        # block; legacy blocks run every row, so it is always None here
+        assert draw_shape is None
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
@@ -393,8 +397,10 @@ def _make_model(config, vocab_size, legacy: bool) -> PragFormer:
 
 def _legacy_fit(model: PragFormer, split: EncodedSplit, epochs: int):
     """Pre-overhaul ``PragFormer.fit`` without a validation split: the
-    same length-bucketed batches, per-parameter AdamW and clipping.
-    Returns the per-epoch train losses."""
+    same length-bucketed batches, per-parameter AdamW and clipping, and
+    the full last block (the fused fit computes it for the CLS rows
+    alone, from the same dropout masks).  Returns the per-epoch train
+    losses."""
     cfg = model.config
     opt = _LegacyAdamW(_Joint(model.encoder, model.head), lr=cfg.lr,
                        weight_decay=cfg.weight_decay)
@@ -408,8 +414,9 @@ def _legacy_fit(model: PragFormer, split: EncodedSplit, epochs: int):
         for sel in _length_bucketed_batches(lengths, cfg.batch_size,
                                             model._shuffle_rng):
             ids, mask = trim_batch(split.ids[sel], split.mask[sel])
-            loss, dlogits = cross_entropy(model._forward_logits(ids, mask),
-                                          split.labels[sel])
+            # the pre-overhaul forward ran every block on every position
+            logits = model.head.forward(model.encoder.forward(ids, mask))
+            loss, dlogits = cross_entropy(logits, split.labels[sel])
             opt.zero_grad()
             model._backward(dlogits)
             _legacy_clip_grad_norm(params, cfg.grad_clip)
@@ -762,3 +769,51 @@ def test_training_step_smoke():
     fused = _make_model(config, len(vocab), legacy=False)
     hist_f = fused.fit(split, epochs=1)
     np.testing.assert_allclose(losses_l, hist_f.train_loss, rtol=1e-2)
+
+
+#: floor on the training-step speedup of the CLS-only last block over the
+#: full last block (forward + backward, two-block SMALL-scale encoder)
+CLS_ONLY_STEP_FLOOR = 1.15
+
+
+@pytest.mark.smoke
+def test_cls_only_training_step_smoke():
+    """One training step (forward, CE loss, backward) with the last block
+    on the CLS rows alone — what ``PragFormer.fit`` runs — against the
+    full last block, on the same batch with the same dropout seeds: the
+    losses agree to float32 round-off, and the CLS-only step is at least
+    ``CLS_ONLY_STEP_FLOOR`` times faster (medians of alternating steps)."""
+    config = PragFormerConfig(d_model=64, n_heads=4, n_layers=2, d_ff=128,
+                              d_head_hidden=64, max_len=110, batch_size=32,
+                              seed=0)
+    split, vocab = _workload(96, config.max_len)
+    longest = np.argsort(split.mask.sum(axis=1))[-config.batch_size:]
+    ids, mask = trim_batch(split.ids[longest], split.mask[longest])
+    labels = split.labels[longest]
+    model = PragFormer(len(vocab), config)
+    model.encoder.train()
+    model.head.train()
+
+    def step(cls_only: bool) -> float:
+        reseed_stochastic((model.encoder, model.head), (5, 1))
+        hidden = model.encoder.forward(ids, mask, cls_only=cls_only)
+        loss, dlogits = cross_entropy(model.head.forward(hidden), labels)
+        model._backward(dlogits)
+        return loss
+
+    times = {False: [], True: []}
+    losses = {}
+    for rep in range(23):
+        for cls_only in (False, True):
+            start = time.perf_counter()
+            losses[cls_only] = step(cls_only)
+            if rep >= 3:  # warm BLAS, the allocator and the scratch pools
+                times[cls_only].append(time.perf_counter() - start)
+    full, pruned = (float(np.median(times[c])) for c in (False, True))
+    speedup = full / pruned
+    print(f"\ncls-only training step on B={ids.shape[0]} L={ids.shape[1]}: "
+          f"{1e3 * full:.2f} -> {1e3 * pruned:.2f} ms ({speedup:.2f}x)")
+    np.testing.assert_allclose(losses[True], losses[False], rtol=2e-6)
+    assert speedup >= CLS_ONLY_STEP_FLOOR, (
+        f"CLS-only last block only {speedup:.2f}x the full block "
+        f"(floor {CLS_ONLY_STEP_FLOOR}x)")

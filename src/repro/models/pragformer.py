@@ -136,9 +136,10 @@ class PragFormer:
     # -- core passes -------------------------------------------------------------
 
     def _forward_logits(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Logits (B, 2) from the padded forward (training, ``eval`` and
-        attention retention)."""
-        return self.head.forward(self.encoder.forward(ids, mask))
+        """Logits (B, 2) from the padded training forward.  The head reads
+        only the CLS position, so the encoder's last block computes the
+        CLS rows alone, in the forward and in the backward pass."""
+        return self.head.forward(self.encoder.forward(ids, mask, cls_only=True))
 
     def _packed_logits(self, rows: Sequence[np.ndarray],
                        group_waste: float = GROUP_WASTE) -> np.ndarray:
@@ -342,9 +343,10 @@ class PragFormer:
         Probabilities agree with the padded ``eval`` forward to within 1e-6
         in float32.
 
-        ``retain_attention`` runs the padded forward instead and keeps each
-        layer's (B, H, L, L) maps; explain tooling that reads
-        ``encoder.attention_maps()`` afterwards must request them.
+        ``retain_attention`` runs the padded forward instead, with every
+        block on every position, and keeps each layer's (B, H, L, L) maps;
+        explain tooling that reads ``encoder.attention_maps()`` afterwards
+        must request them.
         """
         # allocate in the compute dtype: np.empty's float64 default would
         # silently widen every downstream consumer of the probabilities
@@ -365,7 +367,8 @@ class PragFormer:
             for start in range(0, len(split), batch_size):
                 sel = order[start : start + batch_size]
                 ids, mask = trim_batch(split.ids[sel], split.mask[sel])
-                out[sel] = softmax(self._forward_logits(ids, mask))
+                out[sel] = softmax(
+                    self.head.forward(self.encoder.forward(ids, mask)))
             return out
         finally:
             for attn in attns:
@@ -386,8 +389,9 @@ class PragFormer:
     def evaluate(self, split: EncodedSplit, batch_size: int = 128):
         """(mean CE loss, accuracy) on a split.
 
-        Runs the packed inference forward, like :meth:`predict_proba`; the
-        training forward in :meth:`fit` stays padded."""
+        Runs the packed inference forward, like :meth:`predict_proba`;
+        :meth:`fit` trains on padded batches, with the last block on the
+        CLS rows alone."""
         total_loss = 0.0
         correct = 0
         for sel, logits in self._split_logits(split, batch_size):

@@ -31,7 +31,10 @@ runs per length group.  With ``cls_only`` it attends from each snippet's
 CLS row alone — keys and values still cover every token, but queries,
 scores, context and the output projection shrink to one row per snippet,
 which is all a classifier that reads the CLS position needs (see
-:meth:`PragFormer.predict_proba`).
+:meth:`PragFormer.predict_proba`).  The padded :meth:`forward` takes the
+same ``cls_only`` for classifier training, and its backward then mirrors
+it: the query columns of the projection's gradients come from the CLS
+rows, the key/value columns from every row.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
 from repro.nn.packing import PackedBatch
-from repro.nn.scratch import BufferPool, sum_lastaxis
+from repro.nn.scratch import BufferPool, sum_lastaxis, sum_leading
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 __all__ = ["MultiHeadSelfAttention"]
@@ -130,7 +133,8 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = Linear(d_model, d_model, rng=r_o)
         self.attn_dropout = Dropout(dropout, rng=r_d)
         self.retain_attention = False
-        self.last_attention: Optional[np.ndarray] = None  # (B, H, L, L)
+        # (B, H, L, L); (B, H, 1, L) after a padded cls_only forward
+        self.last_attention: Optional[np.ndarray] = None
         self._cache = None
         self._pool = BufferPool()
 
@@ -162,13 +166,30 @@ class MultiHeadSelfAttention(Module):
         # the entire score/softmax/context chain out of the compute dtype
         return 1.0 / float(np.sqrt(self.d_head))
 
-    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
+                cls_only: bool = False) -> np.ndarray:
         """``mask`` is (B, L) with 1 for real tokens and 0 for padding;
-        pad keys get an exact 0 weight."""
-        b, l, _ = x.shape
-        qkv = self.qkv_proj.forward(x)  # (B, L, 3D)
-        qkv = qkv.reshape(b, l, 3, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, L, d_head) views
+        pad keys get an exact 0 weight.  Returns (B, L, D), or (B, 1, D)
+        with ``cls_only``: keys and values are projected for every
+        position, queries for the CLS row alone, and the scores, softmax,
+        context and output projection shrink to that one row.  The
+        attention dropout still draws its mask at (B, H, L, L) and keeps
+        the CLS slice, so the rng stream and the applied mask match the
+        full forward's."""
+        b, l, d = x.shape
+        h, dh = self.n_heads, self.d_head
+        if cls_only:
+            W, bias = self.qkv_proj.W.data, self.qkv_proj.b.data
+            q = x[:, 0] @ W[:, :d]
+            q += bias[:d]
+            kv = x.reshape(b * l, d) @ W[:, d:]
+            kv += bias[d:]
+            q = q.reshape(b, 1, h, dh).transpose(0, 2, 1, 3)  # (B, H, 1, dh)
+            k, v = kv.reshape(b, l, 2, h, dh).transpose(2, 0, 3, 1, 4)
+        else:
+            qkv = self.qkv_proj.forward(x)  # (B, L, 3D)
+            q, k, v = qkv.reshape(b, l, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        n_queries = q.shape[2]
         scale = self._scale
         # pre-scale q (an L x d_head pass) instead of the L x L score matrix;
         # backward compensates by scaling dq once — dk needs no scale at all
@@ -177,7 +198,7 @@ class MultiHeadSelfAttention(Module):
         # scores live in a pooled buffer reused across steps with the same
         # bucket shape; the softmax then runs in place on it, so one
         # (B, H, L, L) buffer serves the whole score -> attention chain
-        scores = self._pool.get("scores", (b, self.n_heads, l, l), x.dtype)
+        scores = self._pool.get("scores", (b, h, n_queries, l), x.dtype)
         np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
         if mask is not None:
             # broadcast over heads and query positions, in the scores' dtype
@@ -197,14 +218,16 @@ class MultiHeadSelfAttention(Module):
             self.last_attention = attn
         else:
             self.last_attention = None
-        attn_dropped = self.attn_dropout.forward(attn)
-        context = self._pool.get("context", (b, self.n_heads, l, self.d_head), x.dtype)
+        attn_dropped = self.attn_dropout.forward(
+            attn, (b, h, l, l) if cls_only else None)
+        context = self._pool.get("context", (b, h, n_queries, dh), x.dtype)
         np.matmul(attn_dropped, v, out=context)
-        merged = self._pool.get("merged", (b, l, self.d_model), x.dtype)
-        np.copyto(merged.reshape(b, l, self.n_heads, self.d_head),
+        merged = self._pool.get("merged", (b, n_queries, d), x.dtype)
+        np.copyto(merged.reshape(b, n_queries, h, dh),
                   context.transpose(0, 2, 1, 3))
         out = self.out_proj.forward(merged)
-        self._cache = None if self.inference else (q, k, v, attn, attn_dropped, scale)
+        self._cache = None if self.inference else (
+            x if cls_only else None, q, k, v, attn, attn_dropped, scale)
         return out
 
     def forward_packed(self, x: np.ndarray, batch: PackedBatch,
@@ -272,12 +295,13 @@ class MultiHeadSelfAttention(Module):
         return self.out_proj.forward(merged)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        q, k, v, attn, attn_dropped, scale = self._cache
-        b, h, l, dh = q.shape
+        cls_x, q, k, v, attn, attn_dropped, scale = self._cache
+        b, h, n_queries, dh = q.shape
+        l = k.shape[2]
         pool = self._pool
         dtype = dy.dtype
         dcontext = self._split(self.out_proj.backward(dy))
-        dattn_dropped = pool.get("d_attn", (b, h, l, l), dtype)
+        dattn_dropped = pool.get("d_attn", (b, h, n_queries, l), dtype)
         np.matmul(dcontext, v.transpose(0, 1, 3, 2), out=dattn_dropped)
         dv = pool.get("dv", (b, h, l, dh), dtype)
         np.matmul(attn_dropped.transpose(0, 1, 3, 2), dcontext, out=dv)
@@ -285,7 +309,7 @@ class MultiHeadSelfAttention(Module):
         # softmax backward, in place on dattn (a scratch buffer either way —
         # the dropout's pooled output or d_attn itself in eval):
         # ds = attn * (dattn - sum(dattn * attn))
-        tmp = pool.get("d_tmp", (b, h, l, l), dtype)
+        tmp = pool.get("d_tmp", (b, h, n_queries, l), dtype)
         np.multiply(dattn, attn, out=tmp)
         inner = sum_lastaxis(tmp)
         dattn -= inner
@@ -294,11 +318,13 @@ class MultiHeadSelfAttention(Module):
         # masked positions have attn == 0, so dscores is already 0 there.
         # q in the cache is pre-scaled, so dk comes out fully scaled from the
         # contraction and only dq needs the explicit scale factor
-        dq = pool.get("dq", (b, h, l, dh), dtype)
+        dq = pool.get("dq", (b, h, n_queries, dh), dtype)
         np.matmul(dscores, k, out=dq)
         dq *= scale
         dk = pool.get("dk", (b, h, l, dh), dtype)
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
+        if cls_x is not None:
+            return self._cls_only_input_grad(cls_x, dq, dk, dv)
         # write the three head-merged gradients straight into one (B, L, 3D)
         # buffer — the old concatenate built three merge copies plus a fourth
         # array for the result
@@ -308,3 +334,27 @@ class MultiHeadSelfAttention(Module):
         np.copyto(dqkv5[:, :, 1], dk.transpose(0, 2, 1, 3))
         np.copyto(dqkv5[:, :, 2], dv.transpose(0, 2, 1, 3))
         return self.qkv_proj.backward(dqkv)
+
+    def _cls_only_input_grad(self, x: np.ndarray, dq: np.ndarray,
+                             dk: np.ndarray, dv: np.ndarray) -> np.ndarray:
+        """``qkv_proj``'s backward after a ``cls_only`` forward: the query
+        columns of its gradients come from the CLS rows, the key/value
+        columns from every row, and the input gradient is the K/V part on
+        every row plus the query part on the CLS rows."""
+        b, l, d = x.shape
+        h, dh = self.n_heads, self.d_head
+        W, bias = self.qkv_proj.W, self.qkv_proj.b
+        dkv = self._pool.get("dqkv", (b, l, 2 * d), dq.dtype)
+        dkv5 = dkv.reshape(b, l, 2, h, dh)
+        np.copyto(dkv5[:, :, 0], dk.transpose(0, 2, 1, 3))
+        np.copyto(dkv5[:, :, 1], dv.transpose(0, 2, 1, 3))
+        dkv = dkv.reshape(b * l, 2 * d)
+        dq = dq.reshape(b, d)  # (B, H, 1, dh) holds the head-merged rows
+        x_rows, x_cls = x.reshape(b * l, d), x[:, 0]
+        W.grad[:, :d] += x_cls.T @ dq
+        W.grad[:, d:] += x_rows.T @ dkv
+        bias.grad[:d] += sum_leading(dq)
+        bias.grad[d:] += sum_leading(dkv)
+        dx = (dkv @ W.data[:, d:].T).reshape(b, l, d)
+        dx[:, 0] += dq @ W.data[:, :d].T
+        return dx

@@ -8,7 +8,7 @@ no Python loops over tokens.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -196,6 +196,12 @@ class Dropout(Module):
     dropout's (B, H, L, L) mask is the training loop's single largest
     allocation, and it now happens once per bucket shape instead of once
     per step.
+
+    ``forward(x, draw_shape)`` draws the uniforms at ``draw_shape`` and
+    masks ``x`` with their leading corner (``x.shape`` on every axis).  A
+    block that computes only its CLS rows passes its full-block shape, so
+    the rng stream advances as in the full block and ``x`` gets exactly
+    the CLS slice of the full block's mask.
     """
 
     def __init__(self, p: float, rng: RngLike = None) -> None:
@@ -207,14 +213,17 @@ class Dropout(Module):
         self._mask: Optional[np.ndarray] = None
         self._pool = BufferPool()
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray,
+                draw_shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
         keep = x.dtype.type(1.0 - self.p)
         draw_dtype = x.dtype if x.dtype == np.float32 else np.float64
-        uniform = self._pool.get("uniform", x.shape, draw_dtype)
+        uniform = self._pool.get("uniform", draw_shape or x.shape, draw_dtype)
         self.rng.random(out=uniform, dtype=draw_dtype)
+        if draw_shape is not None:
+            uniform = uniform[tuple(slice(0, n) for n in x.shape)]
         mask = self._pool.get("mask", x.shape, x.dtype)
         np.less(uniform, keep, out=mask)  # float 0/1 indicator
         np.divide(mask, keep, out=mask)

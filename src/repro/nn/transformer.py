@@ -4,16 +4,20 @@ Post-LN layout (as in RoBERTa, which DeepSCC fine-tunes):
 ``x = LN(x + Attn(x)); x = LN(x + FFN(x))``.  Learned positional embeddings,
 GELU feed-forward, dropout on embeddings/attention/FFN.
 
-``forward`` runs a padded (B, L) batch and backs training, ``eval`` and
-attention retention; ``forward_packed`` is the inference forward over a
-pad-free :class:`~repro.nn.packing.PackedBatch` that returns each
-snippet's CLS row.
+``forward`` runs a padded (B, L) batch and backs training, ``eval``, MLM
+pretraining and attention retention.  With ``cls_only`` (classifier
+training) the last block computes the CLS rows alone, in the forward and
+the backward pass; its dropouts still draw full-block masks and keep the
+CLS slice, so the masks and rng streams match the full block's.
+``forward_packed`` is the inference forward over a pad-free
+:class:`~repro.nn.packing.PackedBatch` that returns each snippet's CLS
+row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,8 +69,15 @@ class FeedForward(Module):
         self.drop = Dropout(dropout, rng=r2)
         self.fc2 = Linear(d_ff, d_model, rng=r3)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.fc2.forward(self.drop.forward(self.act.forward(self.fc1.forward(x))))
+    def forward(self, x: np.ndarray,
+                draw_shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+        """``draw_shape`` is the shape of the full input whose leading
+        corner ``x`` is; the dropout draws its mask for all of it (see
+        :class:`~repro.nn.layers.Dropout`)."""
+        hidden = self.act.forward(self.fc1.forward(x))
+        if draw_shape is not None:
+            draw_shape = (*draw_shape[:-1], hidden.shape[-1])
+        return self.fc2.forward(self.drop.forward(hidden, draw_shape))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return self.fc1.backward(self.act.backward(self.drop.backward(self.fc2.backward(dy))))
@@ -89,12 +100,23 @@ class TransformerEncoderLayer(Module):
         self.ln2 = ResidualLayerNorm(cfg.d_model)
         self.drop1 = Dropout(cfg.dropout, rng=r_d1)
         self.drop2 = Dropout(cfg.dropout, rng=r_d2)
+        self._cls_only = False
 
-    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """(B, L, D) -> (B, L, D)."""
-        attended = self.attn.forward(x, mask)
-        x = self.ln1.forward(x, self.drop1.forward(attended))
-        x = self.ln2.forward(x, self.drop2.forward(self.ffn.forward(x)))
+    def forward(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
+                cls_only: bool = False) -> np.ndarray:
+        """(B, L, D) -> (B, L, D), or the CLS rows (B, 1, D) with
+        ``cls_only``: attention reads every position's keys and values,
+        and ``out_proj``, both LayerNorms and the FFN run on the B CLS
+        rows.  Each dropout draws its mask at the full block's shape and
+        applies the CLS slice, so a training step sees the same masks and
+        rng streams as the full block."""
+        full = x.shape if cls_only else None
+        self._cls_only = cls_only
+        attended = self.attn.forward(x, mask, cls_only)
+        if cls_only:
+            x = x[:, :1]
+        x = self.ln1.forward(x, self.drop1.forward(attended, full))
+        x = self.ln2.forward(x, self.drop2.forward(self.ffn.forward(x, full), full))
         return x
 
     def forward_packed(self, x: np.ndarray, batch: PackedBatch,
@@ -115,7 +137,12 @@ class TransformerEncoderLayer(Module):
         d = self.ln2.backward(dy)
         d += self.ffn.backward(self.drop2.backward(d))
         d = self.ln1.backward(d)
-        d += self.attn.backward(self.drop1.backward(d))
+        dx = self.attn.backward(self.drop1.backward(d))
+        if self._cls_only:
+            # the residual reached the CLS rows alone
+            dx[:, :1] += d
+            return dx
+        d += dx
         return d
 
 
@@ -123,7 +150,9 @@ class TransformerEncoder(Module):
     """Token + position embeddings followed by the encoder stack.
 
     ``forward`` returns the full hidden-state sequence (B, L, D); heads pick
-    what they need (CLS slot for classification, all positions for MLM).
+    what they need (all positions for MLM).  ``forward(cls_only=True)``
+    returns the CLS rows (B, 1, D), all a classification head reads, and
+    ``backward`` then takes a (B, 1, D) gradient.
     ``forward_packed`` (inference only) returns the CLS rows (N, D) of a
     :class:`~repro.nn.packing.PackedBatch`: every block but the last runs
     on the real token rows, and the last computes the CLS rows alone — its
@@ -142,7 +171,12 @@ class TransformerEncoder(Module):
             TransformerEncoderLayer(cfg, rng=r) for r in r_layers
         ]
 
-    def forward(self, ids: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    def forward(self, ids: np.ndarray, mask: Optional[np.ndarray] = None,
+                cls_only: bool = False) -> np.ndarray:
+        """Hidden states (B, L, D).  With ``cls_only`` (what a CLS
+        classifier trains on) the last block computes the CLS rows alone
+        and the result is (B, 1, D); an encoder with no block returns
+        (B, L, D) either way."""
         b, l = ids.shape
         self._check_length(l)
         if mask is not None and mask.all():
@@ -154,9 +188,12 @@ class TransformerEncoder(Module):
         positions = np.broadcast_to(np.arange(l, dtype=np.int32), (b, l))
         x = self.tok_emb.forward(ids) + self.pos_emb.forward(positions)
         x = self.emb_drop.forward(self.emb_ln.forward(x))
-        for layer in self.layers:
+        body, last = self.layers, None
+        if cls_only and self.layers:
+            *body, last = self.layers
+        for layer in body:
             x = layer.forward(x, mask)
-        return x
+        return x if last is None else last.forward(x, mask, cls_only=True)
 
     def forward_packed(self, batch: PackedBatch) -> np.ndarray:
         """CLS hidden states (N, D) of ``batch``, in its packed order."""

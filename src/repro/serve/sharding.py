@@ -91,6 +91,12 @@ _STOP = "stop"
 #: chaos call counter.
 _SERVE = "advise_full_many"
 
+#: How long :meth:`ShardedEngine._reply` waits on a reply queue between
+#: liveness checks, and how long it drains a dead worker's queue for a
+#: reply sent just before the exit.  Healthy replies arrive in
+#: milliseconds, so this bounds how late a dead worker is noticed.
+_POLL_S = 0.1
+
 
 class DeadlineExceeded(RuntimeError):
     """A worker request missed its deadline (see
@@ -586,9 +592,9 @@ class ShardedEngine:
         process come from the token, so a slot respawned by the
         supervisor cannot redirect a caller onto the wrong queue."""
         while True:
-            timeout = 1.0
+            timeout = _POLL_S
             if token.deadline is not None:
-                timeout = min(1.0, token.deadline - time.monotonic())
+                timeout = min(_POLL_S, token.deadline - time.monotonic())
                 if timeout <= 0:
                     raise DeadlineExceeded(
                         f"shard {token.shard} request missed its deadline")
@@ -602,7 +608,7 @@ class ShardedEngine:
                         "deadline") from None
                 if not token.worker.is_alive():
                     try:  # a final reply may still be in the queue's pipe
-                        return token.responses.get(timeout=1.0)
+                        return token.responses.get(timeout=_POLL_S)
                     except queue_mod.Empty:
                         raise RuntimeError(
                             f"shard {token.shard} worker died (exitcode "

@@ -1,13 +1,14 @@
-"""The pad-free packed forward that PragFormer's inference runs.
+"""The CLS-only last block: the pad-free packed forward that
+PragFormer's inference runs, and the padded training forward.
 
 ``predict_proba``, ``evaluate`` and the serving engine run
 ``TransformerEncoder.forward_packed``: position-wise work on the real
 token rows alone, attention per group of similar lengths, and the last
 block for the CLS rows alone, the only rows ``ClassificationHead`` reads.
-That path is checked two ways:
+Both paths are checked:
 
-* **oracle** — against the padded full-sequence forward
-  (``_forward_logits`` under ``eval()``), on random padded batches and
+* **oracle** — against the padded full-sequence forward (every block
+  on every position, under ``eval()``), on random padded batches and
   named edge batches (one row, equal lengths, a CLS-only row, 110-token
   rows, mixed groups) and, through ``MultiModelEngine.advise_v1``, on a
   clean sample, every dirty fixture and seeded fuzz mutants.  The
@@ -18,10 +19,15 @@ That path is checked two ways:
   probabilities already span about 0.2-0.99.  Batching a row with others
   moves the full path's own answer by more than packing does
   (``test_pruning_moves_less_than_batching``);
+* **training** — ``fit`` runs the padded forward with the last block
+  on the CLS rows alone (``TransformerEncoder.forward(cls_only=True)``):
+  float64 gradients match the full last block within 1e-12, and every
+  dropout mask is the CLS slice of the full block's mask;
 * **in effect / full path intact** — the position-wise GEMMs see Σlen
   rows, the last block allocates no (B, H, L, L) scores and projects
   queries for the CLS rows alone, the engine makes one forward per head
-  per sub-batch, ``retain_attention`` and ``fit`` still run the padded
+  per sub-batch, ``fit`` trains the last block's FFN on B rows and never
+  runs the packed forward, ``retain_attention`` runs the full padded
   forward, and the explain tooling reads the same maps as a full forward.
 """
 
@@ -37,14 +43,16 @@ from repro.data.encoding import EncodedSplit, pad_encoded
 from repro.explain.attention import cls_attention
 from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
-from repro.nn import softmax
+from repro.models.pragformer import _Joint
+from repro.nn import cross_entropy, softmax
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.dtype import use_dtype
-from repro.nn.layers import Linear, ResidualLayerNorm
+from repro.nn.layers import Dropout, Linear, ResidualLayerNorm
 from repro.nn.packing import PackedBatch
 from repro.nn.transformer import TransformerEncoder
 from repro.serve import EngineConfig, ModelRegistry, MultiModelEngine
 from repro.tokenize import Vocab, robust_text_tokens
+from repro.train.ddp import reseed_stochastic
 
 DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
 VOCAB = 300
@@ -80,12 +88,17 @@ def _shapes(seed, n=24):
                     (40, 110, False), (1, 110, False), (13, 2, False)]
 
 
+def _full_logits(model, ids, mask):
+    """Logits of the padded forward with every block on every position."""
+    return model.head.forward(model.encoder.forward(ids, mask))
+
+
 def _full_and_pruned(model, ids, mask):
     """The padded ``eval`` forward's probabilities, and the packed
     forward's for the same rows."""
     model.encoder.eval()
     model.head.eval()
-    full = softmax(model._forward_logits(ids, mask))
+    full = softmax(_full_logits(model, ids, mask))
     rows = [row[:int(n)] for row, n in zip(ids, mask.sum(axis=1))]
     pruned = model.predict_rows(rows)
     return full, pruned
@@ -145,8 +158,8 @@ class TestOracle:
             model.head.eval()
             for i in range(b):
                 n = int(mask[i].sum())
-                alone = softmax(model._forward_logits(ids[i:i + 1, :n],
-                                                      mask[i:i + 1, :n]))
+                alone = softmax(_full_logits(model, ids[i:i + 1, :n],
+                                             mask[i:i + 1, :n]))
                 batching = max(batching, float(np.abs(alone - full[i]).max()))
             pruning = max(pruning, float(np.abs(pruned - full).max()))
         assert 0 < pruning < batching
@@ -164,8 +177,8 @@ class TestOracle:
         ref = np.empty_like(got)
         for i in range(90):
             n = int(mask[i].sum())
-            ref[i] = softmax(model._forward_logits(ids[i:i + 1, :n],
-                                                   mask[i:i + 1, :n]))[0]
+            ref[i] = softmax(_full_logits(model, ids[i:i + 1, :n],
+                                          mask[i:i + 1, :n]))[0]
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
         assert acc == float((ref.argmax(1) == labels).mean())
         ref_loss = -np.log(ref[np.arange(90), labels]).mean()
@@ -225,6 +238,84 @@ class TestEngineOracle:
                 assert abs(got.probability - clause.probability) <= 1e-6, \
                     code[:60]
             assert p.recommended_clauses() == f.recommended_clauses()
+
+
+def _training_grads(model, ids, mask, labels, cls_only, key=(7, 1)):
+    """(loss, per-parameter gradients, per-dropout applied masks) of one
+    training step with dropout streams seeded from ``key``; ``cls_only``
+    False runs the full last block, the reference."""
+    model.encoder.train()
+    model.head.train()
+    reseed_stochastic((model.encoder, model.head), key)
+    params = dict(_Joint(model.encoder, model.head).named_parameters())
+    for p in params.values():
+        p.zero_grad()
+    hidden = model.encoder.forward(ids, mask, cls_only=cls_only)
+    loss, dlogits = cross_entropy(model.head.forward(hidden), labels)
+    model._backward(dlogits)
+    masks = [None if m._mask is None else m._mask.copy()
+             for m in _dropouts(model)]
+    return loss, {n: p.grad.copy() for n, p in params.items()}, masks
+
+
+def _dropouts(model):
+    return [m for root in (model.encoder, model.head)
+            for m in root.modules() if isinstance(m, Dropout)]
+
+
+class TestCLSOnlyTraining:
+    """The training forward (``_forward_logits``) computes the last block
+    for the CLS rows alone; its loss, gradients and dropout masks are the
+    full block's."""
+
+    def _step_inputs(self, seed=3, b=9, length=40):
+        rng = np.random.default_rng(seed)
+        ids, mask = _batch(rng, b, length)
+        return ids, mask, rng.integers(0, 2, b)
+
+    def test_gradients_match_the_full_last_block(self):
+        with use_dtype(np.float64):
+            model = PragFormer(VOCAB, PragFormerConfig(dropout=0.0), rng=5)
+            ids, mask, labels = self._step_inputs()
+            ref_loss, ref, _ = _training_grads(model, ids, mask, labels,
+                                               cls_only=False)
+            loss, got, _ = _training_grads(model, ids, mask, labels,
+                                           cls_only=True)
+        assert loss == pytest.approx(ref_loss, rel=1e-14)
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert np.abs(ref[name]).max() > 0, name
+            np.testing.assert_allclose(got[name], ref[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    def test_dropout_masks_are_the_cls_slice_of_the_full_blocks(self,
+                                                                 dtype):
+        with use_dtype(dtype):
+            model = PragFormer(VOCAB, PragFormerConfig(dropout=0.3), rng=5)
+            ids, mask, labels = self._step_inputs()
+            ref_loss, ref, full = _training_grads(model, ids, mask, labels,
+                                                  cls_only=False)
+            loss, got, pruned = _training_grads(model, ids, mask, labels,
+                                                cls_only=True)
+        last = model.encoder.layers[-1]
+        sliced = {id(m) for m in (last.attn.attn_dropout, last.drop1,
+                                  last.ffn.drop, last.drop2)}
+        for module, f, p in zip(_dropouts(model), full, pruned):
+            if id(module) in sliced:
+                # the CLS query row (attention) or the CLS position
+                axis = 2 if module is last.attn.attn_dropout else 1
+                assert p.shape[axis] == 1 and f.shape[axis] > 1
+                f = f[tuple(slice(0, n) for n in p.shape)]
+            np.testing.assert_array_equal(p, f)
+            assert (p == 0).any() and (p != 0).any()
+        tol = 2e-6 if dtype == np.float32 else 1e-13
+        assert loss == pytest.approx(ref_loss, rel=tol)
+        for name in ref:
+            scale = np.abs(ref[name]).max()
+            np.testing.assert_allclose(got[name], ref[name], rtol=0,
+                                       atol=50 * tol * scale, err_msg=name)
 
 
 class TestPruningInEffect:
@@ -304,33 +395,82 @@ class TestPruningInEffect:
         cls_row = model.encoder.attention_maps()[-1][0, :, 0, :].mean(axis=0)
         assert [w for _, w in got] == [float(w) for w in cls_row[1:]]
 
-    def test_fit_trains_on_every_row(self, monkeypatch):
-        calls = []
-        forward = MultiHeadSelfAttention.forward
-        forward_packed = MultiHeadSelfAttention.forward_packed
-
-        def spy(self, x, mask=None):
-            calls.append((self.inference, None))
-            return forward(self, x, mask)
-
-        def packed_spy(self, x, batch, cls_only=False):
-            calls.append((self.inference, "packed"))
-            return forward_packed(self, x, batch, cls_only)
-
-        monkeypatch.setattr(MultiHeadSelfAttention, "forward", spy)
-        monkeypatch.setattr(MultiHeadSelfAttention, "forward_packed",
-                            packed_spy)
-        rng = np.random.default_rng(0)
-        ids, mask = _batch(rng, 24, 20)
-        split = EncodedSplit(ids=ids, mask=mask,
-                             labels=rng.integers(0, 2, 24))
+    def test_fit_trains_the_last_block_on_cls_rows(self, monkeypatch):
+        """``fit`` never runs the packed forward; every training step runs
+        the earlier blocks on all B·L positions and the last block's FFN
+        on the B CLS rows, while its K/V projection still covers B·L."""
         cfg = PragFormerConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32,
                                d_head_hidden=16, batch_size=8)
-        PragFormer(VOCAB, cfg, rng=0).fit(split, split, epochs=2)
-        training = [nq for inference, nq in calls if not inference]
-        assert len(training) == 2 * 3 * cfg.n_layers
-        assert training == [None] * len(training)
-        assert (True, "packed") in calls  # validation ran packed
+        model = PragFormer(VOCAB, cfg, rng=0)
+        first, last = model.encoder.layers[0], model.encoder.layers[-1]
+        d = cfg.d_model
+        names = {id(first.attn.out_proj): "first.out_proj",
+                 id(first.ffn.fc1): "first.fc1",
+                 id(last.attn.out_proj): "last.out_proj",
+                 id(last.ffn.fc1): "last.fc1"}
+        steps = []  # per training step: {"batch": (B, L), name: rows}
+        state = {"training": False}
+        packed_training = []
+
+        encoder_forward = TransformerEncoder.forward
+
+        def encoder_spy(self, ids, mask=None, cls_only=False):
+            state["training"] = not self.inference
+            if state["training"]:
+                steps.append({"batch": ids.shape})
+            return encoder_forward(self, ids, mask, cls_only)
+
+        for owner in (TransformerEncoder, MultiHeadSelfAttention):
+            def packed_spy(self, *args, _forward=owner.forward_packed):
+                state["training"] = False
+                packed_training.append(not self.inference)
+                return _forward(self, *args)
+            monkeypatch.setattr(owner, "forward_packed", packed_spy)
+        monkeypatch.setattr(TransformerEncoder, "forward", encoder_spy)
+
+        linear_forward = Linear.forward
+
+        def linear_spy(self, x):
+            if state["training"] and id(self) in names:
+                steps[-1][names[id(self)]] = x.size // x.shape[-1]
+            return linear_forward(self, x)
+
+        monkeypatch.setattr(Linear, "forward", linear_spy)
+        W = last.attn.qkv_proj.W
+        rng = np.random.default_rng(0)
+        ids, mask = _batch(rng, 24, 20)
+        # build the optimizer first: its arena rebinds every W.data
+        model._optimizer_and_schedule(len(ids), epochs=2)
+        base = W.data.__array_interface__["data"][0]
+
+        class MatmulSpy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                w = inputs[-1]
+                # forward projections only: the backward multiplies by W.T
+                if (state["training"] and ufunc is np.matmul
+                        and isinstance(w, MatmulSpy)
+                        and w.strides[-1] == w.itemsize):
+                    first_col = (w.__array_interface__["data"][0] - base) \
+                        // w.itemsize
+                    key = "last.q" if first_col < d else "last.kv"
+                    steps[-1][key] = steps[-1].get(key, 0) \
+                        + inputs[0].shape[0]
+                inputs = [a.view(np.ndarray) if isinstance(a, MatmulSpy)
+                          else a for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        monkeypatch.setattr(W, "data", W.data.view(MatmulSpy))
+        split = EncodedSplit(ids=ids, mask=mask,
+                             labels=rng.integers(0, 2, 24))
+        model.fit(split, split, epochs=2)
+        assert len(steps) == 2 * 3
+        for step in steps:
+            b, length = step.pop("batch")
+            assert step == {"first.out_proj": b * length,
+                            "first.fc1": b * length,
+                            "last.kv": b * length, "last.q": b,
+                            "last.out_proj": b, "last.fc1": b}
+        assert packed_training and not any(packed_training)
 
     def test_packed_forward_outside_inference_mode_raises(self):
         encoder = TransformerEncoder(PragFormer(VOCAB).encoder.cfg, rng=0)

@@ -244,6 +244,53 @@ class TestAttention:
         assert attn.last_attention[..., 2:].max() < 1e-8
 
 
+class _ClsOnly:
+    """A module's ``cls_only`` forward (the CLS row alone, (B, 1, D)) in
+    the shape the gradcheck helpers drive."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def eval(self):
+        self.module.eval()
+
+    def forward(self, x, mask):
+        return self.module.forward(x, mask, cls_only=True)
+
+    def backward(self, dy):
+        return self.module.backward(dy)
+
+    def zero_grad(self):
+        self.module.zero_grad()
+
+    def named_parameters(self):
+        return self.module.named_parameters()
+
+
+class TestClsOnly:
+    MASK = np.array([[1, 1, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]], dtype=float)
+
+    def test_attention_grads(self):
+        attn = _ClsOnly(MultiHeadSelfAttention(8, 2, dropout=0.0, rng=5))
+        x = RNG.normal(size=(3, 4, 8))
+        check_input_grad(attn, x, mask=self.MASK)
+        check_param_grads(attn, x, mask=self.MASK, tol=1e-5)
+
+    def test_encoder_layer_grads(self):
+        cfg = EncoderConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=1,
+                            d_ff=16, max_len=6, dropout=0.0)
+        block = TransformerEncoderLayer(cfg, rng=1)
+        # sum(LN(z)) does not depend on z when gamma is uniform, which
+        # would zero every input gradient on both sides of the check
+        for ln in (block.ln1, block.ln2):
+            ln.gamma.data[...] = RNG.normal(size=8)
+        layer = _ClsOnly(block)
+        x = RNG.normal(size=(3, 4, 8))
+        assert layer.forward(x, self.MASK).shape == (3, 1, 8)
+        check_input_grad(layer, x, mask=self.MASK, tol=1e-5)
+        check_param_grads(layer, x, mask=self.MASK, tol=1e-5)
+
+
 class TestFeedForwardAndLayer:
     def test_ffn_grads(self):
         ffn = FeedForward(6, 12, dropout=0.0, rng=0)
@@ -253,6 +300,9 @@ class TestFeedForwardAndLayer:
         cfg = EncoderConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=1,
                             d_ff=16, max_len=6, dropout=0.0)
         layer = TransformerEncoderLayer(cfg, rng=0)
+        # non-uniform gamma: sum(LN(z)) is constant in z otherwise
+        for ln in (layer.ln1, layer.ln2):
+            ln.gamma.data[...] = RNG.normal(size=8)
         x = RNG.normal(size=(2, 4, 8))
         mask = np.ones((2, 4))
         check_input_grad(layer, x, mask=mask, tol=1e-5)

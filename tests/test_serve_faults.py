@@ -214,7 +214,11 @@ class TestWorkerFaults:
         code = code_on_shard(0, 2)
         expected = factory().advise_v1([code])[0]
         chaos = ChaosConfig(hang_at=(0,), slots=(0,), hang_s=3600.0)
-        cfg = SupervisorConfig(**{**FAST, "request_timeout_s": 1.0})
+        # the heartbeat outwaits the request deadline: a supervisor that
+        # terminated the hung worker first would turn the caller's wait
+        # into a dead-worker retry, which the caller notices within 0.1 s
+        cfg = SupervisorConfig(**{**FAST, "request_timeout_s": 1.0,
+                                  "heartbeat_timeout_s": 2.0})
         with ShardedEngine(factory, n_shards=2, chaos=chaos,
                            supervisor=cfg) as sharded:
             got = sharded.advise_v1([code])[0]

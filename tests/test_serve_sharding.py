@@ -230,6 +230,22 @@ class TestMultiProcess:
             assert sup["degraded_answers"] == len(SNIPPETS) + 2
             assert sup["faults"] >= 2
 
+    def test_construction_notices_crashed_workers_quickly(self):
+        """A worker whose factory crashes is noticed within a fraction of
+        a second of its exit, so construction does not wait out a poll
+        slice per dead worker."""
+
+        def crashing_factory():
+            raise RuntimeError("no model for you")
+
+        cfg = SupervisorConfig(heartbeat_interval_s=0)
+        start = time.monotonic()
+        with ShardedEngine(crashing_factory, n_shards=2,
+                           supervisor=cfg) as sharded:
+            elapsed = time.monotonic() - start
+            assert not any(w.is_alive() for w in sharded._workers)
+        assert elapsed < 1.5
+
     def test_construction_waits_for_every_worker_engine(self, factory):
         """Construction pings every new worker, and a worker answers only
         after its factory built the engine, so the first call does not
