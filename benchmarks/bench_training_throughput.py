@@ -71,6 +71,8 @@ from repro.models.pragformer import (
 )
 from repro.models.pretrain import MLMConfig, MLMPretrainer, mask_tokens
 from repro.nn import (
+    BufferPool,
+    Dropout,
     EncoderConfig,
     FusedAdamW,
     LayerNorm,
@@ -140,8 +142,11 @@ def _legacy_softmax(scores):
 class _LegacyDropout(Module):
     """Pre-overhaul inverted dropout: four fresh allocations per call.
 
-    Consumes the same rng stream as the pooled Dropout, so legacy and
-    fused trainings see identical masks."""
+    Draws float uniforms, where the library Dropout compares raw
+    generator words; both consume the same rng stream and make the same
+    masks, so legacy and fused trainings agree, and the legacy loop is the
+    reference ``test_training_step_smoke`` checks the raw-word draws
+    against."""
 
     def __init__(self, p, rng):
         super().__init__()
@@ -817,3 +822,53 @@ def test_cls_only_training_step_smoke():
     assert speedup >= CLS_ONLY_STEP_FLOOR, (
         f"CLS-only last block only {speedup:.2f}x the full block "
         f"(floor {CLS_ONLY_STEP_FLOOR}x)")
+
+
+#: floor on ``Dropout.forward``'s speedup from raw-word masks over the
+#: float draw it replaced, at one DDP micro-shard's attention shape
+RAW_DROPOUT_FLOOR = 1.5
+
+
+def _float_draw_dropout(p, rng, x, pool):
+    """The replaced ``Dropout.forward``: pooled float32 uniforms compared
+    against ``keep``, then the pooled mask and output."""
+    keep = x.dtype.type(1.0 - p)
+    uniform = pool.get("uniform", x.shape, x.dtype)
+    rng.random(out=uniform, dtype=x.dtype)
+    mask = pool.get("mask", x.shape, x.dtype)
+    np.less(uniform, keep, out=mask)
+    np.divide(mask, keep, out=mask)
+    return mask, np.multiply(x, mask, out=pool.get("out", x.shape, x.dtype))
+
+
+@pytest.mark.smoke
+def test_raw_dropout_draw_smoke():
+    """``Dropout.forward`` on a (4, 4, 64, 64) float32 attention tensor
+    (4 rows: one micro-shard of a 32-row batch on the 8-shard grid) makes
+    the float draw's masks bit for bit, at least ``RAW_DROPOUT_FLOOR``
+    times faster (medians of interleaved rounds)."""
+    x = np.random.default_rng(0).standard_normal(
+        (4, 4, 64, 64)).astype(np.float32)
+    layer = Dropout(0.1, rng=7)
+    float_rng, pool = np.random.default_rng(7), BufferPool()
+    times = {"raw": [], "float": []}
+    for rep in range(25):
+        start = time.perf_counter()
+        for _ in range(20):
+            out = layer.forward(x)
+        raw = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(20):
+            mask, ref = _float_draw_dropout(0.1, float_rng, x, pool)
+        if rep >= 3:  # warm the allocator and the scratch pools
+            times["raw"].append(raw)
+            times["float"].append(time.perf_counter() - start)
+        np.testing.assert_array_equal(layer._mask, mask)
+        np.testing.assert_array_equal(out, ref)
+    raw, flt = (float(np.median(times[k])) / 20 for k in ("raw", "float"))
+    speedup = flt / raw
+    print(f"\ndropout forward on {x.shape}: float draw {1e6 * flt:.1f} -> "
+          f"raw words {1e6 * raw:.1f} us ({speedup:.2f}x)")
+    assert speedup >= RAW_DROPOUT_FLOOR, (
+        f"raw-word dropout only {speedup:.2f}x the float draw "
+        f"(floor {RAW_DROPOUT_FLOOR}x)")

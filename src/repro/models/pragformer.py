@@ -24,7 +24,7 @@ from repro.nn import (
 )
 from repro.nn.dtype import get_dtype
 from repro.nn.packing import GROUP_WASTE, PackedBatch
-from repro.train.ddp import DataParallelTrainer, DDPConfig, reseed_stochastic
+from repro.train.ddp import DataParallelTrainer, DDPConfig, stochastic_reseeder
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 __all__ = ["PragFormerConfig", "TrainHistory", "PragFormer", "trim_batch"]
@@ -250,25 +250,26 @@ class PragFormer:
                  n_workers: int) -> TrainHistory:
         """Fine-tune through the shared-memory data-parallel trainer.
 
-        Every micro-shard re-seeds its dropout streams from the
-        ``(seed, step, shard)`` key and reports *sum*-reduced gradients
-        with its example count as weight, so the trained objective is the
-        exact batch-mean CE of the single-process loop.  Validation (and the
-        restore-best snapshot) runs in the parent between epochs while the
-        workers sit blocked on their semaphores; ``load_state_dict`` writes
-        parameters in place, so a restored snapshot lands in the shared
-        segment the workers read.
+        Every micro-shard hands all the model's dropouts one generator
+        seeded from its ``(seed, step, shard)`` key (a reseeder built once
+        per fit) and reports *sum*-reduced gradients with its example
+        count as weight, so the trained objective is the exact batch-mean
+        CE of the single-process loop.  Train mode is set once, before the
+        workers fork (they never leave it), and again on rank 0 after each
+        validation.  Validation (and the restore-best snapshot) runs in the
+        parent between epochs while the workers sit blocked on their
+        semaphores; ``load_state_dict`` writes parameters in place, so a
+        restored snapshot lands in the shared segment the workers read.
         """
         cfg = self.config
         opt, schedule = self._optimizer_and_schedule(len(train), epochs)
         seed = int(self._shuffle_rng.integers(2**62))
         ftype = get_dtype().type
         ids_all, mask_all, labels_all = train.ids, train.mask, train.labels
+        reseed = stochastic_reseeder((self.encoder, self.head))
 
         def shard_backward(sel, key):
-            self.encoder.train()
-            self.head.train()
-            reseed_stochastic((self.encoder, self.head), key)
+            reseed(key)
             ids, mask = trim_batch(ids_all[sel], mask_all[sel])
             logits = self._forward_logits(ids, mask)
             loss, dlogits = cross_entropy(logits, labels_all[sel])
@@ -282,10 +283,16 @@ class PragFormer:
         best_state = None
         best_loss = np.inf
         ddp_cfg = DDPConfig(n_workers=n_workers, seed=seed)
+        self.encoder.train()
+        self.head.train()
         with DataParallelTrainer(opt, shard_backward, n_examples=len(train),
                                  config=ddp_cfg, grad_clip=cfg.grad_clip,
                                  lr_schedule=schedule) as trainer:
             for epoch in range(epochs):
+                if epoch and validation is not None:
+                    # evaluate left rank 0 in inference mode
+                    self.encoder.train()
+                    self.head.train()
                 batches = _length_bucketed_batches(
                     lengths, cfg.batch_size, self._shuffle_rng)
                 history.train_loss.append(

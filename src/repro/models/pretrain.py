@@ -28,8 +28,8 @@ from repro.tokenize.vocab import Vocab
 from repro.train.ddp import (
     DataParallelTrainer,
     DDPConfig,
-    reseed_stochastic,
     shard_rng,
+    stochastic_reseeder,
 )
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -157,20 +157,22 @@ class MLMPretrainer:
                  verbose: bool, n_workers: int) -> List[float]:
         """Data-parallel pretraining over the shared-memory arena.
 
-        Each micro-shard re-derives its masking noise and dropout streams
-        from the ``(seed, step, shard)`` key, computes *sum*-reduced MLM
-        gradients, and reports (loss total, masked-position count); the
-        trainer normalizes by the batch's total masked positions, so the
-        objective is the same per-position mean CE as the single-process
-        loop.
+        Each micro-shard re-derives its masking noise (:func:`shard_rng`)
+        and one generator shared by every dropout (a reseeder built once
+        per fit) from the ``(seed, step, shard)`` key, computes
+        *sum*-reduced MLM gradients, and reports (loss total,
+        masked-position count); the trainer normalizes by the batch's total
+        masked positions, so the objective is the same per-position mean
+        CE as the single-process loop.  The encoder enters train mode once,
+        before the workers fork.
         """
         opt = self._memo_optimizer()
         seed = int(self._rng.integers(2**62))
         ftype = get_dtype().type
+        reseed = stochastic_reseeder((self.encoder, self.mlm_head))
 
         def shard_backward(sel, key):
-            self.encoder.train()
-            reseed_stochastic((self.encoder, self.mlm_head), key)
+            reseed(key)
             b_ids, b_mask = trim_batch(ids[sel], mask[sel])
             corrupted, targets, loss_mask = mask_tokens(
                 b_ids, b_mask, self.vocab, shard_rng(key, salt=2), self.cfg)
@@ -196,6 +198,7 @@ class MLMPretrainer:
         bs = self.cfg.batch_size
         losses: List[float] = []
         ddp_cfg = DDPConfig(n_workers=n_workers, seed=seed)
+        self.encoder.train()
         with DataParallelTrainer(opt, shard_backward, n_examples=n,
                                  config=ddp_cfg,
                                  grad_clip=self.cfg.grad_clip) as trainer:

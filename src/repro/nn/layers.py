@@ -8,6 +8,8 @@ no Python loops over tokens.
 
 from __future__ import annotations
 
+import sys
+from math import ceil, prod
 from typing import Optional, Tuple
 
 import numpy as np
@@ -18,6 +20,9 @@ from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["Linear", "Embedding", "LayerNorm", "ResidualLayerNorm", "Dropout",
            "ReLU", "GELU"]
+
+#: raw words are split into 32-bit halves by a little-endian view
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class Linear(Module):
@@ -188,20 +193,78 @@ class ResidualLayerNorm(Module):
         return dxhat
 
 
+def _keep_limit(keep: np.floating) -> int:
+    """The largest raw word whose uniform is below ``keep``: 32-bit words
+    for a float32 ``keep``, 64-bit words otherwise (see :func:`_keep_draw`).
+    """
+    bits, shift = (24, 8) if keep.dtype == np.float32 else (53, 11)
+    return (ceil(float(keep) * 2.0**bits) << shift) - 1
+
+
+def _keep_draw(rng: np.random.Generator, shape: Tuple[int, ...],
+               keep: np.floating) -> np.ndarray:
+    """Boolean ``rng.random(shape, dtype) < keep``, read from raw words.
+
+    The draw's dtype is float32 for a float32 ``keep`` and float64 for any
+    other.  numpy makes a float32 uniform as ``(next_uint32 >> 8) * 2**-24``
+    and a float64 one as ``(next_uint64 >> 11) * 2**-53``, so ``u < keep``
+    holds exactly when the raw word is below ``ceil(keep * 2**24) << 8``
+    (float64: ``ceil(keep * 2**53) << 11``).  Comparing words skips the
+    int-to-float conversion, which costs more than generating them.
+
+    PCG64 serves 32-bit words as the low, then the high half of one 64-bit
+    word, and buffers an unused high half for the next 32-bit draw.  The
+    float32 path consumes a buffered half at entry and leaves an unused one
+    buffered, so the mask and every later draw equal the float draw's.
+    (The ``uinteger`` field of the state, which nothing reads while
+    ``has_uint32`` is 0, is not rewritten.)  Other bit generators, and
+    big-endian hosts, take the float draw itself.
+    """
+    bitgen = rng.bit_generator
+    single = keep.dtype == np.float32
+    if type(bitgen) is not np.random.PCG64 or not _LITTLE_ENDIAN:
+        return rng.random(shape, dtype=np.float32 if single else np.float64) < keep
+    n = prod(shape)
+    if not single:
+        limit = np.uint64(_keep_limit(keep))
+        return np.less_equal(bitgen.random_raw(n), limit).reshape(shape)
+    limit = np.uint32(_keep_limit(keep))
+    out = np.empty(n, dtype=bool)
+    state = bitgen.state
+    head = state["has_uint32"]
+    if head:
+        out[0] = state["uinteger"] <= limit
+    words = bitgen.random_raw((n - head + 1) // 2).view(np.uint32)
+    np.less_equal(words[:n - head], limit, out=out[head:])
+    tail = words.size > n - head  # the last word's high half went unused
+    if head or tail:
+        state = bitgen.state
+        state["has_uint32"] = int(tail)
+        if tail:
+            state["uinteger"] = int(words[-1])
+        bitgen.state = state
+    return out.reshape(shape)
+
+
 class Dropout(Module):
     """Inverted dropout; identity in eval mode (§4.3 regularization).
 
-    The uniform draw, the mask, and the output live in pooled scratch
-    buffers reused across steps with the same batch shape — the attention
-    dropout's (B, H, L, L) mask is the training loop's single largest
-    allocation, and it now happens once per bucket shape instead of once
-    per step.
+    The keep mask comes from raw generator words (:func:`_keep_draw`): it
+    is bit for bit ``rng.random(shape, dtype) < keep`` and leaves ``rng``
+    where that draw would, at about half its cost.  The scaled mask and
+    the output live in pooled scratch buffers reused across steps with the
+    same batch shape.
 
-    ``forward(x, draw_shape)`` draws the uniforms at ``draw_shape`` and
-    masks ``x`` with their leading corner (``x.shape`` on every axis).  A
-    block that computes only its CLS rows passes its full-block shape, so
-    the rng stream advances as in the full block and ``x`` gets exactly
-    the CLS slice of the full block's mask.
+    ``forward(x, draw_shape)`` draws the mask at ``draw_shape`` and applies
+    its leading corner (``x.shape`` on every axis).  A block that computes
+    only its CLS rows passes its full-block shape, so the rng stream
+    advances as in the full block and ``x`` gets exactly the CLS slice of
+    the full block's mask.
+
+    Under :class:`~repro.train.ddp.DataParallelTrainer` every dropout of a
+    model shares one generator per micro-shard key
+    (:func:`~repro.train.ddp.stochastic_reseeder`) and draws from it in
+    forward order.
     """
 
     def __init__(self, p: float, rng: RngLike = None) -> None:
@@ -219,14 +282,11 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = x.dtype.type(1.0 - self.p)
-        draw_dtype = x.dtype if x.dtype == np.float32 else np.float64
-        uniform = self._pool.get("uniform", draw_shape or x.shape, draw_dtype)
-        self.rng.random(out=uniform, dtype=draw_dtype)
+        kept = _keep_draw(self.rng, draw_shape or x.shape, keep)
         if draw_shape is not None:
-            uniform = uniform[tuple(slice(0, n) for n in x.shape)]
+            kept = kept[tuple(slice(0, n) for n in x.shape)]
         mask = self._pool.get("mask", x.shape, x.dtype)
-        np.less(uniform, keep, out=mask)  # float 0/1 indicator
-        np.divide(mask, keep, out=mask)
+        np.divide(kept, keep, out=mask)  # 0 or 1/keep
         self._mask = mask
         out = self._pool.get("out", x.shape, x.dtype)
         return np.multiply(x, mask, out=out)

@@ -462,6 +462,23 @@ class ShardedEngine:
             except RuntimeError:  # died, or missed the deadline
                 pass
 
+    def _await_started(self, index: int, started: Tuple) -> None:
+        """Ping a respawned worker on its own fresh queues and wait for
+        the reply, within ``heartbeat_timeout_s``, before it is published:
+        like :meth:`_await_ready` at construction, so the first request
+        routed to a revived slot does not pay worker start-up.  A worker
+        that dies or misses the ping is installed all the same and left
+        to the supervisor's next pass."""
+        proc, req, resp = started
+        token = _Token(next(self._rids), index, resp, proc,
+                       time.monotonic() + self.supervisor.heartbeat_timeout_s,
+                       tracked=False)
+        req.put((token.rid, "ping", None))
+        try:
+            self._reply(token)
+        except RuntimeError:  # died, or missed the deadline
+            pass
+
     def _install_worker(self, index: int, started: Tuple) -> None:
         """Publish a started worker into slot ``index``.
 
@@ -851,6 +868,7 @@ class ShardedEngine:
                     now + cfg.restart_backoff_max_s)
                 self._fallback()
             started = self._start_worker(index, reload_spec, canary_spec)
+            self._await_started(index, started)
             with self._route_lock:
                 if self._closed:  # closed while spawning: stop the orphan
                     started[1].put(_STOP)

@@ -18,6 +18,7 @@ from repro.train.ddp import (
     reseed_stochastic,
     shard_bounds,
     shard_rng,
+    stochastic_reseeder,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "reseed_stochastic",
     "shard_bounds",
     "shard_rng",
+    "stochastic_reseeder",
 ]

@@ -23,11 +23,13 @@ never depends on how many workers exist:
   (:func:`shard_bounds` — deterministic, remainder-tolerant, possibly
   empty);
 * shard ``s`` is computed by rank ``s % n_workers`` as a *pure function*
-  of (parameters, shard rows, step, ``s``): all stochastic state (dropout
-  streams, MLM masking draws) is re-seeded per ``(seed, step, shard)``
-  key before the shard's forward/backward (:func:`reseed_stochastic`,
-  :func:`shard_rng`), and the shard's gradients use *sum* reduction over
-  examples so no shard needs to know any other shard's size;
+  of (parameters, shard rows, step, ``s``): all stochastic state is
+  re-seeded per ``(seed, step, shard)`` key before the shard's
+  forward/backward — every dropout of the model shares one generator per
+  key, drawn from in forward order (:func:`stochastic_reseeder`, built
+  once per fit), and MLM masking draws from :func:`shard_rng` — and the
+  shard's gradients use *sum* reduction over examples so no shard needs
+  to know any other shard's size;
 * shard ``s``'s gradient lands in row ``s`` of the shared ``(S, |arena|)``
   grad block — the same row no matter which rank computed it — and rank 0
   reduces with one ``np.sum(block, axis=0)``, whose operation order is a
@@ -85,6 +87,7 @@ __all__ = [
     "reseed_stochastic",
     "shard_bounds",
     "shard_rng",
+    "stochastic_reseeder",
 ]
 
 #: Every DDP segment name starts with this, so ``tests/conftest.py`` can
@@ -129,21 +132,32 @@ def shard_rng(key: Sequence[int], salt: int = 0) -> np.random.Generator:
     return np.random.default_rng([_u63(k) for k in key] + [0, _u63(salt)])
 
 
-def reseed_stochastic(roots, key: Sequence[int]) -> None:
-    """Re-seed every rng-carrying module under ``roots`` from ``key``.
+def stochastic_reseeder(roots) -> Callable[[Sequence[int]], None]:
+    """Walk ``roots`` once; return ``reseed(key)`` for their dropouts.
 
-    Walks ``Module.modules()`` in deterministic order and replaces each
-    module-held ``np.random.Generator`` (dropout streams) with a fresh
-    generator keyed by ``(key..., module index)``.  After this, a train
-    forward is a pure function of (parameters, inputs, key) — the property
-    that lets any rank compute any shard with bit-identical results."""
-    base = [_u63(k) for k in key]
-    index = 0
-    for root in roots:
-        for module in root.modules():
-            if isinstance(getattr(module, "rng", None), np.random.Generator):
-                module.rng = np.random.default_rng(base + [1, index])
-                index += 1
+    The walk (``Module.modules()``, deterministic order) collects every
+    module holding an ``np.random.Generator`` as ``rng``.  ``reseed(key)``
+    then hands all of them *one* fresh generator keyed by ``(key..., 1)``;
+    they draw from it in forward order, which is deterministic.  After a
+    reseed, a train forward is a pure function of (parameters, inputs,
+    key) — the property that lets any rank compute any shard with
+    bit-identical results.  A fit builds one reseeder and calls it per
+    micro-shard: one generator per shard, and no module walk."""
+    modules = [module for root in roots for module in root.modules()
+               if isinstance(getattr(module, "rng", None), np.random.Generator)]
+
+    def reseed(key: Sequence[int]) -> None:
+        rng = np.random.default_rng([_u63(k) for k in key] + [1])
+        for module in modules:
+            module.rng = rng
+
+    return reseed
+
+
+def reseed_stochastic(roots, key: Sequence[int]) -> None:
+    """Re-seed every rng-carrying module under ``roots`` from ``key``: the
+    one-shot form of :func:`stochastic_reseeder` (one walk per call)."""
+    stochastic_reseeder(roots)(key)
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,32 @@ class TestMultiProcess:
                 worker.terminate()
             sharded.close()
 
+    def test_revived_worker_has_answered_a_ping_before_install(self,
+                                                                factory):
+        """A respawn waits, like construction, for the new worker to build
+        its engine before publishing it, so the first request routed to
+        the revived slot does not pay worker start-up."""
+
+        def slow_factory():
+            time.sleep(0.5)
+            return factory()
+
+        cfg = SupervisorConfig(heartbeat_interval_s=0)
+        with ShardedEngine(slow_factory, n_shards=2,
+                           supervisor=cfg) as sharded:
+            dead = sharded._workers[0]
+            dead.terminate()
+            dead.join(timeout=5.0)
+            start = time.monotonic()
+            sharded._revive(0)
+            assert time.monotonic() - start >= 0.5
+            assert sharded._workers[0] is not dead
+            assert sharded.stats()["supervisor"]["restarts"] == 1
+            token = sharded._send(0, "ping", None,
+                                  deadline=time.monotonic() + 0.2,
+                                  tracked=False)
+            assert sharded._collect(token) == ("ok", "pong")
+
     def test_head_names_through_workers(self, model_and_vocab, factory):
         model, vocab = model_and_vocab
 
