@@ -75,7 +75,6 @@ Predictions are weight-independent in cost, so an untrained PragFormer at
 the default (paper-shaped) size keeps the bench self-contained and fast.
 """
 
-import ctypes
 import functools
 import json
 import os
@@ -90,7 +89,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import timed, write_bench_report
+from conftest import openblas_thread_calls, timed, write_bench_report
 
 from repro.clang.fuzz import fuzz_corpus
 from repro.corpus import CorpusConfig, build_corpus
@@ -157,36 +156,15 @@ def _sequential_advise(model, vocab, codes, max_len):
     return probs, latencies
 
 
-def _blas_thread_setter():
-    """OpenBLAS's ``set_num_threads`` entry point in this process, or
-    ``None`` (another BLAS, or no ``/proc``).  The library is found
-    through ``/proc/self/maps`` because NumPy loads it privately; the
-    symbol name depends on how OpenBLAS was built."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps
-                     if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_set_num_threads",
-                     "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads64_"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                return setter
-    return None
-
-
 def _shard_worker_engine(model, vocab, max_len, blas_threads=None):
     """Worker-side builder for the shard sweep and the fault injection
     pass: a directive-only :class:`MultiModelEngine` (module-level so it
     pickles under the 'spawn' start method).  ``blas_threads`` caps the
     worker's OpenBLAS pool, as a deployment would."""
-    setter = _blas_thread_setter() if blas_threads else None
-    if setter is not None:
-        setter(blas_threads)
+    calls = openblas_thread_calls() if blas_threads else None
+    if calls is not None:
+        _get, put = calls
+        put(blas_threads)
     registry = ModelRegistry()
     registry.register("directive", model, vocab, max_len=max_len)
     return MultiModelEngine(registry, config=EngineConfig(max_batch_size=128))
@@ -356,7 +334,7 @@ def test_serving_throughput(benchmark):
         # per-worker BLAS threads by fleet size; None when this BLAS
         # cannot be capped (the workers then keep its default pool)
         "blas_threads_per_worker": ({str(n): t for n, t in sweep_blas.items()}
-                                    if _blas_thread_setter() is not None
+                                    if openblas_thread_calls() is not None
                                     else None),
         # the sharding tax: 2-shard vs 1-shard throughput
         "scaling_2shard": round(_sweep_tput(2) / _sweep_tput(1), 3),

@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import timed, write_bench_report
+from conftest import one_blas_thread, timed, write_bench_report
 
 from repro.corpus import CorpusConfig, build_corpus
 from repro.data.encoding import EncodedSplit, encode_batch
@@ -81,7 +81,9 @@ from repro.nn import (
 )
 from repro.nn.module import Module
 from repro.tokenize import Vocab, text_tokens
-from repro.train.ddp import reseed_stochastic
+from repro.pipeline.config import SMALL
+from repro.train.ddp import (DDPConfig, reseed_stochastic, shard_bounds,
+                             stochastic_reseeder)
 
 pytestmark = pytest.mark.perf
 
@@ -689,8 +691,6 @@ def test_ddp_scaling():
     report-only: the bench host is one noisy core, so wall-clock scaling
     is not gateable — the counters are machine-independent.
     """
-    from repro.train import DDPConfig
-
     split, vocab = _ddp_workload()
     _make_ddp_pretrainer(vocab).fit(split.ids, split.mask, epochs=1,
                                     n_workers=1)  # warm BLAS + allocator
@@ -844,7 +844,7 @@ def _float_draw_dropout(p, rng, x, pool):
 @pytest.mark.smoke
 def test_raw_dropout_draw_smoke():
     """``Dropout.forward`` on a (4, 4, 64, 64) float32 attention tensor
-    (4 rows: one micro-shard of a 32-row batch on the 8-shard grid) makes
+    (4 rows: one micro-shard of a 32-row batch on the old 8-shard grid) makes
     the float draw's masks bit for bit, at least ``RAW_DROPOUT_FLOOR``
     times faster (medians of interleaved rounds)."""
     x = np.random.default_rng(0).standard_normal(
@@ -872,3 +872,77 @@ def test_raw_dropout_draw_smoke():
     assert speedup >= RAW_DROPOUT_FLOOR, (
         f"raw-word dropout only {speedup:.2f}x the float draw "
         f"(floor {RAW_DROPOUT_FLOOR}x)")
+
+
+#: floor on the speedup of a SMALL-shaped epoch of shard forward/backward
+#: on the default micro-shard grid over the 8-shard grid it replaced
+SHARD_GRID_FLOOR = 1.1
+OLD_SHARD_GRID = 8
+
+
+def _shard_epoch(model, arena, reseed, split, batches, grid):
+    """One worker's shard work for an epoch on a ``grid``-shard grid —
+    what ``DataParallelTrainer`` runs per shard on a one-worker fit:
+    zero the grads, reseed, forward, CE, sum-reduced backward, copy the
+    grads into the shard's grad-block row.  Returns the per-step example
+    counts."""
+    ftype = arena.data.dtype.type
+    block = np.zeros((grid, arena.size), arena.data.dtype)
+    examples = []
+    for step, batch in enumerate(batches):
+        count = 0
+        for shard in range(grid):
+            lo, hi = shard_bounds(len(batch), grid, shard)
+            if hi == lo:
+                continue
+            sel = batch[lo:hi]
+            arena.zero_grad()
+            reseed((0, step, shard))
+            ids, mask = trim_batch(split.ids[sel], split.mask[sel])
+            _, dlogits = cross_entropy(model._forward_logits(ids, mask),
+                                       split.labels[sel])
+            model._backward(dlogits * ftype(len(sel)))
+            block[shard] = arena.grad
+            count += hi - lo
+        examples.append(count)
+    return examples
+
+
+@pytest.mark.smoke
+def test_shard_grid_smoke():
+    """A SMALL-shaped epoch (the SMALL PragFormer, 32-row length-bucketed
+    batches of corpus snippets) of shard forward/backward on one process
+    and one BLAS thread: the default grid trains each step's examples
+    exactly once, like the 8-shard grid, and at least
+    ``SHARD_GRID_FLOOR`` times faster (medians of alternating epochs)."""
+    config = SMALL.pragformer
+    split, vocab = _workload(192, config.max_len)
+    model = PragFormer(len(vocab), config)
+    arena = FusedAdamW(_Joint(model.encoder, model.head)).arena
+    model.encoder.train()
+    model.head.train()
+    reseed = stochastic_reseeder((model.encoder, model.head))
+    batches = _length_bucketed_batches(split.mask.sum(axis=1),
+                                       config.batch_size,
+                                       np.random.default_rng(0))
+    grids = (DDPConfig().grad_shards, OLD_SHARD_GRID)
+    times = {grid: [] for grid in grids}
+    examples = {}
+    with one_blas_thread():
+        for rep in range(9):
+            for grid in grids:
+                start = time.perf_counter()
+                examples[grid] = _shard_epoch(model, arena, reseed, split,
+                                              batches, grid)
+                if rep >= 2:  # warm BLAS, the allocator and the pools
+                    times[grid].append(time.perf_counter() - start)
+    new, old = (float(np.median(times[grid])) for grid in grids)
+    speedup = old / new
+    print(f"\nshard epoch of {len(batches)} steps: {OLD_SHARD_GRID} shards "
+          f"{1e3 * old:.1f} -> {grids[0]} shards {1e3 * new:.1f} ms "
+          f"({speedup:.2f}x)")
+    assert examples[grids[0]] == examples[OLD_SHARD_GRID] == \
+        [len(batch) for batch in batches]
+    assert speedup >= SHARD_GRID_FLOOR, (
+        f"{grids[0]}-shard epoch only {speedup:.2f}x the {OLD_SHARD_GRID}-"
+        f"shard epoch (floor {SHARD_GRID_FLOOR}x)")

@@ -403,12 +403,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--out", type=str, default="")
     p_corpus.set_defaults(fn=_cmd_build_corpus)
 
+    from repro.train.ddp import DDPConfig
+
+    max_workers = DDPConfig().grad_shards
+
+    def train_workers(text: str) -> int:
+        # every worker trains at least one micro-shard of each batch
+        if not (text.isdigit() and int(text) <= max_workers):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a worker count in 0..{max_workers} "
+                f"(the DDP micro-shard grid has {max_workers} shards)")
+        return int(text)
+
     p_train = sub.add_parser("train", help="train PragFormer on the directive task")
     p_train.add_argument("--save", type=str, default="")
-    p_train.add_argument("--workers", type=int, default=0,
+    p_train.add_argument("--workers", type=train_workers, default=0,
                          help="data-parallel training workers (0 = legacy "
-                              "single-process loop; N-worker runs are "
-                              "bit-identical to 1-worker)")
+                              "single-process loop; at most "
+                              f"{max_workers}, the micro-shard grid; N-worker "
+                              "runs are bit-identical to 1-worker)")
     p_train.set_defaults(fn=_cmd_train)
 
     p_advise = sub.add_parser("advise", help="advise OpenMP use for C snippet file(s)")

@@ -10,6 +10,7 @@ tokens follow the RoBERTa convention the paper's tokenizer inherits:
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -88,7 +89,7 @@ class Vocab:
         — vocabularies never approach 2**31 entries and the narrower ids
         halve embedding-gather index traffic."""
         ids = [self.cls_id] if add_cls else []
-        ids.extend(self._stoi.get(t, self._stoi[UNK]) for t in tokens)
+        ids.extend(map(self._stoi.get, tokens, repeat(self.unk_id)))
         if max_len > 0:
             ids = ids[:max_len]
         return np.asarray(ids, dtype=np.int32)

@@ -21,7 +21,8 @@ never depends on how many workers exist:
 
 * every batch is split into ``grad_shards`` contiguous index shards
   (:func:`shard_bounds` — deterministic, remainder-tolerant, possibly
-  empty);
+  empty); the default grid of 4 trains a 32-row batch as four 8-row
+  shards, and it caps a fit at 4 workers;
 * shard ``s`` is computed by rank ``s % n_workers`` as a *pure function*
   of (parameters, shard rows, step, ``s``): all stochastic state is
   re-seeded per ``(seed, step, shard)`` key before the shard's
@@ -166,8 +167,13 @@ class DDPConfig:
 
     ``grad_shards`` is part of the *arithmetic*, not the deployment: runs
     with different shard counts produce (slightly) different float
-    trajectories, runs with different worker counts do not.  Keep it at
-    the default unless you know why you are changing it.
+    trajectories, runs with different worker counts do not.  It also
+    caps ``n_workers``, since every rank needs a shard.  The default 4
+    gives a 32-row batch 8-row shards: a shard's forward/backward is
+    mostly fixed numpy dispatch at 4 rows, and 4 shards trained a step
+    faster than 8 while keeping the {1, 2, 4}-worker sweep
+    (``docs/performance.md``, "Training: the micro-shard grid").  Keep it
+    at the default unless you know why you are changing it.
 
     ``die_at_step``/``die_rank`` are chaos-testing hooks (the same idiom
     as the serving fleet's :class:`~repro.serve.chaos.ChaosConfig`): the
@@ -175,7 +181,7 @@ class DDPConfig:
     death path stays deterministic under test."""
 
     n_workers: int = 1
-    grad_shards: int = 8
+    grad_shards: int = 4
     seed: int = 0
     barrier_timeout_s: float = 60.0
     #: chaos testing only — deterministic worker death

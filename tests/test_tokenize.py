@@ -186,3 +186,34 @@ class TestVocab:
         ids = v.encode(tokens)
         assert (np.asarray(ids) < len(v)).all()
         assert (np.asarray(ids) >= 0).all()
+
+    def test_encode_exact_ids_and_dtype(self):
+        v = Vocab.build([["a", "b", "c"]])
+        a, b = v.token_to_id("a"), v.token_to_id("b")
+        rows = {
+            (("a", "zz", "b"), 0, True): [v.cls_id, a, v.unk_id, b],
+            (("a", "zz", "b"), 0, False): [a, v.unk_id, b],
+            (("a", "zz", "b"), 2, True): [v.cls_id, a],
+            (("a", "zz", "b"), 2, False): [a, v.unk_id],
+            ((), 0, True): [v.cls_id],
+            ((), 0, False): [],
+            ((), 3, False): [],
+        }
+        for (tokens, max_len, add_cls), expected in rows.items():
+            ids = v.encode(list(tokens), max_len=max_len, add_cls=add_cls)
+            assert ids.dtype == np.int32
+            assert ids.tolist() == expected, (tokens, max_len, add_cls)
+
+    @given(st.lists(st.sampled_from(["x", "y", "<cls>", "<pad>", "oov", ""]),
+                    max_size=30),
+           st.integers(0, 12), st.booleans())
+    @settings(max_examples=60)
+    def test_encode_matches_per_token_lookup(self, tokens, max_len, add_cls):
+        v = Vocab.build([["x", "y"]])
+        expected = ([v.cls_id] if add_cls else []) + \
+            [v.token_to_id(t) for t in tokens]
+        if max_len:
+            expected = expected[:max_len]
+        ids = v.encode(tokens, max_len=max_len, add_cls=add_cls)
+        assert ids.dtype == np.int32
+        assert ids.tolist() == expected

@@ -435,6 +435,28 @@ class TestModelWiring:
         assert pre._optimizer is first
         assert first.t == 3 * steps_per_epoch
 
+    def test_mlm_pretrainer_parity_one_rank_per_shard(self):
+        """The default grid at its widest: as many workers as shards,
+        one shard per rank, against one worker."""
+        vocab, cfg, ids, mask = self._mlm_setup()
+        grid = DDPConfig().grad_shards
+
+        def run(n_workers):
+            pre = MLMPretrainer(cfg, vocab, MLMConfig(batch_size=8), rng=11)
+            losses = pre.fit(ids, mask, epochs=2, n_workers=n_workers)
+            return losses, pre.ddp_stats, pre.encoder.state_dict()
+
+        losses_1, stats_1, enc_1 = run(1)
+        losses_n, stats_n, enc_n = run(grid)
+        assert losses_1 == losses_n
+        assert stats_1["step_losses"] == stats_n["step_losses"]
+        for stats in (stats_1, stats_n):
+            assert stats["counters"]["reduce_ops"] == \
+                stats["counters"]["steps"]
+        assert len(stats_n["counters"]["per_rank_examples"]) == grid
+        for key in enc_1:
+            np.testing.assert_array_equal(enc_1[key], enc_n[key], err_msg=key)
+
     def _split(self, n=23, length=12, vocab=20, seed=3):
         rng = np.random.default_rng(seed)
         ids = rng.integers(4, vocab, size=(n, length)).astype(np.int32)
@@ -466,6 +488,34 @@ class TestModelWiring:
             np.testing.assert_array_equal(head_1[key], head_2[key],
                                           err_msg=key)
 
+    def test_pragformer_parity_one_rank_per_shard(self):
+        cfg = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
+                               d_head_hidden=8, max_len=12, batch_size=8,
+                               warmup_frac=0.1)
+        grid = DDPConfig().grad_shards
+
+        def run(n_workers):
+            model = PragFormer(20, cfg, rng=5)
+            history = model.fit(self._split(), self._split(seed=4), epochs=2,
+                                n_workers=n_workers)
+            return (history, model.ddp_stats, model.encoder.state_dict(),
+                    model.head.state_dict())
+
+        hist_1, stats_1, enc_1, head_1 = run(1)
+        hist_n, stats_n, enc_n, head_n = run(grid)
+        assert stats_1["step_losses"] == stats_n["step_losses"]
+        assert hist_1.train_loss == hist_n.train_loss
+        assert hist_1.valid_loss == hist_n.valid_loss
+        for stats in (stats_1, stats_n):
+            assert stats["counters"]["reduce_ops"] == \
+                stats["counters"]["steps"]
+        assert len(stats_n["counters"]["per_rank_examples"]) == grid
+        for key in enc_1:
+            np.testing.assert_array_equal(enc_1[key], enc_n[key], err_msg=key)
+        for key in head_1:
+            np.testing.assert_array_equal(head_1[key], head_n[key],
+                                          err_msg=key)
+
     def test_cli_train_accepts_workers_flag(self):
         from unittest import mock
 
@@ -484,3 +534,24 @@ class TestModelWiring:
         with mock.patch.object(cli, "_cmd_train", fake_fn):
             assert cli.main(["train"]) == 0
         assert captured["workers"] == 0  # legacy loop by default
+
+    def test_cli_train_rejects_workers_outside_grid(self, capsys):
+        """A worker count the grid cannot feed fails at argument parsing
+        (exit 2, naming the grid size), before any corpus is built."""
+        from unittest import mock
+
+        from repro import cli
+
+        grid = DDPConfig().grad_shards
+        for workers in (str(grid + 1), "-1", "x"):
+            with mock.patch.object(cli, "_cmd_train") as fake_fn:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["train", "--workers", workers])
+            assert exc.value.code == 2
+            assert not fake_fn.called
+            err = capsys.readouterr().err
+            assert "--workers" in err and f"0..{grid}" in err
+            assert f"grid has {grid} shards" in err
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--help"])
+        assert f"at most {grid}" in " ".join(capsys.readouterr().out.split())
