@@ -7,8 +7,9 @@ replays both loops twice:
 
 * **legacy** — a faithful inline reconstruction of the pre-overhaul hot
   path (the same technique ``bench_serving_throughput`` uses for its
-  sequential baseline): the pre-overhaul fine-tune and MLM loops stepping
-  a per-parameter AdamW with per-parameter clipping (both replicated
+  sequential baseline): the fine-tune loop on ``fit``'s micro-shard
+  arithmetic and the pre-overhaul single-process MLM loop, stepping a
+  per-parameter AdamW with per-parameter clipping (both replicated
   here; the library keeps only :class:`repro.nn.FusedAdamW`), post-LN
   blocks built from separate residual adds + ``LayerNorm``,
   attention whose scores/softmax/dropout each allocate fresh full-size
@@ -23,9 +24,12 @@ replays both loops twice:
   ids, and the masked-position gather in ``MLMPretrainer.fit`` that runs
   the vocab-sized head GEMM on the ~15 % of positions that carry loss.
 
-Both paths start from identical weights and consume identical rng streams,
-so their losses agree to float round-off (asserted in the smoke test);
-only the execution strategy differs.  Reported per section: steps/sec,
+Both fine-tune paths start from identical weights and consume identical
+rng streams, so their losses agree to float round-off (asserted in the
+smoke test); only the execution strategy differs.  The MLM paths start
+from identical weights, but the fused fit draws each micro-shard's masks
+from its own key, so their final losses agree to 0.05 (asserted in the
+sweep).  Reported per section: steps/sec,
 epoch wall-time, and real tokens/sec, plus an optimizer-only microbench.
 
 The **pretraining** section is the 2x gate.  Its workload uses a
@@ -403,32 +407,50 @@ def _make_model(config, vocab_size, legacy: bool) -> PragFormer:
 
 
 def _legacy_fit(model: PragFormer, split: EncodedSplit, epochs: int):
-    """Pre-overhaul ``PragFormer.fit`` without a validation split: the
-    same length-bucketed batches, per-parameter AdamW and clipping, and
-    the full last block (the fused fit computes it for the CLS rows
+    """Pre-overhaul execution of ``PragFormer.fit``'s arithmetic, without
+    a validation split: the same seed and length-bucketed batches, each
+    split over the default micro-shard grid with every shard's dropouts
+    reseeded from its ``(seed, step, shard)`` key and its rows trimmed to
+    its own longest one, sum-reduced gradients divided once by the batch
+    size, then per-parameter clipping and AdamW.  Every block runs on
+    every position (the fused fit computes the last block for the CLS rows
     alone, from the same dropout masks).  Returns the per-epoch train
     losses."""
     cfg = model.config
     opt = _LegacyAdamW(_Joint(model.encoder, model.head), lr=cfg.lr,
                        weight_decay=cfg.weight_decay)
     params = model.encoder.parameters() + model.head.parameters()
+    ftype = params[0].data.dtype.type
+    grid = DDPConfig().grad_shards
+    seed = int(model._shuffle_rng.integers(2**62))
     lengths = split.mask.sum(axis=1)
     losses = []
     for _ in range(epochs):
         model.encoder.train()
         model.head.train()
         total, batches = 0.0, 0
-        for sel in _length_bucketed_batches(lengths, cfg.batch_size,
-                                            model._shuffle_rng):
-            ids, mask = trim_batch(split.ids[sel], split.mask[sel])
-            # the pre-overhaul forward ran every block on every position
-            logits = model.head.forward(model.encoder.forward(ids, mask))
-            loss, dlogits = cross_entropy(logits, split.labels[sel])
+        for batch in _length_bucketed_batches(lengths, cfg.batch_size,
+                                              model._shuffle_rng):
             opt.zero_grad()
-            model._backward(dlogits)
+            loss_sum = 0.0
+            for shard in range(grid):
+                lo, hi = shard_bounds(len(batch), grid, shard)
+                if hi == lo:
+                    continue
+                sel = batch[lo:hi]
+                reseed_stochastic((model.encoder, model.head),
+                                  (seed, opt.t, shard))
+                ids, mask = trim_batch(split.ids[sel], split.mask[sel])
+                # the pre-overhaul forward ran every block on every position
+                logits = model.head.forward(model.encoder.forward(ids, mask))
+                loss, dlogits = cross_entropy(logits, split.labels[sel])
+                model._backward(dlogits * ftype(len(sel)))
+                loss_sum += float(loss) * len(sel)
+            for p in params:
+                p.grad *= 1.0 / len(batch)
             _legacy_clip_grad_norm(params, cfg.grad_clip)
             opt.step()
-            total += loss
+            total += loss_sum / len(batch)
             batches += 1
         losses.append(total / max(1, batches))
     return losses

@@ -91,10 +91,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from repro.eval import binary_metrics
 
     ctx = get_context()
-    if getattr(args, "workers", 0):
-        # shared-memory data-parallel fits (repro.train.ddp); training is
-        # bit-identical at any worker count, so this is purely a perf knob
-        ctx.train_workers = args.workers
+    # shared-memory data-parallel fits (repro.train.ddp); training is
+    # bit-identical at any worker count, so this is purely a perf knob
+    ctx.train_workers = args.workers
     model = ctx.pragformer
     enc = ctx.encoded()
     metrics = binary_metrics(model.predict(enc.test), enc.test.labels)
@@ -409,19 +408,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def train_workers(text: str) -> int:
         # every worker trains at least one micro-shard of each batch
-        if not (text.isdigit() and int(text) <= max_workers):
+        if not (text.isdigit() and 1 <= int(text) <= max_workers):
             raise argparse.ArgumentTypeError(
-                f"{text!r} is not a worker count in 0..{max_workers} "
+                f"{text!r} is not a worker count in 1..{max_workers} "
                 f"(the DDP micro-shard grid has {max_workers} shards)")
         return int(text)
 
     p_train = sub.add_parser("train", help="train PragFormer on the directive task")
     p_train.add_argument("--save", type=str, default="")
-    p_train.add_argument("--workers", type=train_workers, default=0,
-                         help="data-parallel training workers (0 = legacy "
-                              "single-process loop; at most "
-                              f"{max_workers}, the micro-shard grid; N-worker "
-                              "runs are bit-identical to 1-worker)")
+    p_train.add_argument("--workers", type=train_workers, default=1,
+                         help="data-parallel training workers (default 1, at "
+                              f"most {max_workers}, the micro-shard grid; "
+                              "N-worker runs are bit-identical to 1-worker)")
     p_train.set_defaults(fn=_cmd_train)
 
     p_advise = sub.add_parser("advise", help="advise OpenMP use for C snippet file(s)")

@@ -123,7 +123,7 @@ class PragFormer:
             n_classes=2, dropout=self.config.dropout, rng=r_head,
         )
         self._optimizer: Optional[FusedAdamW] = None
-        #: step losses + reduce counters from the last DDP fit (bench input)
+        #: step losses + reduce counters from the last fit (bench input)
         self.ddp_stats: Optional[dict] = None
 
     # -- transfer learning -----------------------------------------------------
@@ -182,7 +182,7 @@ class PragFormer:
         epochs: int = 5,
         verbose: bool = False,
         restore_best: bool = True,
-        n_workers: Optional[int] = None,
+        n_workers: int = 1,
     ) -> TrainHistory:
         """Fine-tune on a labelled split; returns the epoch history.
 
@@ -192,74 +192,20 @@ class PragFormer:
         converges after 7–9 epochs, we choose to use the models trained up
         to those points').
 
-        ``n_workers`` switches to the shared-memory data-parallel trainer
-        (:mod:`repro.train.ddp`): the loss trajectory and final weights
-        are bit-identical at every worker count.  ``None`` keeps the
-        single-process loop (a different — also deterministic —
-        arithmetic: no micro-shards, dropout from the model's own rng
-        streams).  Both continue one optimizer across calls.
-        """
-        if n_workers is not None:
-            return self._fit_ddp(train, validation, epochs, verbose,
-                                 restore_best, int(n_workers))
-        cfg = self.config
-        opt, schedule = self._optimizer_and_schedule(len(train), epochs)
-        history = TrainHistory()
-        n = len(train)
-        bs = cfg.batch_size
-        lengths = train.mask.sum(axis=1)
-        best_state = None
-        best_loss = np.inf
-        for epoch in range(epochs):
-            self.encoder.train()
-            self.head.train()
-            batches = _length_bucketed_batches(lengths, bs, self._shuffle_rng)
-            epoch_loss = 0.0
-            n_batches = 0
-            for sel in batches:
-                ids, mask = trim_batch(train.ids[sel], train.mask[sel])
-                labels = train.labels[sel]
-                logits = self._forward_logits(ids, mask)
-                loss, dlogits = cross_entropy(logits, labels)
-                opt.zero_grad()
-                self._backward(dlogits)
-                opt.clip_grad_norm(cfg.grad_clip)
-                if schedule is not None:
-                    schedule.step()
-                opt.step()
-                epoch_loss += loss
-                n_batches += 1
-            history.train_loss.append(epoch_loss / max(1, n_batches))
-            if validation is not None:
-                val_loss, val_acc = self.evaluate(validation)
-                history.valid_loss.append(val_loss)
-                history.valid_accuracy.append(val_acc)
-                if restore_best and val_loss < best_loss:
-                    best_loss = val_loss
-                    best_state = (self.encoder.state_dict(), self.head.state_dict())
-                if verbose:  # pragma: no cover - logging only
-                    print(f"epoch {epoch + 1}: train {history.train_loss[-1]:.4f} "
-                          f"valid {val_loss:.4f} acc {val_acc:.4f}")
-        if best_state is not None:
-            self.encoder.load_state_dict(best_state[0])
-            self.head.load_state_dict(best_state[1])
-        return history
-
-    def _fit_ddp(self, train: EncodedSplit, validation: Optional[EncodedSplit],
-                 epochs: int, verbose: bool, restore_best: bool,
-                 n_workers: int) -> TrainHistory:
-        """Fine-tune through the shared-memory data-parallel trainer.
-
-        Every micro-shard hands all the model's dropouts one generator
-        seeded from its ``(seed, step, shard)`` key (a reseeder built once
-        per fit) and reports *sum*-reduced gradients with its example
-        count as weight, so the trained objective is the exact batch-mean
-        CE of the single-process loop.  Train mode is set once, before the
-        workers fork (they never leave it), and again on rank 0 after each
-        validation.  Validation (and the restore-best snapshot) runs in the
-        parent between epochs while the workers sit blocked on their
-        semaphores; ``load_state_dict`` writes parameters in place, so a
-        restored snapshot lands in the shared segment the workers read.
+        Training runs through the shared-memory data-parallel trainer
+        (:mod:`repro.train.ddp`) on ``n_workers`` processes: the loss
+        trajectory and final weights are bit-identical at every worker
+        count, and one optimizer continues across calls.  Every
+        micro-shard hands all the model's dropouts one generator seeded
+        from its ``(seed, step, shard)`` key (a reseeder built once per
+        fit) and reports *sum*-reduced gradients with its example count as
+        weight, so the trained objective is the exact batch-mean CE.
+        Train mode is set once, before the workers fork (they never leave
+        it), and again on rank 0 after each validation.  Validation (and
+        the restore-best snapshot) runs in the parent between epochs while
+        the workers sit blocked on their semaphores; ``load_state_dict``
+        writes parameters in place, so a restored snapshot lands in the
+        shared segment the workers read.
         """
         cfg = self.config
         opt, schedule = self._optimizer_and_schedule(len(train), epochs)
@@ -319,7 +265,7 @@ class PragFormer:
         return history
 
     def _optimizer_and_schedule(self, n_examples: int, epochs: int):
-        """Both fit loops' optimizer and LR schedule.  The optimizer is
+        """``fit``'s optimizer and LR schedule.  The optimizer is
         built once and memoized, so moments and the bias-correction step
         count carry across ``fit`` calls; the warmup schedule (``None``
         with ``warmup_frac`` 0) spans this call's steps."""

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn import (
-    BufferPool,
     EncoderConfig,
     FusedAdamW,
     MLMHead,
@@ -88,13 +87,12 @@ class MLMPretrainer:
         r_enc, r_head, self._rng = spawn_rngs(seed, 3)
         self.encoder = TransformerEncoder(encoder_cfg, rng=r_enc)
         self.mlm_head = MLMHead(encoder_cfg.d_model, encoder_cfg.vocab_size, rng=r_head)
-        self._pool = BufferPool()
         self._optimizer: Optional[FusedAdamW] = None
-        #: step losses + reduce counters from the last DDP fit (bench input)
+        #: step losses + reduce counters from the last fit (bench input)
         self.ddp_stats: Optional[Dict] = None
 
     def fit(self, ids: np.ndarray, mask: np.ndarray, epochs: int = 3,
-            verbose: bool = False, n_workers: Optional[int] = None) -> List[float]:
+            verbose: bool = False, n_workers: int = 1) -> List[float]:
         """Pretrain on (N, L) id/mask arrays; returns per-epoch MLM losses.
 
         Only ~15 % of positions carry MLM loss (``mask_prob``), so the
@@ -104,69 +102,24 @@ class MLMPretrainer:
         ``masked_cross_entropy`` formulation at ~1/7 of the head compute,
         and the (B, L, V) logits/gradient tensors are never materialized.
 
-        ``n_workers`` switches to the shared-memory data-parallel trainer
-        (:mod:`repro.train.ddp`): bit-deterministic in the worker count, so
-        ``n_workers=1`` and ``n_workers=4`` give identical losses and
-        weights.  ``None`` keeps the single-process loop (a different —
-        also deterministic — arithmetic: it shards nothing and draws masks
-        from the epoch rng stream).  Both continue one optimizer across
-        calls.
-        """
-        if n_workers is not None:
-            return self._fit_ddp(ids, mask, epochs, verbose, int(n_workers))
-        opt = self._memo_optimizer()
-        losses: List[float] = []
-        n = ids.shape[0]
-        bs = self.cfg.batch_size
-        for epoch in range(epochs):
-            self.encoder.train()
-            order = self._rng.permutation(n)
-            total, batches = 0.0, 0
-            for start in range(0, n, bs):
-                sel = order[start : start + bs]
-                b_ids, b_mask = trim_batch(ids[sel], mask[sel])
-                corrupted, targets, loss_mask = mask_tokens(
-                    b_ids, b_mask, self.vocab, self._rng, self.cfg
-                )
-                hidden = self.encoder.forward(corrupted, b_mask)
-                d_model = hidden.shape[-1]
-                flat_hidden = hidden.reshape(-1, d_model)
-                selected = np.flatnonzero(loss_mask.reshape(-1))
-                loss = 0.0
-                opt.zero_grad()
-                dhidden = self._pool.get("dhidden", hidden.shape, hidden.dtype)
-                dhidden.fill(0.0)
-                if selected.size:
-                    sel_hidden = flat_hidden[selected]
-                    logits = self.mlm_head.forward(sel_hidden)
-                    loss, dlogits = cross_entropy(
-                        logits, targets.reshape(-1)[selected])
-                    dsel = self.mlm_head.backward(dlogits)
-                    dhidden.reshape(-1, d_model)[selected] = dsel
-                self.encoder.backward(dhidden)
-                opt.clip_grad_norm(self.cfg.grad_clip)
-                opt.step()
-                total += loss
-                batches += 1
-            losses.append(total / max(1, batches))
-            if verbose:  # pragma: no cover
-                print(f"MLM epoch {epoch + 1}: loss {losses[-1]:.4f}")
-        return losses
-
-    def _fit_ddp(self, ids: np.ndarray, mask: np.ndarray, epochs: int,
-                 verbose: bool, n_workers: int) -> List[float]:
-        """Data-parallel pretraining over the shared-memory arena.
-
-        Each micro-shard re-derives its masking noise (:func:`shard_rng`)
-        and one generator shared by every dropout (a reseeder built once
-        per fit) from the ``(seed, step, shard)`` key, computes
-        *sum*-reduced MLM gradients, and reports (loss total,
-        masked-position count); the trainer normalizes by the batch's total
-        masked positions, so the objective is the same per-position mean
-        CE as the single-process loop.  The encoder enters train mode once,
+        Training runs through the shared-memory data-parallel trainer
+        (:mod:`repro.train.ddp`) on ``n_workers`` processes: bit-identical
+        losses and weights at every worker count, and one optimizer
+        continues across calls.  Each micro-shard re-derives its masking
+        noise (:func:`shard_rng`) and one generator shared by every
+        dropout (a reseeder built once per fit) from the
+        ``(seed, step, shard)`` key, computes *sum*-reduced MLM gradients,
+        and reports (loss total, masked-position count); the trainer
+        normalizes by the batch's total masked positions, so the objective
+        is the per-position mean CE.  The encoder enters train mode once,
         before the workers fork.
         """
-        opt = self._memo_optimizer()
+        if self._optimizer is None:
+            # built once: moments and the bias-correction step count carry
+            # across calls
+            self._optimizer = FusedAdamW(
+                _Joint(self.encoder, self.mlm_head),
+                lr=self.cfg.lr, weight_decay=self.cfg.weight_decay)
         seed = int(self._rng.integers(2**62))
         ftype = get_dtype().type
         reseed = stochastic_reseeder((self.encoder, self.mlm_head))
@@ -199,8 +152,8 @@ class MLMPretrainer:
         losses: List[float] = []
         ddp_cfg = DDPConfig(n_workers=n_workers, seed=seed)
         self.encoder.train()
-        with DataParallelTrainer(opt, shard_backward, n_examples=n,
-                                 config=ddp_cfg,
+        with DataParallelTrainer(self._optimizer, shard_backward,
+                                 n_examples=n, config=ddp_cfg,
                                  grad_clip=self.cfg.grad_clip) as trainer:
             for epoch in range(epochs):
                 order = self._rng.permutation(n)
@@ -214,15 +167,6 @@ class MLMPretrainer:
                 "counters": dict(trainer.counters),
             }
         return losses
-
-    def _memo_optimizer(self) -> FusedAdamW:
-        """The one optimizer both fit loops step, built on first use, so
-        moments and the bias-correction step count carry across calls."""
-        if self._optimizer is None:
-            self._optimizer = FusedAdamW(
-                _Joint(self.encoder, self.mlm_head),
-                lr=self.cfg.lr, weight_decay=self.cfg.weight_decay)
-        return self._optimizer
 
     def encoder_state(self) -> Dict[str, np.ndarray]:
         """The pretrained encoder checkpoint PragFormer transfers from."""

@@ -48,10 +48,9 @@ class ExperimentContext:
         self._clause_bows: Dict[str, BowLogistic] = {}
         self._pretrained_state: Optional[dict] = None
         self._shared_vocab = None
-        #: when set (e.g. ``repro train --workers N``), model fits run
-        #: through the shared-memory DDP trainer; bit-identical to the
-        #: trainer's single-process path at any worker count
-        self.train_workers: Optional[int] = None
+        #: worker processes per model fit (``repro train --workers N``);
+        #: fits are bit-identical at every worker count
+        self.train_workers: int = 1
         self.compar = ComPar()
 
     # -- data ------------------------------------------------------------------

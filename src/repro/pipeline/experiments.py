@@ -269,7 +269,8 @@ def ablation_pretraining(scale: Optional[ScaleConfig] = None) -> Dict[str, float
     pretrained_acc = binary_metrics(ctx.pragformer.predict(enc.test), labels).accuracy
 
     scratch = PragFormer(len(enc.vocab), ctx.scale.pragformer, rng=ctx.scale.seed)
-    scratch.fit(enc.train, enc.validation, epochs=ctx.scale.epochs)
+    scratch.fit(enc.train, enc.validation, epochs=ctx.scale.epochs,
+                n_workers=ctx.train_workers)
     scratch_acc = binary_metrics(scratch.predict(enc.test), labels).accuracy
     return {"pretrained": pretrained_acc, "scratch": scratch_acc}
 
@@ -286,7 +287,8 @@ def ablation_capacity(scale: Optional[ScaleConfig] = None) -> Dict[str, float]:
     tiny_cfg = PragFormerConfig(d_model=32, n_heads=2, n_layers=1, d_ff=64,
                                 d_head_hidden=32, batch_size=32, seed=0)
     tiny = PragFormer(len(enc.vocab), tiny_cfg, rng=ctx.scale.seed)
-    tiny.fit(enc.train, enc.validation, epochs=ctx.scale.epochs)
+    tiny.fit(enc.train, enc.validation, epochs=ctx.scale.epochs,
+             n_workers=ctx.train_workers)
     out["transformer_tiny"] = binary_metrics(tiny.predict(enc.test), labels).accuracy
     out["transformer_default"] = binary_metrics(
         ctx.pragformer.predict(enc.test), labels).accuracy
@@ -307,7 +309,9 @@ def ablation_seq_length(scale: Optional[ScaleConfig] = None) -> Dict[str, float]
         cfg_dict = ctx.scale.pragformer.__dict__ | {"max_len": max_len}
         cfg = PragFormerConfig(**cfg_dict)
         model = PragFormer(len(enc.vocab), cfg, rng=ctx.scale.seed)
-        model.fit(enc.train, enc.validation, epochs=max(3, ctx.scale.epochs - 2))
+        model.fit(enc.train, enc.validation,
+                  epochs=max(3, ctx.scale.epochs - 2),
+                  n_workers=ctx.train_workers)
         out[f"max_len_{max_len}"] = binary_metrics(
             model.predict(enc.test), enc.test.labels).accuracy
     return out

@@ -12,7 +12,7 @@ operations per worker (workers block on a wake semaphore, never
 poll).
 
 **The determinism contract.**  N-worker training is *bit-identical* to
-single-process training on the same seed — same loss trajectory, same
+one-worker training on the same seed — same loss trajectory, same
 final arena bytes, same optimizer moments.  Floating-point addition is not
 associative, so that guarantee cannot come from sharding by worker count
 (``(g0+g2)+(g1+g3)`` ≠ ``((g0+g1)+g2)+g3`` bitwise).  Instead the
@@ -44,9 +44,10 @@ never depends on how many workers exist:
 **Process topology.**  Rank 0 *is* the calling process: it computes its
 own shards, reduces, and steps; ranks 1..N-1 are forked children created
 at trainer construction (the dataset arrays are inherited copy-on-write —
-read-shared for free under ``fork``).  ``n_workers=1`` is therefore plain
-single-process training through the identical arithmetic, which is what
-the parity tests compare against.
+read-shared for free under ``fork``).  ``n_workers=1`` is therefore
+single-process training through the identical arithmetic: the default of
+``PragFormer.fit`` and ``MLMPretrainer.fit``, whose one training loop is
+this trainer, and what the parity tests compare against.
 
 **Barrier protocol.**  One step is::
 

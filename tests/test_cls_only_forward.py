@@ -48,11 +48,12 @@ from repro.nn import cross_entropy, softmax
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.dtype import use_dtype
 from repro.nn.layers import Dropout, Linear, ResidualLayerNorm
+from repro.nn.module import ParameterArena
 from repro.nn.packing import PackedBatch
 from repro.nn.transformer import TransformerEncoder
 from repro.serve import EngineConfig, ModelRegistry, MultiModelEngine
 from repro.tokenize import Vocab, robust_text_tokens
-from repro.train.ddp import reseed_stochastic
+from repro.train.ddp import DDPConfig, reseed_stochastic
 
 DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
 VOCAB = 300
@@ -396,9 +397,10 @@ class TestPruningInEffect:
         assert [w for _, w in got] == [float(w) for w in cls_row[1:]]
 
     def test_fit_trains_the_last_block_on_cls_rows(self, monkeypatch):
-        """``fit`` never runs the packed forward; every training step runs
-        the earlier blocks on all B·L positions and the last block's FFN
-        on the B CLS rows, while its K/V projection still covers B·L."""
+        """``fit`` never runs the packed forward; every micro-shard
+        forward runs the earlier blocks on all B·L positions and the last
+        block's FFN on the B CLS rows, while its K/V projection still
+        covers B·L."""
         cfg = PragFormerConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32,
                                d_head_hidden=16, batch_size=8)
         model = PragFormer(VOCAB, cfg, rng=0)
@@ -408,7 +410,7 @@ class TestPruningInEffect:
                  id(first.ffn.fc1): "first.fc1",
                  id(last.attn.out_proj): "last.out_proj",
                  id(last.ffn.fc1): "last.fc1"}
-        steps = []  # per training step: {"batch": (B, L), name: rows}
+        steps = []  # per shard forward: {"batch": (B, L), name: rows}
         state = {"training": False}
         packed_training = []
 
@@ -439,9 +441,7 @@ class TestPruningInEffect:
         W = last.attn.qkv_proj.W
         rng = np.random.default_rng(0)
         ids, mask = _batch(rng, 24, 20)
-        # build the optimizer first: its arena rebinds every W.data
-        model._optimizer_and_schedule(len(ids), epochs=2)
-        base = W.data.__array_interface__["data"][0]
+        spied = {}  # "base": address of the spied W's first element
 
         class MatmulSpy(np.ndarray):
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -450,8 +450,8 @@ class TestPruningInEffect:
                 if (state["training"] and ufunc is np.matmul
                         and isinstance(w, MatmulSpy)
                         and w.strides[-1] == w.itemsize):
-                    first_col = (w.__array_interface__["data"][0] - base) \
-                        // w.itemsize
+                    first_col = (w.__array_interface__["data"][0]
+                                 - spied["base"]) // w.itemsize
                     key = "last.q" if first_col < d else "last.kv"
                     steps[-1][key] = steps[-1].get(key, 0) \
                         + inputs[0].shape[0]
@@ -459,13 +459,24 @@ class TestPruningInEffect:
                           else a for a in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        monkeypatch.setattr(W, "data", W.data.view(MatmulSpy))
+        arena_rebind = ParameterArena.rebind
+
+        def rebind_spy(self, *args, **kwargs):
+            # fit's trainer moves the arena onto its shared segment: spy
+            # on the W view the shard forwards read
+            arena_rebind(self, *args, **kwargs)
+            W.data = W.data.view(MatmulSpy)
+            spied["base"] = W.data.__array_interface__["data"][0]
+
+        monkeypatch.setattr(ParameterArena, "rebind", rebind_spy)
         split = EncodedSplit(ids=ids, mask=mask,
                              labels=rng.integers(0, 2, 24))
         model.fit(split, split, epochs=2)
-        assert len(steps) == 2 * 3
+        # 2 epochs of 3 batches, each 8 rows over the micro-shard grid
+        assert len(steps) == 2 * 3 * DDPConfig().grad_shards
         for step in steps:
             b, length = step.pop("batch")
+            assert b == cfg.batch_size // DDPConfig().grad_shards
             assert step == {"first.out_proj": b * length,
                             "first.fc1": b * length,
                             "last.kv": b * length, "last.q": b,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models.pragformer import PragFormerConfig
+from repro.models.pragformer import PragFormerConfig, TrainHistory
 from repro.pipeline import ScaleConfig, get_scale
 from repro.pipeline import experiments as E
 from repro.pipeline.context import get_context
@@ -39,18 +39,48 @@ class TestContext:
         assert m1 is m2
 
     def test_clause_model_honours_train_workers(self):
-        """``train_workers`` routes every fit through the DDP trainer,
-        the clause models' included (a DDP fit leaves ``ddp_stats``)."""
+        """``train_workers`` sets every fit's worker count, the clause
+        models' included."""
         from dataclasses import replace
 
         from repro.pipeline.context import ExperimentContext
 
         context = ExperimentContext(replace(TINY, name="tiny-workers",
                                             corpus_records=80, epochs=1))
-        context.train_workers = 1
+        assert context.train_workers == 1
+        context.train_workers = 2
         model = context.clause_model("private")
-        assert model.ddp_stats is not None
         assert model.ddp_stats["counters"]["steps"] > 0
+        assert len(model.ddp_stats["counters"]["per_rank_examples"]) == 2
+
+    def test_ablation_fits_honour_train_workers(self, monkeypatch):
+        """The ablations' own fits take the context's worker count, like
+        the context's fits."""
+        from dataclasses import replace
+
+        from repro.models import PragFormer
+        from repro.models.pretrain import MLMPretrainer
+        from repro.pipeline import context as context_module
+        from repro.pipeline.context import ExperimentContext
+
+        scale = replace(TINY, name="tiny-ablation-workers",
+                        corpus_records=80, epochs=1)
+        context = ExperimentContext(scale)
+        context.train_workers = 3
+        monkeypatch.setitem(context_module._CONTEXTS, scale.name, context)
+        workers = []
+
+        def fit(self, *args, n_workers=1, **kwargs):
+            workers.append(n_workers)
+            return [] if isinstance(self, MLMPretrainer) else TrainHistory()
+
+        monkeypatch.setattr(PragFormer, "fit", fit)
+        monkeypatch.setattr(MLMPretrainer, "fit", fit)
+        E.ablation_pretraining(scale)
+        E.ablation_capacity(scale)
+        E.ablation_seq_length(scale)
+        # MLM + the context's model, scratch, tiny, three sequence lengths
+        assert workers == [3] * 7
 
     def test_default_scale_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "small")

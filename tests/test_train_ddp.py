@@ -16,7 +16,7 @@ sweeps the places where that construction could silently break:
   bit-identical to an uninterrupted one (and provably diverges when the
   moments are dropped, the regression this PR fixes);
 * the model-level wiring (``MLMPretrainer.fit`` / ``PragFormer.fit`` with
-  ``n_workers=``, the ``repro train --workers`` flag).
+  ``n_workers=`` and without it, the ``repro train --workers`` flag).
 """
 
 import glob
@@ -422,10 +422,10 @@ class TestModelWiring:
         for key in enc_1:
             np.testing.assert_array_equal(enc_1[key], enc_2[key], err_msg=key)
 
-    @pytest.mark.parametrize("n_workers", [None, 1])
+    @pytest.mark.parametrize("n_workers", [2, 1])
     def test_mlm_fit_calls_continue_one_optimizer(self, n_workers):
         """Two fits step one optimizer: Adam's step count (bias
-        correction) and moments carry over, in both training loops."""
+        correction) and moments carry over, at one and at two workers."""
         vocab, cfg, ids, mask = self._mlm_setup()
         pre = MLMPretrainer(cfg, vocab, MLMConfig(batch_size=8), rng=11)
         pre.fit(ids, mask, epochs=2, n_workers=n_workers)
@@ -456,6 +456,23 @@ class TestModelWiring:
         assert len(stats_n["counters"]["per_rank_examples"]) == grid
         for key in enc_1:
             np.testing.assert_array_equal(enc_1[key], enc_n[key], err_msg=key)
+
+    def test_mlm_fit_default_is_the_multi_worker_trajectory(self):
+        """``fit()`` with no ``n_workers`` trains the one-worker loop:
+        bit-identical step losses and final arena bytes to two workers."""
+        vocab, cfg, ids, mask = self._mlm_setup()
+
+        def run(**kwargs):
+            pre = MLMPretrainer(cfg, vocab, MLMConfig(batch_size=8), rng=11)
+            losses = pre.fit(ids, mask, epochs=2, **kwargs)
+            return losses, pre.ddp_stats, pre._optimizer.arena.data.tobytes()
+
+        losses_d, stats_d, arena_d = run()
+        losses_2, stats_2, arena_2 = run(n_workers=2)
+        assert len(stats_d["counters"]["per_rank_examples"]) == 1
+        assert losses_d == losses_2
+        assert stats_d["step_losses"] == stats_2["step_losses"]
+        assert arena_d == arena_2
 
     def _split(self, n=23, length=12, vocab=20, seed=3):
         rng = np.random.default_rng(seed)
@@ -516,6 +533,25 @@ class TestModelWiring:
             np.testing.assert_array_equal(head_1[key], head_n[key],
                                           err_msg=key)
 
+    def test_pragformer_fit_default_is_the_multi_worker_trajectory(self):
+        cfg = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
+                               d_head_hidden=8, max_len=12, batch_size=8)
+
+        def run(**kwargs):
+            model = PragFormer(20, cfg, rng=5)
+            history = model.fit(self._split(), self._split(seed=4), epochs=2,
+                                **kwargs)
+            return (history, model.ddp_stats,
+                    model._optimizer.arena.data.tobytes())
+
+        hist_d, stats_d, arena_d = run()
+        hist_2, stats_2, arena_2 = run(n_workers=2)
+        assert len(stats_d["counters"]["per_rank_examples"]) == 1
+        assert stats_d["step_losses"] == stats_2["step_losses"]
+        assert hist_d.train_loss == hist_2.train_loss
+        assert hist_d.valid_loss == hist_2.valid_loss
+        assert arena_d == arena_2
+
     def test_cli_train_accepts_workers_flag(self):
         from unittest import mock
 
@@ -533,7 +569,7 @@ class TestModelWiring:
         captured.clear()
         with mock.patch.object(cli, "_cmd_train", fake_fn):
             assert cli.main(["train"]) == 0
-        assert captured["workers"] == 0  # legacy loop by default
+        assert captured["workers"] == 1
 
     def test_cli_train_rejects_workers_outside_grid(self, capsys):
         """A worker count the grid cannot feed fails at argument parsing
@@ -543,14 +579,14 @@ class TestModelWiring:
         from repro import cli
 
         grid = DDPConfig().grad_shards
-        for workers in (str(grid + 1), "-1", "x"):
+        for workers in ("0", str(grid + 1), "-1", "x"):
             with mock.patch.object(cli, "_cmd_train") as fake_fn:
                 with pytest.raises(SystemExit) as exc:
                     cli.main(["train", "--workers", workers])
             assert exc.value.code == 2
             assert not fake_fn.called
             err = capsys.readouterr().err
-            assert "--workers" in err and f"0..{grid}" in err
+            assert "--workers" in err and f"1..{grid}" in err
             assert f"grid has {grid} shards" in err
         with pytest.raises(SystemExit):
             cli.main(["train", "--help"])
