@@ -1,7 +1,7 @@
 """Lexer hot-path guards: the master-pattern scanner against the old one,
 and the strings-only loop against token building.
 
-Every cold ``/advise`` lexes its snippet in recover mode before the model
+Every cold ``/v1/advise`` lexes its snippet in recover mode before the model
 sees it.  ``repro.clang.lexer.tokenize`` matches one compiled master
 pattern per token; the scanner it replaced advanced one character per
 Python call and survives as ``_ReferenceLexer`` in

@@ -641,7 +641,7 @@ def test_serving_throughput(benchmark):
     def overload_client(code):
         start_line.wait()
         request = urllib.request.Request(
-            f"http://{host}:{port}/advise",
+            f"http://{host}:{port}/v1/advise",
             data=json.dumps({"code": code}).encode("utf-8"),
             headers={"Content-Type": "application/json"})
         try:

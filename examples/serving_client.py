@@ -4,8 +4,8 @@ Builds the multi-model advisor (directive + private/reduction clause heads)
 from the small-scale experiment context, then exercises every front door:
 
 1. single and bulk ``advise_v1`` calls straight into the engine,
-2. the HTTP API on an ephemeral port (/advise, /advise/batch, /healthz),
-3. the ``/stats`` metrics the traffic produced.
+2. the HTTP API on an ephemeral port (/v1/advise, /v1/advise/batch, /v1/healthz),
+3. the ``/v1/stats`` metrics the traffic produced.
 
 First run trains the three models (a few minutes at SMALL scale, memoized
 for the process).  Run:  python examples/serving_client.py
@@ -65,20 +65,20 @@ threading.Thread(target=server.serve_forever, daemon=True).start()
 host, port = server.server_address[:2]
 base = f"http://{host}:{port}"
 print(f"\n== HTTP API on {base} ==")
-print("healthz:", http_json(base + "/healthz"))
-single = http_json(base + "/advise", {"code": LOOPS[0]})
-print("POST /advise ->", json.dumps(single))
-batch = http_json(base + "/advise/batch", {"requests": [
+print("healthz:", http_json(base + "/v1/healthz"))
+single = http_json(base + "/v1/advise", {"code": LOOPS[0]})
+print("POST /v1/advise ->", json.dumps(single))
+batch = http_json(base + "/v1/advise/batch", {"requests": [
     {"id": "axpy", "code": LOOPS[0]},
     {"id": "scan", "code": LOOPS[2]},
 ]})
 for result in batch["results"]:
-    print(f"POST /advise/batch [{result['id']}] -> "
+    print(f"POST /v1/advise/batch [{result['id']}] -> "
           f"needs_directive={result['needs_directive']}")
 
 # -- 3. the metrics all that traffic produced ------------------------------
-print("\n== GET /stats ==")
-stats = http_json(base + "/stats")
+print("\n== GET /v1/stats ==")
+stats = http_json(base + "/v1/stats")
 print("http counters:", stats["http"])
 combined = stats["engine"]["combined"]
 print(f"engine combined: {combined['requests']} requests, "

@@ -28,10 +28,9 @@ directive-only advisor (a registry with no clause heads); a bad line gets
 an ``{"id", "error"}`` line and the loop goes on.  ``--stats`` dumps the
 advisor's ``stats()`` to stderr at EOF.  ``--http PORT`` instead loads
 the directive *and* ``private``/``reduction`` clause models and serves
-``POST /advise``,
-``POST /advise/batch``, ``POST /reload``, ``GET /healthz``, and
-``GET /stats`` — each also mounted under ``/v1/`` with the v1 result
-schema (schemas in ``docs/serving.md``).  In either mode
+the ``/v1/`` HTTP endpoints (``POST /v1/advise``, ``/v1/advise/batch``,
+``/v1/reload``, ``/v1/canary*``; ``GET /v1/healthz``, ``/v1/stats``;
+schemas in ``docs/serving.md``).  In either mode
 ``--shards N`` partitions traffic across N worker processes with
 digest-hash routing (:class:`repro.serve.ShardedEngine`; a sharded
 advisor loaded from ``--watch`` maps one shared read-only weight copy
@@ -42,7 +41,7 @@ changes to — an advisor checkpoint directory written by
 only see snippets whose directive probability clears ``0.5 - M``), and
 ``--canary DIR`` / ``--canary-fraction F`` (serve a second checkpoint to
 a deterministic digest slice of traffic next to the primary; finish the
-rollout over ``POST /canary/promote`` / ``/canary/rollback``).
+rollout over ``POST /v1/canary/promote`` / ``/v1/canary/rollback``).
 Fault tolerance: sharded serving carries per-request deadlines
 (``--request-timeout SECONDS``, default 30, ``0`` disables — timed-out
 or fault-hit requests are retried then answered with degraded verdicts),
@@ -169,7 +168,7 @@ def _make_advisor(args: argparse.Namespace, clauses=None):
     A sharded advisor loaded from a checkpoint maps the weights **once**
     into a shared segment: the parent binds the registry onto it before
     the workers spawn, so the whole fleet serves from one physical copy,
-    and later ``/reload`` / ``/canary`` rollouts publish their
+    and later ``/v1/reload`` / ``/v1/canary`` rollouts publish their
     checkpoints the same way."""
     import functools
 
@@ -256,7 +255,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             version = advisor.start_canary(args.canary, args.canary_fraction)
             print(f"canary {version} serving "
                   f"{args.canary_fraction:.0%} of traffic "
-                  f"(POST /canary/promote or /canary/rollback to finish)")
+                  f"(POST /v1/canary/promote or /v1/canary/rollback to "
+                  f"finish)")
         serve_forever(advisor, args.host, args.http,
                       watch_dir=args.watch,
                       watch_interval=args.watch_interval,
@@ -440,8 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="dump engine counters to stderr at EOF (stdin mode)")
     p_serve.add_argument("--http", type=int, default=None, metavar="PORT",
                          help="serve the multi-model advisor over HTTP on PORT "
-                              "(directive + clause heads; /advise, /advise/batch, "
-                              "/reload, /healthz, /stats)")
+                              "(directive + clause heads; endpoints under /v1/)")
     p_serve.add_argument("--host", type=str, default="127.0.0.1",
                          help="bind address for --http (default 127.0.0.1)")
     p_serve.add_argument("--shards", type=int, default=1, metavar="N",
@@ -450,7 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--watch", type=str, default=None, metavar="DIR",
                          help="with --http: serve the advisor checkpoint in DIR "
                               "and hot-reload whenever a new checkpoint lands "
-                              "(mtime polling; also the default for POST /reload)")
+                              "(mtime polling; also the default for POST "
+                              "/v1/reload)")
     p_serve.add_argument("--watch-interval", type=float, default=2.0,
                          metavar="SECONDS",
                          help="poll interval for --watch (default 2.0)")
@@ -461,8 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--canary", type=str, default=None, metavar="DIR",
                          help="with --http: start serving the advisor "
                               "checkpoint in DIR as a canary next to the "
-                              "primary (finish with POST /canary/promote or "
-                              "/canary/rollback)")
+                              "primary (finish with POST /v1/canary/promote "
+                              "or /v1/canary/rollback)")
     p_serve.add_argument("--canary-fraction", type=float, default=0.1,
                          metavar="F",
                          help="fraction of the digest space the canary "

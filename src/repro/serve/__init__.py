@@ -31,9 +31,9 @@ Six modules build on each other:
 * :mod:`repro.serve.chaos` — :class:`ChaosConfig`: deterministic
   worker-fault injection (kill / hang / drop / malformed / slow) that
   the fault-tolerance tests and benches drive.
-* :mod:`repro.serve.http_api` — stdlib HTTP front-end (``/advise``,
-  ``/advise/batch``, ``/reload``, ``/healthz``, ``/stats``, all also
-  mounted under ``/v1/``) with admission control
+* :mod:`repro.serve.http_api` — stdlib HTTP front-end (``/v1/advise``,
+  ``/v1/advise/batch``, ``/v1/reload``, ``/v1/canary*``, ``/v1/healthz``,
+  ``/v1/stats``) with admission control
   (:class:`AdmissionConfig`): body/batch caps, queue-depth load
   shedding, and a circuit breaker.
 

@@ -14,10 +14,9 @@ recovery:
 
 ``MultiModelEngine.advise_v1`` and ``ShardedEngine.advise_v1`` — the only
 public advice entry points — consume and produce these.  Over HTTP the
-same shapes serve ``/v1/advise`` and ``/advise/batch``, and legacy
-``/advise`` answers the same result trimmed to its legacy keys
+same shapes serve ``/v1/advise`` and ``/v1/advise/batch``
 (``docs/serving.md`` documents the JSON schemas); ``schema_version`` in
-``/stats`` reports :data:`SCHEMA_VERSION` so clients can detect the
+``/v1/stats`` reports :data:`SCHEMA_VERSION` so clients can detect the
 surface they are talking to.
 
 This module is deliberately dependency-light (no engine/registry imports)
@@ -31,7 +30,8 @@ from typing import Dict, List, Optional
 
 __all__ = ["SCHEMA_VERSION", "AdviceRequest", "AdviceResult"]
 
-#: Version of the v1 request/response wire schema, reported in ``/stats``.
+#: Version of the v1 request/response wire schema, reported in
+#: ``/v1/stats``.
 SCHEMA_VERSION = 1
 
 
@@ -107,9 +107,8 @@ class AdviceResult:
         return [name for name, c in self.clauses.items() if c.suggested]
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready dict — the v1 response body.  Legacy ``/advise``
-        answers it trimmed to ``http_api.LEGACY_KEYS`` (same keys, same
-        rounding), so legacy clients read v1 responses unchanged."""
+        """JSON-ready dict — the v1 response body of ``/v1/advise`` and
+        of each ``/v1/advise/batch`` result."""
         body = {
             "needs_directive": self.verdict,
             "p_directive": round(self.probability, 6),

@@ -6,56 +6,53 @@ object exposing ``advise_v1(requests)`` and ``stats()`` — in practice a
 :class:`~repro.serve.registry.MultiModelEngine` or a
 :class:`~repro.serve.sharding.ShardedEngine` wrapping one per worker.
 
-Endpoints (all JSON; schemas and ``curl`` examples in ``docs/serving.md``):
+Endpoints (all JSON, all under ``/v1/``; the route table is
+:data:`ROUTES`; schemas and ``curl`` examples in ``docs/serving.md``):
 
-* ``POST /advise`` — body ``{"code": "..."}``; replies with the combined
-  directive + clause verdict: the ``advise_v1`` answer trimmed to the
-  legacy keys (:data:`LEGACY_KEYS`).
-* ``POST /advise/batch`` — body ``{"codes": [...]}`` or
+* ``POST /v1/advise`` — body ``{"code": "..."}``; replies with the
+  combined directive + clause verdict in the v1 result schema
+  (:meth:`repro.serve.api.AdviceResult.as_dict`).
+* ``POST /v1/advise/batch`` — body ``{"codes": [...]}`` or
   ``{"requests": [{"id": ..., "code": "..."}]}``; replies
-  ``{"results": [...]}`` in request order, echoing ids when given.
+  ``{"results": [...]}`` in request order, one v1 result per snippet,
+  echoing ids when given.
   Invalid *items* (missing/empty/non-string code) get a per-item
   ``{"id", "error"}`` entry in the 200 reply instead of failing the
   whole batch; only body-structure problems answer 400.
-* ``GET /healthz`` — liveness probe: ``{"status": "ok", "heads": [...]}``;
+* ``GET /v1/healthz`` — liveness probe: ``{"status": "ok", "heads": [...]}``;
   answers ``503 {"status": "unhealthy"}`` when the advisor cannot list its
   heads (for a sharded advisor this round-trips a worker process).
-* ``GET /stats`` — the advisor's live metrics snapshot plus HTTP-level
-  request counters.
-* ``POST /reload`` — hot-swap the advisor to a new checkpoint directory:
-  body ``{"path": "advisor_ckpt/"}``, or an empty body to reload the
-  server's default checkpoint directory (set by ``repro serve --watch`` /
-  :func:`make_server`'s ``reload_dir``).  Replies with the new
+* ``GET /v1/stats`` — the advisor's live metrics snapshot plus HTTP-level
+  request counters and ``schema_version`` (see
+  :data:`repro.serve.api.SCHEMA_VERSION`), so clients can detect the
+  surface.
+* ``POST /v1/reload`` — hot-swap the advisor to a new checkpoint
+  directory: body ``{"path": "advisor_ckpt/"}``, or an empty body to
+  reload the server's default checkpoint directory (set by ``repro serve
+  --watch`` / :func:`make_server`'s ``reload_dir``).  Replies with the new
   ``model_version``; ``501`` when the advisor cannot hot-reload, ``500``
   (old weights keep serving) when the checkpoint is bad.
-* ``POST /canary`` — start a canary rollout: body
+* ``POST /v1/canary`` — start a canary rollout: body
   ``{"path": "ckpt_v2/", "fraction": 0.1}`` routes the digest slice to
   the new checkpoint (``fraction`` defaults to 0.1).  Replies with the
   canary ``version``; ``409`` when a canary is already active, ``501``
   when the advisor cannot canary, ``500`` (primary untouched) when the
   checkpoint is bad.  Watch the per-arm counters under ``canary`` in
-  ``GET /stats``, then finish with ``POST /canary/promote`` (replies
-  with the promoted ``model_version``) or ``POST /canary/rollback`` —
-  both take no body and answer ``409`` with no canary active.
+  ``GET /v1/stats``, then finish with ``POST /v1/canary/promote``
+  (replies with the promoted ``model_version``) or
+  ``POST /v1/canary/rollback`` — both take no body and answer ``409``
+  with no canary active.
 
-Every endpoint is also mounted under the ``/v1/`` prefix (``/v1/advise``,
-``/v1/advise/batch``, ``/v1/reload``, ``/v1/canary*``, ``/v1/healthz``,
-``/v1/stats``); the bare paths above are the legacy aliases.  ``POST
-/v1/advise`` and ``/advise/batch`` (both spellings) answer the v1 result
-schema — :meth:`repro.serve.api.AdviceResult.as_dict`, a strict superset
-of the legacy shape that adds ``recovered`` / ``model_version`` / ``arm``
-— while legacy ``POST /advise`` trims the same answer to the legacy
-shape.  ``GET /stats`` reports ``schema_version`` (see
-:data:`repro.serve.api.SCHEMA_VERSION`) so clients can detect the
-surface.
-
-Malformed requests get ``400`` with ``{"error": ...}``; unknown paths
-``404``; the serving loop never dies on a bad request.  Bodies that are
+Malformed requests get ``400`` with ``{"error": ...}``; every other path
+(including the bare ones without ``/v1/``) gets ``404``; the serving loop
+never dies on a bad request.  A request whose declared body the handler
+never reads is answered with ``Connection: close``, so the unread bytes
+are never parsed as the next request line.  Bodies that are
 not valid UTF-8 are re-decoded with replacement characters when the bad
 bytes sit inside JSON string values (the robust lexer downstream treats
 U+FFFD like any other dirty byte) and answered with a structured ``400``
 when they corrupt the JSON framing — either way the ``invalid_body``
-counter in the ``/stats`` admission block ticks.  JSON the parser
+counter in the ``/v1/stats`` admission block ticks.  JSON the parser
 refuses for size (ints past the int-string digit limit, runaway
 nesting) is a ``400`` too.  **Admission
 control** (:class:`AdmissionConfig`) protects the advisor behind the
@@ -64,7 +61,7 @@ read, batches above the snippet cap with ``400``, traffic beyond the
 in-flight limit is shed with ``429`` + ``Retry-After``, and a circuit
 breaker answers ``503`` while the fleet is rebuilding after consecutive
 inference failures (half-open probes after the cooldown re-close it).
-``/healthz`` and ``/stats`` bypass admission — observability must keep
+``/v1/healthz`` and ``/v1/stats`` bypass admission — observability must keep
 working exactly when the service is shedding.  Start the server from the
 CLI with ``repro serve --http PORT`` or programmatically via
 :func:`make_server` / :func:`serve_forever`.  The operator's guide to the
@@ -74,6 +71,7 @@ lifecycle (probing, reload, canary rollouts, failure modes) is
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -83,16 +81,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.serve.api import SCHEMA_VERSION, AdviceRequest
 
-__all__ = ["LEGACY_KEYS", "AdmissionConfig", "AdvisorHTTPServer",
+__all__ = ["ROUTES", "AdmissionConfig", "AdvisorHTTPServer",
            "make_server", "serve_forever"]
 
 #: Largest accepted request body (bytes) — snippets are loop nests, not
 #: whole programs; an oversized body gets a 413 instead of an allocation.
 MAX_BODY_BYTES = 4 * 1024 * 1024
-
-#: The keys legacy ``POST /advise`` keeps from the v1 result body.
-LEGACY_KEYS = ("needs_directive", "p_directive", "clauses",
-               "recommended_clauses", "degraded")
 
 
 @dataclass(frozen=True)
@@ -103,11 +97,11 @@ class AdmissionConfig:
 
     * ``max_body_bytes`` — request bodies above this are answered ``413``
       without being read.
-    * ``max_batch_snippets`` — ``/advise/batch`` requests with more
+    * ``max_batch_snippets`` — ``/v1/advise/batch`` requests with more
       snippets are answered ``400``; one batch must not monopolize the
       fleet.
-    * ``max_inflight`` — serving requests (``/advise``,
-      ``/advise/batch``) already being processed; beyond it new ones are
+    * ``max_inflight`` — serving requests (``/v1/advise``,
+      ``/v1/advise/batch``) already being processed; beyond it new ones are
       *shed* with ``429`` and a ``Retry-After: retry_after_s`` header
       instead of queueing into a latency collapse.
     * ``breaker_threshold`` — consecutive inference failures that open
@@ -151,7 +145,7 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
                  admission: Optional[AdmissionConfig] = None) -> None:
         super().__init__(address, _AdvisorHandler)
         self.advisor = advisor
-        #: default checkpoint directory for body-less ``POST /reload``
+        #: default checkpoint directory for body-less ``POST /v1/reload``
         self.reload_dir = str(reload_dir) if reload_dir is not None else None
         #: admission-control knobs; defaults apply when not given
         self.admission = (admission if admission is not None
@@ -222,7 +216,7 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
                         time.monotonic() + self.admission.breaker_cooldown_s)
 
     def admission_stats(self) -> Dict[str, object]:
-        """JSON-ready admission snapshot for ``/stats``."""
+        """JSON-ready admission snapshot for ``/v1/stats``."""
         with self._counter_lock:
             return {
                 "max_inflight": self.admission.max_inflight,
@@ -236,7 +230,8 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
 
 
 class _AdvisorHandler(BaseHTTPRequestHandler):
-    """Request handler: routes the four endpoints, JSON in/out."""
+    """Request handler: dispatches every request through :data:`ROUTES`,
+    JSON in/out."""
 
     server_version = "repro-advisor/1.0"
     protocol_version = "HTTP/1.1"
@@ -244,11 +239,13 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
     #: leaves in more than one segment waits out the client's delayed ACK
     #: (~40 ms on Linux) before its tail is sent
     disable_nagle_algorithm = True
+    #: whether the current request declared a body nobody has read yet
+    _body_unread = False
 
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter; /stats is the observability
+        """Silence per-request stderr chatter; /v1/stats is the observability
         surface."""
 
     def _send_json(self, status: int, payload: Dict,
@@ -259,6 +256,9 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self._body_unread:
+            # the unread body would be parsed as the next request line
+            self.close_connection = True
         if self.close_connection:
             self.send_header("Connection", "close")
         # what end_headers() would do, with the body appended: status line,
@@ -275,9 +275,32 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._send_json(status, {"error": message}, headers=headers)
 
+    def _route(self, method: str) -> None:
+        """Dispatch one request to its :data:`ROUTES` handler; any other
+        ``(method, path)`` — a bare path without ``/v1/`` included —
+        answers a JSON ``404``."""
+        try:
+            declared = int(self.headers.get("Content-Length") or 0) != 0
+        except ValueError:
+            declared = True
+        self._body_unread = declared or "Transfer-Encoding" in self.headers
+        handler = ROUTES.get((method, self.path))
+        if handler is None:
+            self._error(404, f"unknown path {self.path!r}")
+        else:
+            handler(self)
+
+    def do_GET(self) -> None:  # noqa: N802 — http.server API
+        """Route a ``GET`` through :data:`ROUTES`."""
+        self._route("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 — http.server API
+        """Route a ``POST`` through :data:`ROUTES`."""
+        self._route("POST")
+
     def _admit(self) -> bool:
-        """Admission gate for the serving endpoints (``/advise``,
-        ``/advise/batch``): circuit breaker first (503 while the fleet is
+        """Admission gate for the serving endpoints (``/v1/advise``,
+        ``/v1/advise/batch``): circuit breaker first (503 while the fleet is
         rebuilding), then the in-flight cap (429 + ``Retry-After``, the
         request is *shed*).  ``True`` claims an in-flight slot the caller
         must :meth:`AdvisorHTTPServer.release` when done."""
@@ -320,6 +343,7 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             self._error(413, f"body exceeds {limit} bytes")
             return None
         raw = self.rfile.read(length)
+        self._body_unread = False
         try:
             text = raw.decode("utf-8")
             undecodable = False
@@ -342,68 +366,39 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             return None
         return payload
 
-    # -- GET ---------------------------------------------------------------
+    # -- handlers ----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        """Route ``/healthz`` and ``/stats`` (bare or ``/v1/``-prefixed —
-        the GET surface is identical on both)."""
-        path = _strip_v1(self.path)
-        if path == "/healthz":
-            self.server.bump("healthz")
-            heads = []
-            names = getattr(self.server.advisor, "head_names", None)
-            if callable(names):
-                try:  # works for MultiModelEngine and ShardedEngine alike;
-                    # for a sharded advisor this round-trips a worker, so a
-                    # dead fleet fails the probe instead of looking healthy
-                    heads = list(names())
-                except Exception as exc:  # noqa: BLE001 — report unhealthy
-                    self._send_json(503, {"status": "unhealthy",
-                                          "error": str(exc)})
-                    return
-            self._send_json(200, {"status": "ok", "heads": heads})
-        elif path == "/stats":
-            self.server.bump("stats")
-            try:
-                stats = self.server.advisor.stats()
-            except Exception as exc:  # noqa: BLE001 — report, don't die
-                self._error(500, f"stats failed: {exc}")
+    def _handle_healthz(self) -> None:
+        """``GET /v1/healthz``: the head names, ``503`` if unlistable."""
+        self.server.bump("healthz")
+        heads = []
+        names = getattr(self.server.advisor, "head_names", None)
+        if callable(names):
+            try:  # works for MultiModelEngine and ShardedEngine alike;
+                # for a sharded advisor this round-trips a worker, so a
+                # dead fleet fails the probe instead of looking healthy
+                heads = list(names())
+            except Exception as exc:  # noqa: BLE001 — report unhealthy
+                self._send_json(503, {"status": "unhealthy",
+                                      "error": str(exc)})
                 return
-            self._send_json(200, {"schema_version": SCHEMA_VERSION,
-                                  "http": self.server.counters(),
-                                  "admission": self.server.admission_stats(),
-                                  "engine": stats})
-        else:
-            self._error(404, f"unknown path {self.path!r}")
+        self._send_json(200, {"status": "ok", "heads": heads})
 
-    # -- POST --------------------------------------------------------------
+    def _handle_stats(self) -> None:
+        """``GET /v1/stats``: the advisor's metrics plus HTTP counters."""
+        self.server.bump("stats")
+        try:
+            stats = self.server.advisor.stats()
+        except Exception as exc:  # noqa: BLE001 — report, don't die
+            self._error(500, f"stats failed: {exc}")
+            return
+        self._send_json(200, {"schema_version": SCHEMA_VERSION,
+                              "http": self.server.counters(),
+                              "admission": self.server.admission_stats(),
+                              "engine": stats})
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        """Route ``/advise``, ``/advise/batch``, ``/reload``, and the
-        ``/canary`` lifecycle — bare (legacy) or ``/v1/``-prefixed.  Only
-        single-snippet advice differs between the two: ``/v1/advise``
-        answers the v1 result schema, the legacy alias trims the same
-        answer to :data:`LEGACY_KEYS` (batch answers the v1 schema on both
-        spellings — it is a strict superset, so legacy clients keep
-        parsing)."""
-        v1 = self.path != _strip_v1(self.path)
-        path = _strip_v1(self.path)
-        if path == "/advise":
-            self._handle_advise(v1=v1)
-        elif path == "/advise/batch":
-            self._handle_advise_batch()
-        elif path == "/reload":
-            self._handle_reload()
-        elif path == "/canary":
-            self._handle_canary_start()
-        elif path == "/canary/promote":
-            self._handle_canary_finish("promote", "canary_promote")
-        elif path == "/canary/rollback":
-            self._handle_canary_finish("rollback", "canary_rollback")
-        else:
-            self._error(404, f"unknown path {self.path!r}")
-
-    def _handle_advise(self, v1: bool = False) -> None:
+    def _handle_advise(self) -> None:
+        """``POST /v1/advise``: one snippet, one v1 result."""
         if not self._admit():
             return
         try:
@@ -424,15 +419,12 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
                 self._error(500, f"inference failed: {exc}")
                 return
             self.server.record_outcome(True)
-            body = result.as_dict()
-            if not v1:
-                body = {key: body[key] for key in LEGACY_KEYS}
-            self._send_json(200, body)
+            self._send_json(200, result.as_dict())
         finally:
             self.server.release()
 
     def _handle_reload(self) -> None:
-        """Hot-swap the advisor's checkpoint (``POST /reload``).
+        """Hot-swap the advisor's checkpoint (``POST /v1/reload``).
 
         ``{"path": ...}`` selects the checkpoint directory; an empty body
         falls back to the server's ``reload_dir``.  On success the reply
@@ -468,7 +460,7 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
                               "model_version": version})
 
     def _handle_canary_start(self) -> None:
-        """Start a canary rollout (``POST /canary``).
+        """Start a canary rollout (``POST /v1/canary``).
 
         Body: ``{"path": "ckpt/", "fraction": 0.1}`` — ``path`` is
         required, ``fraction`` defaults to 0.1 and must be in (0, 1].
@@ -507,17 +499,17 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
                               "fraction": fraction,
                               "version": version})
 
-    def _handle_canary_finish(self, action: str, counter: str) -> None:
-        """Finish a canary rollout (``POST /canary/promote|rollback``).
+    def _handle_canary_finish(self, action: str) -> None:
+        """Finish a canary rollout (``POST /v1/canary/promote|rollback``).
 
-        No body required.  ``409`` with no canary active; ``501`` when
+        No body read.  ``409`` with no canary active; ``501`` when
         the advisor has no canary surface.
         """
         fn = getattr(self.server.advisor, action, None)
         if fn is None:
             self._error(501, "advisor does not support canary rollouts")
             return
-        self.server.bump(counter)
+        self.server.bump(f"canary_{action}")
         try:
             result = fn()
         except RuntimeError as exc:  # no canary active / partial fleet
@@ -533,6 +525,7 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"status": "rolled-back"})
 
     def _handle_advise_batch(self) -> None:
+        """``POST /v1/advise/batch``: a v1 result or error per snippet."""
         if not self._admit():
             return
         try:
@@ -553,9 +546,6 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             advices: List = []
             if good:
                 try:
-                    # batch answers the v1 result schema on both the
-                    # legacy and the /v1/ spelling: it is a strict
-                    # superset of the legacy shape
                     advices = self.server.advisor.advise_v1(
                         [AdviceRequest(code=code, id=items[i][0])
                          for i, code in good])
@@ -614,13 +604,20 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
         return items
 
 
-def _strip_v1(path: str) -> str:
-    """Normalize a ``/v1/``-prefixed path to its legacy spelling (the
-    router matches on legacy paths; the prefix only selects the v1
-    response schema where the two differ)."""
-    if path == "/v1" or path.startswith("/v1/"):
-        return path[len("/v1"):] or "/"
-    return path
+#: Every endpoint: ``(method, path) -> handler``.  The router matches
+#: ``self.path`` exactly, so a path missing here is a ``404``.
+ROUTES = {
+    ("POST", "/v1/advise"): _AdvisorHandler._handle_advise,
+    ("POST", "/v1/advise/batch"): _AdvisorHandler._handle_advise_batch,
+    ("POST", "/v1/reload"): _AdvisorHandler._handle_reload,
+    ("POST", "/v1/canary"): _AdvisorHandler._handle_canary_start,
+    ("POST", "/v1/canary/promote"): functools.partial(
+        _AdvisorHandler._handle_canary_finish, action="promote"),
+    ("POST", "/v1/canary/rollback"): functools.partial(
+        _AdvisorHandler._handle_canary_finish, action="rollback"),
+    ("GET", "/v1/healthz"): _AdvisorHandler._handle_healthz,
+    ("GET", "/v1/stats"): _AdvisorHandler._handle_stats,
+}
 
 
 def make_server(advisor, host: str = "127.0.0.1", port: int = 0,
@@ -630,7 +627,7 @@ def make_server(advisor, host: str = "127.0.0.1", port: int = 0,
     """Bind an :class:`AdvisorHTTPServer` (``port=0`` = ephemeral) without
     starting it — callers drive ``serve_forever``/``shutdown`` themselves
     (tests run it on a thread).  ``reload_dir`` is the default checkpoint
-    directory a body-less ``POST /reload`` falls back to; ``admission``
+    directory a body-less ``POST /v1/reload`` falls back to; ``admission``
     overrides the default :class:`AdmissionConfig`."""
     return AdvisorHTTPServer((host, port), advisor, reload_dir=reload_dir,
                              admission=admission)
@@ -653,7 +650,7 @@ def serve_forever(advisor, host: str, port: int, banner: bool = True,
     :class:`~repro.serve.registry.CheckpointWatcher` polls that advisor
     checkpoint directory every ``watch_interval`` seconds and hot-reloads
     the advisor when a new checkpoint lands; the directory also becomes
-    the default for body-less ``POST /reload``.  ``watch_baseline`` is
+    the default for body-less ``POST /v1/reload``.  ``watch_baseline`` is
     the manifest mtime the advisor was loaded from (capture it *before*
     loading, see :func:`repro.serve.registry.checkpoint_mtime`) so a
     checkpoint landing during the load window is still reloaded; by
@@ -674,11 +671,9 @@ def serve_forever(advisor, host: str, port: int, banner: bool = True,
     bound_host, bound_port = server.server_address[:2]
     if banner:
         watching = f", watching {watch_dir}" if watch_dir is not None else ""
+        endpoints = ", ".join(f"{method} {path}" for method, path in ROUTES)
         print(f"advisor listening on http://{bound_host}:{bound_port} "
-              f"(POST /advise, POST /advise/batch, POST /reload, "
-              f"POST /canary[/promote|/rollback], "
-              f"GET /healthz, GET /stats — all also under /v1/"
-              f"{watching})")
+              f"({endpoints}{watching})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover — interactive exit

@@ -21,7 +21,7 @@ Every layer of the serving stack reports through the types here:
   :class:`~repro.serve.sharding.ShardedEngine`.
 
 Snapshots are plain ``dict``s with string keys throughout so they can go
-straight into ``json.dumps`` for the ``/stats`` HTTP endpoint and the
+straight into ``json.dumps`` for the ``/v1/stats`` HTTP endpoint and the
 ``BENCH_serving.json`` perf reports.
 """
 

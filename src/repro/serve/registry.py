@@ -308,7 +308,7 @@ class CanaryPolicy:
     verdicts disagree with the primary arm's on more than
     ``max_disagreement`` of the compared snippets; otherwise **promote**
     (with ``auto_promote=False`` the policy only ever rolls back — the
-    operator promotes manually after reading ``/stats``).
+    operator promotes manually after reading ``/v1/stats``).
     """
 
     min_samples: int = 200
@@ -960,7 +960,7 @@ class MultiModelEngine:
     # -- observability ------------------------------------------------------
 
     def head_names(self) -> List[str]:
-        """Hosted head names, in registration order (``/healthz`` surface)."""
+        """Hosted head names, in registration order (``/v1/healthz`` surface)."""
         return self.registry.names()
 
     def stats(self) -> Dict[str, object]:
@@ -974,7 +974,7 @@ class MultiModelEngine:
         counters) or ``None``, "last_canary": how the previous rollout
         ended, or ``None``, "weights": whether the served weights map a
         shared segment and how many attachments are held}`` — JSON-ready
-        for the ``/stats`` endpoint.
+        for the ``/v1/stats`` endpoint.
         """
         per_head = {name: eng.stats.as_dict() for name, eng in self.engines.items()}
         with self._gate_lock:

@@ -244,7 +244,7 @@ def _worker_main(factory, requests, responses, reload_spec=None,
     began, so a respawned worker splits traffic exactly like its
     siblings.  A failed replay (the checkpoint vanished since) falls
     back to the weights already loaded and keeps serving — a live worker
-    with a divergent ``model_version`` in ``/stats`` beats a dead slot.
+    with a divergent ``model_version`` in ``/v1/stats`` beats a dead slot.
 
     Messages are ``(rid, method, payload)`` tuples on the ``requests``
     queue; replies are ``(rid, "ok", result)`` or ``(rid, "error",
@@ -1053,7 +1053,7 @@ class ShardedEngine:
         never left serving.  Returns the canary version tag.
 
         Promotion policies stay engine-level: in a fleet the operator (or
-        an external controller watching ``/stats``) decides, then calls
+        an external controller watching ``/v1/stats``) decides, then calls
         :meth:`promote` / :meth:`rollback` to move every worker at once.
         """
         path = str(path)
@@ -1176,7 +1176,7 @@ class ShardedEngine:
         ``fallback_answers``, ``degraded_shards``), and a ``"weights"``
         block describing the one-copy weight segments.  A dead or wedged
         shard contributes an ``{"error": ...}`` placeholder instead of
-        failing the whole snapshot — /stats is the tool for diagnosing a
+        failing the whole snapshot — /v1/stats is the tool for diagnosing a
         broken fleet and must keep working while the fleet is broken.
         JSON-ready.
         """

@@ -4,7 +4,9 @@ Docs rot silently — a renamed file leaves `[text](old/path.md)` links that
 404 for every reader.  This suite walks every tracked ``*.md`` file in the
 repo and fails on relative links whose targets don't exist, pins the
 README + serving/operations docs to the surface they promise to cover
-(endpoints and operator CLI flags), fails on any ``--flag`` the docs name
+(every endpoint in the HTTP route table, and operator CLI flags), fails
+on any endpoint the docs or examples spell without its ``/v1/`` prefix,
+fails on any ``--flag`` the docs name
 that neither the CLI nor ``scripts/check.sh`` accepts, fails on any
 `` `Class.member` `` the docs name that the class no longer has, and
 audits every public symbol in
@@ -23,7 +25,21 @@ from pathlib import Path
 
 import pytest
 
+from repro.serve.http_api import ROUTES
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Every HTTP endpoint path the server routes, from its route table.
+ENDPOINTS = sorted({path for _method, path in ROUTES})
+
+#: An endpoint spelled without its ``/v1/`` prefix: ``localhost:8080/stats``
+#: or ``POST /advise``, but not ``/v1/advise`` or a file path such as
+#: ``reload/canary``.
+_BARE_ENDPOINT = re.compile(
+    r"(?<!/v1)(?<![A-Za-z_])("
+    + "|".join(re.escape(path.removeprefix("/v1"))
+               for path in sorted(ENDPOINTS, key=len, reverse=True))
+    + r")\b")
 
 #: Inline markdown links: [text](target) — target captured without title.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -99,10 +115,32 @@ class TestCliCoverage:
 
     def test_serving_doc_covers_http_endpoints(self):
         doc = (REPO_ROOT / "docs" / "serving.md").read_text()
-        for endpoint in ("/advise", "/advise/batch", "/healthz", "/stats",
-                         "/reload", "/canary", "/canary/promote",
-                         "/canary/rollback"):
+        assert len(ENDPOINTS) == 8, "route table scan looks wrong"
+        for endpoint in ENDPOINTS:
+            assert endpoint.startswith("/v1/"), endpoint
             assert endpoint in doc, f"docs/serving.md missing {endpoint}"
+
+    def test_no_bare_endpoint_paths(self):
+        """The server answers only ``/v1/`` paths, so docs and examples
+        that spell an endpoint without the prefix show a 404."""
+        files = [REPO_ROOT / "README.md",
+                 *sorted((REPO_ROOT / "docs").glob("*.md")),
+                 *sorted((REPO_ROOT / "examples").glob("*"))]
+        bare = sorted(
+            f"{path.relative_to(REPO_ROOT)}:{n}: {match.group(1)}"
+            for path in files if path.is_file()
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            for match in _BARE_ENDPOINT.finditer(line))
+        assert not bare, f"endpoints spelled without /v1/: {bare}"
+
+    def test_bare_endpoint_scan_sees_bare_paths(self):
+        """Guard the scan: bare spellings match, ``/v1/`` ones and file
+        paths do not."""
+        assert [m.group(1) for m in _BARE_ENDPOINT.finditer(
+            "curl localhost:8080/advise/batch; GET /stats; POST /canary")
+        ] == ["/advise/batch", "/stats", "/canary"]
+        assert not _BARE_ENDPOINT.search(
+            "POST /v1/advise, GET /v1/healthz, reload/canary, /statsd")
 
     def test_operations_doc_covers_operator_surface(self):
         """The operator's guide must document every operability CLI flag
@@ -112,8 +150,7 @@ class TestCliCoverage:
                      "--canary-fraction", "--request-timeout",
                      "--max-body-bytes"):
             assert flag in doc, f"docs/operations.md missing flag {flag}"
-        for endpoint in ("/healthz", "/stats", "/reload", "/canary",
-                         "/canary/promote", "/canary/rollback"):
+        for endpoint in ENDPOINTS:
             assert endpoint in doc, f"docs/operations.md missing {endpoint}"
         for concept in ("model_version", "gating", "canary", "promote",
                         "rollback", "respawn", "circuit breaker", "retry-after", "restart budget",
@@ -157,7 +194,7 @@ class TestCliCoverage:
 
     def test_architecture_doc_maps_every_package(self):
         """docs/architecture.md must name every top-level repro package
-        and trace the /advise request path."""
+        and trace the /v1/advise request path."""
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         pkg_root = REPO_ROOT / "src" / "repro"
         packages = sorted(p.name for p in pkg_root.iterdir()
@@ -165,7 +202,7 @@ class TestCliCoverage:
         assert len(packages) >= 10, "package scan looks wrong"
         missing = [pkg for pkg in packages if f"`{pkg}/`" not in doc]
         assert not missing, f"docs/architecture.md missing packages: {missing}"
-        assert "/advise" in doc, "request path walk-through missing"
+        assert "/v1/advise" in doc, "request path walk-through missing"
         assert "`cli.py`" in doc
 
 

@@ -3,7 +3,7 @@
 The operability contract under test (see ``docs/operations.md``): a canary
 serves a *deterministic* digest slice of traffic from a second checkpoint
 while the primary keeps the rest; per-arm latency / error /
-verdict-agreement counters accumulate in ``/stats``; ``promote`` atomically
+verdict-agreement counters accumulate in ``/v1/stats``; ``promote`` atomically
 makes the canary the primary through the PR-4 versioned-slot machinery (so
 a prediction cached under the old primary can never be served afterwards);
 ``rollback`` drops it without touching the primary; and a

@@ -330,7 +330,7 @@ class TestWorkerFaults:
                        for a in answers)
 
     def test_stats_survive_a_dead_shard(self, factory):
-        """/stats must diagnose a broken fleet, not die with it."""
+        """/v1/stats must diagnose a broken fleet, not die with it."""
         chaos = ChaosConfig(kill_at=(0,), slots=(0,))
         cfg = SupervisorConfig(**{**FAST, "heartbeat_interval_s": 0})
         with ShardedEngine(factory, n_shards=2, chaos=chaos,
@@ -536,11 +536,11 @@ class TestAdmissionControl:
         try:
             first = []
             t = threading.Thread(target=lambda: first.append(
-                _post(url + "/advise", {"code": "for(;;);"})))
+                _post(url + "/v1/advise", {"code": "for(;;);"})))
             t.start()
             assert advisor.entered.wait(5)  # slot taken, inference blocked
             with pytest.raises(urllib.error.HTTPError) as err:
-                _post(url + "/advise", {"code": "for(;;);"})
+                _post(url + "/v1/advise", {"code": "for(;;);"})
             assert err.value.code == 429
             assert err.value.headers.get("Retry-After") == "2"
             assert "shed" in json.loads(err.value.read())["error"]
@@ -562,16 +562,16 @@ class TestAdmissionControl:
         try:
             for _ in range(2):  # consecutive failures open the breaker
                 with pytest.raises(urllib.error.HTTPError) as err:
-                    _post(url + "/advise", {"code": "for(;;);"})
+                    _post(url + "/v1/advise", {"code": "for(;;);"})
                 assert err.value.code == 500
             advisor.fail = False  # fleet is fixed, but the breaker is open
             with pytest.raises(urllib.error.HTTPError) as err:
-                _post(url + "/advise", {"code": "for(;;);"})
+                _post(url + "/v1/advise", {"code": "for(;;);"})
             assert err.value.code == 503
             assert "breaker" in json.loads(err.value.read())["error"]
             time.sleep(0.35)  # cooldown: half-open probe closes the breaker
-            assert _post(url + "/advise", {"code": "for(;;);"})[0] == 200
-            assert _post(url + "/advise", {"code": "for(;;);"})[0] == 200
+            assert _post(url + "/v1/advise", {"code": "for(;;);"})[0] == 200
+            assert _post(url + "/v1/advise", {"code": "for(;;);"})[0] == 200
             assert server.counters()["breaker_rejected"] >= 1
         finally:
             server.shutdown()
@@ -584,10 +584,10 @@ class TestAdmissionControl:
         server, thread, url = _serve(
             advisor, AdmissionConfig(max_batch_snippets=2))
         try:
-            ok = _post(url + "/advise/batch", {"codes": ["a;", "b;"]})
+            ok = _post(url + "/v1/advise/batch", {"codes": ["a;", "b;"]})
             assert ok[0] == 200
             with pytest.raises(urllib.error.HTTPError) as err:
-                _post(url + "/advise/batch", {"codes": ["a;", "b;", "c;"]})
+                _post(url + "/v1/advise/batch", {"codes": ["a;", "b;", "c;"]})
             assert err.value.code == 400
             assert "cap" in json.loads(err.value.read())["error"]
         finally:
@@ -600,7 +600,7 @@ class TestAdmissionControl:
         advisor.fail = False
         server, thread, url = _serve(advisor, AdmissionConfig(max_inflight=7))
         try:
-            with urllib.request.urlopen(url + "/stats", timeout=10) as resp:
+            with urllib.request.urlopen(url + "/v1/stats", timeout=10) as resp:
                 body = json.loads(resp.read().decode("utf-8"))
             admission = body["admission"]
             assert admission["max_inflight"] == 7

@@ -2,18 +2,22 @@
 
 import http.client
 import json
+import os
 import queue
 import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
-from repro.serve import ModelRegistry, MultiModelEngine, make_server
-from repro.serve.http_api import MAX_BODY_BYTES, _AdvisorHandler
+from repro.serve import AdviceResult, ModelRegistry, MultiModelEngine, make_server
+from repro.serve.http_api import MAX_BODY_BYTES, ROUTES, _AdvisorHandler
 from repro.tokenize import Vocab, text_tokens
 
 TINY = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
@@ -64,13 +68,13 @@ def _post(url, payload):
 
 class TestEndpoints:
     def test_healthz_lists_heads(self, server_url):
-        status, body = _get(server_url + "/healthz")
+        status, body = _get(server_url + "/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
         assert body["heads"] == ["directive", "private", "reduction"]
 
     def test_advise_single(self, server_url):
-        status, body = _post(server_url + "/advise", {"code": SNIPPETS[0]})
+        status, body = _post(server_url + "/v1/advise", {"code": SNIPPETS[0]})
         assert status == 200
         assert isinstance(body["needs_directive"], bool)
         assert 0.0 <= body["p_directive"] <= 1.0
@@ -80,15 +84,15 @@ class TestEndpoints:
             assert isinstance(clause["suggested"], bool)
 
     def test_advise_batch_codes_form(self, server_url):
-        status, body = _post(server_url + "/advise/batch",
+        status, body = _post(server_url + "/v1/advise/batch",
                              {"codes": SNIPPETS})
         assert status == 200
         assert [r["id"] for r in body["results"]] == [0, 1, 2]
-        single = _post(server_url + "/advise", {"code": SNIPPETS[1]})[1]
+        single = _post(server_url + "/v1/advise", {"code": SNIPPETS[1]})[1]
         assert body["results"][1]["p_directive"] == single["p_directive"]
 
     def test_advise_batch_requests_form(self, server_url):
-        status, body = _post(server_url + "/advise/batch", {"requests": [
+        status, body = _post(server_url + "/v1/advise/batch", {"requests": [
             {"id": "loop-a", "code": SNIPPETS[0]},
             {"id": "loop-b", "code": SNIPPETS[2]},
         ]})
@@ -97,9 +101,9 @@ class TestEndpoints:
 
     def test_stats_reports_cache_and_batch_metrics(self, server_url):
         # repeat a snippet so the prediction LRU provably hits
-        _post(server_url + "/advise", {"code": SNIPPETS[0]})
-        _post(server_url + "/advise", {"code": SNIPPETS[0]})
-        status, body = _get(server_url + "/stats")
+        _post(server_url + "/v1/advise", {"code": SNIPPETS[0]})
+        _post(server_url + "/v1/advise", {"code": SNIPPETS[0]})
+        status, body = _get(server_url + "/v1/stats")
         assert status == 200
         assert body["http"]["advise"] >= 2
         combined = body["engine"]["combined"]
@@ -198,7 +202,7 @@ class TestWire:
 
 
 class TestReloadEndpoint:
-    """POST /reload: hot checkpoint swap through the HTTP front door."""
+    """POST /v1/reload: hot checkpoint swap through the HTTP front door."""
 
     @pytest.fixture()
     def reload_setup(self, tmp_path):
@@ -228,22 +232,22 @@ class TestReloadEndpoint:
 
     def test_reload_with_explicit_path(self, reload_setup):
         url, advisor, ckpt_b = reload_setup
-        before = _post(url + "/advise", {"code": SNIPPETS[0]})[1]
-        status, body = _post(url + "/reload", {"path": str(ckpt_b)})
+        before = _post(url + "/v1/advise", {"code": SNIPPETS[0]})[1]
+        status, body = _post(url + "/v1/reload", {"path": str(ckpt_b)})
         assert status == 200
         assert body["status"] == "reloaded"
         assert body["model_version"] == f"v1:{ckpt_b.name}"
-        after = _post(url + "/advise", {"code": SNIPPETS[0]})[1]
+        after = _post(url + "/v1/advise", {"code": SNIPPETS[0]})[1]
         assert after["p_directive"] != before["p_directive"]
-        # /stats must reflect the swap so operators can verify it happened
-        stats = _get(url + "/stats")[1]
+        # /v1/stats must reflect the swap so operators can verify it happened
+        stats = _get(url + "/v1/stats")[1]
         assert stats["engine"]["model_version"] == body["model_version"]
         assert stats["engine"]["reloads"] == 1
         assert stats["http"]["reload"] == 1
 
     def test_reload_empty_body_uses_server_default(self, reload_setup):
         url, advisor, _ = reload_setup
-        req = urllib.request.Request(url + "/reload", method="POST")
+        req = urllib.request.Request(url + "/v1/reload", method="POST")
         with urllib.request.urlopen(req, timeout=10) as resp:
             body = json.loads(resp.read().decode("utf-8"))
         assert body["status"] == "reloaded"
@@ -253,14 +257,14 @@ class TestReloadEndpoint:
         url, advisor, _ = reload_setup
         version = advisor.model_version
         req = urllib.request.Request(
-            url + "/reload",
+            url + "/v1/reload",
             data=json.dumps({"path": "/nonexistent/ckpt"}).encode("utf-8"),
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 500
         assert advisor.model_version == version
-        assert _post(url + "/advise", {"code": SNIPPETS[0]})[0] == 200
+        assert _post(url + "/v1/advise", {"code": SNIPPETS[0]})[0] == 200
 
     def test_reload_unsupported_advisor_501(self):
         class Plain:
@@ -277,7 +281,7 @@ class TestReloadEndpoint:
         thread.start()
         host, port = server.server_address[:2]
         try:
-            req = urllib.request.Request(f"http://{host}:{port}/reload",
+            req = urllib.request.Request(f"http://{host}:{port}/v1/reload",
                                          method="POST")
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=10)
@@ -298,7 +302,7 @@ class TestReloadEndpoint:
         thread.start()
         host, port = server.server_address[:2]
         try:
-            req = urllib.request.Request(f"http://{host}:{port}/reload",
+            req = urllib.request.Request(f"http://{host}:{port}/v1/reload",
                                          method="POST")
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=10)
@@ -324,34 +328,34 @@ class TestErrorHandling:
         assert err.value.code == 404
 
     def test_invalid_json_400(self, server_url):
-        code, body = self._post_error(server_url + "/advise", b"not json")
+        code, body = self._post_error(server_url + "/v1/advise", b"not json")
         assert code == 400
         assert "invalid JSON" in body["error"]
 
     def test_missing_code_field_400(self, server_url):
-        code, body = self._post_error(server_url + "/advise",
+        code, body = self._post_error(server_url + "/v1/advise",
                                       json.dumps({"snippet": "x"}).encode())
         assert code == 400
         assert "code" in body["error"]
 
     def test_bad_batch_structure_400(self, server_url):
         """Body-structure problems still reject the whole batch."""
-        code, _ = self._post_error(server_url + "/advise/batch",
+        code, _ = self._post_error(server_url + "/v1/advise/batch",
                                    json.dumps({"codes": "x"}).encode())
         assert code == 400
-        code, _ = self._post_error(server_url + "/advise/batch",
+        code, _ = self._post_error(server_url + "/v1/advise/batch",
                                    json.dumps({"requests": ["x"]}).encode())
         assert code == 400
 
     def test_empty_code_rejected_on_advise(self, server_url):
-        code, _ = self._post_error(server_url + "/advise",
+        code, _ = self._post_error(server_url + "/v1/advise",
                                    json.dumps({"code": "  "}).encode())
         assert code == 400
 
     def test_batch_reports_bad_items_per_item(self, server_url):
         """One dirty snippet gets an {"id","error"} entry; the rest of
         the batch is still answered — a 200, not a batch-wide 400."""
-        status, body = _post(server_url + "/advise/batch", {"requests": [
+        status, body = _post(server_url + "/v1/advise/batch", {"requests": [
             {"id": "ok", "code": "for (i = 0; i < n; i++) a[i] = i;"},
             {"id": "empty", "code": " "},
             {"id": "notstr", "code": 7},
@@ -362,7 +366,7 @@ class TestErrorHandling:
         assert "p_directive" in results[0] and "error" not in results[0]
         assert "error" in results[1] and "error" in results[2]
         # codes form: non-strings and empties also answer per item
-        status, body = _post(server_url + "/advise/batch",
+        status, body = _post(server_url + "/v1/advise/batch",
                              {"codes": [1, "int x = 1;"]})
         assert status == 200
         assert "error" in body["results"][0]
@@ -377,16 +381,16 @@ class TestErrorHandling:
         # \xff inside the string value: replace-decode keeps valid JSON
         dirty = b'{"code": "int x = 1; // \xff\xfe"}'
         req = urllib.request.Request(
-            server_url + "/advise", data=dirty,
+            server_url + "/v1/advise", data=dirty,
             headers={"Content-Type": "application/json"})
         with urllib.request.urlopen(req, timeout=10) as resp:
             assert resp.status == 200
         # \xff replacing the opening brace: not salvageable
-        code, body = self._post_error(server_url + "/advise",
+        code, body = self._post_error(server_url + "/v1/advise",
                                       b'\xff"code": "int x = 1;"}')
         assert code == 400
         assert "UTF-8" in body["error"]
-        with urllib.request.urlopen(server_url + "/stats",
+        with urllib.request.urlopen(server_url + "/v1/stats",
                                     timeout=10) as resp:
             stats = json.loads(resp.read().decode("utf-8"))
         assert stats["admission"]["invalid_body"] >= 2
@@ -398,7 +402,7 @@ class TestErrorHandling:
         host, port = server_url.removeprefix("http://").split(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=10)
         try:
-            conn.putrequest("POST", "/advise")
+            conn.putrequest("POST", "/v1/advise")
             conn.putheader("Content-Type", "application/json")
             conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
             conn.endheaders()
@@ -425,7 +429,7 @@ class TestErrorHandling:
         host, port = server.server_address[:2]
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(f"http://{host}:{port}/healthz",
+                urllib.request.urlopen(f"http://{host}:{port}/v1/healthz",
                                        timeout=30)
             assert err.value.code == 503
             body = json.loads(err.value.read().decode("utf-8"))
@@ -437,12 +441,12 @@ class TestErrorHandling:
             thread.join(timeout=5)
 
     def test_server_survives_errors(self, server_url):
-        status, _ = _post(server_url + "/advise", {"code": SNIPPETS[0]})
+        status, _ = _post(server_url + "/v1/advise", {"code": SNIPPETS[0]})
         assert status == 200
 
 
 class TestCanaryEndpoints:
-    """POST /canary + /canary/promote + /canary/rollback lifecycle."""
+    """POST /v1/canary + /v1/canary/promote + /v1/canary/rollback lifecycle."""
 
     @pytest.fixture()
     def canary_setup(self, tmp_path):
@@ -483,20 +487,20 @@ class TestCanaryEndpoints:
     def test_full_lifecycle_start_stats_promote(self, canary_setup):
         url, advisor, ckpt_b = canary_setup
         status, body = self._post_status(
-            url + "/canary", {"path": str(ckpt_b), "fraction": 0.5})
+            url + "/v1/canary", {"path": str(ckpt_b), "fraction": 0.5})
         assert status == 200
         assert body["status"] == "canary-started"
         assert body["fraction"] == 0.5
         version = body["version"]
-        # per-arm counters are live in /stats while the rollout runs
-        self._post_status(url + "/advise", {"code": SNIPPETS[0]})
-        stats = _get(url + "/stats")[1]
+        # per-arm counters are live in /v1/stats while the rollout runs
+        self._post_status(url + "/v1/advise", {"code": SNIPPETS[0]})
+        stats = _get(url + "/v1/stats")[1]
         assert stats["engine"]["canary"]["version"] == version
         assert set(stats["engine"]["canary"]["arms"]) == {"primary", "canary"}
-        status, body = self._post_status(url + "/canary/promote")
+        status, body = self._post_status(url + "/v1/canary/promote")
         assert status == 200
         assert body == {"status": "promoted", "model_version": version}
-        stats = _get(url + "/stats")[1]
+        stats = _get(url + "/v1/stats")[1]
         assert stats["engine"]["model_version"] == version
         assert stats["engine"]["canary"] is None
         assert stats["engine"]["last_canary"]["outcome"] == "promoted"
@@ -506,36 +510,36 @@ class TestCanaryEndpoints:
     def test_rollback_and_conflict_statuses(self, canary_setup):
         url, advisor, ckpt_b = canary_setup
         # finishing with no canary active is a 409, not a 500
-        assert self._post_status(url + "/canary/promote")[0] == 409
-        assert self._post_status(url + "/canary/rollback")[0] == 409
+        assert self._post_status(url + "/v1/canary/promote")[0] == 409
+        assert self._post_status(url + "/v1/canary/rollback")[0] == 409
         assert self._post_status(
-            url + "/canary", {"path": str(ckpt_b)})[0] == 200
+            url + "/v1/canary", {"path": str(ckpt_b)})[0] == 200
         # a second rollout while one is active is a 409 too
         assert self._post_status(
-            url + "/canary", {"path": str(ckpt_b)})[0] == 409
-        status, body = self._post_status(url + "/canary/rollback")
+            url + "/v1/canary", {"path": str(ckpt_b)})[0] == 409
+        status, body = self._post_status(url + "/v1/canary/rollback")
         assert status == 200 and body == {"status": "rolled-back"}
-        assert _get(url + "/stats")[1]["engine"]["model_version"] == "0"
+        assert _get(url + "/v1/stats")[1]["engine"]["model_version"] == "0"
 
     def test_bad_requests(self, canary_setup):
         url, advisor, ckpt_b = canary_setup
         # missing path, bad fraction, bad checkpoint
-        assert self._post_status(url + "/canary", {})[0] == 400
+        assert self._post_status(url + "/v1/canary", {})[0] == 400
         assert self._post_status(
-            url + "/canary", {"path": str(ckpt_b), "fraction": 0})[0] == 400
+            url + "/v1/canary", {"path": str(ckpt_b), "fraction": 0})[0] == 400
         assert self._post_status(
-            url + "/canary", {"path": str(ckpt_b), "fraction": "lots"})[0] == 400
+            url + "/v1/canary", {"path": str(ckpt_b), "fraction": "lots"})[0] == 400
         # an int too large for a float is out of range, not a dropped
         # connection
         status, body = self._post_status(
-            url + "/canary", {"path": str(ckpt_b), "fraction": 10 ** 400})
+            url + "/v1/canary", {"path": str(ckpt_b), "fraction": 10 ** 400})
         assert status == 400 and "error" in body
         status, body = self._post_status(
-            url + "/canary", {"path": str(ckpt_b / "nope")})
+            url + "/v1/canary", {"path": str(ckpt_b / "nope")})
         assert status == 500
         # primary untouched after the failed start
-        assert _get(url + "/healthz")[0] == 200
-        assert _get(url + "/stats")[1]["engine"]["canary"] is None
+        assert _get(url + "/v1/healthz")[0] == 200
+        assert _get(url + "/v1/stats")[1]["engine"]["canary"] is None
 
     def test_advisor_without_canary_surface_501(self):
         class Plain:
@@ -552,9 +556,125 @@ class TestCanaryEndpoints:
         url = f"http://{host}:{port}"
         try:
             assert self._post_status(
-                url + "/canary", {"path": "x"})[0] == 501
-            assert self._post_status(url + "/canary/promote")[0] == 501
+                url + "/v1/canary", {"path": "x"})[0] == 501
+            assert self._post_status(url + "/v1/canary/promote")[0] == 501
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+class _CanaryStub:
+    """Instant advisor whose canary always promotes and rolls back."""
+
+    def advise_v1(self, requests):
+        return [AdviceResult(verdict=True, probability=0.75, id=req.id)
+                for req in requests]
+
+    def head_names(self):
+        return ["directive"]
+
+    def stats(self):
+        return {}
+
+    def promote(self):
+        return "v2"
+
+    def rollback(self):
+        return None
+
+
+@pytest.fixture()
+def stub_server():
+    server = make_server(_CanaryStub(), port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _exchange(conn, method, path, body=None):
+    """One request on ``conn``: ``(status, Content-Type, parsed body)``."""
+    conn.request(method, path, body=body)
+    resp = conn.getresponse()
+    return resp.status, resp.getheader("Content-Type"), json.loads(resp.read())
+
+
+class TestOneConnection:
+    """Several requests on one keep-alive ``HTTPConnection``."""
+
+    @pytest.mark.parametrize("method,path", [
+        ("GET", "/v1/healthz"), ("GET", "/v1/stats"),
+        ("POST", "/v1/canary/promote"), ("POST", "/v1/canary/rollback"),
+    ])
+    def test_unread_body_does_not_desync_the_connection(
+            self, stub_server, method, path):
+        """A body the handler never reads must not be parsed as the next
+        request line: the follow-up still gets its JSON answer."""
+        conn = http.client.HTTPConnection(*stub_server.server_address[:2],
+                                          timeout=10)
+        try:
+            assert _exchange(conn, method, path, b'{"why": "x"}')[0] == 200
+            status, ctype, body = _exchange(conn, "GET", "/v1/healthz")
+        finally:
+            conn.close()
+        assert (status, ctype) == (200, "application/json")
+        assert body["status"] == "ok"
+
+    def test_bare_paths_are_json_404s(self, stub_server):
+        """Only the ``/v1/`` spellings are routed: each bare one answers a
+        JSON 404, ticks ``errors``, and the connection keeps working."""
+        bare = [(method, path.removeprefix("/v1")) for method, path in ROUTES]
+        assert all(path.startswith("/v1/") for _, path in ROUTES)
+        assert {path for _, path in bare} == {
+            "/advise", "/advise/batch", "/healthz", "/stats", "/reload",
+            "/canary", "/canary/promote", "/canary/rollback"}
+        errors = stub_server.counters()["errors"]
+        conn = http.client.HTTPConnection(*stub_server.server_address[:2],
+                                          timeout=10)
+        try:
+            for method, path in bare:
+                body = b'{"code": "int x;"}' if method == "POST" else None
+                status, ctype, reply = _exchange(conn, method, path, body)
+                assert (status, ctype) == (404, "application/json"), path
+                assert "error" in reply
+                assert _exchange(conn, "GET", "/v1/healthz")[0] == 200
+        finally:
+            conn.close()
+        assert stub_server.counters()["errors"] == errors + len(bare)
+
+
+def test_cli_banner_announces_the_bound_port(tmp_path):
+    """``repro serve --http 0`` announces its port on the first stdout
+    line; load generators parse it exactly as below, so the line must
+    keep starting ``advisor listening on http://HOST:PORT `` with a
+    space after the port."""
+    vocab = Vocab.build([text_tokens(code) for code in SNIPPETS], min_freq=1)
+    registry = ModelRegistry()
+    registry.register("directive", PragFormer(len(vocab), TINY), vocab,
+                      max_len=TINY.max_len)
+    registry.save(tmp_path / "ckpt")
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--http", "0",
+         "--watch", str(tmp_path / "ckpt")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
+    try:
+        lines = []
+        reader = threading.Thread(
+            target=lambda: lines.append(proc.stdout.readline()), daemon=True)
+        reader.start()
+        reader.join(timeout=60)
+        assert lines and lines[0].startswith("advisor listening on http://")
+        port = int(lines[0].split("http://", 1)[1].split(" ", 1)[0]
+                   .rsplit(":", 1)[1])
+        for method, path in ROUTES:
+            assert f"{method} {path}" in lines[0]
+        status, body = _get(f"http://127.0.0.1:{port}/v1/healthz")
+        assert status == 200 and body["heads"] == ["directive"]
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)

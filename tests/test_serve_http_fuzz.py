@@ -4,10 +4,12 @@ Hypothesis draws JSON-object bodies whose fields hold arbitrary JSON
 values — huge ints (past the float range and past Python's int-string
 digit limit), NaN and +-inf floats, deep and shallow nesting, ``null``,
 bools and non-ASCII strings — and posts them to ``/v1/advise``,
-``/v1/advise/batch``, ``/v1/reload`` and ``/v1/canary``.  Whatever the
-body, the server must answer with a documented status and a JSON object,
-never drop the connection.  Stub advisors stand in for the model, so no
-weights load.
+``/v1/advise/batch``, ``/v1/reload``, ``/v1/canary`` and the body-less
+``/v1/canary/promote`` and ``/v1/canary/rollback``.  Whatever the body,
+the server must answer with a documented status and a JSON object, never
+drop the connection, and — unless the reply says ``Connection: close`` —
+answer a follow-up ``GET /v1/healthz`` on the same connection.  Stub
+advisors stand in for the model, so no weights load.
 
 Scale the sweep with ``REPRO_FUZZ_N`` (examples per endpoint; the CI
 ``--fuzz`` stage raises it, the default keeps tier-1 fast).
@@ -73,6 +75,9 @@ _FIELDS = {
     },
     "/v1/reload": {"path": _STRINGS},
     "/v1/canary": {"path": _STRINGS, "fraction": _NUMBERS | _VALUES},
+    # read no body at all: every drawn body is left on the socket
+    "/v1/canary/promote": {},
+    "/v1/canary/rollback": {},
 }
 
 
@@ -98,7 +103,8 @@ class _BareAdvisor:
 
 class _StubAdvisor(_BareAdvisor):
     """Adds ``reload``/``start_canary``, failing by path length so the
-    409 and 500 branches are drawn too."""
+    409 and 500 branches are drawn too, and a canary that always
+    promotes and rolls back."""
 
     def reload(self, path):
         if len(path) % 3 == 0:
@@ -111,6 +117,12 @@ class _StubAdvisor(_BareAdvisor):
         if len(path) % 3 == 1:
             raise RuntimeError("a canary rollout is already active")
         return f"canary:{path}"
+
+    def promote(self):
+        return "canary:promoted"
+
+    def rollback(self):
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +146,14 @@ def _post_raw(address, path, body: bytes):
         conn.request("POST", path, body=body,
                      headers={"Content-Type": "application/json"})
         resp = conn.getresponse()
-        return resp.status, resp.read()
+        status, raw = resp.status, resp.read()
+        if resp.getheader("Connection") != "close":
+            # the connection must still frame the next request correctly
+            conn.request("GET", "/v1/healthz")
+            probe = conn.getresponse()
+            assert probe.getheader("Content-Type") == "application/json"
+            assert json.loads(probe.read())["status"] == "ok"
+        return status, raw
     finally:
         conn.close()
 

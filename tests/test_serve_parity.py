@@ -16,9 +16,8 @@ from one advisor checkpoint.  Five parities hold on all of it:
 * **canary arm** — a canary at fraction 1.0 on the primary's own
   checkpoint answers exactly as the primary (except ``arm`` and
   ``model_version``);
-* **HTTP shape** — legacy ``POST /advise`` is ``POST /v1/advise``
-  trimmed to the legacy keys, and ``POST /v1/advise/batch`` answers each
-  snippet exactly as ``POST /v1/advise`` does;
+* **HTTP shape** — ``POST /v1/advise/batch`` answers each snippet
+  exactly as ``POST /v1/advise`` does;
 * **fleet** — a :class:`~repro.serve.ShardedEngine` of 1, 2 or 4 shards
   answers exactly as the in-process engine, gated and ungated, without a
   canary and with one at fraction 1.0.
@@ -53,7 +52,6 @@ from repro.serve import (
     make_server,
 )
 from repro.serve.engine import source_digest
-from repro.serve.http_api import LEGACY_KEYS
 from repro.tokenize import Vocab, robust_text_tokens
 
 DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
@@ -146,17 +144,6 @@ class TestConfigurationParity:
                    for r in got)
         for code, e, g in zip(traffic, expected, got):
             assert replace(g, arm="primary", model_version="0") == e, code[:60]
-
-    def test_legacy_advise_is_trimmed_v1_advise(self, checkpoint, traffic):
-        bodies = {}
-        for path in ("/advise", "/v1/advise"):
-            with _serving(checkpoint) as url:
-                bodies[path] = [_post(url + path, {"code": code})
-                                for code in traffic]
-        for code, legacy, v1 in zip(traffic, bodies["/advise"],
-                                    bodies["/v1/advise"]):
-            assert set(legacy) == set(LEGACY_KEYS)
-            assert legacy == {key: v1[key] for key in LEGACY_KEYS}, code[:60]
 
     def test_batch_advise_equals_single_advise(self, checkpoint, traffic):
         """The batch sends every snippet to the heads in one call, so both

@@ -9,9 +9,8 @@ Three contracts:
   ``degraded`` ride first-class on every result (engine, fleet, HTTP),
   including the shared-memory transport where workers only ever see
   pre-encoded rows;
-* **wire** — ``/v1/*`` endpoints serve the new schema,
-  ``schema_version`` appears in ``/stats``, and the legacy aliases keep
-  answering (the v1 body is a strict superset of the legacy body).
+* **wire** — the ``/v1/*`` endpoints serve the v1 schema and
+  ``schema_version`` appears in ``/v1/stats``.
 """
 
 import json
@@ -34,7 +33,6 @@ from repro.serve import (
     make_server,
 )
 from repro.serve.engine import source_digest
-from repro.serve.http_api import LEGACY_KEYS
 from repro.tokenize import Vocab, robust_text_tokens, text_tokens
 
 TINY = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
@@ -103,10 +101,10 @@ class TestEngineParity:
         for code in SNIPPETS:
             wire = engine.advise_full_many([code])[0].as_dict()
             v1 = engine.advise_v1([code])[0].as_dict()
-            for key in LEGACY_KEYS:
-                assert v1[key] == wire[key], key
-            assert set(v1) - set(LEGACY_KEYS) == {"recovered",
-                                                  "model_version", "arm"}
+            assert set(v1) == {"needs_directive", "p_directive", "clauses",
+                               "recommended_clauses", "degraded",
+                               "recovered", "model_version", "arm"}
+            assert v1 == wire
 
     def test_single_and_bulk_shims_match_v1(self, engine):
         results = engine.advise_v1(SNIPPETS)
@@ -266,30 +264,19 @@ class TestHTTPv1:
         assert body["arm"] == "primary"
         assert body["id"] == "req-1"
 
-    def test_legacy_advise_keeps_legacy_shape(self, server_url):
-        status, body = _post(server_url + "/advise", {"code": SNIPPETS[0]})
-        assert status == 200
-        assert "model_version" not in body
-        v1 = _post(server_url + "/v1/advise", {"code": SNIPPETS[0]})[1]
-        assert v1["p_directive"] == body["p_directive"]
-
     def test_batch_answers_v1_schema_on_both_spellings(self, server_url):
-        for prefix in ("", "/v1"):
-            status, body = _post(server_url + prefix + "/advise/batch",
-                                 {"codes": SNIPPETS[:2]})
-            assert status == 200
-            for result in body["results"]:
-                assert "model_version" in result
-                assert "arm" in result
-            assert [r["id"] for r in body["results"]] == [0, 1]
+        status, body = _post(server_url + "/v1/advise/batch",
+                             {"codes": SNIPPETS[:2]})
+        assert status == 200
+        for result in body["results"]:
+            assert "model_version" in result
+            assert "arm" in result
+        assert [r["id"] for r in body["results"]] == [0, 1]
 
     def test_stats_reports_schema_version(self, server_url):
-        status, body = _get(server_url + "/stats")
+        status, body = _get(server_url + "/v1/stats")
         assert status == 200
         assert body["schema_version"] == SCHEMA_VERSION
-        status, v1_body = _get(server_url + "/v1/stats")
-        assert status == 200
-        assert v1_body["schema_version"] == SCHEMA_VERSION
 
     def test_v1_healthz_alias(self, server_url):
         status, body = _get(server_url + "/v1/healthz")
@@ -297,8 +284,8 @@ class TestHTTPv1:
         assert body["status"] == "ok"
 
     def test_v1_canary_lifecycle_routes(self, server_url):
-        """/v1/canary* reach the same handlers as the legacy paths —
-        with no canary active promote/rollback answer 409."""
+        """/v1/canary/promote and /rollback reach their handlers — with
+        no canary active they answer 409."""
         for endpoint in ("/v1/canary/promote", "/v1/canary/rollback"):
             req = urllib.request.Request(server_url + endpoint, data=b"",
                                          method="POST")
