@@ -89,7 +89,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import openblas_thread_calls, timed, write_bench_report
+from conftest import timed, write_bench_report
 
 from repro.clang.fuzz import fuzz_corpus
 from repro.corpus import CorpusConfig, build_corpus
@@ -108,6 +108,7 @@ from repro.serve import (
     make_server,
 )
 from repro.tokenize import Vocab, text_tokens
+from repro.utils.blas import openblas_thread_calls, set_blas_threads
 
 pytestmark = pytest.mark.perf
 
@@ -161,10 +162,8 @@ def _shard_worker_engine(model, vocab, max_len, blas_threads=None):
     pass: a directive-only :class:`MultiModelEngine` (module-level so it
     pickles under the 'spawn' start method).  ``blas_threads`` caps the
     worker's OpenBLAS pool, as a deployment would."""
-    calls = openblas_thread_calls() if blas_threads else None
-    if calls is not None:
-        _get, put = calls
-        put(blas_threads)
+    if blas_threads:
+        set_blas_threads(blas_threads)
     registry = ModelRegistry()
     registry.register("directive", model, vocab, max_len=max_len)
     return MultiModelEngine(registry, config=EngineConfig(max_batch_size=128))

@@ -57,12 +57,14 @@ forward instead of dropping it.
 
 import json
 import time
+from dataclasses import replace
+from math import ceil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import one_blas_thread, timed, write_bench_report
+from conftest import timed, write_bench_report
 
 from repro.corpus import CorpusConfig, build_corpus
 from repro.data.encoding import EncodedSplit, encode_batch
@@ -88,6 +90,7 @@ from repro.tokenize import Vocab, text_tokens
 from repro.pipeline.config import SMALL
 from repro.train.ddp import (DDPConfig, reseed_stochastic, shard_bounds,
                              stochastic_reseeder)
+from repro.utils.blas import one_blas_thread
 
 pytestmark = pytest.mark.perf
 
@@ -145,14 +148,29 @@ def _legacy_softmax(scores):
     return shifted
 
 
-class _LegacyDropout(Module):
-    """Pre-overhaul inverted dropout: four fresh allocations per call.
+_LANE_SHIFTS = np.arange(0, 64, 16, dtype=np.uint64)
 
-    Draws float uniforms, where the library Dropout compares raw
-    generator words; both consume the same rng stream and make the same
-    masks, so legacy and fused trainings agree, and the legacy loop is the
-    reference ``test_training_step_smoke`` checks the raw-word draws
-    against."""
+
+def _lane_keep(rng, shape, p):
+    """Reference keep draw of the library ``Dropout``: ``(kept, keep)``
+    from ``ceil(n / 4)`` raw words cut into 16-bit lanes by shifts (lane
+    ``4 w + j`` is bits ``16 j .. 16 j + 15`` of word ``w``), kept where a
+    lane is below ``k = ceil((1 - p) * 2**16)``; ``keep`` is ``k / 2**16``.
+    Every step allocates afresh."""
+    n = int(np.prod(shape))
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    lanes = (words[:, None] >> _LANE_SHIFTS) & np.uint64(0xFFFF)
+    kept_lanes = ceil((1.0 - p) * 2**16)
+    kept = (lanes.reshape(-1)[:n] < kept_lanes).reshape(shape)
+    return kept, kept_lanes / 2**16
+
+
+class _LegacyDropout(Module):
+    """Pre-overhaul inverted dropout: fresh allocations per call.
+
+    Takes the library ``Dropout``'s keep draw from :func:`_lane_keep`, so
+    legacy and fused trainings consume the same rng streams and apply the
+    same masks wherever both run the same rows."""
 
     def __init__(self, p, rng):
         super().__init__()
@@ -160,17 +178,12 @@ class _LegacyDropout(Module):
         self.rng = rng
         self._mask = None
 
-    def forward(self, x, draw_shape=None):
-        # draw_shape: the library FeedForward's argument for a CLS-only
-        # block; legacy blocks run every row, so it is always None here
-        assert draw_shape is None
+    def forward(self, x):
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
-        keep = x.dtype.type(1.0 - self.p)
-        uniform = self.rng.random(
-            x.shape, dtype=x.dtype if x.dtype == np.float32 else np.float64)
-        self._mask = (uniform < keep).astype(x.dtype) / keep
+        kept, keep = _lane_keep(self.rng, x.shape, self.p)
+        self._mask = kept.astype(x.dtype) / x.dtype.type(keep)
         return x * self._mask
 
     def backward(self, dy):
@@ -229,11 +242,15 @@ class _LegacyAttention(Module):
         b, h, l, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
-    def forward(self, x, mask=None):
+    def forward(self, x, mask=None, cls_only=False):
+        """``cls_only``: queries, scores, context and ``out_proj`` for the
+        CLS row alone (from the full Q/K/V projection)."""
         b, l, _ = x.shape
         qkv = self.qkv_proj.forward(x)
         qkv = qkv.reshape(b, l, 3, self.n_heads, self.d_head).transpose(2, 0, 3, 1, 4)
         q, k, v = qkv[0], qkv[1], qkv[2]
+        if cls_only:
+            q = q[:, :, :1]
         scale = 1.0 / float(np.sqrt(self.d_head))
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if mask is not None:
@@ -256,6 +273,9 @@ class _LegacyAttention(Module):
         inner = (dattn * attn).sum(axis=-1, keepdims=True)
         dscores = attn * (dattn - inner)
         dq = (dscores @ k) * scale
+        if q.shape[2] < k.shape[2]:  # CLS-only: the other queries get 0
+            dq = np.pad(dq, ((0, 0), (0, 0), (0, k.shape[2] - q.shape[2]),
+                             (0, 0)))
         dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
         dqkv = np.concatenate(
             [self._merge(dq), self._merge(dk), self._merge(dv)], axis=-1)
@@ -297,8 +317,14 @@ class _LegacyEncoderLayer(Module):
         ln.beta = rln.beta
         return ln
 
-    def forward(self, x, mask=None):
-        x = self.ln1.forward(x + self.drop1.forward(self.attn.forward(x, mask)))
+    def forward(self, x, mask=None, cls_only=False):
+        """``cls_only``: attention from the CLS row, and the residuals,
+        LayerNorms, FFN and dropouts on the CLS rows alone."""
+        self._cls_only = cls_only
+        attended = self.attn.forward(x, mask, cls_only)
+        if cls_only:
+            x = x[:, :1]
+        x = self.ln1.forward(x + self.drop1.forward(attended))
         x = self.ln2.forward(x + self.drop2.forward(self.ffn.forward(x)))
         return x
 
@@ -306,8 +332,11 @@ class _LegacyEncoderLayer(Module):
         d = self.ln2.backward(dy)
         d = d + self.ffn.backward(self.drop2.backward(d))
         d = self.ln1.backward(d)
-        d = d + self.attn.backward(self.drop1.backward(d))
-        return d
+        dx = self.attn.backward(self.drop1.backward(d))
+        if self._cls_only:
+            dx[:, :1] += d
+            return dx
+        return d + dx
 
 
 class _LegacyAdamW:
@@ -412,10 +441,9 @@ def _legacy_fit(model: PragFormer, split: EncodedSplit, epochs: int):
     split over the default micro-shard grid with every shard's dropouts
     reseeded from its ``(seed, step, shard)`` key and its rows trimmed to
     its own longest one, sum-reduced gradients divided once by the batch
-    size, then per-parameter clipping and AdamW.  Every block runs on
-    every position (the fused fit computes the last block for the CLS rows
-    alone, from the same dropout masks).  Returns the per-epoch train
-    losses."""
+    size, then per-parameter clipping and AdamW.  The last block runs on
+    the CLS rows alone, as in the fused fit, so both draw the same dropout
+    masks.  Returns the per-epoch train losses."""
     cfg = model.config
     opt = _LegacyAdamW(_Joint(model.encoder, model.head), lr=cfg.lr,
                        weight_decay=cfg.weight_decay)
@@ -441,8 +469,8 @@ def _legacy_fit(model: PragFormer, split: EncodedSplit, epochs: int):
                 reseed_stochastic((model.encoder, model.head),
                                   (seed, opt.t, shard))
                 ids, mask = trim_batch(split.ids[sel], split.mask[sel])
-                # the pre-overhaul forward ran every block on every position
-                logits = model.head.forward(model.encoder.forward(ids, mask))
+                logits = model.head.forward(
+                    model.encoder.forward(ids, mask, cls_only=True))
                 loss, dlogits = cross_entropy(logits, split.labels[sel])
                 model._backward(dlogits * ftype(len(sel)))
                 loss_sum += float(loss) * len(sel)
@@ -807,9 +835,10 @@ CLS_ONLY_STEP_FLOOR = 1.15
 def test_cls_only_training_step_smoke():
     """One training step (forward, CE loss, backward) with the last block
     on the CLS rows alone — what ``PragFormer.fit`` runs — against the
-    full last block, on the same batch with the same dropout seeds: the
-    losses agree to float32 round-off, and the CLS-only step is at least
-    ``CLS_ONLY_STEP_FLOOR`` times faster (medians of alternating steps)."""
+    full last block, on the same batch with the same dropout seeds.
+    Without dropout the losses agree to float32 round-off; at ``fit``'s
+    dropout of 0.1 the CLS-only step is at least ``CLS_ONLY_STEP_FLOOR``
+    times faster (medians of alternating steps)."""
     config = PragFormerConfig(d_model=64, n_heads=4, n_layers=2, d_ff=128,
                               d_head_hidden=64, max_len=110, batch_size=32,
                               seed=0)
@@ -817,83 +846,97 @@ def test_cls_only_training_step_smoke():
     longest = np.argsort(split.mask.sum(axis=1))[-config.batch_size:]
     ids, mask = trim_batch(split.ids[longest], split.mask[longest])
     labels = split.labels[longest]
-    model = PragFormer(len(vocab), config)
-    model.encoder.train()
-    model.head.train()
 
-    def step(cls_only: bool) -> float:
-        reseed_stochastic((model.encoder, model.head), (5, 1))
-        hidden = model.encoder.forward(ids, mask, cls_only=cls_only)
-        loss, dlogits = cross_entropy(model.head.forward(hidden), labels)
-        model._backward(dlogits)
-        return loss
+    def stepper(dropout):
+        model = PragFormer(len(vocab), replace(config, dropout=dropout))
+        model.encoder.train()
+        model.head.train()
 
+        def step(cls_only: bool) -> float:
+            reseed_stochastic((model.encoder, model.head), (5, 1))
+            hidden = model.encoder.forward(ids, mask, cls_only=cls_only)
+            loss, dlogits = cross_entropy(model.head.forward(hidden), labels)
+            model._backward(dlogits)
+            return loss
+
+        return step
+
+    exact = stepper(0.0)
+    np.testing.assert_allclose(exact(True), exact(False), rtol=2e-6)
+
+    step = stepper(config.dropout)
     times = {False: [], True: []}
-    losses = {}
     for rep in range(23):
         for cls_only in (False, True):
             start = time.perf_counter()
-            losses[cls_only] = step(cls_only)
+            step(cls_only)
             if rep >= 3:  # warm BLAS, the allocator and the scratch pools
                 times[cls_only].append(time.perf_counter() - start)
     full, pruned = (float(np.median(times[c])) for c in (False, True))
     speedup = full / pruned
     print(f"\ncls-only training step on B={ids.shape[0]} L={ids.shape[1]}: "
           f"{1e3 * full:.2f} -> {1e3 * pruned:.2f} ms ({speedup:.2f}x)")
-    np.testing.assert_allclose(losses[True], losses[False], rtol=2e-6)
     assert speedup >= CLS_ONLY_STEP_FLOOR, (
         f"CLS-only last block only {speedup:.2f}x the full block "
         f"(floor {CLS_ONLY_STEP_FLOOR}x)")
 
 
-#: floor on ``Dropout.forward``'s speedup from raw-word masks over the
-#: float draw it replaced, at one DDP micro-shard's attention shape
-RAW_DROPOUT_FLOOR = 1.5
+#: floor on ``Dropout.forward``'s speedup from 16-bit lanes over the
+#: 32-bit-word draw they replaced, at one DDP micro-shard's attention shape
+LANE_DROPOUT_FLOOR = 1.2
 
 
-def _float_draw_dropout(p, rng, x, pool):
-    """The replaced ``Dropout.forward``: pooled float32 uniforms compared
-    against ``keep``, then the pooled mask and output."""
+def _word_draw_dropout(p, rng, x, pool):
+    """The replaced ``Dropout.forward``: one 32-bit half of a raw word per
+    element, compared against the float32 keep, then the pooled mask and
+    output."""
     keep = x.dtype.type(1.0 - p)
-    uniform = pool.get("uniform", x.shape, x.dtype)
-    rng.random(out=uniform, dtype=x.dtype)
+    limit = np.uint32((ceil(float(keep) * 2.0**24) << 8) - 1)
+    words = rng.bit_generator.random_raw((x.size + 1) // 2).view(np.uint32)
+    kept = np.less_equal(words[:x.size], limit).reshape(x.shape)
     mask = pool.get("mask", x.shape, x.dtype)
-    np.less(uniform, keep, out=mask)
-    np.divide(mask, keep, out=mask)
-    return mask, np.multiply(x, mask, out=pool.get("out", x.shape, x.dtype))
+    np.divide(kept, keep, out=mask)
+    return np.multiply(x, mask, out=pool.get("out", x.shape, x.dtype))
 
 
 @pytest.mark.smoke
 def test_raw_dropout_draw_smoke():
-    """``Dropout.forward`` on a (4, 4, 64, 64) float32 attention tensor
-    (4 rows: one micro-shard of a 32-row batch on the old 8-shard grid) makes
-    the float draw's masks bit for bit, at least ``RAW_DROPOUT_FLOOR``
-    times faster (medians of interleaved rounds)."""
+    """``Dropout.forward`` on a (8, 4, 44, 44) float32 attention tensor
+    (one 8-row micro-shard of a 32-row batch at a typical SMALL length)
+    makes the lane reference's masks (:func:`_lane_keep`) bit for bit,
+    at least ``LANE_DROPOUT_FLOOR`` times faster than the 32-bit-word
+    draw it replaced (medians of interleaved rounds)."""
     x = np.random.default_rng(0).standard_normal(
-        (4, 4, 64, 64)).astype(np.float32)
+        (8, 4, 44, 44)).astype(np.float32)
     layer = Dropout(0.1, rng=7)
-    float_rng, pool = np.random.default_rng(7), BufferPool()
-    times = {"raw": [], "float": []}
+    ref_rng = np.random.default_rng(7)
+    word_rng, pool = np.random.default_rng(7), BufferPool()
+    times = {"lanes": [], "words": []}
     for rep in range(25):
         start = time.perf_counter()
         for _ in range(20):
             out = layer.forward(x)
-        raw = time.perf_counter() - start
+        lanes = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(20):
-            mask, ref = _float_draw_dropout(0.1, float_rng, x, pool)
+            _word_draw_dropout(0.1, word_rng, x, pool)
         if rep >= 3:  # warm the allocator and the scratch pools
-            times["raw"].append(raw)
-            times["float"].append(time.perf_counter() - start)
+            times["lanes"].append(lanes)
+            times["words"].append(time.perf_counter() - start)
+        for _ in range(19):
+            _lane_keep(ref_rng, x.shape, 0.1)
+        kept, keep = _lane_keep(ref_rng, x.shape, 0.1)
+        mask = kept.astype(np.float32) / np.float32(keep)
         np.testing.assert_array_equal(layer._mask, mask)
-        np.testing.assert_array_equal(out, ref)
-    raw, flt = (float(np.median(times[k])) / 20 for k in ("raw", "float"))
-    speedup = flt / raw
-    print(f"\ndropout forward on {x.shape}: float draw {1e6 * flt:.1f} -> "
-          f"raw words {1e6 * raw:.1f} us ({speedup:.2f}x)")
-    assert speedup >= RAW_DROPOUT_FLOOR, (
-        f"raw-word dropout only {speedup:.2f}x the float draw "
-        f"(floor {RAW_DROPOUT_FLOOR}x)")
+        np.testing.assert_array_equal(out, x * mask)
+    lanes, words = (float(np.median(times[k])) / 20
+                    for k in ("lanes", "words"))
+    speedup = words / lanes
+    print(f"\ndropout forward on {x.shape}: 32-bit words {1e6 * words:.1f}"
+          f" -> 16-bit lanes {1e6 * lanes:.1f} us ({speedup:.2f}x)")
+    assert speedup >= LANE_DROPOUT_FLOOR, (
+        f"lane dropout only {speedup:.2f}x the word draw "
+        f"(floor {LANE_DROPOUT_FLOOR}x)")
 
 
 #: floor on the speedup of a SMALL-shaped epoch of shard forward/backward

@@ -23,8 +23,6 @@ repeating the plumbing.
 Scale is controlled by ``REPRO_SCALE`` (default 'small').
 """
 
-import contextlib
-import ctypes
 import json
 import platform
 import time
@@ -105,46 +103,6 @@ def timed(fn, *args, **kwargs):
     with Timer() as timer:
         result = fn(*args, **kwargs)
     return result, timer.elapsed
-
-
-def openblas_thread_calls():
-    """OpenBLAS's ``(get_num_threads, set_num_threads)`` entry points in
-    this process, or ``None`` (another BLAS, or no ``/proc``).  The
-    library is found through ``/proc/self/maps`` because NumPy loads it
-    privately; the symbol names depend on how OpenBLAS was built."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps
-                     if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
-                          None)
-            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}",
-                          None)
-            if get is not None and put is not None:
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body on one OpenBLAS thread and restore the previous
-    count afterwards (a no-op on another BLAS)."""
-    calls = openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def write_bench_report(name: str, payload: dict, merge: bool = False) -> Path:

@@ -172,10 +172,8 @@ class MultiHeadSelfAttention(Module):
         pad keys get an exact 0 weight.  Returns (B, L, D), or (B, 1, D)
         with ``cls_only``: keys and values are projected for every
         position, queries for the CLS row alone, and the scores, softmax,
-        context and output projection shrink to that one row.  The
-        attention dropout still draws its mask at (B, H, L, L) and keeps
-        the CLS slice, so the rng stream and the applied mask match the
-        full forward's."""
+        attention dropout, context and output projection shrink to that
+        one row."""
         b, l, d = x.shape
         h, dh = self.n_heads, self.d_head
         if cls_only:
@@ -218,8 +216,7 @@ class MultiHeadSelfAttention(Module):
             self.last_attention = attn
         else:
             self.last_attention = None
-        attn_dropped = self.attn_dropout.forward(
-            attn, (b, h, l, l) if cls_only else None)
+        attn_dropped = self.attn_dropout.forward(attn)
         context = self._pool.get("context", (b, h, n_queries, dh), x.dtype)
         np.matmul(attn_dropped, v, out=context)
         merged = self._pool.get("merged", (b, n_queries, d), x.dtype)

@@ -8,9 +8,8 @@ no Python loops over tokens.
 
 from __future__ import annotations
 
-import sys
-from math import ceil, prod
-from typing import Optional, Tuple
+from math import ceil
+from typing import Optional
 
 import numpy as np
 
@@ -20,10 +19,6 @@ from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["Linear", "Embedding", "LayerNorm", "ResidualLayerNorm", "Dropout",
            "ReLU", "GELU"]
-
-#: raw words are split into 32-bit halves by a little-endian view
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
 
 class Linear(Module):
     """Affine map over the last axis: ``y = x @ W + b``."""
@@ -193,73 +188,24 @@ class ResidualLayerNorm(Module):
         return dxhat
 
 
-def _keep_limit(keep: np.floating) -> int:
-    """The largest raw word whose uniform is below ``keep``: 32-bit words
-    for a float32 ``keep``, 64-bit words otherwise (see :func:`_keep_draw`).
-    """
-    bits, shift = (24, 8) if keep.dtype == np.float32 else (53, 11)
-    return (ceil(float(keep) * 2.0**bits) << shift) - 1
-
-
-def _keep_draw(rng: np.random.Generator, shape: Tuple[int, ...],
-               keep: np.floating) -> np.ndarray:
-    """Boolean ``rng.random(shape, dtype) < keep``, read from raw words.
-
-    The draw's dtype is float32 for a float32 ``keep`` and float64 for any
-    other.  numpy makes a float32 uniform as ``(next_uint32 >> 8) * 2**-24``
-    and a float64 one as ``(next_uint64 >> 11) * 2**-53``, so ``u < keep``
-    holds exactly when the raw word is below ``ceil(keep * 2**24) << 8``
-    (float64: ``ceil(keep * 2**53) << 11``).  Comparing words skips the
-    int-to-float conversion, which costs more than generating them.
-
-    PCG64 serves 32-bit words as the low, then the high half of one 64-bit
-    word, and buffers an unused high half for the next 32-bit draw.  The
-    float32 path consumes a buffered half at entry and leaves an unused one
-    buffered, so the mask and every later draw equal the float draw's.
-    (The ``uinteger`` field of the state, which nothing reads while
-    ``has_uint32`` is 0, is not rewritten.)  Other bit generators, and
-    big-endian hosts, take the float draw itself.
-    """
-    bitgen = rng.bit_generator
-    single = keep.dtype == np.float32
-    if type(bitgen) is not np.random.PCG64 or not _LITTLE_ENDIAN:
-        return rng.random(shape, dtype=np.float32 if single else np.float64) < keep
-    n = prod(shape)
-    if not single:
-        limit = np.uint64(_keep_limit(keep))
-        return np.less_equal(bitgen.random_raw(n), limit).reshape(shape)
-    limit = np.uint32(_keep_limit(keep))
-    out = np.empty(n, dtype=bool)
-    state = bitgen.state
-    head = state["has_uint32"]
-    if head:
-        out[0] = state["uinteger"] <= limit
-    words = bitgen.random_raw((n - head + 1) // 2).view(np.uint32)
-    np.less_equal(words[:n - head], limit, out=out[head:])
-    tail = words.size > n - head  # the last word's high half went unused
-    if head or tail:
-        state = bitgen.state
-        state["has_uint32"] = int(tail)
-        if tail:
-            state["uinteger"] = int(words[-1])
-        bitgen.state = state
-    return out.reshape(shape)
+#: 16-bit lanes per ``random_raw`` word: numpy's bit generators return 64
+#: random bits per word, except MT19937, whose words carry 32
+_LANES_PER_WORD = {np.random.MT19937: 2}
 
 
 class Dropout(Module):
     """Inverted dropout; identity in eval mode (§4.3 regularization).
 
-    The keep mask comes from raw generator words (:func:`_keep_draw`): it
-    is bit for bit ``rng.random(shape, dtype) < keep`` and leaves ``rng``
-    where that draw would, at about half its cost.  The scaled mask and
-    the output live in pooled scratch buffers reused across steps with the
-    same batch shape.
-
-    ``forward(x, draw_shape)`` draws the mask at ``draw_shape`` and applies
-    its leading corner (``x.shape`` on every axis).  A block that computes
-    only its CLS rows passes its full-block shape, so the rng stream
-    advances as in the full block and ``x`` gets exactly the CLS slice of
-    the full block's mask.
+    The keep mask of an ``n``-element input comes from 16-bit lanes of raw
+    generator words: ``ceil(n / 4)`` words of ``bit_generator.random_raw``
+    read as little-endian ``uint16`` lanes (``ceil(n / 2)`` words and their
+    low two lanes on MT19937), and element ``i`` is kept when
+    ``lane[i] < k = ceil((1 - p) * 2**16)``.  Kept elements are scaled by
+    ``2**16 / k``, so each mask element has expectation exactly 1 and the
+    drop rate is within ``2**-16`` of ``p``.  The draw is the same for
+    float32 and float64 and on every host, and covers exactly the
+    elements of ``x``: a block that computes only its CLS rows draws for
+    those rows alone.  The mask and the output live in pooled buffers.
 
     Under :class:`~repro.train.ddp.DataParallelTrainer` every dropout of a
     model shares one generator per micro-shard key
@@ -276,17 +222,21 @@ class Dropout(Module):
         self._mask: Optional[np.ndarray] = None
         self._pool = BufferPool()
 
-    def forward(self, x: np.ndarray,
-                draw_shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
-        keep = x.dtype.type(1.0 - self.p)
-        kept = _keep_draw(self.rng, draw_shape or x.shape, keep)
-        if draw_shape is not None:
-            kept = kept[tuple(slice(0, n) for n in x.shape)]
+        n = x.size
+        kept_lanes = ceil((1.0 - self.p) * 2**16)
+        bitgen = self.rng.bit_generator
+        per_word = _LANES_PER_WORD.get(type(bitgen), 4)
+        words = bitgen.random_raw(-(-n // per_word))
+        lanes = words.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
+        lanes = lanes[:, :per_word].reshape(-1)[:n]  # a view at 4 per word
         mask = self._pool.get("mask", x.shape, x.dtype)
-        np.divide(kept, keep, out=mask)  # 0 or 1/keep
+        np.less_equal(lanes.reshape(x.shape), np.uint16(kept_lanes - 1),
+                      out=mask)
+        mask /= x.dtype.type(kept_lanes / 2**16)  # 0 or 1/keep
         self._mask = mask
         out = self._pool.get("out", x.shape, x.dtype)
         return np.multiply(x, mask, out=out)

@@ -7,8 +7,7 @@ GELU feed-forward, dropout on embeddings/attention/FFN.
 ``forward`` runs a padded (B, L) batch and backs training, ``eval``, MLM
 pretraining and attention retention.  With ``cls_only`` (classifier
 training) the last block computes the CLS rows alone, in the forward and
-the backward pass; its dropouts still draw full-block masks and keep the
-CLS slice, so the masks and rng streams match the full block's.
+the backward pass, and its dropouts draw masks for those rows alone.
 ``forward_packed`` is the inference forward over a pad-free
 :class:`~repro.nn.packing.PackedBatch` that returns each snippet's CLS
 row.
@@ -17,7 +16,7 @@ row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -69,15 +68,9 @@ class FeedForward(Module):
         self.drop = Dropout(dropout, rng=r2)
         self.fc2 = Linear(d_ff, d_model, rng=r3)
 
-    def forward(self, x: np.ndarray,
-                draw_shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
-        """``draw_shape`` is the shape of the full input whose leading
-        corner ``x`` is; the dropout draws its mask for all of it (see
-        :class:`~repro.nn.layers.Dropout`)."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
         hidden = self.act.forward(self.fc1.forward(x))
-        if draw_shape is not None:
-            draw_shape = (*draw_shape[:-1], hidden.shape[-1])
-        return self.fc2.forward(self.drop.forward(hidden, draw_shape))
+        return self.fc2.forward(self.drop.forward(hidden))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return self.fc1.backward(self.act.backward(self.drop.backward(self.fc2.backward(dy))))
@@ -106,18 +99,14 @@ class TransformerEncoderLayer(Module):
                 cls_only: bool = False) -> np.ndarray:
         """(B, L, D) -> (B, L, D), or the CLS rows (B, 1, D) with
         ``cls_only``: attention reads every position's keys and values,
-        and ``out_proj``, both LayerNorms and the FFN run on the B CLS
-        rows.  Each dropout draws its mask at the full block's shape and
-        applies the CLS slice, so a training step sees the same masks and
-        rng streams as the full block."""
-        full = x.shape if cls_only else None
+        and ``out_proj``, both LayerNorms, the FFN and every dropout run
+        on the B CLS rows."""
         self._cls_only = cls_only
         attended = self.attn.forward(x, mask, cls_only)
         if cls_only:
             x = x[:, :1]
-        x = self.ln1.forward(x, self.drop1.forward(attended, full))
-        x = self.ln2.forward(x, self.drop2.forward(self.ffn.forward(x, full), full))
-        return x
+        x = self.ln1.forward(x, self.drop1.forward(attended))
+        return self.ln2.forward(x, self.drop2.forward(self.ffn.forward(x)))
 
     def forward_packed(self, x: np.ndarray, batch: PackedBatch,
                        cls_only: bool = False) -> np.ndarray:
@@ -177,16 +166,15 @@ class TransformerEncoder(Module):
         classifier trains on) the last block computes the CLS rows alone
         and the result is (B, 1, D); an encoder with no block returns
         (B, L, D) either way."""
-        b, l = ids.shape
+        l = ids.shape[1]
         self._check_length(l)
         if mask is not None and mask.all():
             # length-bucketed + trimmed batches are frequently padding-free;
             # dropping the mask skips one full (B, H, L, L) multiply per layer
             mask = None
-        # int32 positions match the encoding pipeline's id dtype (half the
-        # index-traffic of int64 through the embedding gathers)
-        positions = np.broadcast_to(np.arange(l, dtype=np.int32), (b, l))
-        x = self.tok_emb.forward(ids) + self.pos_emb.forward(positions)
+        # every row's positions are 0..l-1: add the first l position
+        # vectors by broadcasting (backward sums their gradient over rows)
+        x = self.tok_emb.forward(ids) + self.pos_emb.W.data[:l]
         x = self.emb_drop.forward(self.emb_ln.forward(x))
         body, last = self.layers, None
         if cls_only and self.layers:
@@ -218,7 +206,7 @@ class TransformerEncoder(Module):
             dy = layer.backward(dy)
         dy = self.emb_ln.backward(self.emb_drop.backward(dy))
         self.tok_emb.backward(dy)
-        self.pos_emb.backward(dy)
+        self.pos_emb.W.grad[:dy.shape[1]] += dy.sum(axis=0)
 
     def attention_maps(self) -> List[np.ndarray]:
         """Per-layer attention weights from the most recent forward pass.

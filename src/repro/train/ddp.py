@@ -39,7 +39,11 @@ never depends on how many workers exist:
   one :class:`~repro.nn.optim.FusedAdamW` step.  Parameters are only ever
   written by rank 0, between barriers, so a worker death can never leave
   the arena torn — the params are always exactly those of the last
-  completed step.
+  completed step;
+* every rank runs on one OpenBLAS thread (:mod:`repro.utils.blas`), set
+  in rank 0 before the fork, since a long-K weight-gradient GEMM sums in
+  another order on two; this also keeps N ranks from oversubscribing the
+  cores.  Close restores rank 0's count.
 
 **Process topology.**  Rank 0 *is* the calling process: it computes its
 own shards, reduces, and steps; ranks 1..N-1 are forked children created
@@ -80,6 +84,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.optim import FusedAdamW, WarmupSchedule
+from repro.utils.blas import set_blas_threads
 
 __all__ = [
     "DDP_NAME_PREFIX",
@@ -274,6 +279,10 @@ class DataParallelTrainer:
         param_view = np.ndarray((arena_words,), dtype, self._seg_params.buf)
         self.arena.rebind(data=param_view)
 
+        # rank 0's own BLAS pool size, restored on close (None: no OpenBLAS).
+        # Forked ranks inherit the one thread; setting it again after the
+        # fork would start an OpenBLAS pool thread there that spin-waits
+        self._blas_threads = set_blas_threads(1)
         self._wakeups = [mp.Semaphore(0) for _ in range(cfg.n_workers - 1)]
         self._done = mp.Semaphore(0)
         self._procs: List[mp.Process] = []
@@ -435,6 +444,8 @@ class DataParallelTrainer:
         self._release_segments()
 
     def _release_segments(self) -> None:
+        if self._blas_threads is not None:
+            set_blas_threads(self._blas_threads)
         # parameters live in the segment about to vanish: copy them onto
         # private memory first so every Parameter view stays valid
         self.arena.rebind(data=np.empty_like(self.arena.data))

@@ -21,8 +21,9 @@ Both paths are checked:
   (``test_pruning_moves_less_than_batching``);
 * **training** — ``fit`` runs the padded forward with the last block
   on the CLS rows alone (``TransformerEncoder.forward(cls_only=True)``):
-  float64 gradients match the full last block within 1e-12, and every
-  dropout mask is the CLS slice of the full block's mask;
+  float64 gradients match the full last block within 1e-12 at dropout
+  0, the last block's dropouts draw masks for the CLS rows alone, and at
+  dropout 0.3 the step matches the full block replaying those masks;
 * **in effect / full path intact** — the position-wise GEMMs see Σlen
   rows, the last block allocates no (B, H, L, L) scores and projects
   queries for the CLS rows alone, the engine makes one forward per head
@@ -32,6 +33,7 @@ Both paths are checked:
 """
 
 from dataclasses import replace
+from math import ceil
 from pathlib import Path
 
 import numpy as np
@@ -266,8 +268,9 @@ def _dropouts(model):
 
 class TestCLSOnlyTraining:
     """The training forward (``_forward_logits``) computes the last block
-    for the CLS rows alone; its loss, gradients and dropout masks are the
-    full block's."""
+    for the CLS rows alone; its dropouts draw for the CLS rows alone, and
+    its loss and gradients are the full block's, without dropout or with
+    the full block applying the same masks to its CLS rows."""
 
     def _step_inputs(self, seed=3, b=9, length=40):
         rng = np.random.default_rng(seed)
@@ -291,30 +294,81 @@ class TestCLSOnlyTraining:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["float32", "float64"])
-    def test_dropout_masks_are_the_cls_slice_of_the_full_blocks(self,
-                                                                 dtype):
+    def test_dropout_masks_cover_the_applied_rows_alone(self, dtype):
+        """The last block's four dropouts draw masks of the shapes they
+        apply, (B, H, 1, L), (B, 1, D), (B, 1, d_ff) and (B, 1, D), and the
+        shared generator advances by ``Σ ceil(size / 4)`` words over every
+        dropout of the step.  Every dropout before the last block draws
+        the full forward's mask."""
+        cfg = PragFormerConfig(dropout=0.3)
+        key = (7, 1)
+        with use_dtype(dtype):
+            model = PragFormer(VOCAB, cfg, rng=5)
+            ids, mask, labels = self._step_inputs()
+            _, _, full = _training_grads(model, ids, mask, labels,
+                                         cls_only=False, key=key)
+            _, _, pruned = _training_grads(model, ids, mask, labels,
+                                           cls_only=True, key=key)
+        b, l = ids.shape
+        last = model.encoder.layers[-1]
+        applied = {id(last.attn.attn_dropout): (b, cfg.n_heads, 1, l),
+                   id(last.drop1): (b, 1, cfg.d_model),
+                   id(last.ffn.drop): (b, 1, cfg.d_ff),
+                   id(last.drop2): (b, 1, cfg.d_model)}
+        dropouts = _dropouts(model)
+        for module, f, p in zip(dropouts, full, pruned):
+            assert p.dtype == dtype
+            assert (p == 0).any() and (p != 0).any()
+            if id(module) in applied:
+                assert p.shape == applied[id(module)]
+            elif module is not model.head.drop:  # drawn after the last block
+                np.testing.assert_array_equal(p, f)
+        rng = dropouts[0].rng
+        assert all(m.rng is rng for m in dropouts)
+        expected = np.random.default_rng([*key, 1])
+        expected.bit_generator.advance(
+            sum(ceil(p.size / 4) for p in pruned))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    def test_dropout_step_matches_the_full_block_replaying_its_masks(
+            self, dtype, monkeypatch):
+        """At dropout 0.3 the CLS-only step's loss and gradients are those
+        of the full last block whose dropouts apply the CLS-only step's
+        masks: each recorded mask is written over the CLS query row
+        (attention) or the CLS position (``drop1``, the FFN's, ``drop2``)
+        of the full block's own draw, and every other dropout replays its
+        recorded mask whole.  A mask the CLS path draws but does not apply
+        (or applies to the wrong rows) breaks the agreement."""
         with use_dtype(dtype):
             model = PragFormer(VOCAB, PragFormerConfig(dropout=0.3), rng=5)
             ids, mask, labels = self._step_inputs()
-            ref_loss, ref, full = _training_grads(model, ids, mask, labels,
-                                                  cls_only=False)
             loss, got, pruned = _training_grads(model, ids, mask, labels,
                                                 cls_only=True)
-        last = model.encoder.layers[-1]
-        sliced = {id(m) for m in (last.attn.attn_dropout, last.drop1,
-                                  last.ffn.drop, last.drop2)}
-        for module, f, p in zip(_dropouts(model), full, pruned):
-            if id(module) in sliced:
-                # the CLS query row (attention) or the CLS position
-                axis = 2 if module is last.attn.attn_dropout else 1
-                assert p.shape[axis] == 1 and f.shape[axis] > 1
-                f = f[tuple(slice(0, n) for n in p.shape)]
-            np.testing.assert_array_equal(p, f)
-            assert (p == 0).any() and (p != 0).any()
+            last = model.encoder.layers[-1]
+            cls_axis = {id(last.attn.attn_dropout): 2, id(last.drop1): 1,
+                        id(last.ffn.drop): 1, id(last.drop2): 1}
+            for module, recorded in zip(_dropouts(model), pruned):
+                axis = cls_axis.get(id(module))
+                index = (Ellipsis if axis is None
+                         else (slice(None),) * axis + (slice(0, 1),))
+
+                def replay(x, module=module, recorded=recorded, index=index,
+                           draw=module.forward):
+                    out = draw(x)
+                    module._mask[index] = recorded
+                    return np.multiply(x, module._mask, out=out)
+
+                monkeypatch.setattr(module, "forward", replay)
+            ref_loss, ref, _ = _training_grads(model, ids, mask, labels,
+                                               cls_only=False)
         tol = 2e-6 if dtype == np.float32 else 1e-13
         assert loss == pytest.approx(ref_loss, rel=tol)
+        assert got.keys() == ref.keys()
         for name in ref:
             scale = np.abs(ref[name]).max()
+            assert scale > 0, name
             np.testing.assert_allclose(got[name], ref[name], rtol=0,
                                        atol=50 * tol * scale, err_msg=name)
 

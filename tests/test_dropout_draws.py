@@ -1,14 +1,21 @@
-"""Dropout masks from raw generator words, and per-shard reseeding.
+"""Dropout masks from 16-bit lanes of raw generator words, and per-shard
+reseeding.
 
-``Dropout.forward`` compares raw PCG64 words against an integer threshold
-instead of drawing floats.  The contract is exactness: the mask and every
-later draw of the generator equal those of ``rng.random(shape, dtype) <
-keep``, including PCG64's buffered 32-bit half-word.  Under the DDP
-trainer every dropout of a model shares one generator per micro-shard key,
-and a fit walks its modules once, not once per shard.
+``Dropout.forward`` on an ``n``-element input reads ``ceil(n / 4)`` raw
+words as little-endian ``uint16`` lanes and keeps element ``i`` when
+``lane[i] <= ceil((1 - p) * 2**16) - 1``, scaling kept elements by the
+inverse of that quantized keep.  The contract is exactness: the mask is
+bit for bit that of an independent reference computed with shifts, the
+generator advances by exactly ``ceil(n / 4)`` words, ``p = 0`` draws
+nothing, and the draw is the same for float32 and float64.  MT19937,
+whose raw words carry 32 bits, gives two lanes per word, so every bit
+generator drops at the rate ``p``.  Under the DDP trainer every dropout
+of a model shares one generator per micro-shard key, and a fit walks its
+modules once, not once per shard.
 """
 
 import multiprocessing as mp
+from math import ceil
 
 import numpy as np
 import pytest
@@ -17,137 +24,123 @@ from repro.data.encoding import EncodedSplit
 from repro.models.pragformer import PragFormer, PragFormerConfig
 from repro.models.pretrain import MLMConfig, MLMPretrainer
 from repro.nn import EncoderConfig
-from repro.nn.layers import Dropout, _keep_draw, _keep_limit
+from repro.nn.layers import Dropout
 from repro.nn.module import Module
 from repro.tokenize.vocab import Vocab
 from repro.train import reseed_stochastic, stochastic_reseeder
 
-SHAPES = [(1,), (2,), (7,), (3, 5), (4, 4, 11, 11), (2, 3, 8, 8)]
+SHAPES = [(1,), (2,), (3,), (4,), (5,), (7,), (3, 5), (4, 4, 11, 11),
+          (2, 3, 8, 8), (2, 3, 1, 9)]
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
 
 
-def _draw_dtype(dtype):
-    return np.float32 if dtype == np.float32 else np.float64
+def _reference_mask(bitgen, shape, p, dtype):
+    """The applied mask from ``bitgen``'s next ``ceil(n / 4)`` words
+    (``ceil(n / 2)`` on MT19937), with lanes cut out by shifts: lane
+    ``4 w + j`` (``2 w + j``) is bits ``16 j .. 16 j + 15`` of word ``w``,
+    whatever the host's byte order."""
+    n = int(np.prod(shape))
+    bits = 32 if isinstance(bitgen, np.random.MT19937) else 64
+    words = bitgen.random_raw(ceil(n * 16 / bits))
+    shifts = np.arange(0, bits, 16, dtype=np.uint64)
+    lanes = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:n]
+    kept_lanes = ceil((1.0 - p) * 2**16)
+    kept = (lanes <= kept_lanes - 1).reshape(shape)
+    return kept.astype(dtype) / dtype(kept_lanes / 2**16)
 
 
-def _later_state(rng):
-    """The generator state every later draw depends on: ``uinteger`` is
-    read only while ``has_uint32`` is set."""
-    state = rng.bit_generator.state
-    return (state["state"], state["has_uint32"],
-            state["uinteger"] if state["has_uint32"] else None)
-
-
-def _pair(seed, buffered):
-    """Two identical generators, optionally holding a buffered half-word
-    (one float32 draw takes the low half of a word and keeps the high)."""
-    pair = [np.random.default_rng(seed) for _ in range(2)]
-    if buffered:
-        for rng in pair:
-            rng.random(dtype=np.float32)
-            assert rng.bit_generator.state["has_uint32"] == 1
-    return pair
-
-
-def _assert_same_future(ref, got):
-    assert _later_state(got) == _later_state(ref)
-    for dtype in (np.float32, np.float32, np.float64, np.float32):
-        assert ref.random(3, dtype=dtype).tolist() == \
-            got.random(3, dtype=dtype).tolist()
+def _pair(bit_generator, seed):
+    return [np.random.Generator(bit_generator(seed)) for _ in range(2)]
 
 
 class TestRawMaskExactness:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("p", [0.1, 0.999])
-    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.999, 1e-20])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_dropout_mask_and_state_equal_the_float_draw(self, dtype, p,
-                                                         buffered, shape):
-        ref_rng, rng = _pair(11, buffered)
+    def test_mask_is_the_lane_draw(self, dtype, p, shape):
+        """Also at p below 2**-16, where every lane is kept and the
+        scale is exactly 1."""
+        ref_rng, rng = _pair(np.random.PCG64, 11)
         x = np.random.default_rng(0).standard_normal(shape).astype(dtype)
-        keep = dtype(1.0 - p)
-        kept = ref_rng.random(shape, dtype=_draw_dtype(dtype)) < keep
-        expected = kept.astype(dtype) / keep
-
+        expected = _reference_mask(ref_rng.bit_generator, shape, p, dtype)
         layer = Dropout(p, rng=rng)
         out = layer.forward(x)
+        assert layer._mask.dtype == dtype and out.dtype == dtype
         np.testing.assert_array_equal(layer._mask, expected)
         np.testing.assert_array_equal(out, x * expected)
-        _assert_same_future(ref_rng, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                             ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_bit_generator_takes_the_lane_draw(self, bit_generator,
+                                                     dtype, shape):
+        ref_rng, rng = _pair(bit_generator, 4)
+        expected = _reference_mask(ref_rng.bit_generator, shape, 0.1, dtype)
+        layer = Dropout(0.1, rng=rng)
+        layer.forward(np.ones(shape, dtype=dtype))
+        np.testing.assert_array_equal(layer._mask, expected)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                             ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_every_bit_generator_drops_at_rate_p(self, bit_generator, p):
+        """Over 2**17 elements the dropped share is within 5 standard
+        deviations of ``p`` (a generator whose words carried fewer random
+        bits than the lanes read would keep whole lanes always)."""
+        layer = Dropout(p, rng=np.random.Generator(bit_generator(8)))
+        layer.forward(np.ones(2**17, dtype=np.float32))
+        dropped = float(np.mean(layer._mask == 0))
+        assert abs(dropped - p) < 5 * np.sqrt(p * (1 - p) / 2**17)
+
+    @pytest.mark.parametrize("size", range(1, 14))
+    def test_generator_advances_by_ceil_n_over_4_words(self, size):
+        ref_rng, rng = _pair(np.random.PCG64, 7)
+        Dropout(0.3, rng=rng).forward(np.ones(size, dtype=np.float32))
+        ref_rng.bit_generator.advance(ceil(size / 4))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_dropout_p0_draws_nothing(self, dtype, buffered):
-        ref_rng, rng = _pair(5, buffered)
+    def test_p0_draws_nothing(self, dtype):
+        ref_rng, rng = _pair(np.random.PCG64, 5)
         x = np.ones((3, 5), dtype=dtype)
         layer = Dropout(0.0, rng=rng)
         assert layer.forward(x) is x and layer._mask is None
-        _assert_same_future(ref_rng, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("p", [0.0, 0.1, 0.999, 1e-20])
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_keep_draw_equals_the_float_draw(self, dtype, p, buffered,
-                                             shape):
-        """Also at keep = 1 (p = 0, or p below the dtype's resolution),
-        where the threshold is the top of the word range."""
-        ref_rng, rng = _pair(23, buffered)
-        keep = dtype(1.0 - p)
-        expected = ref_rng.random(shape, dtype=_draw_dtype(dtype)) < keep
-        np.testing.assert_array_equal(_keep_draw(rng, shape, keep), expected)
-        _assert_same_future(ref_rng, rng)
+    def test_float32_and_float64_keep_the_same_elements(self):
+        masks = {}
+        for dtype in (np.float32, np.float64):
+            layer = Dropout(0.1, rng=9)
+            layer.forward(np.ones((6, 50), dtype=dtype))
+            masks[dtype] = layer._mask != 0
+        np.testing.assert_array_equal(masks[np.float32], masks[np.float64])
+        assert masks[np.float32].any() and not masks[np.float32].all()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_limit_is_the_last_word_below_keep(self, dtype):
-        """numpy's uniform from a raw word ``w`` is ``(w >> 8) * 2**-24``
-        (float32) or ``(w >> 11) * 2**-53`` (float64): the limit word maps
-        below ``keep`` and the next word does not."""
-        bits, shift, top = ((24, 8, 2**32 - 1) if dtype == np.float32
-                            else (53, 11, 2**64 - 1))
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.999, 1e-20])
+    def test_scale_is_the_inverse_quantized_keep(self, p):
+        """Kept elements carry ``2**16 / k``, so a mask element's mean over
+        the 2**16 equally likely lanes is exactly 1, and the drop rate
+        ``1 - k / 2**16`` is within 2**-16 of ``p``."""
+        kept_lanes = ceil((1.0 - p) * 2**16)
+        layer = Dropout(p, rng=3)
+        layer.forward(np.ones(4000))
+        values = set(np.unique(layer._mask).tolist()) - {0.0}
+        assert values == {2**16 / kept_lanes}
+        assert abs((1.0 - kept_lanes / 2**16) - p) < 2**-16
 
-        def uniform(word):
-            return (word >> shift) * 2.0**-bits  # exact in float64
-
-        keeps = [1.0 - p for p in (0.1, 0.3, 0.5, 0.999, 1e-20)]
-        keeps += list(np.random.default_rng(2).random(200))
-        for value in keeps:
-            keep = dtype(value)
-            limit = _keep_limit(keep)
-            assert uniform(limit) < float(keep)
-            assert limit == top or uniform(limit + 1) >= float(keep)
-
-    def test_consecutive_draws_track_the_buffered_half(self):
-        """Odd sizes leave a half-word buffered for the next draw, which
-        consumes it: a run of odd and even draws stays in lockstep."""
-        ref_rng, rng = _pair(3, False)
-        keep = np.float32(0.7)
-        for size in (3, 1, 4, 5, 2, 1, 1, 9):
-            expected = ref_rng.random(size, dtype=np.float32) < keep
-            np.testing.assert_array_equal(_keep_draw(rng, (size,), keep),
-                                          expected)
-            assert _later_state(rng) == _later_state(ref_rng)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_full_block_draw_shape_masks_its_corner(self, dtype):
-        ref_rng, rng = _pair(9, True)
-        x = np.ones((2, 3, 1, 6), dtype=dtype)
-        draw_shape = (2, 3, 6, 6)
-        keep = dtype(0.8)
-        full = ref_rng.random(draw_shape, dtype=_draw_dtype(dtype)) < keep
-        layer = Dropout(0.2, rng=rng)
-        layer.forward(x, draw_shape)
-        np.testing.assert_array_equal(layer._mask,
-                                      full[:, :, :1].astype(dtype) / keep)
-        _assert_same_future(ref_rng, rng)
-
-    def test_other_bit_generators_take_the_float_draw(self):
-        ref_rng, rng = (np.random.Generator(np.random.MT19937(4))
-                        for _ in range(2))
-        keep = np.float32(0.9)
-        expected = ref_rng.random((5, 7), dtype=np.float32) < keep
-        np.testing.assert_array_equal(_keep_draw(rng, (5, 7), keep), expected)
-        assert rng.random() == ref_rng.random()
+    def test_training_flag_and_backward(self):
+        layer = Dropout(0.5, rng=1)
+        x = np.ones((4, 8), dtype=np.float32)
+        out = layer.forward(x).copy()
+        np.testing.assert_array_equal(layer.backward(np.ones_like(x)), out)
+        layer.eval()
+        assert layer.forward(x) is x and layer.backward(x) is x
 
 
 class _Stochastic(Module):

@@ -346,6 +346,40 @@ class TestEncoderEndToEnd:
                 num = (f_plus - f_minus) / 2e-6
                 assert abs(gflat[idx] - num) < 1e-4, f"{name}[{idx}]: {gflat[idx]} vs {num}"
 
+    def test_position_grads_are_the_batch_sum(self):
+        """Every row of a padded batch reads positions 0..L-1, so the
+        position table's gradient is the batch sum of the embedding
+        gradient over the first L rows (checked element by element against
+        central differences) and exactly 0 beyond them."""
+        cfg = EncoderConfig(vocab_size=13, d_model=6, n_heads=2, n_layers=1,
+                            d_ff=8, max_len=9, dropout=0.0)
+        enc = TransformerEncoder(cfg, rng=3).eval()
+        head = ClassificationHead(6, 5, rng=4).eval()
+        ids = np.array([[1, 5, 2, 7, 0], [3, 4, 0, 0, 0], [2, 2, 9, 1, 6]])
+        mask = (ids != 0).astype(float)
+        mask[:, 0] = 1.0
+        labels = np.array([0, 1, 1])
+
+        def loss():
+            return cross_entropy(head.forward(enc.forward(ids, mask)),
+                                 labels)[0]
+
+        _, dlogits = cross_entropy(head.forward(enc.forward(ids, mask)),
+                                   labels)
+        enc.zero_grad(); head.zero_grad()
+        enc.backward(head.backward(dlogits))
+        W, grad = enc.pos_emb.W.data, enc.pos_emb.W.grad
+        length = ids.shape[1]
+        assert not grad[length:].any()
+        for idx in np.ndindex(length, cfg.d_model):
+            orig = W[idx]
+            W[idx] = orig + EPS
+            f_plus = loss()
+            W[idx] = orig - EPS
+            f_minus = loss()
+            W[idx] = orig
+            assert abs(grad[idx] - (f_plus - f_minus) / (2 * EPS)) < 1e-6, idx
+
     def test_padding_invariance(self):
         """Extending a batch with more padding must not change CLS logits."""
         cfg = EncoderConfig(vocab_size=9, d_model=8, n_heads=2, n_layers=1,

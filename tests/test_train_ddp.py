@@ -16,10 +16,14 @@ sweeps the places where that construction could silently break:
   bit-identical to an uninterrupted one (and provably diverges when the
   moments are dropped, the regression this PR fixes);
 * the model-level wiring (``MLMPretrainer.fit`` / ``PragFormer.fit`` with
-  ``n_workers=`` and without it, the ``repro train --workers`` flag).
+  ``n_workers=`` and without it, the ``repro train --workers`` flag);
+* one OpenBLAS thread on every rank, rank 0's count restored on close
+  and on the failure path, and no change at all on another BLAS.
 """
 
 import glob
+import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from repro.train import (
     shard_bounds,
     shard_rng,
 )
+from repro.utils import blas
 
 
 def _ddp_segments():
@@ -591,3 +596,111 @@ class TestModelWiring:
         with pytest.raises(SystemExit):
             cli.main(["train", "--help"])
         assert f"at most {grid}" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.fixture
+def two_blas_threads():
+    """This process on two OpenBLAS threads for the test, then back to
+    its previous count; skipped on another BLAS."""
+    if blas.openblas_thread_calls() is None:
+        pytest.skip("no OpenBLAS in this process")
+    before = blas.set_blas_threads(2)
+    yield
+    blas.set_blas_threads(before)
+
+
+def _thread_count_backward(sel, key):
+    """A shard that reports its rank's OpenBLAS thread count as its loss:
+    a step's loss is then the mean count over the ranks' shards."""
+    get, _ = blas.openblas_thread_calls()
+    return float(get()) * len(sel), float(len(sel))
+
+
+class TestBlasThreads:
+    """Every rank trains on one OpenBLAS thread; rank 0 gets its own
+    count back when the trainer closes, also on the failure path."""
+
+    def _trainer(self, model, shard_backward, **cfg):
+        opt = FusedAdamW(model, lr=1e-2)
+        return DataParallelTrainer(opt, shard_backward, n_examples=16,
+                                   config=DDPConfig(seed=5, **cfg))
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_every_rank_reads_one_thread(self, two_blas_threads, n_workers):
+        with self._trainer(_Toy(), _thread_count_backward,
+                           n_workers=n_workers) as trainer:
+            trainer.run_epoch(_batches(16, 8))
+            assert trainer.step_losses == [1.0, 1.0]
+            get, _ = blas.openblas_thread_calls()
+            assert get() == 1
+
+    def test_forked_rank_starts_no_blas_pool(self, two_blas_threads):
+        """A forked rank trains on the one thread it inherits, with no
+        thread but its own, through real GEMMs: setting the count again
+        after the fork starts an OpenBLAS pool thread there, whose
+        spin-wait cost 2-worker fits about 20% on a 2-core host."""
+        parent = os.getpid()
+        threads = mp.Array("i", 4)
+
+        def shard_backward(sel, key):
+            a = np.ones((64, 64))
+            a @ a
+            if os.getpid() != parent:
+                with open("/proc/self/status") as status:
+                    threads[key[2]] = next(int(line.split()[1])
+                                           for line in status
+                                           if line.startswith("Threads:"))
+            return 0.0, float(len(sel))
+
+        with self._trainer(_Toy(), shard_backward, n_workers=2) as trainer:
+            trainer.run_epoch(_batches(16, 8))
+        assert list(threads) == [0, 1, 0, 1]
+
+    def test_rank0_count_restored_after_close(self, two_blas_threads):
+        get, _ = blas.openblas_thread_calls()
+        trainer = self._trainer(_Toy(), _thread_count_backward, n_workers=2)
+        assert get() == 1
+        trainer.close()
+        assert get() == 2
+        trainer.close()  # idempotent: nothing left to restore
+        assert get() == 2
+
+    def test_rank0_count_restored_after_worker_death(self, two_blas_threads):
+        X, y = _toy_data(n=16)
+        model = _Toy()
+        trainer = self._trainer(model, _make_shard_backward(model, X, y),
+                                n_workers=2, die_at_step=1,
+                                barrier_timeout_s=20.0)
+        with pytest.raises(WorkerDied):
+            trainer.run_epoch(_batches(16, 8))
+        get, _ = blas.openblas_thread_calls()
+        assert get() == 2
+
+    def test_missing_openblas_is_a_noop(self, monkeypatch):
+        """On another BLAS the trainer changes nothing and trains the
+        same bytes."""
+        reference = _run(2)
+        real = blas.openblas_thread_calls()
+        monkeypatch.setattr(blas, "openblas_thread_calls", lambda: None)
+        assert blas.set_blas_threads(1) is None
+        before = real[0]() if real is not None else None
+        _assert_bit_identical(_run(2), reference)
+        _assert_bit_identical(_run(1), reference)
+        if real is not None:
+            assert real[0]() == before
+
+    def test_pragformer_parity_from_two_parent_threads(self,
+                                                       two_blas_threads):
+        """1 vs 2 workers stay bit-identical when the parent starts on two
+        threads: the trainer pins rank 0 as well as the forked rank."""
+        cfg = PragFormerConfig(d_model=32, n_heads=2, n_layers=2, d_ff=64,
+                               d_head_hidden=16, max_len=12, batch_size=8)
+        split = TestModelWiring()._split(n=40, vocab=60)
+
+        def run(n_workers):
+            model = PragFormer(60, cfg, rng=5)
+            model.fit(split, epochs=2, n_workers=n_workers)
+            return (model.ddp_stats["step_losses"],
+                    model._optimizer.arena.data.tobytes())
+
+        assert run(1) == run(2)
