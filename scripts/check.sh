@@ -12,11 +12,12 @@
 #                               # (worker kill/hang/drop, admission control)
 #   scripts/check.sh --fuzz     # fuzz smoke only: seeded dirty-input
 #                               # sweep through the recovering frontend,
-#                               # the lexer's differential oracle,
-#                               # arbitrary JSON bodies at the HTTP
+#                               # the lexer's and the parser's
+#                               # differential oracles, arbitrary
+#                               # methods and JSON bodies at the HTTP
 #                               # endpoints, and arbitrary lines through
 #                               # the stdin serving loop (REPRO_FUZZ_N per
-#                               # sweep, ~1 min)
+#                               # sweep, ~2.5 min)
 #   scripts/check.sh --ddp      # DDP determinism only: the data-parallel
 #                               # trainer's bit-identity/parity suite
 #                               # (1-vs-N losses + arena bytes, worker
@@ -102,16 +103,17 @@ stage_chaos_smoke() {
 stage_fuzz_smoke() {
     # seeded, deterministic dirty-input sweeps: every mutant must come
     # back with diagnostics inside the budget, never an exception, must
-    # lex exactly as the reference per-character scanner does, every
-    # JSON body posted to the HTTP endpoints must get an answer, never a
-    # dropped connection, and every line sent to the stdin serving loop
-    # must get exactly one JSON answer line, never end the loop.  All
-    # four suites are part of tier-1 at a small REPRO_FUZZ_N; this mode
-    # rescales the same property tests to a deeper sweep.
+    # lex exactly as the reference per-character scanner does and parse
+    # exactly as the reference precedence ladder does, every request
+    # sent to the HTTP endpoints must get a JSON answer, never a dropped
+    # connection, and every line sent to the stdin serving loop must get
+    # exactly one JSON answer line, never end the loop.  All five suites
+    # are part of tier-1 at a small REPRO_FUZZ_N; this mode rescales the
+    # same property tests to a deeper sweep.
     REPRO_FUZZ_N="${REPRO_FUZZ_N:-1200}" \
         python -m pytest -x -q tests/test_clang_recovery.py \
-        tests/test_clang_lexer_oracle.py tests/test_serve_http_fuzz.py \
-        tests/test_serve_stdin_fuzz.py
+        tests/test_clang_lexer_oracle.py tests/test_clang_parser_oracle.py \
+        tests/test_serve_http_fuzz.py tests/test_serve_stdin_fuzz.py
 }
 
 stage_ddp() {

@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 __all__ = ["TokenKind", "Token", "LexError", "tokenize", "token_strings",
            "KEYWORDS"]
@@ -92,8 +91,7 @@ _OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` is the exact source text (for PRAGMA tokens, the pragma line

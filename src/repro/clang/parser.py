@@ -85,11 +85,12 @@ __all__ = [
 ]
 
 #: Hard nesting-depth cap.  The counter increments at most twice per source
-#: nesting level and each increment costs at most ~8 Python frames (the
-#: precedence ladder), so 80 keeps the worst case around 650 frames —
-#: comfortably inside CPython's default 1000-frame recursion limit even
-#: under a test runner — while still admitting ~35 levels of parentheses,
-#: far beyond anything in real code.
+#: nesting level and each increment costs at most ~5 Python frames (a
+#: parenthesis level is 9: expression, assignment and its body, ternary,
+#: binary, unary and its body, postfix, primary), so 80 keeps the worst
+#: case around 400 frames — comfortably inside CPython's default
+#: 1000-frame recursion limit even under a test runner — while still
+#: admitting 38 levels of parentheses, far beyond anything in real code.
 DEFAULT_MAX_DEPTH = 80
 
 #: Keywords that begin a statement recovery can safely resynchronise on.
@@ -116,6 +117,11 @@ _QUALIFIERS = frozenset(
 )
 
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
+
+#: Binary operator -> precedence level, loosest (``||``) first.
+_BINARY_PREC = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
+                "<": 6, ">": 6, "<=": 6, ">=": 6, "<<": 7, ">>": 7,
+                "+": 8, "-": 8, "*": 9, "/": 9, "%": 9}
 
 
 class ParseError(ValueError):
@@ -184,16 +190,20 @@ class Parser:
 
     # -- token stream helpers ----------------------------------------------
 
+    # ``_advance`` stops at EOF, so ``self.toks[self.i]`` always exists;
+    # only lookahead clamps
+
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.i + offset, len(self.toks) - 1)
-        return self.toks[idx]
+        if offset:
+            return self.toks[min(self.i + offset, len(self.toks) - 1)]
+        return self.toks[self.i]
 
     def _at_op(self, *ops: str) -> bool:
-        t = self._peek()
+        t = self.toks[self.i]
         return t.kind is TokenKind.OP and t.value in ops
 
     def _at_kw(self, *kws: str) -> bool:
-        t = self._peek()
+        t = self.toks[self.i]
         return t.kind is TokenKind.KEYWORD and t.value in kws
 
     def _advance(self) -> Token:
@@ -617,30 +627,19 @@ class Parser:
             return TernaryOp(cond, iftrue, iffalse)
         return cond
 
-    #: binary operator precedence levels, lowest first
-    _BIN_LEVELS = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def _parse_binary(self, level: int) -> Node:
-        if level >= len(self._BIN_LEVELS):
-            return self._parse_unary()
-        ops = self._BIN_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self._at_op(*ops):
-            op = self._advance().value
-            right = self._parse_binary(level + 1)
-            left = BinaryOp(op, left, right)
-        return left
+    def _parse_binary(self, min_prec: int) -> Node:
+        """Binary operators of level ``min_prec`` or tighter, by precedence
+        climbing: each right operand takes only tighter operators, so every
+        level stays left-associative."""
+        left = self._parse_unary()
+        toks = self.toks
+        while True:
+            t = toks[self.i]
+            prec = _BINARY_PREC.get(t.value) if t.kind is TokenKind.OP else None
+            if prec is None or prec < min_prec:
+                return left
+            self.i += 1
+            left = BinaryOp(t.value, left, self._parse_binary(prec + 1))
 
     def _parse_unary(self) -> Node:
         self._depth += 1
@@ -651,40 +650,39 @@ class Parser:
             self._depth -= 1
 
     def _parse_unary_inner(self) -> Node:
-        t = self._peek()
-        if t.kind is TokenKind.OP and t.value in ("+", "-", "!", "~", "&", "*"):
-            op = self._advance().value
-            return UnaryOp(op, self._parse_unary())
-        if t.kind is TokenKind.OP and t.value in ("++", "--"):
-            op = self._advance().value
-            return UnaryOp(op, self._parse_unary())
-        if self._at_kw("sizeof"):
-            self._advance()
+        t = self.toks[self.i]
+        kind, value = t.kind, t.value
+        if kind is TokenKind.IDENT:
+            return self._parse_postfix()
+        if kind is TokenKind.OP:
+            if value in ("+", "-", "!", "~", "&", "*", "++", "--"):
+                self.i += 1
+                return UnaryOp(value, self._parse_unary())
+            # cast: '(' type ')' unary
+            if value == "(" and self._is_type_ahead(1):
+                mark = self.i
+                self.i += 1
+                try:
+                    return Cast(self._parse_type_name(), self._parse_unary())
+                except ParseError:
+                    self.i = mark  # fall through to postfix/primary
+        elif kind is TokenKind.KEYWORD and value == "sizeof":
+            self.i += 1
             if self._at_op("(") and self._is_type_ahead(1):
-                self._advance()
-                _, base = self._parse_type_spec()
-                depth = 0
-                while self._at_op("*"):
-                    self._advance()
-                    depth += 1
-                self._expect_op(")")
-                return UnaryOp("sizeof", Identifier(base + "*" * depth))
+                self.i += 1
+                return UnaryOp("sizeof", Identifier(self._parse_type_name()))
             return UnaryOp("sizeof", self._parse_unary())
-        # cast: '(' type ')' unary
-        if self._at_op("(") and self._is_type_ahead(1):
-            mark = self.i
-            self._advance()
-            try:
-                _, base = self._parse_type_spec()
-                depth = 0
-                while self._at_op("*"):
-                    self._advance()
-                    depth += 1
-                self._expect_op(")")
-                return Cast(base + "*" * depth, self._parse_unary())
-            except ParseError:
-                self.i = mark  # fall through to postfix/primary
         return self._parse_postfix()
+
+    def _parse_type_name(self) -> str:
+        """``type *...)`` after a ``(``, as ``"type*..."``."""
+        _, base = self._parse_type_spec()
+        depth = 0
+        while self._at_op("*"):
+            self._advance()
+            depth += 1
+        self._expect_op(")")
+        return base + "*" * depth
 
     def _is_type_ahead(self, offset: int) -> bool:
         t = self._peek(offset)
@@ -694,14 +692,19 @@ class Parser:
 
     def _parse_postfix(self) -> Node:
         expr = self._parse_primary()
+        toks = self.toks
         while True:
-            if self._at_op("["):
-                self._advance()
+            t = toks[self.i]
+            if t.kind is not TokenKind.OP:
+                return expr
+            op = t.value
+            if op == "[":
+                self.i += 1
                 sub = self._parse_expression()
                 self._expect_op("]")
                 expr = ArrayRef(expr, sub)
-            elif self._at_op("("):
-                self._advance()
+            elif op == "(":
+                self.i += 1
                 args: List[Node] = []
                 while not self._at_op(")"):
                     args.append(self._parse_assignment_expr())
@@ -711,18 +714,12 @@ class Parser:
                         break
                 self._expect_op(")")
                 expr = Call(expr, args)
-            elif self._at_op("."):
-                self._advance()
-                expr = StructRef(expr, ".", self._expect_ident().value)
-            elif self._at_op("->"):
-                self._advance()
-                expr = StructRef(expr, "->", self._expect_ident().value)
-            elif self._at_op("++"):
-                self._advance()
-                expr = UnaryOp("p++", expr)
-            elif self._at_op("--"):
-                self._advance()
-                expr = UnaryOp("p--", expr)
+            elif op == "." or op == "->":
+                self.i += 1
+                expr = StructRef(expr, op, self._expect_ident().value)
+            elif op == "++" or op == "--":
+                self.i += 1
+                expr = UnaryOp("p" + op, expr)
             else:
                 return expr
 

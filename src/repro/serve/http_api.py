@@ -43,9 +43,10 @@ Endpoints (all JSON, all under ``/v1/``; the route table is
   ``POST /v1/canary/rollback`` — both take no body and answer ``409``
   with no canary active.
 
-Malformed requests get ``400`` with ``{"error": ...}``; every other path
-(including the bare ones without ``/v1/``) gets ``404``; the serving loop
-never dies on a bad request.  A request whose declared body the handler
+Malformed requests get ``400`` with ``{"error": ...}``; a known path
+under another method gets ``405`` with an ``Allow`` header; every other
+path (including the bare ones without ``/v1/``) gets ``404``; the serving
+loop never dies on a bad request.  A request whose declared body the handler
 never reads is answered with ``Connection: close``, so the unread bytes
 are never parsed as the next request line.  Bodies that are
 not valid UTF-8 are re-decoded with replacement characters when the bad
@@ -262,8 +263,10 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         # what end_headers() would do, with the body appended: status line,
-        # headers and body leave in one sendall instead of two writes
-        self._headers_buffer.extend((b"\r\n", body))
+        # headers and body leave in one sendall instead of two writes; a
+        # HEAD reply declares the body's length but carries none
+        self._headers_buffer.extend(
+            (b"\r\n", b"" if self.command == "HEAD" else body))
         self.flush_headers()
 
     def _error(self, status: int, message: str,
@@ -275,28 +278,28 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._send_json(status, {"error": message}, headers=headers)
 
-    def _route(self, method: str) -> None:
-        """Dispatch one request to its :data:`ROUTES` handler; any other
-        ``(method, path)`` — a bare path without ``/v1/`` included —
-        answers a JSON ``404``."""
+    def _route(self) -> None:
+        """Dispatch one request to its :data:`ROUTES` handler; a routed
+        path under another method answers a JSON ``405`` naming its
+        methods in ``Allow``, any other path — a bare one without
+        ``/v1/`` included — a JSON ``404``."""
         try:
             declared = int(self.headers.get("Content-Length") or 0) != 0
         except ValueError:
             declared = True
         self._body_unread = declared or "Transfer-Encoding" in self.headers
-        handler = ROUTES.get((method, self.path))
-        if handler is None:
-            self._error(404, f"unknown path {self.path!r}")
-        else:
+        handler = ROUTES.get((self.command, self.path))
+        if handler is not None:
             handler(self)
+        elif allowed := ", ".join(m for m, path in ROUTES if path == self.path):
+            self._error(405, f"{self.command} not allowed on {self.path!r}",
+                        headers={"Allow": allowed})
+        else:
+            self._error(404, f"unknown path {self.path!r}")
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        """Route a ``GET`` through :data:`ROUTES`."""
-        self._route("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        """Route a ``POST`` through :data:`ROUTES`."""
-        self._route("POST")
+    # http.server calls ``do_<METHOD>``: route them all, so none gets its
+    # HTML ``501``
+    do_GET = do_POST = do_PUT = do_DELETE = do_HEAD = do_PATCH = do_OPTIONS = _route
 
     def _admit(self) -> bool:
         """Admission gate for the serving endpoints (``/v1/advise``,
@@ -605,7 +608,8 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
 
 
 #: Every endpoint: ``(method, path) -> handler``.  The router matches
-#: ``self.path`` exactly, so a path missing here is a ``404``.
+#: ``self.path`` exactly: a path missing here is a ``404``, one here under
+#: another method a ``405``.
 ROUTES = {
     ("POST", "/v1/advise"): _AdvisorHandler._handle_advise,
     ("POST", "/v1/advise/batch"): _AdvisorHandler._handle_advise_batch,

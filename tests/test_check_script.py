@@ -121,7 +121,8 @@ class TestModeInvocations:
         calls = _calls(log)
         assert calls == [
             "python -m pytest -x -q tests/test_clang_recovery.py "
-            "tests/test_clang_lexer_oracle.py tests/test_serve_http_fuzz.py "
+            "tests/test_clang_lexer_oracle.py "
+            "tests/test_clang_parser_oracle.py tests/test_serve_http_fuzz.py "
             "tests/test_serve_stdin_fuzz.py"]
         assert "check.sh: stage 'fuzz-smoke' passed" in result.stdout
 

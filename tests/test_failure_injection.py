@@ -29,8 +29,9 @@ class TestParserRobustness:
             parse(bad)
 
     def test_deeply_nested_parens_parse(self):
-        # each paren level costs ~14 interpreter frames through the
-        # precedence ladder; 30 levels is far beyond real code
+        # each paren level costs 9 interpreter frames, from the
+        # expression rule down to the primary; 30 levels is far beyond
+        # real code
         code = "x = " + "(" * 30 + "1" + ")" * 30 + ";"
         parse(code)
 

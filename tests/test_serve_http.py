@@ -645,6 +645,34 @@ class TestOneConnection:
             conn.close()
         assert stub_server.counters()["errors"] == errors + len(bare)
 
+    @pytest.mark.parametrize("method", [
+        "PUT", "DELETE", "HEAD", "PATCH", "OPTIONS", "GET", "POST"])
+    def test_other_methods_are_json_405s(self, stub_server, method):
+        """A routed path asked for under a method it is not served under
+        answers a JSON 405 (HEAD: headers only) whose ``Allow`` header
+        names the methods it is served under, and ticks ``errors``; an
+        unrouted path is a 404 under any method."""
+        paths = [path for routed, path in ROUTES if routed != method]
+        errors = stub_server.counters()["errors"]
+        address = stub_server.server_address[:2]
+        for path in paths + ["/nope"]:
+            conn = http.client.HTTPConnection(*address, timeout=10)
+            try:
+                conn.request(method, path)
+                resp = conn.getresponse()
+                raw = resp.read()
+            finally:
+                conn.close()
+            allowed = [routed for routed, p in ROUTES if p == path]
+            assert resp.status == (405 if allowed else 404), (method, path)
+            assert resp.getheader("Content-Type") == "application/json"
+            assert resp.getheader("Allow") == (", ".join(allowed) or None)
+            if method == "HEAD":
+                assert raw == b""
+            else:
+                assert "error" in json.loads(raw)
+        assert stub_server.counters()["errors"] == errors + len(paths) + 1
+
 
 def test_cli_banner_announces_the_bound_port(tmp_path):
     """``repro serve --http 0`` announces its port on the first stdout

@@ -1,15 +1,21 @@
-"""Property test: every POST body gets an HTTP answer.
+"""Property test: every request body, under every method, gets an HTTP
+answer.
 
 Hypothesis draws JSON-object bodies whose fields hold arbitrary JSON
 values — huge ints (past the float range and past Python's int-string
 digit limit), NaN and +-inf floats, deep and shallow nesting, ``null``,
-bools and non-ASCII strings — and posts them to ``/v1/advise``,
-``/v1/advise/batch``, ``/v1/reload``, ``/v1/canary`` and the body-less
-``/v1/canary/promote`` and ``/v1/canary/rollback``.  Whatever the body,
-the server must answer with a documented status and a JSON object, never
-drop the connection, and — unless the reply says ``Connection: close`` —
-answer a follow-up ``GET /v1/healthz`` on the same connection.  Stub
-advisors stand in for the model, so no weights load.
+bools and non-ASCII strings — and sends them to ``/v1/advise``,
+``/v1/advise/batch``, ``/v1/reload``, ``/v1/canary``, the body-less
+``/v1/canary/promote`` and ``/v1/canary/rollback``, and ``/v1/healthz``
+and ``/v1/stats``, under a drawn method: mostly the one the endpoint is
+served under, otherwise any of ``GET``, ``POST``, ``PUT``, ``DELETE``,
+``HEAD``, ``PATCH`` and ``OPTIONS``.  Whatever the body, a routed request
+must be answered with a documented status and a JSON object, and any
+other method with a ``405`` whose ``Allow`` header names the endpoint's
+methods (a JSON object too, or no body for ``HEAD``).  The server must
+never drop the connection, and — unless the reply says ``Connection:
+close`` — must answer a follow-up ``GET /v1/healthz`` on the same
+connection.  Stub advisors stand in for the model, so no weights load.
 
 Scale the sweep with ``REPRO_FUZZ_N`` (examples per endpoint; the CI
 ``--fuzz`` stage raises it, the default keeps tier-1 fast).
@@ -26,10 +32,13 @@ from hypothesis import strategies as st
 
 from repro.serve import make_server
 from repro.serve.api import AdviceResult
+from repro.serve.http_api import ROUTES
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "150"))
 
 ANSWER_STATUSES = {200, 400, 409, 413, 500, 501}
+
+METHODS = ["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH", "OPTIONS"]
 
 
 class _Raw(str):
@@ -78,6 +87,8 @@ _FIELDS = {
     # read no body at all: every drawn body is left on the socket
     "/v1/canary/promote": {},
     "/v1/canary/rollback": {},
+    "/v1/healthz": {},
+    "/v1/stats": {},
 }
 
 
@@ -140,32 +151,44 @@ def servers():
         thread.join(timeout=5)
 
 
-def _post_raw(address, path, body: bytes):
+def _request_raw(address, method, path, body: bytes):
     conn = http.client.HTTPConnection(*address, timeout=10)
     try:
-        conn.request("POST", path, body=body,
+        conn.request(method, path, body=body,
                      headers={"Content-Type": "application/json"})
         resp = conn.getresponse()
         status, raw = resp.status, resp.read()
+        assert resp.getheader("Content-Type") == "application/json"
+        allow = resp.getheader("Allow")
         if resp.getheader("Connection") != "close":
             # the connection must still frame the next request correctly
             conn.request("GET", "/v1/healthz")
             probe = conn.getresponse()
             assert probe.getheader("Content-Type") == "application/json"
             assert json.loads(probe.read())["status"] == "ok"
-        return status, raw
+        return status, allow, raw
     finally:
         conn.close()
 
 
 @pytest.mark.parametrize("endpoint", sorted(_FIELDS))
 def test_every_body_gets_an_answer(servers, endpoint):
+    allowed = [method for method, path in ROUTES if path == endpoint]
+    assert len(allowed) == 1
+
     @settings(max_examples=FUZZ_N, deadline=None, derandomize=True)
-    @given(body=_bodies(endpoint), bare=st.booleans())
-    def check(body, bare):
-        status, raw = _post_raw(servers[bare], endpoint,
-                                _dumps(body).encode("utf-8"))
-        assert status in ANSWER_STATUSES, (status, raw[:200])
-        assert isinstance(json.loads(raw), dict)
+    @given(body=_bodies(endpoint), bare=st.booleans(),
+           method=st.just(allowed[0]) | st.sampled_from(METHODS))
+    def check(body, bare, method):
+        status, allow, raw = _request_raw(servers[bare], method, endpoint,
+                                          _dumps(body).encode("utf-8"))
+        if method in allowed:
+            assert status in ANSWER_STATUSES, (status, raw[:200])
+        else:
+            assert (status, allow) == (405, ", ".join(allowed)), raw[:200]
+        if method == "HEAD":
+            assert raw == b""
+        else:
+            assert isinstance(json.loads(raw), dict)
 
     check()

@@ -8,6 +8,9 @@ captured in process after the change that draws each dropout mask from
 16-bit lanes for the rows it is applied to (the model trains through the
 one-worker data-parallel trainer, on one BLAS thread); the loop's output
 must not change with the engine behind it, in process or on two shards.
+The ``io`` request scores 0.058 below the 0.5 verdict threshold, so the
+golden holds both verdicts and a small arithmetic move changes its
+digits, not its verdict.
 """
 
 import io
@@ -76,7 +79,7 @@ def _requests(tmp_path):
         json.dumps({"id": 7, "code": 5}),         # non-string code
         "",                                       # blank: skipped
         json.dumps({"id": "io", "code": 'for (i = 0; i < n; i++) '
-                                        'fprintf(f, "%d", a[i]);'}),
+                                        '{ fprintf(stderr, "x"); }'}),
         json.dumps({"code": "while (k < n) { total += buf[k]; k++; }"}),
     ]
     # errors are written as each line is read; verdicts when the batch
@@ -88,7 +91,7 @@ def _requests(tmp_path):
         '{"id": "sum", "needs_directive": true, "p_directive": 0.631459}',
         f'{{"id": "{path}", "needs_directive": true, '
         '"p_directive": 0.560359}',
-        '{"id": "io", "needs_directive": true, "p_directive": 0.500097}',
+        '{"id": "io", "needs_directive": false, "p_directive": 0.44235}',
         '{"id": null, "needs_directive": true, "p_directive": 0.555432}',
     ]
     return lines, expected
